@@ -142,7 +142,7 @@ FlowCatalog FlowCatalog::load_all(const schema::TaskSchema& schema,
     support::RecordReader rec(line);
     if (rec.kind() != "catalogflow") {
       throw support::ParseError("flow catalog: unknown record '" +
-                                rec.kind() + "'");
+                                std::string(rec.kind()) + "'");
     }
     const std::string name = rec.next_string();
     std::string body = rec.next_string();

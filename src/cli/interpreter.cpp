@@ -4,7 +4,6 @@
 #include <fstream>
 #include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "analyze/flow_lint.hpp"
 #include "analyze/plan_check.hpp"
@@ -18,6 +17,7 @@
 #include "schema/standard_schemas.hpp"
 #include "storage/fsck.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/text.hpp"
 
 namespace herc::cli {
@@ -41,11 +41,9 @@ class UsageError : public HercError {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw UsageError("cannot read file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::optional<std::string> text = support::read_file(path);
+  if (!text) throw UsageError("cannot read file '" + path + "'");
+  return std::move(*text);
 }
 
 void write_file(const std::string& path, const std::string& content) {

@@ -1,11 +1,8 @@
 #include "core/session.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <future>
 
 #include "schema/schema_io.hpp"
-#include "storage/journal.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 #include "tools/fault_injection.hpp"
@@ -214,30 +211,15 @@ std::string DesignSession::save() const {
   return out;
 }
 
-namespace {
-
-/// The current journal's record payloads, for index catch-up.  Any problem
-/// (no file, foreign epoch) reads as "no records": the index then rebuilds
-/// or, if its seq claims otherwise, falls back to a rebuild too.
-std::vector<std::string> journal_records_for(const std::string& dir,
-                                             std::uint64_t epoch) {
-  const std::filesystem::path path =
-      std::filesystem::path(dir) / "journal.wal";
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const storage::ScanResult scan = storage::scan_journal(buffer.str());
-  if (!scan.header_valid || scan.epoch != epoch) return {};
-  return scan.records;
-}
-
-}  // namespace
-
 storage::RecoveryReport DesignSession::open_storage(
     const std::string& dir, storage::StoreOptions options) {
   require_writable("open");
   indexes_.reset();  // detach from the database we are about to replace
+  // The index image reads no database, so it is parsed while the store
+  // replays its snapshot; the checks against the store come after.
+  std::future<index::HistoryIndexes::LoadedImage> image =
+      std::async(std::launch::async,
+                 [dir] { return index::HistoryIndexes::load_image(dir); });
   auto store = std::make_unique<storage::DurableHistory>(schema_, *clock_,
                                                          dir, options);
   history::HistoryDb& current = db();
@@ -253,8 +235,8 @@ storage::RecoveryReport DesignSession::open_storage(
   executor_ = std::make_unique<exec::Executor>(storage_->db(), *registry_);
   executor_->set_cancel_flag(cancel_);
   indexes_ = std::make_unique<index::HistoryIndexes>(storage_->db());
-  indexes_->open(dir, storage_->epoch(),
-                 journal_records_for(dir, storage_->epoch()));
+  index_open_ = indexes_->open(image.get(), storage_->epoch(),
+                               storage_->take_journal_records());
   indexes_->attach();
   return storage_->recovery();
 }

@@ -156,6 +156,12 @@ class DesignSession {
   [[nodiscard]] const index::HistoryIndexes* indexes() const {
     return indexes_.get();
   }
+  /// How the last `open_storage` opened the indexes: loaded from the
+  /// store's index image (and caught up from its journal), or rebuilt.
+  [[nodiscard]] const index::HistoryIndexes::OpenReport& index_open_report()
+      const {
+    return index_open_;
+  }
 
   // ---- replication (src/replica) ---------------------------------------------
 
@@ -191,6 +197,7 @@ class DesignSession {
   /// Declared last: destroyed first, so it detaches from the database
   /// while the database (storage_/db_/replica view) is still alive.
   std::unique_ptr<index::HistoryIndexes> indexes_;
+  index::HistoryIndexes::OpenReport index_open_;
 };
 
 }  // namespace herc::core

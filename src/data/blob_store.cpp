@@ -63,8 +63,8 @@ BlobStore BlobStore::load(std::string_view text) {
     if (support::trim(line).empty()) continue;
     support::RecordReader rec(line);
     if (rec.kind() != "blob") {
-      throw HistoryError("blob store: unexpected record '" + rec.kind() +
-                         "'");
+      throw HistoryError("blob store: unexpected record '" +
+                         std::string(rec.kind()) + "'");
     }
     const std::string key = rec.next_string();
     const std::string payload = rec.next_string();

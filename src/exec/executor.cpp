@@ -932,7 +932,8 @@ std::string encode_exec_options(const ExecOptions& options) {
 ExecOptions decode_exec_options(std::string_view text) {
   support::RecordReader rec(text);
   if (rec.kind() != "opts") {
-    throw ExecError("malformed run options record '" + rec.kind() + "'");
+    throw ExecError("malformed run options record '" +
+                    std::string(rec.kind()) + "'");
   }
   ExecOptions options;
   options.parallel = rec.next_uint32() != 0;

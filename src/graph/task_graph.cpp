@@ -830,8 +830,8 @@ TaskGraph TaskGraph::load(const schema::TaskSchema& schema,
                                          : DepKind::kData,
                             optional, std::move(role)});
     } else {
-      throw support::ParseError("flow file: unknown record '" + rec.kind() +
-                                "'");
+      throw support::ParseError("flow file: unknown record '" +
+                                std::string(rec.kind()) + "'");
     }
   }
   flow.check();

@@ -749,7 +749,8 @@ void HistoryDb::apply_saved_line(std::string_view line) {
     const InstanceId id(rec.next_uint32());
     apply_quarantine(id, rec.next_string());
   } else {
-    throw HistoryError("history file: unknown record '" + rec.kind() + "'");
+    throw HistoryError("history file: unknown record '" +
+                       std::string(rec.kind()) + "'");
   }
   // Observers see replayed records too (a throw above skips this, so only
   // applied records are observed).  The listener is never notified here:
@@ -764,7 +765,7 @@ void HistoryDb::apply_saved_line(std::string_view line) {
 HistoryDb HistoryDb::load(const schema::TaskSchema& schema,
                           support::Clock& clock, std::string_view text) {
   HistoryDb db(schema, clock);
-  for (const std::string& line : support::split(text, '\n')) {
+  for (const std::string_view line : support::Lines(text)) {
     db.apply_saved_line(line);
   }
   return db;

@@ -6,9 +6,9 @@
 #include <fstream>
 #include <limits>
 #include <queue>
-#include <sstream>
 
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/hash.hpp"
 #include "support/record.hpp"
 #include "support/text.hpp"
@@ -212,7 +212,7 @@ bool IndexImage::parse(std::string_view text, IndexImage& out,
   try {
     support::RecordReader rec(header);
     if (rec.kind() != kIndexMagic) {
-      error = "bad magic '" + rec.kind() + "'";
+      error = "bad magic '" + std::string(rec.kind()) + "'";
       return false;
     }
     img.epoch = static_cast<std::uint64_t>(rec.next_int64());
@@ -223,18 +223,23 @@ bool IndexImage::parse(std::string_view text, IndexImage& out,
       error = "body checksum mismatch";
       return false;
     }
-    for (const std::string& line : support::split(body, '\n')) {
+    // Nearly every line is a token: size the dictionary once, up front.
+    const auto lines =
+        static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n'));
+    img.tokens.reserve(lines);
+    img.token_ids.reserve(lines);
+    img.postings.reserve(lines);
+    for (const std::string_view line : support::Lines(body)) {
       if (support::trim(line).empty()) continue;
       support::RecordReader r(line);
       if (r.kind() == "tok") {
-        const std::string tok = r.next_string();
-        if (img.token_ids.contains(tok)) {
+        std::string tok = r.next_string();
+        const auto id = static_cast<std::uint32_t>(img.tokens.size());
+        if (!img.token_ids.try_emplace(tok, id).second) {
           error = "duplicate token '" + tok + "'";
           return false;
         }
-        img.token_ids.emplace(tok,
-                              static_cast<std::uint32_t>(img.tokens.size()));
-        img.tokens.push_back(tok);
+        img.tokens.push_back(std::move(tok));
         img.postings.emplace_back();
         while (!r.exhausted()) img.postings.back().push_back(r.next_uint32());
       } else if (r.kind() == "usr") {
@@ -250,7 +255,7 @@ bool IndexImage::parse(std::string_view text, IndexImage& out,
         img.edges = static_cast<std::uint64_t>(r.next_int64());
         img.adjacency_digest = static_cast<std::uint64_t>(r.next_int64());
       } else {
-        error = "unknown section '" + r.kind() + "'";
+        error = "unknown section '" + std::string(r.kind()) + "'";
         return false;
       }
     }
@@ -290,8 +295,7 @@ void HistoryIndexes::detach() {
 
 void HistoryIndexes::rebuild() {
   img_ = IndexImage{};
-  trigrams_.clear();
-  trigrams_covered_ = 0;
+  trigrams_ = TrigramMap{};
   const schema::TaskSchema& schema = db_->schema();
   const std::size_t n = db_->size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -311,11 +315,32 @@ void HistoryIndexes::rebuild() {
                           : -1,
                       inputs);
   }
-  sync_trigrams();
+  trigrams_.extend(img_.tokens);
+}
+
+HistoryIndexes::LoadedImage HistoryIndexes::load_image(
+    const std::string& dir) {
+  LoadedImage loaded;
+  const std::optional<std::string> text = support::read_file(file_path(dir));
+  if (!text) {
+    loaded.error = "no index file";
+    return loaded;
+  }
+  IndexImage image;
+  if (!IndexImage::parse(*text, image, loaded.error)) return loaded;
+  loaded.trigrams.extend(image.tokens);
+  loaded.image = std::move(image);
+  return loaded;
 }
 
 HistoryIndexes::OpenReport HistoryIndexes::open(
     const std::string& dir, std::uint64_t epoch,
+    const std::vector<std::string>& journal_records) {
+  return open(load_image(dir), epoch, journal_records);
+}
+
+HistoryIndexes::OpenReport HistoryIndexes::open(
+    LoadedImage loaded, std::uint64_t epoch,
     const std::vector<std::string>& journal_records) {
   OpenReport rep;
   const auto fall_back = [&](std::string reason) {
@@ -325,42 +350,28 @@ HistoryIndexes::OpenReport HistoryIndexes::open(
     rep.caught_up = 0;
     rep.reason = std::move(reason);
   };
-  std::string text;
-  {
-    std::ifstream in(file_path(dir), std::ios::binary);
-    if (!in) {
-      fall_back("no index file");
-      return rep;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
-  }
-  IndexImage loaded;
-  std::string err;
-  if (!IndexImage::parse(text, loaded, err)) {
-    fall_back(err);
+  if (!loaded.image) {
+    fall_back(std::move(loaded.error));
     return rep;
   }
-  if (loaded.epoch != epoch) {
-    fall_back("epoch skew (index " + std::to_string(loaded.epoch) +
+  const IndexImage& image = *loaded.image;
+  if (image.epoch != epoch) {
+    fall_back("epoch skew (index " + std::to_string(image.epoch) +
               ", store " + std::to_string(epoch) + ")");
     return rep;
   }
-  if (loaded.seq > journal_records.size()) {
-    fall_back("index at seq " + std::to_string(loaded.seq) +
+  if (image.seq > journal_records.size()) {
+    fall_back("index at seq " + std::to_string(image.seq) +
               " but the journal holds " +
               std::to_string(journal_records.size()) + " records");
     return rep;
   }
-  img_ = std::move(loaded);
-  trigrams_.clear();
-  trigrams_covered_ = 0;
+  img_ = std::move(*loaded.image);
+  trigrams_ = std::move(loaded.trigrams);
   try {
     for (std::size_t i = static_cast<std::size_t>(img_.seq);
          i < journal_records.size(); ++i) {
-      for (const std::string& line :
-           support::split(journal_records[i], '\n')) {
+      for (const std::string_view line : support::Lines(journal_records[i])) {
         if (support::trim(line).empty()) continue;
         img_.apply_line(line);
       }
@@ -377,7 +388,7 @@ HistoryIndexes::OpenReport HistoryIndexes::open(
     return rep;
   }
   rep.loaded = true;
-  sync_trigrams();
+  trigrams_.extend(img_.tokens);
   return rep;
 }
 
@@ -411,22 +422,30 @@ void HistoryIndexes::save(const std::string& dir, std::uint64_t epoch,
 }
 
 void HistoryIndexes::on_lines(std::string_view lines) {
-  for (const std::string& line : support::split(lines, '\n')) {
+  for (const std::string_view line : support::Lines(lines)) {
     if (support::trim(line).empty()) continue;
     img_.apply_line(line);
   }
-  sync_trigrams();
+  trigrams_.extend(img_.tokens);
 }
 
 void HistoryIndexes::on_reset() { rebuild(); }
 
-void HistoryIndexes::sync_trigrams() {
-  for (; trigrams_covered_ < img_.tokens.size(); ++trigrams_covered_) {
-    const std::string& tok = img_.tokens[trigrams_covered_];
+std::uint32_t TrigramMap::key(std::string_view trigram) {
+  return static_cast<std::uint32_t>(static_cast<unsigned char>(trigram[0]))
+             << 16 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(trigram[1]))
+             << 8 |
+         static_cast<std::uint32_t>(static_cast<unsigned char>(trigram[2]));
+}
+
+void TrigramMap::extend(const std::vector<std::string>& tokens) {
+  for (; covered < tokens.size(); ++covered) {
+    const std::string_view tok = tokens[covered];
     if (tok.size() < 3) continue;
-    const auto tid = static_cast<std::uint32_t>(trigrams_covered_);
+    const auto tid = static_cast<std::uint32_t>(covered);
     for (std::size_t i = 0; i + 3 <= tok.size(); ++i) {
-      std::vector<std::uint32_t>& list = trigrams_[tok.substr(i, 3)];
+      std::vector<std::uint32_t>& list = lists[key(tok.substr(i, 3))];
       if (list.empty() || list.back() != tid) list.push_back(tid);
     }
   }
@@ -438,8 +457,9 @@ std::vector<std::uint32_t> HistoryIndexes::matching_tokens(
   // the rarest trigram's token list is a complete candidate set to verify.
   const std::vector<std::uint32_t>* rarest = nullptr;
   for (std::size_t i = 0; i + 3 <= keyword.size(); ++i) {
-    const auto it = trigrams_.find(keyword.substr(i, 3));
-    if (it == trigrams_.end()) return {};
+    const auto it = trigrams_.lists.find(
+        TrigramMap::key(std::string_view(keyword).substr(i, 3)));
+    if (it == trigrams_.lists.end()) return {};
     if (rarest == nullptr || it->second.size() < rarest->size()) {
       rarest = &it->second;
     }

@@ -117,6 +117,21 @@ struct IndexImage {
   void add_tokens(std::uint32_t id, std::string_view text);
 };
 
+/// Trigram -> ids of the tokens whose text contains it, over the first
+/// `covered` tokens of a dictionary: resolves substring keywords without
+/// scanning the dictionary.
+struct TrigramMap {
+  /// The three bytes of a trigram packed into one key.
+  [[nodiscard]] static std::uint32_t key(std::string_view trigram);
+
+  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> lists;
+  std::size_t covered = 0;
+
+  /// Extends the map over the tokens added since the last call (a token
+  /// dictionary only grows, so this is an append).
+  void extend(const std::vector<std::string>& tokens);
+};
+
 /// The live secondary indexes of one database: a `SecondaryIndex` the query
 /// planner consults and a `HistoryObserver` keeping itself current.  Not
 /// internally synchronized — reads and mutations follow the same locking
@@ -144,10 +159,31 @@ class HistoryIndexes final : public history::SecondaryIndex,
     std::string reason;
   };
 
-  /// Opens `dir`'s index against a store recovered at `epoch` whose
-  /// current journal holds `journal_records` (scan_journal record
-  /// payloads).  Loads + catches up when the file matches, rebuilds from
-  /// the database on any skew.  Never throws on a bad file.
+  /// An index file as read from disk, not yet checked against a store.
+  struct LoadedImage {
+    /// Nullopt when the file is missing or does not parse; `error` says
+    /// why.
+    std::optional<IndexImage> image;
+    std::string error;
+    /// Built over the image's token dictionary.
+    TrigramMap trigrams;
+  };
+
+  /// Reads and parses `dir`'s index file and builds its trigram map.  The
+  /// first half of opening, and pure: it reads no database, so it can run
+  /// on another thread while the store replays its snapshot.  Never throws
+  /// on a bad file.
+  [[nodiscard]] static LoadedImage load_image(const std::string& dir);
+
+  /// The second half of opening: checks `loaded` against a store recovered
+  /// at `epoch` whose current journal holds `journal_records` (scan_journal
+  /// record payloads), then catches up on the records after the image's
+  /// seq.  Rebuilds from the database instead on a missing or unreadable
+  /// file, or on epoch, seq or instance-count skew.
+  OpenReport open(LoadedImage loaded, std::uint64_t epoch,
+                  const std::vector<std::string>& journal_records);
+
+  /// Both halves in turn: `open(load_image(dir), ...)`.
   OpenReport open(const std::string& dir, std::uint64_t epoch,
                   const std::vector<std::string>& journal_records);
 
@@ -182,9 +218,6 @@ class HistoryIndexes final : public history::SecondaryIndex,
   void on_reset() override;
 
  private:
-  /// Extends the trigram map over tokens added since the last sync (the
-  /// dictionary only grows, so this is an append).
-  void sync_trigrams();
   /// Token ids whose text contains `keyword` (already lowercased,
   /// token-charset, length >= 3).
   [[nodiscard]] std::vector<std::uint32_t> matching_tokens(
@@ -192,9 +225,7 @@ class HistoryIndexes final : public history::SecondaryIndex,
 
   history::HistoryDb* db_;
   IndexImage img_;
-  /// Trigram -> token ids whose text contains it (for substring keywords).
-  std::unordered_map<std::string, std::vector<std::uint32_t>> trigrams_;
-  std::size_t trigrams_covered_ = 0;
+  TrigramMap trigrams_;
   bool attached_ = false;
 };
 

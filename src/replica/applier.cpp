@@ -2,14 +2,13 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "schema/schema_io.hpp"
 #include "server/protocol.hpp"
 #include "support/backoff.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/record.hpp"
 #include "support/text.hpp"
 
@@ -22,13 +21,9 @@ using support::NetError;
 namespace {
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw HistoryError("replica: cannot read '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::optional<std::string> bytes = support::read_file(path);
+  if (!bytes) throw HistoryError("replica: cannot read '" + path + "'");
+  return std::move(*bytes);
 }
 
 std::uint64_t seed_from(std::string_view text) {
@@ -153,29 +148,15 @@ bool ReplicaApplier::recover_local() {
   // format.  A snapshot from a different epoch than the marker means a
   // crash landed between install steps; resync rather than guess.
   auto fresh = std::make_unique<history::HistoryDb>(*schema_, clock_);
-  bool seen_meta = false;
-  for (const std::string& line :
-       support::split(read_file(snapshot_path()), '\n')) {
-    if (support::trim(line).empty()) continue;
-    if (!seen_meta) {
-      support::RecordReader rec(line);
-      if (rec.kind() != "snap") {
-        set_error("replica store '" + dir_ +
-                  "': snapshot does not start with a snap record");
-        return false;
-      }
-      if (static_cast<std::uint64_t>(rec.next_int64()) != *marker_epoch) {
-        set_error("replica store '" + dir_ +
-                  "': snapshot epoch differs from the replica marker");
-        return false;
-      }
-      seen_meta = true;
-      continue;
-    }
-    fresh->apply_saved_line(line);
-  }
-  if (!seen_meta) {
+  const std::optional<std::uint64_t> snapshot_epoch = storage::replay_snapshot(
+      read_file(snapshot_path()), *fresh, "replica store '" + dir_ + "'");
+  if (!snapshot_epoch.has_value()) {
     set_error("replica store '" + dir_ + "': empty snapshot");
+    return false;
+  }
+  if (*snapshot_epoch != *marker_epoch) {
+    set_error("replica store '" + dir_ +
+              "': snapshot epoch differs from the replica marker");
     return false;
   }
 
@@ -190,7 +171,7 @@ bool ReplicaApplier::recover_local() {
         storage::scan_journal(read_file(journal_path()));
     if (scan.header_valid && scan.epoch == *marker_epoch) {
       for (const std::string& record : scan.records) {
-        for (const std::string& line : support::split(record, '\n')) {
+        for (const std::string_view line : support::Lines(record)) {
           fresh->apply_saved_line(line);
         }
       }
@@ -286,10 +267,12 @@ ApplyOutcome ReplicaApplier::apply_frame(const JournalShipment& shipment) {
   // Write-ahead: the local journal holds the frame before the database
   // shows it, so a crash mid-apply recovers to a consistent prefix.
   journal_->append(shipment.lines);
-  for (const std::string& line : support::split(shipment.lines, '\n')) {
+  for (const std::string_view line : support::Lines(shipment.lines)) {
     db_->apply_saved_line(line);
   }
-  applied_.fetch_add(1, std::memory_order_relaxed);
+  // Release: a reader that sees the new count also sees the frame's
+  // mutations (`frames_applied` is what callers wait on).
+  applied_.fetch_add(1, std::memory_order_release);
   tail_checksum_ = storage::frame_checksum(shipment.lines);
   has_tail_ = true;
   publish_position(epoch, seq + 1);

@@ -1,13 +1,14 @@
 #include "replica/shipper.hpp"
 
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "schema/schema_io.hpp"
 #include "storage/journal.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 
 namespace herc::replica {
 
@@ -16,16 +17,6 @@ using server::Frame;
 using server::FrameType;
 
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw support::HistoryError("shipper: cannot read '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 std::string json_escape(const std::string& text) {
   std::string out;
@@ -94,8 +85,13 @@ bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
   if (pos.has_value() && pos->epoch == cur_epoch && pos->seq <= cur_seq) {
     try {
       store->sync();  // the tail frames must be readable from the file
-      const storage::ScanResult scan = storage::scan_journal(
-          read_file((fs::path(store->dir()) / "journal.wal").string()));
+      const std::string path =
+          (fs::path(store->dir()) / "journal.wal").string();
+      const std::optional<std::string> bytes = support::read_file(path);
+      if (!bytes) {
+        throw support::HistoryError("shipper: cannot read '" + path + "'");
+      }
+      const storage::ScanResult scan = storage::scan_journal(*bytes);
       if (scan.header_valid && scan.epoch == cur_epoch &&
           scan.records.size() >= cur_seq) {
         // Seq equality alone cannot prove the follower's history is a

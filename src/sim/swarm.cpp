@@ -9,10 +9,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,6 +27,7 @@
 #include "storage/fsck.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 
 namespace herc::sim {
 
@@ -34,19 +35,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 /// An existing store dictates its schema; a fresh one gets the full
 /// standard schema (what `herc serve` defaults to).
 schema::TaskSchema store_schema(const std::string& dir) {
   if (storage::DurableHistory::exists(dir)) {
-    return schema::parse_schema(slurp(dir + "/schema.herc"));
+    const std::string path = dir + "/schema.herc";
+    const std::optional<std::string> text = support::read_file(path);
+    if (!text) throw std::runtime_error("cannot open '" + path + "'");
+    return schema::parse_schema(*text);
   }
   return schema::make_full_schema();
 }

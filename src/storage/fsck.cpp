@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,6 +14,7 @@
 #include "storage/journal.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/record.hpp"
 #include "support/text.hpp"
 
@@ -136,13 +137,9 @@ std::string FsckReport::render_json() const {
 namespace {
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw HistoryError("fsck: cannot read '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::optional<std::string> bytes = support::read_file(path);
+  if (!bytes) throw HistoryError("fsck: cannot read '" + path + "'");
+  return std::move(*bytes);
 }
 
 /// Leniently parsed mirror of a history instance: everything needed to
@@ -226,7 +223,7 @@ AuditRun* find_audit_run(Audit& audit, std::uint64_t id) {
 /// Ingests one record line.  Structural parse failures become "bad-record"
 /// corruption findings; reference checks are deferred to the audit passes
 /// so one defect never hides the rest.
-void ingest_line(Audit& audit, FsckReport& report, const std::string& line,
+void ingest_line(Audit& audit, FsckReport& report, std::string_view line,
                  const std::string& origin) {
   try {
     support::RecordReader rec(line);
@@ -297,7 +294,7 @@ void ingest_line(Audit& audit, FsckReport& report, const std::string& line,
     } else if (rec.kind() == "tstart" || rec.kind() == "tcover" ||
                rec.kind() == "tfin" || rec.kind() == "runseal" ||
                rec.kind() == "rune") {
-      const std::string kind = rec.kind();
+      const std::string kind(rec.kind());
       const auto id = static_cast<std::uint64_t>(rec.next_int64());
       AuditRun* run = find_audit_run(audit, id);
       if (run == nullptr) {
@@ -363,7 +360,8 @@ void ingest_line(Audit& audit, FsckReport& report, const std::string& line,
       inst.comment += "[quarantined: " + reason + "]";
     } else {
       corrupt(report, "bad-record",
-              origin + ": unknown record kind '" + rec.kind() + "'");
+              origin + ": unknown record kind '" + std::string(rec.kind()) +
+                  "'");
       ++audit.dropped_records;
     }
   } catch (const std::exception& e) {
@@ -868,7 +866,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   index::IndexImage index_all;  // every posting ever legitimate
   std::vector<AuditInstance> at_index_seq;
   bool at_index_seq_valid = false;
-  const auto fold_index_line = [&](const std::string& line) {
+  const auto fold_index_line = [&](std::string_view line) {
     try {
       index_all.apply_line(line);
     } catch (const std::exception&) {
@@ -881,14 +879,15 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
     const std::string text = read_file(snapshot_path);
     bool seen_meta = false;
     std::int64_t declared_count = -1;
-    for (const std::string& line : support::split(text, '\n')) {
+    for (const std::string_view line : support::Lines(text)) {
       if (support::trim(line).empty()) continue;
       if (!seen_meta) {
         seen_meta = true;
         try {
           support::RecordReader rec(line);
           if (rec.kind() != "snap") {
-            throw HistoryError("first record is '" + rec.kind() + "'");
+            throw HistoryError("first record is '" +
+                               std::string(rec.kind()) + "'");
           }
           report.stats.epoch = static_cast<std::uint64_t>(rec.next_int64());
           if (!rec.exhausted()) declared_count = rec.next_int64();
@@ -942,7 +941,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
     } else {
       std::size_t applied = 0;
       for (const std::string& record : scan.records) {
-        for (const std::string& line : support::split(record, '\n')) {
+        for (const std::string_view line : support::Lines(record)) {
           if (support::trim(line).empty()) continue;
           ingest_line(audit, report, line, "journal");
           fold_index_line(line);

@@ -5,10 +5,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "schema/schema_io.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/record.hpp"
 #include "support/text.hpp"
 
@@ -26,13 +26,9 @@ using support::HistoryError;
 namespace {
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw HistoryError("store: cannot read '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::optional<std::string> bytes = support::read_file(path);
+  if (!bytes) throw HistoryError("store: cannot read '" + path + "'");
+  return std::move(*bytes);
 }
 
 void fsync_path(const std::string& path) {
@@ -48,6 +44,33 @@ void fsync_path(const std::string& path) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> replay_snapshot(std::string_view text,
+                                             history::HistoryDb& db,
+                                             const std::string& where) {
+  std::optional<std::uint64_t> epoch;
+  std::uint32_t declared = 0;
+  for (const std::string_view line : support::Lines(text)) {
+    if (support::trim(line).empty()) continue;
+    if (epoch) {
+      db.apply_saved_line(line);
+      continue;
+    }
+    support::RecordReader rec(line);
+    if (rec.kind() != "snap") {
+      throw HistoryError(where +
+                         ": snapshot does not start with a snap record");
+    }
+    epoch = static_cast<std::uint64_t>(rec.next_int64());
+    declared = rec.next_uint32();
+  }
+  if (epoch && db.size() != declared) {
+    throw HistoryError(where + ": snapshot declares " +
+                       std::to_string(declared) + " instances but holds " +
+                       std::to_string(db.size()));
+  }
+  return epoch;
+}
 
 void write_file_atomic(const std::string& path, std::string_view content) {
   const std::string tmp = path + ".tmp";
@@ -108,35 +131,20 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
 
   db_ = std::make_unique<history::HistoryDb>(schema, clock);
 
-  // Snapshot: a "snap" meta line (epoch, instance count) followed by a
-  // full `HistoryDb::save` image.
   if (fs::exists(snapshot_path())) {
-    const std::string text = read_file(snapshot_path());
-    bool seen_meta = false;
-    for (const std::string& line : support::split(text, '\n')) {
-      if (support::trim(line).empty()) continue;
-      if (!seen_meta) {
-        support::RecordReader rec(line);
-        if (rec.kind() != "snap") {
-          throw HistoryError("store '" + dir_ +
-                             "': snapshot does not start with a snap record");
-        }
-        epoch_ = static_cast<std::uint64_t>(rec.next_int64());
-        seen_meta = true;
-        continue;
-      }
-      db_->apply_saved_line(line);
-    }
+    epoch_ = replay_snapshot(read_file(snapshot_path()), *db_,
+                             "store '" + dir_ + "'")
+                 .value_or(0);
     report_.snapshot_instances = db_->size();
   }
 
   // Journal: replay the tail on top of the snapshot.
   bool need_fresh_journal = true;
   if (fs::exists(journal_path())) {
-    const ScanResult scan = scan_journal(read_file(journal_path()));
+    ScanResult scan = scan_journal(read_file(journal_path()));
     if (scan.header_valid && scan.epoch == epoch_) {
       for (const std::string& record : scan.records) {
-        for (const std::string& line : support::split(record, '\n')) {
+        for (const std::string_view line : support::Lines(record)) {
           db_->apply_saved_line(line);
         }
       }
@@ -154,6 +162,7 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
       journal_ = Journal::open(journal_path(), epoch_, scan.valid_bytes,
                                options_.journal);
       journal_seq_ = scan.records.size();
+      journal_records_ = std::move(scan.records);
       need_fresh_journal = false;
     } else if (scan.header_valid && scan.epoch > epoch_) {
       // A journal *ahead* of its snapshot cannot happen from a crash (the
@@ -188,6 +197,7 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
       "crash recovery: the producing task never finished");
   report_.interrupted_runs = sweep.open;
   report_.quarantined = sweep.quarantined;
+  opening_ = false;
 }
 
 DurableHistory::~DurableHistory() {
@@ -197,6 +207,7 @@ DurableHistory::~DurableHistory() {
 
 void DurableHistory::on_mutation(std::string_view lines) {
   journal_->append(lines);
+  if (opening_) journal_records_.emplace_back(lines);
   const std::uint64_t seq = journal_seq_++;
   ++records_;
   bytes_ += lines.size();
@@ -223,6 +234,7 @@ void DurableHistory::checkpoint() {
   epoch_ = next;
   since_checkpoint_ = 0;
   journal_seq_ = 0;
+  journal_records_.clear();
   if (tap_ != nullptr) tap_->on_checkpoint(next);
 }
 

@@ -22,6 +22,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "history/history_db.hpp"
 #include "storage/journal.hpp"
@@ -60,6 +63,16 @@ struct RecoveryReport {
 /// `path`, fsync the directory so the rename itself is durable.  Shared by
 /// checkpointing and fsck repair.
 void write_file_atomic(const std::string& path, std::string_view content);
+
+/// Replays snapshot text — a "snap" header (epoch, instance count) then a
+/// full `HistoryDb::save` image — into the empty `db`: the one snapshot
+/// reader behind store open and replica recovery.  Returns the header's
+/// epoch, or nullopt when the text holds no records.  Throws `HistoryError`,
+/// its message prefixed with `where`, when the first record is not a snap
+/// header or when the image holds a different number of instances than the
+/// header declares; a malformed record throws from `apply_saved_line`.
+[[nodiscard]] std::optional<std::uint64_t> replay_snapshot(
+    std::string_view text, history::HistoryDb& db, const std::string& where);
 
 /// Observer of the journal frame stream — the replication shipping hook.
 /// Called synchronously from the mutation path, under whatever lock the
@@ -114,6 +127,15 @@ class DurableHistory final : public history::MutationListener {
   /// buffered frames are flushed).  The `DurableHistory` is dead after.
   std::unique_ptr<history::HistoryDb> release();
 
+  /// The current journal's frames as opening found them, plus any the
+  /// crash sweep appended: what a consumer that catches up from the
+  /// journal (the secondary indexes) needs right after opening, without
+  /// reading the file again.  Moves them out, so a second call returns
+  /// none; empty after a checkpoint.
+  [[nodiscard]] std::vector<std::string> take_journal_records() {
+    return std::exchange(journal_records_, {});
+  }
+
   /// Streams every journaled frame (and checkpoint) to `tap`; pass
   /// `nullptr` to detach.  One tap at a time.
   void attach_tap(JournalTap* tap) { tap_ = tap; }
@@ -155,6 +177,9 @@ class DurableHistory final : public history::MutationListener {
   std::uint64_t bytes_ = 0;
   std::uint64_t since_checkpoint_ = 0;
   std::uint64_t journal_seq_ = 0;
+  /// See `take_journal_records`; filled only while the constructor runs.
+  std::vector<std::string> journal_records_;
+  bool opening_ = true;
 };
 
 }  // namespace herc::storage

@@ -1,6 +1,7 @@
 #include "support/record.hpp"
 
 #include <charconv>
+#include <cstring>
 
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -40,59 +41,92 @@ RecordWriter& RecordWriter::field(double value) {
 
 namespace {
 
-// Splits on unescaped `|`.
-std::vector<std::string> split_record(std::string_view line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      cur += line[i];
-      cur += line[i + 1];
+/// Scans the field that starts at `from`: returns the offset of the `|`
+/// that ends it (or the line's size), and sets `escaped` when the field
+/// holds a `\`.  A `\` takes the byte after it, so `\|` ends no field.
+std::size_t field_end(std::string_view line, std::size_t from,
+                      bool& escaped) {
+  const char* const data = line.data();
+  const std::size_t size = line.size();
+  const void* bar = std::memchr(data + from, '|', size - from);
+  const std::size_t end =
+      bar == nullptr ? size
+                     : static_cast<std::size_t>(
+                           static_cast<const char*>(bar) - data);
+  const void* slash = std::memchr(data + from, '\\', end - from);
+  if (slash == nullptr) return end;
+  escaped = true;
+  for (auto i = static_cast<std::size_t>(static_cast<const char*>(slash) -
+                                         data);
+       i < size; ++i) {
+    if (data[i] == '\\') {
       ++i;
-    } else if (line[i] == '|') {
-      out.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += line[i];
+    } else if (data[i] == '|') {
+      return i;
     }
   }
-  out.push_back(std::move(cur));
-  return out;
+  return size;
 }
 
 }  // namespace
 
-RecordReader::RecordReader(std::string_view line) {
+RecordReader::RecordReader(std::string_view line) : line_(line) {
   if (trim(line).empty()) throw ParseError("empty record line");
-  auto parts = split_record(line);
-  kind_ = std::move(parts.front());
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    fields_.push_back(unescape_field(parts[i]));
+  bool escaped = false;
+  const std::size_t end = field_end(line, 0, escaped);
+  kind_ = line.substr(0, end);
+  next_ = end + 1;
+}
+
+std::size_t RecordReader::size() const {
+  std::size_t n = 0;
+  bool escaped = false;
+  for (std::size_t at = kind_.size() + 1; at <= line_.size();
+       at = field_end(line_, at, escaped) + 1) {
+    ++n;
   }
+  return n;
+}
+
+void RecordReader::fail(std::string_view what) const {
+  throw ParseError("record '" + std::string(kind_) + "': " +
+                   std::string(what));
+}
+
+RecordReader::RawField RecordReader::next_raw() {
+  if (exhausted()) fail("ran out of fields");
+  RawField field;
+  const std::size_t end = field_end(line_, next_, field.escaped);
+  field.text = line_.substr(next_, end - next_);
+  next_ = end + 1;
+  return field;
 }
 
 std::string RecordReader::next_string() {
-  if (exhausted()) {
-    throw ParseError("record '" + kind_ + "': ran out of fields");
-  }
-  return fields_[cursor_++];
+  const RawField field = next_raw();
+  return field.escaped ? unescape_field(field.text) : std::string(field.text);
 }
 
 std::int64_t RecordReader::next_int64() {
-  const std::string s = next_string();
+  const RawField field = next_raw();
+  std::string unescaped;
+  std::string_view digits = field.text;
+  if (field.escaped) {
+    unescaped = unescape_field(field.text);
+    digits = unescaped;
+  }
   std::int64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    throw ParseError("record '" + kind_ + "': bad integer field '" + s + "'");
+  const char* const end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    fail("bad integer field '" + std::string(digits) + "'");
   }
   return v;
 }
 
 std::uint32_t RecordReader::next_uint32() {
   const std::int64_t v = next_int64();
-  if (v < 0 || v > 0xffffffffLL) {
-    throw ParseError("record '" + kind_ + "': field out of uint32 range");
-  }
+  if (v < 0 || v > 0xffffffffLL) fail("field out of uint32 range");
   return static_cast<std::uint32_t>(v);
 }
 
@@ -103,11 +137,9 @@ double RecordReader::next_double() {
   try {
     v = std::stod(s, &pos);
   } catch (const std::exception&) {
-    throw ParseError("record '" + kind_ + "': bad double field '" + s + "'");
+    fail("bad double field '" + s + "'");
   }
-  if (pos != s.size()) {
-    throw ParseError("record '" + kind_ + "': bad double field '" + s + "'");
-  }
+  if (pos != s.size()) fail("bad double field '" + s + "'");
   return v;
 }
 

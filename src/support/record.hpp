@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace herc::support {
 
@@ -36,15 +35,21 @@ class RecordWriter {
 };
 
 /// Parses one record line; fields are pulled in order.
+///
+/// The reader holds a view of the line, not a copy, so the line must
+/// outlive the reader.  Fields are found as they are pulled: a field is
+/// unescaped only when it contains a `\`, and integer fields are parsed
+/// in place.
 class RecordReader {
  public:
   /// Throws `ParseError` on an empty line.
   explicit RecordReader(std::string_view line);
 
-  [[nodiscard]] const std::string& kind() const { return kind_; }
+  /// The kind, verbatim (escapes in it are not resolved).
+  [[nodiscard]] std::string_view kind() const { return kind_; }
 
   /// Number of fields following the kind.
-  [[nodiscard]] std::size_t size() const { return fields_.size(); }
+  [[nodiscard]] std::size_t size() const;
 
   /// Throws `ParseError` when no fields remain.
   std::string next_string();
@@ -52,12 +57,23 @@ class RecordReader {
   std::uint32_t next_uint32();
   double next_double();
 
-  [[nodiscard]] bool exhausted() const { return cursor_ >= fields_.size(); }
+  [[nodiscard]] bool exhausted() const { return next_ > line_.size(); }
 
  private:
-  std::string kind_;
-  std::vector<std::string> fields_;
-  std::size_t cursor_ = 0;
+  /// One field as it stands in the line; `escaped` when it holds a `\`.
+  struct RawField {
+    std::string_view text;
+    bool escaped = false;
+  };
+
+  /// Consumes the next field.  Throws `ParseError` when none remain.
+  RawField next_raw();
+  [[noreturn]] void fail(std::string_view what) const;
+
+  std::string_view line_;
+  std::string_view kind_;
+  /// Offset of the next field's first byte; past the end when exhausted.
+  std::size_t next_ = 0;
 };
 
 }  // namespace herc::support

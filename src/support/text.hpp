@@ -13,6 +13,51 @@ namespace herc::support {
 /// Splits on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char sep);
 
+/// The `\n`-separated pieces of a text, as views into it: the same pieces
+/// `split(text, '\n')` copies out, so a final newline yields a last empty
+/// piece.  The text must outlive the iteration.
+///
+///   for (const std::string_view line : Lines(text)) ...
+class Lines {
+ public:
+  explicit Lines(std::string_view text) : text_(text) {}
+
+  class iterator {
+   public:
+    iterator(std::string_view text, std::size_t at) : text_(text), at_(at) {
+      find_end();
+    }
+
+    std::string_view operator*() const {
+      return text_.substr(at_, end_ - at_);
+    }
+    iterator& operator++() {
+      at_ = end_ + 1;
+      find_end();
+      return *this;
+    }
+    bool operator==(const iterator& other) const { return at_ == other.at_; }
+
+   private:
+    void find_end() {
+      if (at_ > text_.size()) return;
+      end_ = text_.find('\n', at_);
+      if (end_ == std::string_view::npos) end_ = text_.size();
+    }
+
+    std::string_view text_;
+    /// Start of the current piece; one past the end once iteration is over.
+    std::size_t at_ = 0;
+    std::size_t end_ = 0;
+  };
+
+  [[nodiscard]] iterator begin() const { return {text_, 0}; }
+  [[nodiscard]] iterator end() const { return {text_, text_.size() + 1}; }
+
+ private:
+  std::string_view text_;
+};
+
 /// Splits on runs of whitespace, dropping empty fields.
 [[nodiscard]] std::vector<std::string> split_ws(std::string_view s);
 

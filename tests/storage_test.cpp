@@ -8,7 +8,10 @@
 
 #include "cli/interpreter.hpp"
 #include "core/session.hpp"
+#include "history/query_planner.hpp"
+#include "index/indexes.hpp"
 #include "schema/standard_schemas.hpp"
+#include "storage/fsck.hpp"
 #include "storage/journal.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
@@ -299,6 +302,73 @@ TEST_F(StorageTest, CorruptSnapshotBlobRejected) {
   EXPECT_THROW(DurableHistory(schema_, clock2, dir_), HistoryError);
 }
 
+TEST_F(StorageTest, SnapshotShortOfItsDeclaredCountRefused) {
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    for (int i = 0; i < 10; ++i) {
+      store.db().import_instance(schema_.require("Stimuli"),
+                                 "s" + std::to_string(i),
+                                 "wave" + std::to_string(i), "u");
+    }
+    store.checkpoint();
+  }
+  // Drop the last instance line: the "snap" header still declares 10.
+  std::string snapshot = slurp(snapshot_path());
+  const std::size_t last = snapshot.rfind("\ninst|");
+  ASSERT_NE(last, std::string::npos);
+  snapshot.erase(last + 1, snapshot.find('\n', last + 1) - last);
+  spill(snapshot_path(), snapshot);
+
+  support::ManualClock clock2(0, 1);
+  try {
+    DurableHistory store(schema_, clock2, dir_);
+    ADD_FAILURE() << "opened a snapshot holding " << store.db().size()
+                  << " of its 10 instances";
+  } catch (const HistoryError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "snapshot declares 10 instances but holds 9"),
+              std::string::npos)
+        << e.what();
+  }
+  const FsckReport report = fsck_store(dir_);
+  EXPECT_TRUE(report.has("snapshot-count-mismatch")) << report.render();
+  EXPECT_EQ(report.exit_code(), 2);
+}
+
+TEST_F(StorageTest, JournalRecordsHandedOverIncludeTheCrashSweep) {
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    HistoryDb& db = store.db();
+    const InstanceId tool =
+        db.import_instance(schema_.require("CircuitEditor"), "ed", "", "u");
+    history::RunRecord run;
+    run.flow_name = "edit-flow";
+    run.user = "u";
+    const std::uint64_t id = db.begin_run(run);
+    db.run_task_started(id, "edit");
+    RecordRequest edit;
+    edit.type = schema_.require("EditedNetlist");
+    edit.name = "half done";
+    edit.user = "u";
+    edit.payload = "netlist";
+    edit.derivation.tool = tool;
+    edit.derivation.task = "edit";
+    db.record(edit);
+  }  // closed with the run open, as a crash leaves it
+
+  support::ManualClock clock2(0, 1);
+  DurableHistory store(schema_, clock2, dir_);
+  EXPECT_EQ(store.recovery().interrupted_runs, 1u);
+  EXPECT_EQ(store.recovery().quarantined, 1u);
+  // The sweep journaled its quarantine and seal frames while opening; the
+  // hand-off carries them along with the replayed ones.
+  const std::vector<std::string> records = store.take_journal_records();
+  EXPECT_EQ(records.size(), store.journal_seq());
+  store.sync();
+  EXPECT_EQ(records, scan_journal(slurp(journal_path())).records);
+  EXPECT_TRUE(store.take_journal_records().empty());
+}
+
 TEST_F(StorageTest, AutoCheckpointCompacts) {
   StoreOptions options;
   options.checkpoint_every = 3;
@@ -401,6 +471,157 @@ TEST_F(StorageTest, ExecutorFailureRecordsPersist) {
   EXPECT_TRUE(session.db()
                   .instances_of(session.schema().require("Performance"))
                   .empty());
+}
+
+// ---- opening the indexes alongside the store ---------------------------------
+
+class IndexedStorageTest : public StorageTest {
+ protected:
+  /// A store whose snapshot holds `kCheckpointed` imports and whose journal
+  /// holds `kTail` more; `image_at_checkpoint_` keeps the index image as
+  /// the checkpoint wrote it (epoch 1, seq 0).
+  void build() {
+    core::DesignSession session(schema::make_fig1_schema(), "ada");
+    session.open_storage(dir_);
+    for (int i = 0; i < kCheckpointed; ++i) {
+      session.set_user(i % 3 == 0 ? "bob" : "ada");
+      session.import_data("Stimuli", "wave " + std::to_string(i),
+                          "w" + std::to_string(i));
+    }
+    session.checkpoint_storage();
+    image_at_checkpoint_ = slurp(index_path());
+    for (int i = 0; i < kTail; ++i) {
+      session.import_data("EditedNetlist", "late net " + std::to_string(i),
+                          "n" + std::to_string(i));
+    }
+  }
+
+  [[nodiscard]] std::string index_path() const {
+    return index::HistoryIndexes::file_path(dir_);
+  }
+
+  /// Indexed first pages equal bare scans, for filters of each class.
+  static void expect_pages_match_scan(const core::DesignSession& session) {
+    ASSERT_NE(session.indexes(), nullptr);
+    std::vector<history::QueryFilter> filters(4);
+    filters[0].keyword = "wave";
+    filters[1].user = "bob";
+    filters[2].type = session.schema().require("Stimuli");
+    filters[3].keyword = "late";
+    for (const history::QueryFilter& filter : filters) {
+      const history::QueryPage indexed =
+          history::run_page(session.db(), filter, session.indexes(), 50);
+      const history::QueryPage scanned =
+          history::run_page(session.db(), filter, nullptr, 50);
+      EXPECT_FALSE(indexed.ids.empty()) << indexed.plan.describe();
+      EXPECT_EQ(indexed.ids, scanned.ids) << indexed.plan.describe();
+    }
+  }
+
+  static constexpr int kCheckpointed = 40;
+  static constexpr int kTail = 6;
+  std::string image_at_checkpoint_;
+};
+
+TEST_F(IndexedStorageTest, LoadsTheImageAndCatchesUpFromTheJournal) {
+  build();
+  spill(index_path(), image_at_checkpoint_);
+  core::DesignSession session(schema::make_fig1_schema());
+  session.open_storage(dir_);
+  const auto& report = session.index_open_report();
+  EXPECT_TRUE(report.loaded) << report.reason;
+  EXPECT_FALSE(report.rebuilt);
+  EXPECT_EQ(report.caught_up, static_cast<std::size_t>(kTail));
+  expect_pages_match_scan(session);
+}
+
+TEST_F(IndexedStorageTest, MissingImageRebuilds) {
+  build();
+  fs::remove(index_path());
+  core::DesignSession session(schema::make_fig1_schema());
+  session.open_storage(dir_);
+  const auto& report = session.index_open_report();
+  EXPECT_FALSE(report.loaded);
+  EXPECT_TRUE(report.rebuilt);
+  EXPECT_EQ(report.reason, "no index file");
+  expect_pages_match_scan(session);
+}
+
+TEST_F(IndexedStorageTest, CorruptImageRebuilds) {
+  build();
+  std::string image = slurp(index_path());
+  image[image.size() / 2] ^= 0x20;
+  spill(index_path(), image);
+  core::DesignSession session(schema::make_fig1_schema());
+  session.open_storage(dir_);
+  const auto& report = session.index_open_report();
+  EXPECT_FALSE(report.loaded);
+  EXPECT_TRUE(report.rebuilt);
+  EXPECT_EQ(report.reason, "body checksum mismatch");
+  expect_pages_match_scan(session);
+}
+
+TEST_F(IndexedStorageTest, StaleEpochImageRebuilds) {
+  build();
+  {
+    core::DesignSession session(schema::make_fig1_schema());
+    session.open_storage(dir_);
+    session.checkpoint_storage();  // epoch 2
+  }
+  spill(index_path(), image_at_checkpoint_);  // stamped epoch 1
+  core::DesignSession session(schema::make_fig1_schema());
+  session.open_storage(dir_);
+  const auto& report = session.index_open_report();
+  EXPECT_FALSE(report.loaded);
+  EXPECT_TRUE(report.rebuilt);
+  EXPECT_EQ(report.reason, "epoch skew (index 1, store 2)");
+  expect_pages_match_scan(session);
+}
+
+TEST_F(IndexedStorageTest, ImageAheadOfTheJournalRebuilds) {
+  build();
+  index::IndexImage image;
+  std::string error;
+  ASSERT_TRUE(index::IndexImage::parse(slurp(index_path()), image, error))
+      << error;
+  image.seq = kTail + 5;
+  spill(index_path(), image.serialize());
+  core::DesignSession session(schema::make_fig1_schema());
+  session.open_storage(dir_);
+  const auto& report = session.index_open_report();
+  EXPECT_FALSE(report.loaded);
+  EXPECT_TRUE(report.rebuilt);
+  EXPECT_EQ(report.reason, "index at seq " + std::to_string(kTail + 5) +
+                               " but the journal holds " +
+                               std::to_string(kTail) + " records");
+  expect_pages_match_scan(session);
+}
+
+TEST_F(IndexedStorageTest, SchemaMismatchThrowsWhileTheImageLoads) {
+  // A large image keeps the loader busy after the schema check fails.
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    for (int i = 0; i < 5000; ++i) {
+      store.db().import_instance(schema_.require("Stimuli"),
+                                 "token" + std::to_string(i), "w", "u");
+    }
+    store.checkpoint();
+    index::HistoryIndexes idx(store.db());
+    idx.rebuild();
+    idx.save(dir_, store.epoch(), store.journal_seq());
+  }
+  core::DesignSession session(schema::make_fig2_schema());
+  try {
+    session.open_storage(dir_);
+    ADD_FAILURE() << "opened a store recorded against another schema";
+  } catch (const HistoryError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "store '" + dir_ +
+                  "': recorded schema differs from the session's; open it "
+                  "from a session over the same schema");
+  }
+  EXPECT_EQ(session.storage(), nullptr);
+  EXPECT_EQ(session.indexes(), nullptr);
 }
 
 TEST_F(StorageTest, InterpreterOpenCheckpointStore) {

@@ -1,14 +1,21 @@
 // Foundation utilities: text, records, hashing, clock, DOT, ids, blobs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <optional>
+#include <random>
+
 #include "data/blob_store.hpp"
 #include "support/clock.hpp"
 #include "support/dot.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/hash.hpp"
 #include "support/ids.hpp"
 #include "support/record.hpp"
 #include "support/text.hpp"
+#include "property_seed.hpp"
 
 namespace herc::support {
 namespace {
@@ -27,6 +34,27 @@ TEST(Text, Split) {
   EXPECT_EQ(split_ws("  a \t b\nc  "),
             (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_TRUE(split_ws("   ").empty());
+}
+
+TEST(Text, LinesViewTheSamePiecesAsSplit) {
+  for (const std::string_view text :
+       {"", "a", "a\n", "\n", "a\nb", "a\n\nb\n", "\n\n", "|\\\n"}) {
+    std::vector<std::string> pieces;
+    for (const std::string_view line : Lines(text)) pieces.emplace_back(line);
+    EXPECT_EQ(pieces, split(text, '\n')) << "text '" << text << "'";
+  }
+}
+
+TEST(File, ReadFileReturnsTheBytesOrNothing) {
+  const std::string path = ::testing::TempDir() + "herc_read_file_test";
+  const std::string bytes("a\0b\r\n|\\\xff", 8);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  EXPECT_EQ(read_file(path), bytes);
+  std::remove(path.c_str());
+  EXPECT_EQ(read_file(path), std::nullopt);
 }
 
 TEST(Text, Join) {
@@ -81,6 +109,52 @@ TEST(Record, RoundTripsTypedFields) {
   EXPECT_EQ(reader.next_uint32(), 7u);
   EXPECT_DOUBLE_EQ(reader.next_double(), 3.25);
   EXPECT_TRUE(reader.exhausted());
+
+  // Raw lines and what the reader returns for them: the kind verbatim,
+  // each field unescaped (unknown escapes drop the backslash, a trailing
+  // lone backslash stays).
+  struct Case {
+    std::string_view line;
+    std::string_view kind;
+    std::vector<std::string> fields;
+  };
+  const Case cases[] = {
+      {R"(k|a\\b)", "k", {R"(a\b)"}},
+      {R"(k|a\pb)", "k", {"a|b"}},
+      {R"(k|a\nb)", "k", {"a\nb"}},
+      {R"(k|\q)", "k", {"q"}},
+      {R"(k|ab\)", "k", {R"(ab\)"}},
+      {R"(k|\)", "k", {R"(\)"}},
+      {"k||", "k", {"", ""}},
+      {"k|", "k", {""}},
+      {"k", "k", {}},
+      {R"(k|1\2)", "k", {"12"}},
+      {R"(k\pz|x)", R"(k\pz)", {"x"}},
+      {R"(k\)", R"(k\)", {}},
+      {R"(k|a\|b)", "k", {"a|b"}},
+      {R"(k|a\\|b)", "k", {R"(a\)", "b"}},
+      {R"(k|\p|\n\\)", "k", {"|", "\n\\"}},
+      {" k|x", " k", {"x"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.line));
+    RecordReader r(c.line);
+    EXPECT_EQ(r.kind(), c.kind);
+    EXPECT_EQ(r.size(), c.fields.size());
+    for (const std::string& field : c.fields) {
+      ASSERT_FALSE(r.exhausted());
+      EXPECT_EQ(r.next_string(), field);
+    }
+    EXPECT_TRUE(r.exhausted());
+  }
+
+  // Integer fields: an escape inside one is resolved before parsing.
+  EXPECT_EQ(RecordReader(R"(k|1\2)").next_int64(), 12);
+  EXPECT_EQ(RecordReader(R"(k|\-5)").next_int64(), -5);
+  EXPECT_EQ(RecordReader(R"(k|-\5)").next_int64(), -5);
+  EXPECT_EQ(RecordReader(R"(k|7\)").next_string(), R"(7\)");
+  EXPECT_DOUBLE_EQ(RecordReader(R"(k|1\.5)").next_double(), 1.5);
+  EXPECT_DOUBLE_EQ(RecordReader("k| 1.5").next_double(), 1.5);
 }
 
 TEST(Record, Errors) {
@@ -93,6 +167,107 @@ TEST(Record, Errors) {
   EXPECT_THROW(r3.next_uint32(), ParseError);
   RecordReader r4("k|1.5x");
   EXPECT_THROW(r4.next_double(), ParseError);
+
+  EXPECT_THROW(RecordReader(""), ParseError);
+  EXPECT_THROW(RecordReader("\t\n"), ParseError);
+  for (const std::string_view line :
+       {"k|", "k||", "k|+5", "k| 5", "k|5 ", R"(k|ab\)", R"(k|\q)"}) {
+    SCOPED_TRACE(std::string(line));
+    RecordReader r(line);
+    EXPECT_THROW(r.next_int64(), ParseError);
+  }
+  EXPECT_THROW(RecordReader("k|1.5 ").next_double(), ParseError);
+
+  // Messages name the kind verbatim and the field as unescaped.
+  const auto message = [](std::string_view line, auto pull) {
+    RecordReader r(line);
+    try {
+      pull(r);
+    } catch (const ParseError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto int64 = [](RecordReader& r) { (void)r.next_int64(); };
+  const auto string = [](RecordReader& r) {
+    (void)r.next_string();
+    (void)r.next_string();
+  };
+  EXPECT_EQ(message(R"(k|ab\)", int64),
+            R"(record 'k': bad integer field 'ab\')");
+  EXPECT_EQ(message(R"(k\pz|x)", int64),
+            R"(record 'k\pz': bad integer field 'x')");
+  EXPECT_EQ(message(R"(k|a\pb)", int64),
+            "record 'k': bad integer field 'a|b'");
+  EXPECT_EQ(message("k|a", string), "record 'k': ran out of fields");
+
+  // A field that fails to parse is still consumed.
+  RecordReader r5("k|x|7");
+  EXPECT_THROW(r5.next_int64(), ParseError);
+  EXPECT_EQ(r5.next_int64(), 7);
+  EXPECT_TRUE(r5.exhausted());
+}
+
+/// The reader's contract written out plainly: split on every `|` not
+/// taken by a preceding `\`, keep the kind verbatim, unescape the fields.
+std::vector<std::string> reference_split(std::string_view line) {
+  std::vector<std::string> out(1);
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (line[i] == '\\' && i + 1 < line.size()) {
+      out.back() += line.substr(i, 2);
+      ++i;
+    } else if (line[i] == '|') {
+      out.emplace_back();
+    } else {
+      out.back() += line[i];
+    }
+  }
+  for (std::size_t i = 1; i < out.size(); ++i) out[i] = unescape_field(out[i]);
+  return out;
+}
+
+TEST(Record, RandomFieldsRoundTripAndMatchTheReference) {
+  const std::uint64_t seed = testprop::base_seed(0x5eedf1e1d5ULL);
+  SCOPED_TRACE(testprop::seed_note(seed));
+  std::mt19937_64 rng(seed);
+  constexpr std::string_view kAlphabet = "\\|\na0";
+  const auto random_text = [&](std::size_t max_len) {
+    std::string s(rng() % (max_len + 1), ' ');
+    for (char& c : s) c = kAlphabet[rng() % kAlphabet.size()];
+    return s;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Written fields read back exactly.
+    std::vector<std::string> fields(1 + rng() % 5);
+    RecordWriter writer("k");
+    for (std::string& f : fields) {
+      f = random_text(12);
+      writer.field(f);
+    }
+    const std::string line = writer.str();
+    SCOPED_TRACE(line);
+    RecordReader r(line);
+    EXPECT_EQ(r.kind(), "k");
+    EXPECT_EQ(r.size(), fields.size());
+    for (const std::string& f : fields) EXPECT_EQ(r.next_string(), f);
+    EXPECT_TRUE(r.exhausted());
+
+    // Any raw line splits as the reference does.
+    const std::string raw = random_text(16);
+    SCOPED_TRACE(raw);
+    if (trim(raw).empty()) {
+      EXPECT_THROW(RecordReader{raw}, ParseError);
+      continue;
+    }
+    const std::vector<std::string> want = reference_split(raw);
+    RecordReader rr(raw);
+    EXPECT_EQ(rr.kind(), want.front());
+    EXPECT_EQ(rr.size(), want.size() - 1);
+    for (std::size_t i = 1; i < want.size(); ++i) {
+      EXPECT_EQ(rr.next_string(), want[i]);
+    }
+    EXPECT_TRUE(rr.exhausted());
+  }
 }
 
 TEST(Hash, StableAndHexFormatted) {
