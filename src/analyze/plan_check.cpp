@@ -5,7 +5,6 @@
 #include <map>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 namespace herc::analyze {
@@ -36,32 +35,16 @@ EntityTypeId root_type(const TaskSchema& schema, EntityTypeId id) {
   return cur;
 }
 
-/// The symbolic schedule: task groups plus which groups can overlap in a
-/// parallel run (no dependency path either way).
+/// The symbolic schedule: the executor's task-group DAG plus which groups
+/// can overlap in a parallel run (no dependency path either way).
 class Schedule {
  public:
-  explicit Schedule(const TaskGraph& flow)
-      : flow_(flow), groups_(flow.task_groups()) {
-    std::unordered_map<std::uint32_t, std::size_t> producer;
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      for (const NodeId out : groups_[i].outputs) {
-        producer.emplace(out.value(), i);
-      }
-    }
-    preds_.resize(groups_.size());
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      for (const NodeId in : groups_[i].inputs) {
-        const auto it = producer.find(in.value());
-        if (it != producer.end() && it->second != i) {
-          preds_[i].push_back(it->second);
-        }
-      }
-    }
+  explicit Schedule(const TaskGraph& flow) : groups_(flow.task_groups()) {
     // task_groups() is topologically ordered (dependencies first), so one
     // forward sweep closes the reachability relation.
     reach_.assign(groups_.size(), std::vector<bool>(groups_.size(), false));
     for (std::size_t i = 0; i < groups_.size(); ++i) {
-      for (const std::size_t p : preds_[i]) {
+      for (const std::size_t p : groups_[i].preds) {
         reach_[i][p] = true;
         for (std::size_t k = 0; k < groups_.size(); ++k) {
           if (reach_[p][k]) reach_[i][k] = true;
@@ -73,9 +56,6 @@ class Schedule {
   [[nodiscard]] const std::vector<TaskGroup>& groups() const {
     return groups_;
   }
-  [[nodiscard]] const std::vector<std::size_t>& preds(std::size_t i) const {
-    return preds_[i];
-  }
 
   /// True when no dependency path orders the two groups — the parallel
   /// scheduler may dispatch them simultaneously.
@@ -84,9 +64,7 @@ class Schedule {
   }
 
  private:
-  const TaskGraph& flow_;
   std::vector<TaskGroup> groups_;
-  std::vector<std::vector<std::size_t>> preds_;
   std::vector<std::vector<bool>> reach_;
 };
 
@@ -169,29 +147,26 @@ void check_duplicate_tasks(const TaskGraph& flow, const Schedule& sched,
 void check_fault_policy(const TaskGraph& flow, const Schedule& sched,
                         LintReport& report) {
   const auto& groups = sched.groups();
-  std::unordered_map<std::uint32_t, std::size_t> producer;
   for (std::size_t i = 0; i < groups.size(); ++i) {
-    for (const NodeId out : groups[i].outputs) {
-      producer.emplace(out.value(), i);
-    }
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    // For each producer group feeding this one, collect whether any wiring
+    // For each producer group feeding this one, check whether any wiring
     // edge is mandatory.  An all-optional link still causes a skip when the
     // producer fails (the scheduler does not distinguish), which the
     // optional arc's promise contradicts.
-    std::unordered_map<std::size_t, bool> any_mandatory;
-    for (const NodeId out : groups[i].outputs) {
-      for (const graph::DepEdge& e : flow.deps(out)) {
-        if (e.kind != schema::DepKind::kData) continue;
-        const auto it = producer.find(e.target.value());
-        if (it == producer.end() || it->second == i) continue;
-        any_mandatory[it->second] =
-            any_mandatory[it->second] || !e.optional;
+    for (const std::size_t p : groups[i].preds) {
+      const auto& made = groups[p].outputs;
+      bool linked = false;
+      bool mandatory = false;
+      for (const NodeId out : groups[i].outputs) {
+        for (const graph::DepEdge& e : flow.deps(out)) {
+          if (e.kind != schema::DepKind::kData ||
+              !std::binary_search(made.begin(), made.end(), e.target)) {
+            continue;
+          }
+          linked = true;
+          mandatory = mandatory || !e.optional;
+        }
       }
-    }
-    for (const auto& [p, mandatory] : any_mandatory) {
-      if (mandatory) continue;
+      if (!linked || mandatory) continue;
       report.add(
           "HL203", Severity::kWarning, group_loc(flow, groups[i]),
           "fault-policy hazard: depends on the " +

@@ -5,7 +5,8 @@
 // groups with no path between them may therefore run concurrently — and
 // some flows that are perfectly legal graphs become races or wasted work
 // under that schedule.  This pass simulates the schedule symbolically
-// (which groups *can* overlap), without running any tool.
+// (which groups *can* overlap), without running any tool, over the same
+// DAG the executor runs (`TaskGroup::preds`, tool edges included).
 //
 // Diagnostic catalog (DESIGN.md §12 holds the full table):
 //

@@ -75,32 +75,33 @@ void DesignSession::extend_schema(std::string_view fragment) {
   schema::extend_schema(schema_, fragment);
 }
 
+exec::ExecResult DesignSession::with_executor(
+    std::uint64_t seed,
+    const std::function<exec::ExecResult(exec::Executor&)>& body) {
+  if (seed == 0) return body(*executor_);
+  tools::FaultInjectingRegistry faulty(*registry_, seed);
+  faulty.inject_random(kSeededFaultProbability, tools::FaultKind::kThrow);
+  exec::Executor faulted(db(), faulty);
+  faulted.set_cancel_flag(cancel_);
+  return body(faulted);
+}
+
 exec::ExecResult DesignSession::run(const TaskGraph& flow,
                                     exec::ExecOptions options) {
   require_writable("run");
   if (options.user == "designer") options.user = user_;
-  if (options.fault.seed != 0) {
-    tools::FaultInjectingRegistry faulty(*registry_, options.fault.seed);
-    faulty.inject_random(kSeededFaultProbability, tools::FaultKind::kThrow);
-    exec::Executor faulted(db(), faulty);
-    faulted.set_cancel_flag(cancel_);
-    return faulted.run(flow, options);
-  }
-  return executor_->run(flow, options);
+  return with_executor(options.fault.seed, [&](exec::Executor& executor) {
+    return executor.run(flow, options);
+  });
 }
 
 exec::ExecResult DesignSession::run_goal(const TaskGraph& flow, NodeId goal,
                                          exec::ExecOptions options) {
   require_writable("run");
   if (options.user == "designer") options.user = user_;
-  if (options.fault.seed != 0) {
-    tools::FaultInjectingRegistry faulty(*registry_, options.fault.seed);
-    faulty.inject_random(kSeededFaultProbability, tools::FaultKind::kThrow);
-    exec::Executor faulted(db(), faulty);
-    faulted.set_cancel_flag(cancel_);
-    return faulted.run_goal(flow, goal, options);
-  }
-  return executor_->run_goal(flow, goal, options);
+  return with_executor(options.fault.seed, [&](exec::Executor& executor) {
+    return executor.run_goal(flow, goal, options);
+  });
 }
 
 exec::ExecResult DesignSession::resume_run(std::uint64_t run_id) {
@@ -109,14 +110,10 @@ exec::ExecResult DesignSession::resume_run(std::uint64_t run_id) {
   // in the run record), so its failure semantics — not just its task list —
   // replay deterministically.
   const history::RunRecord* run = db().find_run(run_id);
-  if (run != nullptr && run->seed != 0) {
-    tools::FaultInjectingRegistry faulty(*registry_, run->seed);
-    faulty.inject_random(kSeededFaultProbability, tools::FaultKind::kThrow);
-    exec::Executor faulted(db(), faulty);
-    faulted.set_cancel_flag(cancel_);
-    return faulted.resume(run_id);
-  }
-  return executor_->resume(run_id);
+  return with_executor(run != nullptr ? run->seed : 0,
+                       [&](exec::Executor& executor) {
+                         return executor.resume(run_id);
+                       });
 }
 
 void DesignSession::set_cancel_flag(const std::atomic<bool>* cancel) {

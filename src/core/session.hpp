@@ -7,6 +7,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -181,6 +182,12 @@ class DesignSession {
  private:
   /// Throws `HistoryError` when this session is a read-only replica.
   void require_writable(std::string_view what) const;
+  /// Runs `body` on the session's executor or, when `seed` arms fault
+  /// injection, on one over a seeded `tools::FaultInjectingRegistry` that
+  /// shares the cancel flag.
+  exec::ExecResult with_executor(
+      std::uint64_t seed,
+      const std::function<exec::ExecResult(exec::Executor&)>& body);
 
   schema::TaskSchema schema_;
   std::string user_;

@@ -5,12 +5,14 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <queue>
+#include <system_error>
 #include <thread>
-#include <unordered_set>
 
 #include "support/error.hpp"
 #include "support/record.hpp"
@@ -50,9 +52,9 @@ Executor::Executor(history::HistoryDb& db, const tools::ToolRegistry& tools)
 
 namespace {
 
-/// Mutable state shared by the serial and parallel paths.  `mutex` guards
-/// `env`, the result counters and all history-database access; tool
-/// functions run outside the lock.
+/// Mutable state shared by a run's workers.  `mutex` guards `env`, the
+/// result counters and all history-database access; tool functions run
+/// outside the lock.
 struct RunState {
   const TaskGraph* flow;
   history::HistoryDb* db;
@@ -161,46 +163,34 @@ void backoff_wait(const FaultPolicy& policy, std::size_t attempt) {
   }
 }
 
-/// Reusable workers for timeout-guarded tool invocations.  Spawning a
-/// fresh thread per attempt costs ~10us even when the tool is instant,
-/// which alone would blow the <5% fault-machinery overhead budget; parking
-/// idle workers on a queue makes the fault-free timeout path nearly free.
-/// A worker stuck inside a hung tool is simply abandoned — it rejoins the
-/// idle pool whenever the tool returns, and a replacement is spawned if a
-/// job arrives while no worker is idle.  The singleton is leaked so
+/// Parked worker threads shared by every run: the scheduler's helpers and
+/// timeout-guarded tool invocations.  Spawning a fresh thread per job
+/// costs ~10us even when the job is instant, which alone would blow the
+/// <5% fault-machinery overhead budget; parking idle workers on a queue
+/// makes a job nearly free.  A worker stuck inside a hung tool is simply
+/// abandoned — it rejoins the idle pool whenever the tool returns — and a
+/// worker is spawned whenever a job arrives with no idle worker left to
+/// take it, so a submitted job always starts.  The singleton is leaked so
 /// abandoned workers never race process teardown.
-class TimeoutRunner {
+class WorkerPool {
  public:
-  static TimeoutRunner& instance() {
-    static TimeoutRunner* runner = new TimeoutRunner();
-    return *runner;
+  static WorkerPool& instance() {
+    static WorkerPool* pool = new WorkerPool();
+    return *pool;
   }
 
-  tools::ToolOutput run(const tools::ToolFunction& fn,
-                        const std::shared_ptr<tools::ToolContext>& ctx,
-                        std::chrono::milliseconds timeout,
-                        const std::string& label) {
-    auto task = std::make_shared<std::packaged_task<tools::ToolOutput()>>(
-        [fn, ctx]() { return fn(*ctx); });
-    std::future<tools::ToolOutput> result = task->get_future();
-    {
-      std::scoped_lock lock(mutex_);
-      jobs_.emplace_back([task]() { (*task)(); });
-      if (idle_ == 0) {
-        spawn();
-      } else {
-        cv_.notify_one();
-      }
+  void submit(std::function<void()> job) {
+    std::scoped_lock lock(mutex_);
+    jobs_.push_back(std::move(job));
+    if (jobs_.size() > idle_) {
+      spawn();
+    } else {
+      cv_.notify_one();
     }
-    if (result.wait_for(timeout) != std::future_status::ready) {
-      throw ExecError("task '" + label + "' timed out after " +
-                      std::to_string(timeout.count()) + "ms");
-    }
-    return result.get();
   }
 
  private:
-  TimeoutRunner() = default;
+  WorkerPool() = default;
 
   /// Caller holds `mutex_`.
   void spawn() {
@@ -222,6 +212,7 @@ class TimeoutRunner {
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> jobs_;
+  /// Workers waiting for a job; each queued job is owed one of them.
   std::size_t idle_ = 0;
 };
 
@@ -233,7 +224,15 @@ tools::ToolOutput invoke_tool(const tools::ToolFunction& fn,
                               const FaultPolicy& policy,
                               const std::string& label) {
   if (policy.timeout.count() <= 0) return fn(*ctx);
-  return TimeoutRunner::instance().run(fn, ctx, policy.timeout, label);
+  auto task = std::make_shared<std::packaged_task<tools::ToolOutput()>>(
+      [fn, ctx]() { return fn(*ctx); });
+  std::future<tools::ToolOutput> result = task->get_future();
+  WorkerPool::instance().submit([task]() { (*task)(); });
+  if (result.wait_for(policy.timeout) != std::future_status::ready) {
+    throw ExecError("task '" + label + "' timed out after " +
+                    std::to_string(policy.timeout.count()) + "ms");
+  }
+  return result.get();
 }
 
 /// Registers one failure record per output node of `group`: type and name
@@ -267,10 +266,11 @@ struct SkipGroup {
   std::string reason;
 };
 
-/// Executes one task group, honoring the fault policy.  Never throws in
-/// the continue modes; in fail-fast mode structural errors (missing
-/// inputs) propagate as before.  Throws `SkipGroup` (internal) when the
-/// group's inputs are unavailable in a continue mode.
+/// Executes one task group, honoring the fault policy: tool failures are
+/// caught by the retry loop and become the outcome.  In fail-fast mode
+/// structural errors (missing inputs) propagate, as do history and
+/// journal failures in every mode.  Throws `SkipGroup` (internal) when
+/// the group's inputs are unavailable in a continue mode.
 TaskOutcome execute_group(RunState& state, const TaskGroup& group) {
   const TaskGraph& flow = *state.flow;
   const schema::TaskSchema& schema = flow.schema();
@@ -601,8 +601,8 @@ void journal_task_started(RunState& state, const TaskGroup& group) {
 }
 
 /// Marks `group` skipped: records skip records and the outcome.
-void skip_group(RunState& state, const TaskGroup& group,
-                const std::string& reason) {
+TaskOutcome skip_group(RunState& state, const TaskGroup& group,
+                       const std::string& reason) {
   record_failure(state, group, history::InstanceStatus::kSkipped,
                  InstanceId(), {}, {}, group_label(state, group),
                  "skipped: " + reason);
@@ -610,50 +610,18 @@ void skip_group(RunState& state, const TaskGroup& group,
   outcome.status = TaskStatus::kSkipped;
   outcome.errors.push_back(reason);
   finalize_outcome(state, group, outcome);
+  return outcome;
 }
-
-/// Dependency structure over task groups: group `g` depends on every group
-/// producing one of its inputs or its tool.
-struct GroupDag {
-  std::vector<std::vector<std::size_t>> preds;
-  std::vector<std::vector<std::size_t>> succs;
-  std::vector<std::size_t> indeg;
-
-  explicit GroupDag(const std::vector<TaskGroup>& groups)
-      : preds(groups.size()), succs(groups.size()), indeg(groups.size(), 0) {
-    std::unordered_map<std::uint32_t, std::size_t> producer;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      for (const NodeId out : groups[g].outputs) {
-        producer[out.value()] = g;
-      }
-    }
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      auto feeds = groups[g].inputs;
-      if (groups[g].tool.valid()) feeds.push_back(groups[g].tool);
-      std::unordered_set<std::size_t> seen;
-      for (const NodeId in : feeds) {
-        const auto it = producer.find(in.value());
-        if (it != producer.end() && it->second != g &&
-            seen.insert(it->second).second) {
-          preds[g].push_back(it->second);
-          succs[it->second].push_back(g);
-          ++indeg[g];
-        }
-      }
-    }
-  }
-};
 
 /// Decides whether `g` must be skipped before running, given the statuses
 /// of its completed predecessors.  Returns the reason, or empty to run.
 std::string skip_reason(RunState& state, const std::vector<TaskGroup>& groups,
-                        const GroupDag& dag,
                         const std::vector<TaskStatus>& status,
                         std::size_t g) {
   const FailureMode mode = state.options->fault.mode;
   if (mode == FailureMode::kContinueBranches) {
     // Skip when any dependency did not fully succeed.
-    for (const std::size_t p : dag.preds[g]) {
+    for (const std::size_t p : groups[g].preds) {
       if (status[p] == TaskStatus::kFailed ||
           status[p] == TaskStatus::kSkipped ||
           status[p] == TaskStatus::kPartial) {
@@ -667,7 +635,7 @@ std::string skip_reason(RunState& state, const std::vector<TaskGroup>& groups,
   } else if (mode == FailureMode::kBestEffort) {
     // Skip only when some produced input ended up with no instances at all.
     bool upstream_trouble = false;
-    for (const std::size_t p : dag.preds[g]) {
+    for (const std::size_t p : groups[g].preds) {
       if (status[p] != TaskStatus::kOk) upstream_trouble = true;
     }
     if (upstream_trouble) {
@@ -687,6 +655,26 @@ std::string skip_reason(RunState& state, const std::vector<TaskGroup>& groups,
   return "";
 }
 
+/// Runs one dequeued group: task-started frame, skip decision, execution,
+/// verdict.  `status` holds the final verdicts of the group's predecessors
+/// (a group is only dequeued once they all completed).
+TaskOutcome run_group(RunState& state, const std::vector<TaskGroup>& groups,
+                      const std::vector<TaskStatus>& status, std::size_t g) {
+  const TaskGroup& group = groups[g];
+  journal_task_started(state, group);
+  std::string reason = skip_reason(state, groups, status, g);
+  if (reason.empty()) {
+    try {
+      const TaskOutcome outcome = execute_group(state, group);
+      finalize_outcome(state, group, outcome);
+      return outcome;
+    } catch (const SkipGroup& skip) {
+      reason = skip.reason;
+    }
+  }
+  return skip_group(state, group, reason);
+}
+
 /// Builds the aggregated fail-fast error out of every observed failure.
 [[noreturn]] void throw_aggregated(const std::vector<std::string>& errors) {
   if (errors.size() == 1) throw ExecError(errors.front());
@@ -699,166 +687,178 @@ std::string skip_reason(RunState& state, const std::vector<TaskGroup>& groups,
   throw ExecError(message);
 }
 
-ExecResult run_filtered(RunState& state, const std::vector<TaskGroup>& groups) {
-  const ExecOptions& options = *state.options;
-  const FailureMode mode = options.fault.mode;
-  const bool fail_fast = mode == FailureMode::kFailFast;
-  const GroupDag dag(groups);
-  std::vector<TaskStatus> status(groups.size(), TaskStatus::kOk);
-
-  if (!options.parallel || groups.size() < 2) {
-    std::vector<std::string> failures;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      // Cancellation is checked before the task-started frame lands: an
-      // unstarted group leaves no journal trace, so resume re-plans it
-      // cleanly instead of treating it as an in-flight casualty.
-      if (cancel_requested(state)) {
-        throw RunCancelled("flow '" + state.flow->name() +
-                           "': run cancelled after " + std::to_string(g) +
-                           " of " + std::to_string(groups.size()) +
-                           " task groups; resumable");
-      }
-      journal_task_started(state, groups[g]);
-      const std::string reason =
-          skip_reason(state, groups, dag, status, g);
-      if (!reason.empty()) {
-        status[g] = TaskStatus::kSkipped;
-        skip_group(state, groups[g], reason);
-        continue;
-      }
-      TaskOutcome outcome;
-      try {
-        outcome = execute_group(state, groups[g]);
-      } catch (const SkipGroup& skip) {
-        status[g] = TaskStatus::kSkipped;
-        skip_group(state, groups[g], skip.reason);
-        continue;
-      }
-      status[g] = outcome.status;
-      const bool failed = outcome.status == TaskStatus::kFailed ||
-                          outcome.status == TaskStatus::kPartial;
-      if (failed) {
-        failures.insert(failures.end(), outcome.errors.begin(),
-                        outcome.errors.end());
-      }
-      finalize_outcome(state, groups[g], outcome);
-      if (fail_fast && failed) throw_aggregated(failures);
+/// The one scheduler every run goes through: a ready queue over the
+/// task-group DAG (`TaskGroup::preds`).  Each worker — the calling thread,
+/// plus pool helpers in a parallel run — pops the lowest-indexed ready
+/// group, runs it outside the lock and releases its successors, so one
+/// worker runs the groups exactly in plan order.
+///
+/// Stopping: a fail-fast failure or a cancel stops dequeuing while groups
+/// already running finish and journal normally; any exception escaping a
+/// group (journal, history or structural errors — tool failures are
+/// verdicts, not exceptions) stops it the same way and is rethrown on the
+/// caller once no helper is inside a group.  Helpers share ownership of
+/// the scheduler: one that wakes after the caller has left sees it stopped
+/// and returns without touching the run.
+class Scheduler {
+ public:
+  Scheduler(RunState& state, const std::vector<TaskGroup>& groups)
+      : state_(&state),
+        groups_(&groups),
+        total_(groups.size()),
+        fail_fast_(state.options->fault.mode == FailureMode::kFailFast),
+        succs_(groups.size()),
+        waiting_(groups.size()),
+        status_(groups.size(), TaskStatus::kOk) {
+    for (std::size_t g = 0; g < total_; ++g) {
+      waiting_[g] = groups[g].preds.size();
+      for (const std::size_t p : groups[g].preds) succs_[p].push_back(g);
+      if (waiting_[g] == 0) ready_.push(g);
     }
-    return std::move(state.result);
   }
 
-  // Parallel scheduling: a group is ready once every group producing one of
-  // its inputs (or its tool) has completed (in any state).
-  std::mutex sched_mutex;
-  std::condition_variable cv;
-  std::deque<std::size_t> ready;
-  std::size_t completed = 0;
-  bool abort = false;   // fail-fast: stop dequeuing, workers drain out
-  bool halted = false;  // cooperative cancellation: stop dequeuing, run stays open
-  std::vector<std::string> failures;
-  std::vector<std::size_t> indeg = dag.indeg;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (indeg[g] == 0) ready.push_back(g);
-  }
-
-  const std::size_t n_workers =
-      std::min<std::size_t>(std::max<std::size_t>(options.max_threads, 1),
-                            groups.size());
-  std::vector<std::thread> workers;
-  workers.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    workers.emplace_back([&]() {
-      while (true) {
-        std::size_t g;
-        std::string reason;
-        {
-          std::unique_lock lock(sched_mutex);
-          cv.wait(lock, [&] {
-            return !ready.empty() || completed == groups.size() || abort ||
-                   halted;
-          });
-          if (abort || halted || completed == groups.size()) return;
-          // Checked at dequeue time, like the serial path: groups already
-          // handed to a worker run to completion (their products journal
-          // normally); groups still queued never start.  Liveness holds
-          // because workers blocked in `cv.wait` are woken either by task
-          // completions or by this broadcast.
-          if (cancel_requested(state)) {
-            halted = true;
-            cv.notify_all();
-            return;
-          }
-          g = ready.front();
-          ready.pop_front();
-        }
-        journal_task_started(state, groups[g]);
-        // The skip decision reads predecessor statuses; they are final
-        // because a group only becomes ready after all its predecessors
-        // completed.  (`skip_reason` takes `state.mutex` internally, so it
-        // must run outside `sched_mutex`.)
-        reason = skip_reason(state, groups, dag, status, g);
-
-        TaskOutcome outcome;
-        if (!reason.empty()) {
-          skip_group(state, groups[g], reason);
-          outcome.status = TaskStatus::kSkipped;
-        } else {
-          try {
-            outcome = execute_group(state, groups[g]);
-            finalize_outcome(state, groups[g], outcome);
-          } catch (const SkipGroup& skip) {
-            skip_group(state, groups[g], skip.reason);
-            outcome.status = TaskStatus::kSkipped;
-          } catch (const std::exception& e) {
-            if (fail_fast) {
-              // Structural error (missing inputs): abort the run, but keep
-              // collecting failures from workers mid-flight.
-              std::scoped_lock lock(sched_mutex);
-              failures.emplace_back(e.what());
-              abort = true;
-              cv.notify_all();
-              return;
-            }
-            // A continue mode must never lose a group: count the group as
-            // failed so its dependents are skipped, not deadlocked.
-            outcome.status = TaskStatus::kFailed;
-            outcome.errors.emplace_back(e.what());
-            finalize_outcome(state, groups[g], outcome);
-          }
-        }
-
-        {
-          std::scoped_lock lock(sched_mutex);
-          status[g] = outcome.status;
-          const bool failed = outcome.status == TaskStatus::kFailed ||
-                              outcome.status == TaskStatus::kPartial;
-          if (failed) {
-            failures.insert(failures.end(), outcome.errors.begin(),
-                            outcome.errors.end());
-            if (fail_fast) {
-              abort = true;
-              cv.notify_all();
-              return;
-            }
-          }
-          ++completed;
-          for (const std::size_t s : dag.succs[g]) {
-            if (--indeg[s] == 0) ready.push_back(s);
-          }
-          cv.notify_all();
-        }
+  /// One worker's loop; returns once nothing is left for it to dequeue.
+  void work() {
+    std::unique_lock lock(mutex_);
+    while (true) {
+      cv_.wait(lock, [&] { return stopped() || !ready_.empty(); });
+      if (stopped()) return;
+      // Checked at dequeue time: a queued group never starts, so it leaves
+      // no task-started frame and resume re-plans it cleanly instead of
+      // treating it as an in-flight casualty.
+      if (cancel_requested(*state_)) {
+        cancelled_ = true;
+        cv_.notify_all();
+        return;
       }
-    });
+      const std::size_t g = ready_.top();
+      ready_.pop();
+      ++busy_;
+      lock.unlock();
+      TaskOutcome outcome;
+      std::exception_ptr thrown;
+      try {
+        outcome = run_group(*state_, *groups_, status_, g);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      lock.lock();
+      --busy_;
+      if (thrown) {
+        if (!error_) error_ = thrown;
+      } else {
+        complete(g, outcome);
+      }
+      cv_.notify_all();
+    }
   }
-  for (std::thread& w : workers) w.join();
-  if (fail_fast && !failures.empty()) throw_aggregated(failures);
-  if (halted) {
-    throw RunCancelled("flow '" + state.flow->name() +
-                       "': run cancelled with " + std::to_string(completed) +
-                       " of " + std::to_string(groups.size()) +
-                       " task groups completed; resumable");
+
+  /// Called by the caller once its own `work` returned: waits until no
+  /// helper is inside a group, then throws or hands back the result.
+  ExecResult finish() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return busy_ == 0; });
+    if (error_) std::rethrow_exception(error_);
+    if (aborted_) throw_aggregated(failures_);
+    if (cancelled_) {
+      throw RunCancelled("flow '" + state_->flow->name() +
+                         "': run cancelled with " +
+                         std::to_string(completed_) + " of " +
+                         std::to_string(total_) +
+                         " task groups completed; resumable");
+    }
+    return std::move(state_->result);
   }
-  return std::move(state.result);
+
+ private:
+  /// Once true, stays true: nothing is dequeued any more.
+  [[nodiscard]] bool stopped() const {
+    return error_ || aborted_ || cancelled_ || completed_ == total_;
+  }
+
+  /// Records `g`'s verdict and releases its successors.  Holds `mutex_`.
+  void complete(std::size_t g, const TaskOutcome& outcome) {
+    status_[g] = outcome.status;
+    if (outcome.status == TaskStatus::kFailed ||
+        outcome.status == TaskStatus::kPartial) {
+      failures_.insert(failures_.end(), outcome.errors.begin(),
+                       outcome.errors.end());
+      if (fail_fast_) {
+        aborted_ = true;
+        return;
+      }
+    }
+    ++completed_;
+    for (const std::size_t s : succs_[g]) {
+      if (--waiting_[s] == 0) ready_.push(s);
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  /// The run.  A worker touches it only inside `run_group` or before the
+  /// scheduler has stopped; the caller's `finish` outlasts both.
+  RunState* state_;
+  const std::vector<TaskGroup>* groups_;
+  const std::size_t total_;
+  const bool fail_fast_;
+  std::vector<std::vector<std::size_t>> succs_;
+  /// Predecessors of each group not yet completed.
+  std::vector<std::size_t> waiting_;
+  /// Final verdicts; a group's entry is written before its successors are
+  /// released and never changes afterwards.
+  std::vector<TaskStatus> status_;
+  std::priority_queue<std::size_t, std::vector<std::size_t>,
+                      std::greater<>>
+      ready_;
+  std::size_t completed_ = 0;
+  /// Workers inside `run_group`.
+  std::size_t busy_ = 0;
+  std::vector<std::string> failures_;
+  std::exception_ptr error_;
+  bool aborted_ = false;    // fail-fast failure
+  bool cancelled_ = false;  // cooperative cancel: the run stays open
+};
+
+/// Runs `groups` on the calling thread, joined in a parallel run by
+/// `min(max_threads, groups) - 1` pool helpers.
+ExecResult run_groups(RunState& state, const std::vector<TaskGroup>& groups) {
+  const ExecOptions& options = *state.options;
+  const auto scheduler = std::make_shared<Scheduler>(state, groups);
+  const std::size_t workers =
+      options.parallel ? std::min(std::max<std::size_t>(options.max_threads, 1),
+                                  groups.size())
+                       : 1;
+  for (std::size_t w = 1; w < workers; ++w) {
+    try {
+      WorkerPool::instance().submit([scheduler]() { scheduler->work(); });
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the caller alone still runs every group
+    }
+  }
+  scheduler->work();
+  return scheduler->finish();
+}
+
+/// The groups of a goal run, in plan order: those with an output in the
+/// goal's closure (`scope`, sorted).  A multi-output task naturally
+/// produces its siblings along the way.  The closure holds every group's
+/// dependencies, so kept groups only need their `preds` renumbered.
+std::vector<TaskGroup> closure_groups(std::vector<TaskGroup> groups,
+                                      const std::vector<NodeId>& scope) {
+  std::vector<std::size_t> position(groups.size());
+  std::vector<TaskGroup> kept;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const bool needed = std::any_of(
+        groups[g].outputs.begin(), groups[g].outputs.end(), [&](NodeId out) {
+          return std::binary_search(scope.begin(), scope.end(), out);
+        });
+    if (!needed) continue;
+    position[g] = kept.size();
+    kept.push_back(std::move(groups[g]));
+    for (std::size_t& p : kept.back().preds) p = position[p];
+  }
+  return kept;
 }
 
 /// Opens the run record: journals the bound flow, options and seed so the
@@ -894,9 +894,9 @@ void begin_run_intents(RunState& state, const TaskGraph& flow,
 /// produced, "failed" on partial results or a thrown abort.
 ExecResult run_to_completion(RunState& state,
                              const std::vector<TaskGroup>& groups) {
-  if (!state.journal) return run_filtered(state, groups);
+  if (!state.journal) return run_groups(state, groups);
   try {
-    ExecResult result = run_filtered(state, groups);
+    ExecResult result = run_groups(state, groups);
     state.db->end_run(state.run_id,
                       result.complete() ? "complete" : "failed");
     return result;
@@ -955,27 +955,35 @@ ExecOptions decode_exec_options(std::string_view text) {
 }
 
 ExecResult Executor::run(const TaskGraph& flow, const ExecOptions& options) {
-  return run_impl(flow, options, std::nullopt);
+  return run_impl(flow, NodeId(), options, std::nullopt);
 }
 
-ExecResult Executor::run_impl(const TaskGraph& flow,
+ExecResult Executor::run_goal(const TaskGraph& flow, NodeId goal,
+                              const ExecOptions& options) {
+  return run_impl(flow, goal, options, std::nullopt);
+}
+
+ExecResult Executor::run_impl(const TaskGraph& flow, NodeId goal,
                               const ExecOptions& options,
                               std::optional<std::uint64_t> replaces) {
   flow.check();
-  const auto unbound = flow.unbound_leaves();
-  if (!unbound.empty()) {
-    throw FlowError("flow '" + flow.name() + "': leaf node '" +
-                    flow.schema().entity_name(flow.node(unbound.front()).type) +
-                    "' is not bound to an instance");
-  }
+  // A goal run is the same run over the goal's closure.
+  const std::vector<NodeId> scope =
+      goal.valid() ? flow.closure(goal) : flow.nodes();
   RunState state;
   state.flow = &flow;
   state.db = db_;
   state.tools = tools_;
   state.options = &options;
   state.cancel = cancel_;
-  for (const NodeId n : flow.nodes()) {
-    if (flow.is_leaf(n)) state.env[n.value()] = flow.bindings(n);
+  for (const NodeId n : scope) {
+    if (!flow.is_leaf(n)) continue;
+    if (flow.bindings(n).empty()) {
+      throw FlowError("flow '" + flow.name() + "': leaf node '" +
+                      flow.schema().entity_name(flow.node(n).type) +
+                      "' is not bound to an instance");
+    }
+    state.env[n.value()] = flow.bindings(n);
   }
   // A cancel raised before the run-begin frame leaves no trace at all — in
   // particular, a resume's interrupted run is not closed "resumed" for a
@@ -984,8 +992,10 @@ ExecResult Executor::run_impl(const TaskGraph& flow,
     throw RunCancelled("flow '" + flow.name() +
                        "': run cancelled before it started");
   }
-  begin_run_intents(state, flow, options, NodeId(), replaces);
-  return run_to_completion(state, flow.task_groups());
+  std::vector<TaskGroup> groups = flow.task_groups();
+  if (goal.valid()) groups = closure_groups(std::move(groups), scope);
+  begin_run_intents(state, flow, options, goal, replaces);
+  return run_to_completion(state, groups);
 }
 
 ExecResult Executor::resume(std::uint64_t run_id) {
@@ -1006,67 +1016,14 @@ ExecResult Executor::resume(std::uint64_t run_id) {
   // Memoization is what skips completed tasks: their products are in the
   // history, while quarantined partials are invisible and re-derived.
   options.reuse_existing = true;
-  const std::int64_t goal_node = record->goal_node;
+  const NodeId goal = record->goal_node >= 0
+                          ? NodeId(static_cast<std::uint32_t>(record->goal_node))
+                          : NodeId();
   // The interrupted run is closed ("resumed") by begin_run_intents, only
   // after the replacement's run-begin frame is journaled: if anything
   // throws before that point — flow.check, a missing tool — the run stays
   // open and resumable instead of being orphaned with nothing re-executed.
-  if (goal_node >= 0) {
-    return run_goal_impl(flow, NodeId(static_cast<std::uint32_t>(goal_node)),
-                         options, run_id);
-  }
-  return run_impl(flow, options, run_id);
-}
-
-ExecResult Executor::run_goal(const TaskGraph& flow, NodeId goal,
-                              const ExecOptions& options) {
-  return run_goal_impl(flow, goal, options, std::nullopt);
-}
-
-ExecResult Executor::run_goal_impl(const TaskGraph& flow, NodeId goal,
-                                   const ExecOptions& options,
-                                   std::optional<std::uint64_t> replaces) {
-  flow.check();
-  const std::vector<NodeId> keep = flow.closure(goal);
-  const std::unordered_set<std::uint32_t> keep_set = [&] {
-    std::unordered_set<std::uint32_t> s;
-    for (const NodeId n : keep) s.insert(n.value());
-    return s;
-  }();
-  for (const NodeId n : keep) {
-    if (flow.is_leaf(n) && flow.bindings(n).empty()) {
-      throw FlowError("sub-flow at '" +
-                      flow.schema().entity_name(flow.node(goal).type) +
-                      "': leaf '" +
-                      flow.schema().entity_name(flow.node(n).type) +
-                      "' is not bound");
-    }
-  }
-  RunState state;
-  state.flow = &flow;
-  state.db = db_;
-  state.tools = tools_;
-  state.options = &options;
-  state.cancel = cancel_;
-  for (const NodeId n : keep) {
-    if (flow.is_leaf(n)) state.env[n.value()] = flow.bindings(n);
-  }
-  if (cancel_requested(state)) {
-    throw RunCancelled("flow '" + flow.name() +
-                       "': run cancelled before it started");
-  }
-  // Keep a group when any of its outputs feeds the goal; a multi-output
-  // task naturally produces its siblings along the way.
-  std::vector<TaskGroup> groups;
-  for (const TaskGroup& group : flow.task_groups()) {
-    const bool needed = std::any_of(
-        group.outputs.begin(), group.outputs.end(), [&](NodeId out) {
-          return keep_set.contains(out.value());
-        });
-    if (needed) groups.push_back(group);
-  }
-  begin_run_intents(state, flow, options, goal, replaces);
-  return run_to_completion(state, groups);
+  return run_impl(flow, goal, options, run_id);
 }
 
 }  // namespace herc::exec

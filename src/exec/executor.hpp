@@ -1,12 +1,16 @@
 // The flow execution engine (paper §3.3 and Fig. 6).
 //
 // Executes a dynamically defined flow: tasks are grouped (a shared tool
-// node + input set with several outputs runs once), ordered by dependency,
-// and run serially or in parallel — "disjoint branches in the flow can be
-// executed in parallel, possibly on different machines" maps here onto a
-// thread pool.  Every produced design object is recorded in the history
-// database with its derivation meta-data, which is what makes all of §4.2's
-// queries possible.
+// node + input set with several outputs runs once) and their dependency
+// DAG is built once, by `TaskGraph::task_groups()`.  One scheduler runs
+// every flow: a ready queue that always hands out the lowest-indexed ready
+// group.  A serial run is one worker, the calling thread, which therefore
+// runs the groups in plan order; a parallel run adds helpers from a
+// process-wide pool of parked threads — "disjoint branches in the flow can
+// be executed in parallel, possibly on different machines".  Every
+// produced design object is recorded in the history database with its
+// derivation meta-data, which is what makes all of §4.2's queries
+// possible.
 //
 // Instance-set bindings fan a task out over each member (§4.1): binding
 // three stimuli to the Stimuli leaf runs the simulation three times and
@@ -73,7 +77,9 @@ struct FaultPolicy {
 };
 
 struct ExecOptions {
-  /// Run independent task groups concurrently on a thread pool.
+  /// Run independent task groups concurrently: the calling thread plus up
+  /// to `max_threads - 1` pooled helpers.  Off, the caller alone runs
+  /// the groups in plan order.
   bool parallel = false;
   std::size_t max_threads = 4;
   /// Reuse fresh existing results instead of re-running tasks.
@@ -177,6 +183,9 @@ class Executor {
   /// `kContinueBranches`/`kBestEffort` the run returns normally and the
   /// result carries per-task outcomes.  Failed and skipped attempts are
   /// recorded in the history database as failure records in every mode.
+  /// Any other exception — a failed journal write, say — stops the run on
+  /// whichever worker throws it and is rethrown here once no helper is
+  /// still inside a task group; the run record is closed "failed".
   ExecResult run(const graph::TaskGraph& flow, const ExecOptions& options = {});
 
   /// Executes only the sub-flow rooted at `goal` — "a subflow may be run
@@ -196,13 +205,12 @@ class Executor {
   ExecResult resume(std::uint64_t run_id);
 
  private:
-  /// The shared run paths; `replaces` is the interrupted run a resume
-  /// supersedes (closed "resumed" after the new run-begin frame lands).
-  ExecResult run_impl(const graph::TaskGraph& flow, const ExecOptions& options,
+  /// The one run path: the whole flow, or the closure of `goal` when it
+  /// is valid.  `replaces` is the interrupted run a resume supersedes
+  /// (closed "resumed" after the new run-begin frame lands).
+  ExecResult run_impl(const graph::TaskGraph& flow, graph::NodeId goal,
+                      const ExecOptions& options,
                       std::optional<std::uint64_t> replaces);
-  ExecResult run_goal_impl(const graph::TaskGraph& flow, graph::NodeId goal,
-                           const ExecOptions& options,
-                           std::optional<std::uint64_t> replaces);
 
   history::HistoryDb* db_;
   const tools::ToolRegistry* tools_;

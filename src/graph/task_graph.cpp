@@ -545,7 +545,7 @@ std::vector<TaskGroup> TaskGraph::task_groups() const {
   }
 
   // Topological order over groups (a group needing another's output runs
-  // after it).
+  // after it).  `preds` index `all` until the final renumbering.
   std::vector<TaskGroup> all;
   all.reserve(groups.size());
   for (auto& [key, group] : groups) {
@@ -557,28 +557,34 @@ std::vector<TaskGroup> TaskGraph::task_groups() const {
     for (const NodeId out : all[g].outputs) producer[out.value()] = g;
   }
   std::vector<std::vector<std::size_t>> succs(all.size());
-  std::vector<std::size_t> indeg(all.size(), 0);
   for (std::size_t g = 0; g < all.size(); ++g) {
     auto feeds = all[g].inputs;
     if (all[g].tool.valid()) feeds.push_back(all[g].tool);
+    std::vector<std::size_t>& preds = all[g].preds;
     for (const NodeId in : feeds) {
       const auto it = producer.find(in.value());
-      if (it != producer.end() && it->second != g) {
+      if (it != producer.end() && it->second != g &&
+          std::find(preds.begin(), preds.end(), it->second) == preds.end()) {
+        preds.push_back(it->second);
         succs[it->second].push_back(g);
-        ++indeg[g];
       }
     }
   }
+  std::vector<std::size_t> indeg(all.size());
   std::deque<std::size_t> ready;
   for (std::size_t g = 0; g < all.size(); ++g) {
+    indeg[g] = all[g].preds.size();
     if (indeg[g] == 0) ready.push_back(g);
   }
+  std::vector<std::size_t> position(all.size());
   std::vector<TaskGroup> ordered;
   ordered.reserve(all.size());
   while (!ready.empty()) {
     const std::size_t g = ready.front();
     ready.pop_front();
-    ordered.push_back(all[g]);
+    position[g] = ordered.size();
+    ordered.push_back(std::move(all[g]));
+    for (std::size_t& p : ordered.back().preds) p = position[p];
     for (const std::size_t s : succs[g]) {
       if (--indeg[s] == 0) ready.push_back(s);
     }

@@ -79,6 +79,10 @@ struct TaskGroup {
   NodeId tool;                  ///< invalid for compose tasks
   std::vector<NodeId> inputs;   ///< dd targets, sorted by id
   std::vector<NodeId> outputs;  ///< goal nodes, sorted by id
+  /// The groups this one waits for — the producers of its inputs, then of
+  /// its tool, each once — as indices into the `task_groups()` result.
+  /// Every index is lower than this group's own.
+  std::vector<std::size_t> preds;
 };
 
 class TaskGraph {

@@ -9,6 +9,7 @@
 
 #include "cli/interpreter.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace herc::server {
 
@@ -27,15 +28,6 @@ std::string make_client_id() {
   return id.str();
 }
 
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash | 1;  // Backoff wants a nonzero seed
-}
-
 }  // namespace
 
 ResilientClient::ResilientClient(Endpoint leader, ResilientOptions options)
@@ -44,7 +36,9 @@ ResilientClient::ResilientClient(Endpoint leader, ResilientOptions options)
       client_id_(options.client_id.empty() ? make_client_id()
                                            : options.client_id),
       backoff_(options.backoff_base_ms, options.backoff_cap_ms,
-               options.seed != 0 ? options.seed : fnv1a(client_id_)) {
+               // Backoff wants a nonzero seed.
+               options.seed != 0 ? options.seed
+                                 : support::fnv1a(client_id_) | 1) {
   if (options_.max_attempts < 1) options_.max_attempts = 1;
 }
 

@@ -1,13 +1,23 @@
 // Execution-engine behaviour beyond the happy path: error handling,
 // sub-flow execution, set-accepting encapsulations, tool-instance
-// selection of encapsulations.
+// selection of encapsulations, and the scheduler's contract: plan order
+// for one worker, cooperative cancel, and exceptions from any worker
+// reaching the caller.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "circuit/library.hpp"
 #include "circuit/models.hpp"
 #include "circuit/stimuli.hpp"
 #include "exec/consistency.hpp"
 #include "exec/executor.hpp"
+#include "fault_test_util.hpp"
 #include "history/flow_trace.hpp"
 #include "history/history_db.hpp"
 #include "schema/standard_schemas.hpp"
@@ -305,6 +315,147 @@ TEST_F(ExecutorTest, ExecResultSingleRejectsFanOut) {
   EXPECT_THROW((void)result.single(n), ExecError);  // fan-out
   result.produced[n] = {InstanceId(1)};
   EXPECT_EQ(result.single(n), InstanceId(1));
+}
+
+/// Bound flow over independent chains, one per `{prefix, depth}`.
+graph::TaskGraph chains_flow(
+    faulttest::World& w,
+    const std::vector<std::pair<std::string, std::size_t>>& chains) {
+  for (const auto& [prefix, depth] : chains) {
+    faulttest::add_chain(w, prefix, depth);
+  }
+  graph::TaskGraph flow(w.schema, "chains");
+  for (const auto& [prefix, depth] : chains) {
+    flow.add_node(prefix + "D" + std::to_string(depth));
+  }
+  faulttest::expand_all(flow);
+  faulttest::bind_leaves(w, flow);
+  return flow;
+}
+
+TEST_F(ExecutorTest, OneWorkerRecordsInPlanOrder) {
+  // Three independent chains: one worker runs the groups in plan order,
+  // which interleaves the branches level by level.  Ids and `<Type>#<n>`
+  // names follow from that order.
+  faulttest::World w;
+  const graph::TaskGraph flow =
+      chains_flow(w, {{"A", 2}, {"B", 3}, {"C", 1}});
+  Executor ex(w.db, w.tools);
+  const ExecResult result = ex.run(flow);
+  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(result.tasks_run, 6u);
+
+  std::vector<std::string> recorded;
+  for (const InstanceId id : w.db.all()) {
+    recorded.push_back(std::to_string(id.value()) + " " +
+                       w.db.instance(id).name);
+  }
+  const std::vector<std::string> expected = {
+      "0 AT2#tool", "1 BT3#tool", "2 CT1#tool", "3 CSrc#src",
+      "4 AT1#tool", "5 ASrc#src", "6 BT2#tool", "7 BT1#tool",
+      "8 BSrc#src", "9 CD1#9",    "10 AD1#10",  "11 BD1#11",
+      "12 AD2#12",  "13 BD2#13",  "14 BD3#14"};
+  EXPECT_EQ(recorded, expected);
+
+  std::vector<std::string> journaled;
+  for (const auto& task : w.db.runs().front().tasks) {
+    journaled.push_back(task.key);
+  }
+  const std::vector<std::string> expected_tasks = {
+      "2:CD1", "4:AD1", "12:BD1", "0:AD2", "6:BD2", "1:BD3"};
+  EXPECT_EQ(journaled, expected_tasks);
+}
+
+TEST_F(ExecutorTest, CancelRaisedInsideTheFirstGroupIsResumable) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    faulttest::World w;
+    std::atomic<bool> cancel{false};
+    faulttest::add_chain(w, "K", 3);
+    tools::Encapsulation first;
+    first.name = "KT1.cancelling";
+    first.tool_type = w.schema.require("KT1");
+    first.fn = [&cancel](const tools::ToolContext&) {
+      cancel.store(true);
+      tools::ToolOutput out;
+      out.set("KD1", "d1");
+      return out;
+    };
+    w.tools.register_encapsulation(std::move(first));
+    w.tools.set_default("KT1.cancelling");
+    graph::TaskGraph flow(w.schema, "chain");
+    flow.add_node("KD3");
+    faulttest::expand_all(flow);
+    faulttest::bind_leaves(w, flow);
+
+    Executor ex(w.db, w.tools);
+    ex.set_cancel_flag(&cancel);
+    ExecOptions options;
+    options.parallel = workers > 1;
+    options.max_threads = workers;
+    try {
+      ex.run(flow, options);
+      FAIL() << "expected RunCancelled";
+    } catch (const RunCancelled& e) {
+      EXPECT_NE(std::string(e.what()).find("cancelled"), std::string::npos);
+    }
+    ASSERT_EQ(w.db.runs().size(), 1u);
+    const history::RunRecord& run = w.db.runs().front();
+    const std::uint64_t run_id = run.id;
+    EXPECT_TRUE(run.open());
+    // The group that raised the flag finished and journaled normally; the
+    // two groups behind it never started, so they left no tstart.
+    ASSERT_EQ(run.tasks.size(), 1u);
+    EXPECT_NE(run.tasks.front().key.find(":KD1"), std::string::npos);
+    EXPECT_TRUE(run.tasks.front().finished);
+    EXPECT_EQ(run.tasks.front().status, "ok");
+    EXPECT_TRUE(w.db.instances_of(w.schema.require("KD2")).empty());
+
+    cancel.store(false);
+    const ExecResult resumed = ex.resume(run_id);
+    EXPECT_TRUE(resumed.complete());
+    EXPECT_EQ(resumed.tasks_reused, 1u);
+    EXPECT_EQ(resumed.tasks_run, 2u);
+    EXPECT_EQ(w.db.find_run(run_id)->outcome, "resumed");
+    EXPECT_EQ(w.db.runs().back().outcome, "complete");
+    EXPECT_EQ(w.db.instances_of(w.schema.require("KD3")).size(), 1u);
+  }
+}
+
+/// Fails every task-started journal write, as a full disk would.
+class FailingTaskStarts : public history::MutationListener {
+ public:
+  void on_mutation(std::string_view lines) override {
+    if (lines.starts_with("tstart")) {
+      throw std::runtime_error("journal: write failed");
+    }
+  }
+};
+
+TEST_F(ExecutorTest, JournalFailureOnAnyWorkerReachesTheCaller) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    faulttest::World w;
+    const graph::TaskGraph flow = chains_flow(w, {{"L", 2}, {"R", 2}});
+    const std::size_t imported = w.db.size();
+    FailingTaskStarts listener;
+    w.db.attach_listener(&listener);
+    Executor ex(w.db, w.tools);
+    ExecOptions options;
+    options.parallel = workers > 1;
+    options.max_threads = workers;
+    try {
+      ex.run(flow, options);
+      FAIL() << "expected the listener's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "journal: write failed");
+    }
+    w.db.attach_listener(nullptr);
+    // No group got past its task-started frame, and the run is closed.
+    EXPECT_EQ(w.db.size(), imported);
+    ASSERT_EQ(w.db.runs().size(), 1u);
+    EXPECT_EQ(w.db.runs().front().outcome, "failed");
+  }
 }
 
 }  // namespace

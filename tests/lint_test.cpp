@@ -461,6 +461,29 @@ TEST(PlanCheck, HL201CleanWhenEditsAreChained) {
   EXPECT_FALSE(lint_plan(flow, options).has("HL201"));
 }
 
+TEST(PlanCheck, HL201FollowsToolEdges) {
+  // EditorB is itself made from EditedText, so RevisedText's task waits
+  // for EditorB's, which waits for EditedText's: the two edits of the
+  // shared seed never overlap, as in the executor's schedule.
+  schema::TaskSchema s = editors_schema();
+  const auto maker = s.add_tool("Maker");
+  s.set_functional_dependency(s.require("EditorB"), maker);
+  s.add_data_dependency(s.require("EditorB"), s.require("EditedText"));
+  TaskGraph flow = editors_flow(s, /*chained=*/false);
+  NodeId edited;
+  NodeId editor_b;
+  for (const NodeId n : flow.nodes()) {
+    if (flow.node(n).type == s.require("EditedText")) edited = n;
+    if (flow.node(n).type == s.require("EditorB")) editor_b = n;
+  }
+  flow.connect(editor_b, flow.add_node("Maker"));
+  flow.connect(editor_b, edited);
+  PlanCheckOptions options;
+  options.parallel = true;
+  const LintReport r = lint_plan(flow, options);
+  EXPECT_FALSE(r.has("HL201")) << r.render();
+}
+
 TEST(PlanCheck, HL201NotCheckedForSerialSchedules) {
   // A serial run executes the groups in plan order: the double edit is a
   // legitimate version branch, not a race.
