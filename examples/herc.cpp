@@ -84,6 +84,7 @@
 #include "storage/fsck.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace {
 
@@ -370,22 +371,9 @@ int cmd_connect(const std::vector<std::string>& args) {
     for (const std::string& line : commands) run_line(line, "");
     if (!script.empty()) {
       // Same line/heredoc syntax as local scripts, shipped over the wire.
-      const std::string text = slurp(script);
-      std::istringstream in(text);
-      std::string line;
-      while (std::getline(in, line)) {
-        std::string body;
-        const std::size_t marker = line.rfind("<<");
-        if (marker != std::string::npos) {
-          const std::string token = line.substr(marker + 2);
-          line = line.substr(0, marker);
-          std::string body_line;
-          while (std::getline(in, body_line) && body_line != token) {
-            body += body_line;
-            body += '\n';
-          }
-        }
-        run_line(line, body);
+      std::istringstream in(slurp(script));
+      while (const auto command = herc::cli::read_command(in)) {
+        run_line(herc::support::join(command->args, " "), command->payload);
       }
     }
     return exit;
@@ -393,24 +381,12 @@ int cmd_connect(const std::vector<std::string>& args) {
 
   std::cout << "connected to " << endpoint.describe() << " —"
             << client.banner() << "; 'quit' exits\n";
-  std::string line;
   while (true) {
     std::cout << "herc> " << std::flush;
-    if (!std::getline(std::cin, line)) break;
-    std::string body;
-    const std::size_t marker = line.rfind("<<");
-    if (marker != std::string::npos) {
-      const std::string token = line.substr(marker + 2);
-      line = line.substr(0, marker);
-      std::string body_line;
-      while (std::getline(std::cin, body_line) && body_line != token) {
-        body += body_line;
-        body += '\n';
-      }
-    }
-    if (line == "quit" || line == "exit") break;
+    const auto command = herc::cli::read_command(std::cin);
+    if (!command || command->quits()) break;
     try {
-      run_line(line, body);
+      run_line(herc::support::join(command->args, " "), command->payload);
     } catch (const herc::support::NetError& e) {
       std::cerr << "connection lost: " << e.what() << "\n";
       return 2;

@@ -17,6 +17,7 @@
 //                                           # (0 clean, 1 warnings, 2 errors)
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -181,26 +182,18 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "Hercules shell — 'help' lists commands, 'quit' exits.\n";
-  std::string line;
-  while (true) {
-    std::cout << "herc> " << std::flush;
-    if (!std::getline(std::cin, line)) break;
-    // Interactive heredocs: read until the terminator line.
-    std::string payload;
-    const std::size_t marker = line.rfind("<<");
-    if (marker != std::string::npos) {
-      const std::string token = line.substr(marker + 2);
-      line = line.substr(0, marker);
-      std::string body_line;
-      while (std::getline(std::cin, body_line) && body_line != token) {
-        payload += body_line;
-        payload += '\n';
+  try {
+    while (true) {
+      std::cout << "herc> " << std::flush;
+      const std::optional<herc::cli::Command> command =
+          herc::cli::read_command(std::cin);
+      if (!command ||
+          interpreter.execute(*command) == herc::cli::CommandStatus::kQuit) {
+        return 0;
       }
     }
-    if (interpreter.execute(line, std::move(payload)) ==
-        herc::cli::CommandStatus::kQuit) {
-      break;
-    }
+  } catch (const std::exception& e) {  // the input ended inside a heredoc
+    std::cout << "error: " << e.what() << "\n";
+    return 1;
   }
-  return 0;
 }

@@ -64,6 +64,21 @@ EOF
   echo "FAIL: setup script failed over the wire"; cat "$LOG"; exit 1;
 }
 
+# One script, two readers: `hercules_shell` runs it locally and `herc
+# connect` ships it over the wire.  Both must take the same payload from a
+# heredoc whose terminator is spaced off the `<<`, then run the next line.
+HEREDOC="$SCRATCH/herc_smoke_heredoc.hcl"
+printf 'import Stimuli spaced << END\nstimuli spaced\nwave in 0:0 500:1\nEND\necho after-heredoc\n' >"$HEREDOC"
+{ cat "$HEREDOC"; echo "payload i0"; } >"$HEREDOC.local"
+LOCAL=$("$(dirname "$HERC")/hercules_shell" "$HEREDOC.local") || LOCAL=""
+REMOTE=$("$HERC" connect "$ADDR" "$HEREDOC") || REMOTE=""
+ID=$(echo "$REMOTE" | sed -n 's/^imported \(i[0-9]*\) .*/\1/p')
+if ! echo "$REMOTE" | grep -qx after-heredoc || [ -z "$ID" ] ||
+   [ "$(echo "$LOCAL" | sed '1,/^after-heredoc$/d')" != "$("$HERC" connect "$ADDR" -e "payload $ID")" ]; then
+  echo "FAIL: a heredoc script reads differently locally and over the wire"
+  echo "local:"; echo "$LOCAL"; echo "remote:"; echo "$REMOTE"; exit 1
+fi
+
 # Connection 2 (background): rebuild the flow from the published plan and
 # run it with an artificial per-task latency, so the SIGTERM below lands
 # while the run is in flight.

@@ -8,32 +8,16 @@
 // `hercules_shell` example wraps it as an interactive REPL / script
 // runner; tests drive it directly.
 //
-// Command summary (the `help` command prints the same):
-//   session new <fig1|fig2|full> [user]     session user <name>
-//   session save <file>                     session load <file>
-//   open <dir> [sync=..] [every=N]          checkpoint
-//   store [close|sync]                      runs
-//   resume [<run#>]                         fsck <dir> [--repair] [--json]
-//   lint schema | flow <f> [goal <node>] [parallel] [continue] | store <dir>
-//   import <Entity> <name> <<END ... END    import <Entity> <name> ""
-//   flow new <f> goal <Entity> | plan <name>
-//   flow expand <f> <node> [optional]       flow expandup <f> <node> <Entity>
-//   flow specialize <f> <node> <Subtype>    flow connect <f> <node> <node>
-//   flow cooutput <f> <node> <Entity>       flow unexpand <f> <node>
-//   flow bind <f> <node> <iN...>            flow unbind <f> <node>
-//   flow show <f> | lisp <f> | dot <f> | bipartite <f>
-//   flow save-plan <f>                      plans
-//   run <f> [parallel] [reuse]              auto <Entity> [run]
-//   browse <Entity> [keyword=..] [user=..] [uses=iN]
-//   history <iN>   uses <iN>   trace <iN> backward|forward
-//   versions <iN>  payload <iN>  annotate <iN> <name> [comment...]
-//   stale <iN>     retrace <iN>  decompose <iN>
-//   entities   tools   echo <text>   help   quit
+// Every command form is one row of the command table in interpreter.cpp:
+// its verb and subcommand, its lock class, whether a shared session
+// allows it, its usage line and its handler.  `help` prints the command
+// summary.
 #pragma once
 
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,17 +37,37 @@ enum class CommandStatus {
 
 /// Whether a command only reads the session (safe to execute under a
 /// shared lock, many at once) or may mutate it (needs exclusive access).
-/// The server's reader-writer access layer schedules with this; the
-/// classification is by command name, and anything unrecognized is
-/// conservatively a write.
+/// The server's reader-writer access layer schedules with this.  Each row
+/// of the command table names its class; a line that matches no row is a
+/// usage error that touches no session state, so it is a read.
 enum class CommandAccess { kRead, kWrite };
 
-/// Classifies one command line.  Flow-building commands are reads: each
-/// interpreter keeps its own flow workspace, so `flow expand`/`bind` touch
-/// only connection-local state (they read the shared schema and history).
-/// `flow save-plan` publishes into the shared catalog and is a write, as
-/// is anything that records, recovers or reconfigures.
+/// One row of the command table (interpreter.cpp).
+struct CommandSpec;
+
+/// A command line split into words once and matched to its table row,
+/// with its heredoc payload.  The server parses each frame into one and
+/// uses it for its own intercepts, the lock choice and execution.
+struct Command {
+  std::vector<std::string> args;  ///< empty for blank lines and comments
+  std::string payload;            ///< the body `import`/`schema extend` take
+  const CommandSpec* spec = nullptr;  ///< null when no row matches
+
+  [[nodiscard]] CommandAccess access() const;
+  /// `quit` or `exit`.
+  [[nodiscard]] bool quits() const;
+};
+
+/// Classifies one command line: `Interpreter::parse(line).access()`.
 [[nodiscard]] CommandAccess command_access(std::string_view line);
+
+/// Reads and parses the next command of a script or an interactive
+/// stream.  A line ending in `<<TOKEN` (one word) takes the following
+/// lines, up to one that reads TOKEN, as its payload.  A `\r` ending a
+/// line is dropped; blank and `#` comment lines come back as empty
+/// commands, never as heredocs.  Returns nullopt at the end of the input;
+/// throws `support::HercError` when the input ends inside a heredoc.
+[[nodiscard]] std::optional<Command> read_command(std::istream& in);
 
 class Interpreter {
  public:
@@ -74,19 +78,28 @@ class Interpreter {
 
   /// Shares an externally owned session (the server's): this interpreter
   /// keeps its own flow workspace but runs every command against
-  /// `session`.  Commands that would swap or detach state other clients
-  /// are using — `session new`, `session load`, `open`, `store close` —
+  /// `session`.  The forms the command table marks as not allowed on a
+  /// shared session — `session new`, `session load`, `open`, `store
+  /// close`, which would swap or detach state other clients are using —
   /// are refused.  `session` must outlive the interpreter.
   Interpreter(std::ostream& out, core::DesignSession& session);
 
-  /// Executes one command.  `payload` supplies the body for commands that
-  /// take one (`import`); scripts provide it via heredocs.
+  /// Splits `line` into words and finds its row in the command table.  The
+  /// row's subcommand is matched against the first argument after the verb
+  /// that is not a `--` flag, the way the handlers read it.
+  [[nodiscard]] static Command parse(std::string_view line,
+                                     std::string payload = {});
+
+  /// Executes one parsed command.
+  CommandStatus execute(const Command& command);
+  /// Parses and executes one command.  `payload` supplies the body for
+  /// commands that take one (`import`, `schema extend`); scripts provide
+  /// it via heredocs.
   CommandStatus execute(std::string_view line, std::string payload = "");
 
-  /// Executes a script: one command per line, `#` comments, and
-  /// `<<TOKEN ... TOKEN` heredoc payloads.  Stops at `quit` or, when
+  /// Executes a script read by `read_command`.  Stops at `quit` or, when
   /// `stop_on_error` is set, at the first failure.  Returns the number of
-  /// failed commands.
+  /// failed commands; a script that ends inside a heredoc counts one more.
   std::size_t run_script(std::string_view text, bool stop_on_error = false);
 
   [[nodiscard]] core::DesignSession& session() { return *session_; }
@@ -109,37 +122,10 @@ class Interpreter {
   }
 
  private:
-  using Args = std::vector<std::string>;
-
-  void dispatch(const Args& args, const std::string& payload);
-
-  // Command families.
-  void cmd_session(const Args& args);
-  void cmd_open(const Args& args);
-  void cmd_store(const Args& args);
-  void cmd_import(const Args& args, const std::string& payload);
-  void cmd_flow(const Args& args);
-  void cmd_run(const Args& args);
-  void cmd_runs(const Args& args);
-  void cmd_resume(const Args& args);
-  void cmd_fsck(const Args& args);
-  void cmd_lint(const Args& args);
-  void cmd_auto(const Args& args);
-  void cmd_browse(const Args& args);
-  void cmd_history_query(const Args& args);
-  void cmd_help();
-
-  // Argument resolution.
-  [[nodiscard]] graph::TaskGraph& flow_ref(const std::string& name);
-  [[nodiscard]] graph::NodeId node_ref(const graph::TaskGraph& flow,
-                                       const std::string& token) const;
-  [[nodiscard]] data::InstanceId instance_ref(const std::string& token) const;
-
-  void print_instance_line(data::InstanceId id);
-
-  /// Throws when this interpreter shares its session (see the two-arg
-  /// constructor) and `what` names a command that must not run there.
-  void refuse_when_shared(const std::string& what) const;
+  /// One command being executed; its member functions are the handlers
+  /// the command table's rows point to (interpreter.cpp).
+  struct Call;
+  friend struct CommandSpec;
 
   std::ostream* out_;
   std::unique_ptr<core::DesignSession> owned_;

@@ -92,16 +92,12 @@ InstanceId resolve_instance(const HistoryDb& db, const std::string& token,
     throw ParseError("query: expected iN or a quoted name, got '" + token +
                      "'");
   }
-  try {
-    std::size_t pos = 0;
-    const unsigned long v = std::stoul(token.substr(1), &pos);
-    if (pos + 1 != token.size()) throw std::invalid_argument("trailing");
-    const InstanceId id(static_cast<std::uint32_t>(v));
-    (void)db.instance(id);
-    return id;
-  } catch (const std::invalid_argument&) {
-    throw ParseError("query: bad instance ref '" + token + "'");
-  }
+  const std::optional<std::uint32_t> v =
+      support::parse_int<std::uint32_t>(std::string_view(token).substr(1));
+  if (!v) throw ParseError("query: bad instance ref '" + token + "'");
+  const InstanceId id(*v);
+  (void)db.instance(id);
+  return id;
 }
 
 /// Descends one path step from `node`, creating (or reusing) the pattern

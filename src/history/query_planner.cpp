@@ -1,7 +1,6 @@
 #include "history/query_planner.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <limits>
 
 #include "history/history_db.hpp"
@@ -27,20 +26,10 @@ std::string PageCursor::encode() const {
 std::optional<PageCursor> PageCursor::decode(std::string_view s) {
   const std::size_t colon = s.find(':');
   if (colon == std::string_view::npos) return std::nullopt;
-  PageCursor out;
-  const std::string_view left = s.substr(0, colon);
-  const std::string_view right = s.substr(colon + 1);
-  auto first = std::from_chars(left.data(), left.data() + left.size(),
-                               out.created);
-  if (first.ec != std::errc() || first.ptr != left.data() + left.size()) {
-    return std::nullopt;
-  }
-  auto second = std::from_chars(right.data(), right.data() + right.size(),
-                                out.id);
-  if (second.ec != std::errc() || second.ptr != right.data() + right.size()) {
-    return std::nullopt;
-  }
-  return out;
+  const auto created = support::parse_int<std::int64_t>(s.substr(0, colon));
+  const auto id = support::parse_int<std::uint32_t>(s.substr(colon + 1));
+  if (!created || !id) return std::nullopt;
+  return PageCursor{*created, *id};
 }
 
 std::string_view to_string(AccessPath path) {

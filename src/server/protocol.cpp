@@ -224,6 +224,17 @@ CommandPayload split_command(std::string_view payload) {
   return out;
 }
 
+ConnectionCommand connection_command(const std::vector<std::string>& args) {
+  if (args.size() == 3 && args[0] == "session" && args[1] == "user") {
+    return ConnectionCommand::kUser;
+  }
+  if (args.size() == 1 || (args.size() == 2 && args[1] == "--json")) {
+    if (args[0] == "stats") return ConnectionCommand::kStats;
+    if (args[0] == "replicas") return ConnectionCommand::kReplicas;
+  }
+  return ConnectionCommand::kNone;
+}
+
 std::string encode_token(std::string_view client_id, std::uint64_t seq,
                          std::string_view command_payload) {
   if (client_id.empty() ||

@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/severity.hpp"
@@ -140,6 +141,14 @@ struct CommandPayload {
   std::string body;
 };
 [[nodiscard]] CommandPayload split_command(std::string_view payload);
+
+/// The commands a server connection answers itself instead of passing
+/// them to the interpreter: `stats [--json]`, `replicas [--json]`, and
+/// `session user <name>`, which names the user stamped on the
+/// connection's writes.  `args` are the command line's words.
+enum class ConnectionCommand { kNone, kStats, kReplicas, kUser };
+[[nodiscard]] ConnectionCommand connection_command(
+    const std::vector<std::string>& args);
 
 /// Builds a kTokenCommand payload: `<client-id> <seq>\n` + the kCommand
 /// payload it wraps.  The client id may not contain whitespace.

@@ -48,12 +48,6 @@ void ResilientClient::set_endpoints(Endpoint leader,
   replicas_ = std::move(replicas);
 }
 
-void ResilientClient::note_user(std::string_view command) {
-  std::istringstream words{std::string(command)};
-  std::string a, b, c;
-  if (words >> a >> b >> c && a == "session" && b == "user") user_ = c;
-}
-
 void ResilientClient::ensure_connected() {
   if (client_.connected()) return;
   Client fresh = Client::connect(leader_, options_.connect_timeout_ms);
@@ -100,12 +94,15 @@ void ResilientClient::ensure_connected() {
 }
 
 void ResilientClient::send(std::string_view command, std::string_view body) {
-  note_user(command);
+  const cli::Command parsed = cli::Interpreter::parse(command);
+  if (connection_command(parsed.args) == ConnectionCommand::kUser) {
+    user_ = parsed.args[2];
+  }
   Pending p;
   p.seq = ++seq_;
   p.command.assign(command);
   p.body.assign(body);
-  p.read = cli::command_access(command) == cli::CommandAccess::kRead;
+  p.read = parsed.access() == cli::CommandAccess::kRead;
   pending_.push_back(std::move(p));
   if (!client_.connected()) return;  // receive() will connect and replay
   try {

@@ -139,7 +139,6 @@ class ResilientClient {
   /// `pending_` (retrying those tokens against a new incarnation would
   /// re-execute them).
   void ensure_connected();
-  void note_user(std::string_view command);
   /// Tries each replica endpoint in turn for a read; appends failures to
   /// `*error`.  True = `*out` holds a replica's answer.
   [[nodiscard]] bool read_from_replica(std::string_view command,

@@ -15,7 +15,6 @@
 #include "cli/interpreter.hpp"
 #include "server/protocol.hpp"
 #include "support/error.hpp"
-#include "support/text.hpp"
 
 namespace herc::server {
 
@@ -294,8 +293,9 @@ void Server::worker_loop(Connection& conn) {
         result = execute_tokened(conn, frame.payload, output, quit);
       } else {
         CommandPayload cmd = split_command(frame.payload);
-        result = execute_command(conn, cmd.line, std::move(cmd.body), output,
-                                 quit);
+        result = execute_command(
+            conn, cli::Interpreter::parse(cmd.line, std::move(cmd.body)),
+            output, quit);
       }
       stats_.command_latency.record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -377,44 +377,37 @@ void Server::serve_subscription(Connection& conn, const Frame& frame) {
 }
 
 std::string Server::execute_command(Connection& conn,
-                                    const std::string& line,
-                                    std::string body, std::string& output,
-                                    bool& quit) {
-  const std::vector<std::string> args =
-      support::split_ws(support::trim(line));
-
-  // Connection-scoped interceptions: `stats` and `replicas` read only
-  // counters; `session user` must not touch the shared session outside
-  // the exclusive lock, so it is recorded here and applied per write
-  // command.
-  if (!args.empty() && args[0] == "stats" &&
-      (args.size() == 1 || (args.size() == 2 && args[1] == "--json"))) {
-    output = render_stats(conn, args.size() == 2);
-    return encode_result(Severity::kClean, "");
-  }
-  if (!args.empty() && args[0] == "replicas" &&
-      (args.size() == 1 || (args.size() == 2 && args[1] == "--json"))) {
-    const bool json = args.size() == 2;
-    if (hub_ == nullptr) {
-      output = json ? "[]" : "replication is not enabled on this server\n";
-    } else {
-      output = hub_->render_followers(json);
-    }
-    return encode_result(Severity::kClean, "");
-  }
-  if (args.size() == 3 && args[0] == "session" && args[1] == "user") {
-    conn.user = args[2];
-    output = "user '" + conn.user + "' for this connection\n";
-    return encode_result(Severity::kClean, "");
+                                    const cli::Command& cmd,
+                                    std::string& output, bool& quit) {
+  // Connection-scoped commands: `stats` and `replicas` read only counters;
+  // `session user` must not touch the shared session outside the
+  // exclusive lock, so it is recorded here and applied per write command.
+  switch (connection_command(cmd.args)) {
+    case ConnectionCommand::kStats:
+      output = render_stats(conn, cmd.args.size() == 2);
+      return encode_result(Severity::kClean, "");
+    case ConnectionCommand::kReplicas:
+      if (hub_ == nullptr) {
+        output = cmd.args.size() == 2
+                     ? "[]"
+                     : "replication is not enabled on this server\n";
+      } else {
+        output = hub_->render_followers(cmd.args.size() == 2);
+      }
+      return encode_result(Severity::kClean, "");
+    case ConnectionCommand::kUser:
+      conn.user = cmd.args[2];
+      output = "user '" + conn.user + "' for this connection\n";
+      return encode_result(Severity::kClean, "");
+    case ConnectionCommand::kNone:
+      break;
   }
 
-  const cli::CommandAccess access = cli::command_access(line);
+  const cli::CommandAccess access = cmd.access();
   if (options_.read_only && access == cli::CommandAccess::kWrite) {
     stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
     return encode_result(Severity::kError,
-                         "read-only replica: '" + (args.empty()
-                              ? std::string()
-                              : args[0]) +
+                         "read-only replica: '" + cmd.args[0] +
                              "' is a write command; connect to the leader");
   }
   conn.out.str(std::string());
@@ -422,12 +415,12 @@ std::string Server::execute_command(Connection& conn,
   if (access == cli::CommandAccess::kRead) {
     std::shared_lock lock(session_mutex_);
     stats_.read_commands.fetch_add(1, std::memory_order_relaxed);
-    status = conn.interp->execute(line, std::move(body));
+    status = conn.interp->execute(cmd);
   } else {
     std::unique_lock lock(session_mutex_);
     stats_.write_commands.fetch_add(1, std::memory_order_relaxed);
     session_.set_user(conn.user);
-    status = conn.interp->execute(line, std::move(body));
+    status = conn.interp->execute(cmd);
   }
   output += conn.out.str();
   stats_.commands_executed.fetch_add(1, std::memory_order_relaxed);
@@ -475,21 +468,17 @@ std::string Server::execute_tokened(Connection& conn,
     stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
     return encode_result(Severity::kError, e.what());
   }
-  CommandPayload cmd = split_command(token.command);
-  const std::vector<std::string> args =
-      support::split_ws(support::trim(cmd.line));
-  // Connection-scoped commands (`session user`, `stats`, `replicas`) must
-  // re-execute on the connection that carries them — serving a cached
-  // reply would skip their per-connection side effect.  Reads are
-  // harmless to repeat.  A read-only server refuses writes before they
-  // touch anything, so its refusals need no dedup either.
-  const bool connection_scoped =
-      !args.empty() && (args[0] == "session" || args[0] == "stats" ||
-                        args[0] == "replicas");
-  const cli::CommandAccess access = cli::command_access(cmd.line);
-  if (connection_scoped || access == cli::CommandAccess::kRead ||
-      options_.read_only) {
-    return execute_command(conn, cmd.line, std::move(cmd.body), output, quit);
+  CommandPayload parts = split_command(token.command);
+  const cli::Command cmd =
+      cli::Interpreter::parse(parts.line, std::move(parts.body));
+  // Connection-scoped commands must re-execute on the connection that
+  // carries them — serving a cached reply would skip their per-connection
+  // side effect.  Reads are harmless to repeat.  A read-only server
+  // refuses writes before they touch anything, so its refusals need no
+  // dedup either.
+  if (connection_command(cmd.args) != ConnectionCommand::kNone ||
+      cmd.access() == cli::CommandAccess::kRead || options_.read_only) {
+    return execute_command(conn, cmd, output, quit);
   }
 
   std::unique_lock<std::mutex> lock(dedup_mutex_);
@@ -536,8 +525,7 @@ std::string Server::execute_tokened(Connection& conn,
 
   std::string result;
   try {
-    result = execute_command(conn, cmd.line, std::move(cmd.body), output,
-                             quit);
+    result = execute_command(conn, cmd, output, quit);
   } catch (...) {
     lock.lock();
     win.in_flight.erase(token.seq);

@@ -4,12 +4,14 @@
 // activity.  The server turns one session — typically opened over a
 // durable store — into a shared resource:
 //
-//   - Reader-writer access: commands classified as reads
-//     (`cli::command_access`) execute concurrently under a shared lock
-//     (queries, browsing, flow building in the connection's own
-//     workspace); mutating commands serialize under an exclusive lock and
-//     flow through the session's MutationListener into the write-ahead
-//     journal exactly as they would in a local shell.
+//   - Reader-writer access: each frame is parsed once into a
+//     `cli::Command`, whose command-table row names its lock.  Reads
+//     execute concurrently under a shared lock (queries, browsing, flow
+//     building in the connection's own workspace, and any line that
+//     matches no row, which fails as a usage error); mutating commands
+//     serialize under an exclusive lock and flow through the session's
+//     MutationListener into the write-ahead journal exactly as they would
+//     in a local shell.
 //   - Per-connection pipelining: each connection has a reader thread
 //     feeding a bounded command queue and a worker thread answering in
 //     order.  A full queue blocks the reader — TCP backpressure is the
@@ -43,6 +45,10 @@
 #include "server/latency.hpp"
 #include "server/protocol.hpp"
 #include "server/socket.hpp"
+
+namespace herc::cli {
+struct Command;
+}
 
 namespace herc::server {
 
@@ -190,11 +196,11 @@ class Server {
   void accept_loop();
   void reader_loop(Connection& conn);
   void worker_loop(Connection& conn);
-  /// Executes one command under the proper lock; returns the result frame
-  /// payload and appends printed output to `output`.
-  std::string execute_command(Connection& conn, const std::string& line,
-                              std::string body, std::string& output,
-                              bool& quit);
+  /// Executes one parsed command under the lock its table row names;
+  /// returns the result frame payload and appends printed output to
+  /// `output`.
+  std::string execute_command(Connection& conn, const cli::Command& cmd,
+                              std::string& output, bool& quit);
   /// The kTokenCommand path: dedup window consult/record around
   /// `execute_command` for mutating commands.
   std::string execute_tokened(Connection& conn, const std::string& payload,

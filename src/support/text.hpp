@@ -1,8 +1,11 @@
 // Small string utilities shared across the framework.
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace herc::support {
@@ -75,6 +78,19 @@ class Lines {
 
 /// Inverse of `escape_field`.
 [[nodiscard]] std::string unescape_field(std::string_view s);
+
+/// Parses all of `text` as a decimal `T`, or nullopt.  Unlike `std::stoul`
+/// and friends it takes no leading space or `+`, no `-` unless `T` is
+/// signed, no trailing characters, and no value outside `T`'s range, so a
+/// number never wraps or truncates into a different one.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_int(std::string_view text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 /// True when `name` is a legal identifier for schema entities and
 /// encapsulations: `[A-Za-z_][A-Za-z0-9_.-]*`.

@@ -11,6 +11,7 @@
 #include "cli/interpreter.hpp"
 #include "data/blob_store.hpp"
 #include "support/record.hpp"
+#include "support/text.hpp"
 
 namespace herc::cli {
 namespace {
@@ -438,6 +439,189 @@ TEST(Cli, OpenReportsInterruptedRuns) {
   ASSERT_EQ(interpreter.execute("runs"), CommandStatus::kOk);
   EXPECT_NE(out.str().find("OPEN"), std::string::npos);
   fs::remove_all(dir);
+}
+
+TEST(Cli, EveryCommandFormHasItsAccessClass) {
+  // One line per command form: the server takes the shared session lock
+  // for reads and the exclusive one for writes, so a form that moves
+  // between the two classes changes what may run concurrently.
+  constexpr CommandAccess R = CommandAccess::kRead;
+  constexpr CommandAccess W = CommandAccess::kWrite;
+  const std::pair<const char*, CommandAccess> cases[] = {
+      {"", R},
+      {"   ", R},
+      {"# a comment", R},
+      {"  # an indented comment", R},
+      {"quit", R},
+      {"exit", R},
+      {"help", R},
+      {"echo hi there", R},
+      {"session new full alice", W},
+      {"session user alice", W},
+      {"session save /tmp/s.txt", R},
+      {"session load /tmp/s.txt", W},
+      {"schema show", R},
+      {"schema extend", W},
+      {"open /tmp/store sync=commit every=10", W},
+      {"checkpoint", W},
+      {"store", W},
+      {"store close", W},
+      {"store sync", W},
+      {"import Stimuli s \"\"", W},
+      {"flow new f goal Performance", R},
+      {"flow expand f 0 optional", R},
+      {"flow expandup f 0 PerformancePlot", R},
+      {"flow specialize f 1 EditedNetlist", R},
+      {"flow connect f 0 1", R},
+      {"flow cooutput f 0 Layout", R},
+      {"flow unexpand f 0", R},
+      {"flow bind f 1 i0 i1", R},
+      {"flow unbind f 1", R},
+      {"flow show f", R},
+      {"flow lisp f", R},
+      {"flow dot f", R},
+      {"flow bipartite f", R},
+      {"flow save-plan f", W},
+      {"run f parallel latency=0", W},
+      {"runs", R},
+      {"resume", W},
+      {"resume #3", W},
+      {"fsck /tmp/store --json", W},
+      {"lint schema", R},
+      {"lint schema --json", R},
+      {"lint flow f goal 0 parallel", R},
+      {"lint store /tmp/store", W},
+      {"lint store /tmp/store --json", W},
+      {"auto Performance", W},
+      {"auto Performance run", W},
+      {"browse Stimuli keyword=s limit=5", R},
+      {"find Performance where stimuli = i0", R},
+      {"failures", R},
+      {"entities", R},
+      {"tools", R},
+      {"plans", R},
+      {"history i0", R},
+      {"uses i0", R},
+      {"trace i0 forward", R},
+      {"versions i0", R},
+      {"payload i0", R},
+      {"stale i0", R},
+      {"annotate i0 note a comment", W},
+      {"retrace i0", W},
+      {"decompose i0", W},
+  };
+  for (const auto& [line, access] : cases) {
+    EXPECT_EQ(command_access(line), access) << "'" << line << "'";
+  }
+}
+
+TEST(Cli, FlagsDoNotHideTheSubcommandAndUnmatchedLinesAreReads) {
+  // The subcommand is the first argument that is not a `--` flag, so
+  // `lint --json store` is `lint store`, which syncs the store's journal.
+  EXPECT_EQ(command_access("lint --json store /tmp/store"),
+            CommandAccess::kWrite);
+  // A line no row matches fails as a usage error and touches nothing.
+  for (const char* line : {"teleport", "stats --jsn", "session bogus",
+                           "schema", "store bogus"}) {
+    EXPECT_EQ(command_access(line), CommandAccess::kRead) << line;
+    std::ostringstream out;
+    Interpreter interpreter(out);
+    EXPECT_EQ(interpreter.execute(line), CommandStatus::kError) << line;
+    EXPECT_EQ(interpreter.last_error().rfind("usage: ", 0), 0u)
+        << line << " -> " << interpreter.last_error();
+  }
+}
+
+TEST(Cli, NumericArgumentsMustBeWholeInRangeNumbers) {
+  // Two instances and a runnable flow, so that a number wrapping into a
+  // valid id, or an option taking a negative value, would succeed.
+  std::string script = inverter_heredoc();
+  script += "import DeviceModels std <<END\n" +
+            circuit::DeviceModelLibrary::standard().to_text() + "END\n";
+  script += "import Stimuli walk <<END\nstimuli w\nwave in 0:1\nEND\n";
+  script += "import Simulator sim \"\"\n";
+  script +=
+      "flow new f goal Performance\n"
+      "flow expand f 0\n"
+      "flow expand f 2\n"
+      "flow bind f 1 i3\n"
+      "flow bind f 3 i2\n"
+      "flow bind f 4 i1\n"
+      "flow bind f 5 i0\n"
+      "flow new g goal Performance\n"
+      "run f\n";
+  std::ostringstream out;
+  Interpreter interpreter(out);
+  ASSERT_EQ(interpreter.run_script(script), 0u) << out.str();
+  for (const char* line : {"payload i1", "browse Stimuli limit=1",
+                           "browse Stimuli from=-5 to=99999999999999",
+                           "run f timeout=0 retries=1"}) {
+    EXPECT_EQ(interpreter.execute(line), CommandStatus::kOk)
+        << line << " -> " << interpreter.last_error();
+  }
+  const std::size_t instances = interpreter.session().db().size();
+  for (const char* line :
+       {"payload i4294967297", "history i-1", "flow expand g 4294967296",
+        "flow expand g +0", "find Performance where circuit.netlist = "
+                            "i4294967296",
+        "browse Stimuli limit=-1", "browse Stimuli limit=3x",
+        "browse Stimuli from=12abc", "browse Stimuli limit=abc",
+        "run f timeout=-1", "run f retries=1x", "resume #-1"}) {
+    EXPECT_EQ(interpreter.execute(line), CommandStatus::kError) << line;
+    EXPECT_NE(interpreter.last_error(), "stoull") << line;
+  }
+  EXPECT_EQ(interpreter.session().db().size(), instances);
+  const std::string dir = ::testing::TempDir() + "herc_cli_every";
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(interpreter.execute("open " + dir + " every=-1"),
+            CommandStatus::kError);
+  EXPECT_EQ(interpreter.session().storage(), nullptr);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Cli, ScriptReaderHeredocRules) {
+  // Each command as its words joined by spaces, and its payload.
+  const auto read_all = [](const std::string& text) {
+    std::istringstream in(text);
+    std::vector<std::pair<std::string, std::string>> commands;
+    while (const auto command = read_command(in)) {
+      commands.emplace_back(support::join(command->args, " "),
+                            command->payload);
+    }
+    return commands;
+  };
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"", ""},  // the comment, which is not a heredoc
+      {"import Stimuli s0", "stimuli s0\nwave in 0:1\n"},
+      {"", ""},
+      {"echo after", ""},
+  };
+  // A spaced token; a comment is never a heredoc.
+  const std::string script =
+      "# import Stimuli c <<END\n"
+      "import Stimuli s0 << END\n"
+      "stimuli s0\nwave in 0:1\n"
+      "  END\n"
+      "\n"
+      "echo after\n";
+  EXPECT_EQ(read_all(script), want);
+  // CRLF lines read as the same commands and payloads.
+  std::string crlf;
+  for (const char ch : script) {
+    if (ch == '\n') crlf += '\r';
+    crlf += ch;
+  }
+  EXPECT_EQ(read_all(crlf), want);
+  // A script that ends inside a heredoc is an error, not a short payload.
+  std::istringstream cut("import Stimuli s <<END\nwave x 0:1\n");
+  EXPECT_THROW((void)read_command(cut), support::HercError);
+
+  const auto [failures, out] = run(script);
+  EXPECT_EQ(failures, 0u) << out;
+  EXPECT_NE(out.find("imported i0 (Stimuli 's0', 23 bytes)"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("after"), std::string::npos);
 }
 
 TEST(Cli, HelpAndCatalogs) {

@@ -228,6 +228,105 @@ TEST(ServerStressTest, StopMidRunLeavesAResumableFsckCleanStore) {
   fs::remove_all(dir);
 }
 
+// ---- lock classes -----------------------------------------------------------
+//
+// The row that runs a command also names its lock.  `lint store` syncs the
+// open store's journal, so it needs the exclusive lock wherever its
+// `--json` flag stands; a line that matches no row fails as a usage error
+// without touching the session, so it takes the shared one.
+
+TEST(ServerStressTest, LintStoreWithJsonTakesTheExclusiveLock) {
+  const std::string dir =
+      (fs::temp_directory_path() / "herc_server_lint_json_store").string();
+  fs::remove_all(dir);
+  {
+    core::DesignSession session(schema::make_full_schema());
+    session.open_storage(dir);
+    Server server(session);
+    const Endpoint bound = server.add_listener(Endpoint::parse("127.0.0.1:0"));
+    server.start();
+
+    constexpr int kClients = 2;
+    constexpr int kRounds = 40;
+    std::atomic<int> errors{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        Client client = Client::connect(bound);
+        for (int i = 0; i < kRounds; ++i) {
+          if (!client.call("lint --json store " + dir).ok()) ++errors;
+        }
+        client.close();
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(server.stats().write_commands.load(),
+              static_cast<std::uint64_t>(kClients * kRounds));
+    EXPECT_EQ(server.stats().read_commands.load(), 0u);
+    server.stop();
+    session.close_storage();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ServerStressTest, ReadOnlyServerRefusesLintStoreInBothForms) {
+  core::DesignSession session(schema::make_full_schema());
+  ServeOptions options;
+  options.read_only = true;
+  Server server(session, options);
+  const Endpoint bound = server.add_listener(Endpoint::parse("127.0.0.1:0"));
+  server.start();
+  Client client = Client::connect(bound);
+  for (const char* line : {"lint store /nonexistent/store",
+                           "lint --json store /nonexistent/store",
+                           "lint store /nonexistent/store --json"}) {
+    const CallResult result = client.call(line);
+    EXPECT_FALSE(result.ok()) << line;
+    EXPECT_NE(result.error.find("read-only replica"), std::string::npos)
+        << line << " -> " << result.error;
+  }
+  client.close();
+  server.stop();
+}
+
+TEST(ServerStressTest, UnknownAndMalformedCommandsAreReads) {
+  const char* const lines[] = {"teleport", "stats --jsn", "session bogus",
+                               "schema"};
+  {
+    // A replica answers them as the interpreter does, not as writes.
+    core::DesignSession session(schema::make_full_schema());
+    ServeOptions options;
+    options.read_only = true;
+    Server server(session, options);
+    const Endpoint bound =
+        server.add_listener(Endpoint::parse("127.0.0.1:0"));
+    server.start();
+    Client client = Client::connect(bound);
+    for (const char* line : lines) {
+      const CallResult result = client.call(line);
+      EXPECT_FALSE(result.ok()) << line;
+      EXPECT_EQ(result.error.find("read-only replica"), std::string::npos)
+          << line << " -> " << result.error;
+      EXPECT_EQ(result.error.rfind("usage: ", 0), 0u)
+          << line << " -> " << result.error;
+    }
+    EXPECT_NE(client.call("teleport").error.find(
+                  "unknown command 'teleport'; try 'help'"),
+              std::string::npos);
+    client.close();
+    server.stop();
+  }
+  // A leader runs them under the shared lock.
+  ServedSession served;
+  Client client = Client::connect(served.bound);
+  for (const char* line : lines) EXPECT_FALSE(client.call(line).ok()) << line;
+  EXPECT_EQ(served.server.stats().write_commands.load(), 0u);
+  EXPECT_EQ(served.server.stats().read_commands.load(), std::size(lines));
+  client.close();
+  served.server.stop();
+}
+
 // ---- stop() edge cases ------------------------------------------------------
 //
 // The two nastiest shutdown windows: a client mid-pipeline (replies and

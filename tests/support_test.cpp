@@ -36,6 +36,36 @@ TEST(Text, Split) {
   EXPECT_TRUE(split_ws("   ").empty());
 }
 
+TEST(Text, ParseIntTakesWholeInRangeDecimalsOnly) {
+  // The command-line numbers that `stoul`-style parsing let through: a
+  // value that wraps into another id, a sign on an unsigned count, and
+  // trailing junk.
+  const std::pair<const char*, std::optional<std::uint32_t>> u32[] = {
+      {"0", 0u},
+      {"4294967295", 4294967295u},
+      {"4294967296", std::nullopt},
+      {"4294967297", std::nullopt},
+      {"-1", std::nullopt},
+      {"+1", std::nullopt},
+      {" 1", std::nullopt},
+      {"1 ", std::nullopt},
+      {"3x", std::nullopt},
+      {"12abc", std::nullopt},
+      {"abc", std::nullopt},
+      {"", std::nullopt},
+  };
+  for (const auto& [text, want] : u32) {
+    EXPECT_EQ(parse_int<std::uint32_t>(text), want) << "'" << text << "'";
+  }
+  EXPECT_EQ(parse_int<std::uint64_t>("18446744073709551615"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_int<std::uint64_t>("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(parse_int<std::int64_t>("-12"), -12);
+  EXPECT_EQ(parse_int<std::int64_t>("-"), std::nullopt);
+  EXPECT_EQ(parse_int<std::int64_t>("12abc"), std::nullopt);
+  EXPECT_EQ(parse_int<std::int64_t>("9223372036854775808"), std::nullopt);
+}
+
 TEST(Text, LinesViewTheSamePiecesAsSplit) {
   for (const std::string_view text :
        {"", "a", "a\n", "\n", "a\nb", "a\n\nb\n", "\n\n", "|\\\n"}) {
