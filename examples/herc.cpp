@@ -64,7 +64,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,16 +112,24 @@ herc::schema::TaskSchema load_schema(const std::string& ref) {
   return herc::schema::parse_schema(slurp(ref));
 }
 
+/// A numeric flag's value: all of `text`, in `T`'s range (`3x` is no 3).
+template <typename T>
+T number_flag(const std::string& flag, const std::string& text) {
+  if (const std::optional<T> value = herc::support::parse_int<T>(text)) {
+    return *value;
+  }
+  throw std::invalid_argument(flag + " takes a whole number, not '" + text +
+                              "'");
+}
+
 /// The session a store-facing subcommand works on: an existing store
 /// dictates the schema (its schema.herc), a fresh one takes `schema_ref`.
 std::unique_ptr<herc::core::DesignSession> open_session(
     const std::string& dir, const std::string& schema_ref) {
-  herc::schema::TaskSchema schema =
-      herc::storage::DurableHistory::exists(dir)
-          ? herc::schema::parse_schema(slurp(dir + "/schema.herc"))
-          : load_schema(schema_ref);
-  auto session =
-      std::make_unique<herc::core::DesignSession>(std::move(schema));
+  std::optional<herc::schema::TaskSchema> schema =
+      herc::storage::recorded_schema(dir);
+  auto session = std::make_unique<herc::core::DesignSession>(
+      schema ? std::move(*schema) : load_schema(schema_ref));
   const herc::storage::RecoveryReport report = session->open_storage(dir);
   std::cout << (report.created ? "store created at " : "store opened at ")
             << dir;
@@ -226,7 +236,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if (args[i] == "--replicate-from" && i + 1 < args.size()) {
       replicate_from = args[++i];
     } else if (args[i] == "--retry" && i + 1 < args.size()) {
-      retries = std::stoi(args[++i]);
+      retries = number_flag<int>("--retry", args[++i]);
     } else {
       std::cerr << "serve: unknown argument '" << args[i] << "'\n";
       return 2;
@@ -236,12 +246,6 @@ int cmd_serve(const std::vector<std::string>& args) {
 
   if (!replicate_from.empty()) {
     return serve_follower(dir, replicate_from, retries, listen_specs);
-  }
-  if (herc::replica::ReplicaApplier::is_replica_store(dir)) {
-    std::cerr << "serve: '" << dir << "' is a replica store; run `herc"
-                 " promote " << dir << "` before leading from it, or serve"
-                 " it with --replicate-from\n";
-    return 2;
   }
 
   const std::unique_ptr<herc::core::DesignSession> session =
@@ -338,7 +342,7 @@ int cmd_connect(const std::vector<std::string>& args) {
     if (args[i] == "-e" && i + 1 < args.size()) {
       commands.push_back(args[++i]);
     } else if (args[i] == "--retry" && i + 1 < args.size()) {
-      retries = std::stoi(args[++i]);
+      retries = number_flag<int>("--retry", args[++i]);
     } else if (script.empty()) {
       script = args[i];
     } else {
@@ -477,19 +481,19 @@ int cmd_swarm(const std::vector<std::string>& args,
     if (arg == "--profile" && more) {
       options.profile = args[++i];
     } else if (arg == "--clients" && more) {
-      options.clients = std::stoul(args[++i]);
+      options.clients = number_flag<std::size_t>(arg, args[++i]);
     } else if (arg == "--rounds" && more) {
-      options.rounds = std::stoul(args[++i]);
+      options.rounds = number_flag<std::size_t>(arg, args[++i]);
     } else if (arg == "--seed" && more) {
-      options.seed = std::stoull(args[++i]);
+      options.seed = number_flag<std::uint64_t>(arg, args[++i]);
     } else if (arg == "--chaos" && more) {
-      options.chaos = std::stoul(args[++i]);
+      options.chaos = number_flag<std::size_t>(arg, args[++i]);
     } else if (arg == "--no-kill") {
       options.allow_kill = false;
     } else if (arg == "--net-chaos") {
       options.net_chaos = true;
     } else if (arg == "--followers" && more) {
-      options.followers = std::stoul(args[++i]);
+      options.followers = number_flag<std::size_t>(arg, args[++i]);
       followers_set = true;
     } else if (arg == "--herc" && more) {
       binary = args[++i];

@@ -14,7 +14,8 @@ SCRATCH="$2"
 LEADER_STORE="$SCRATCH/herc_replica_leader"
 F1_STORE="$SCRATCH/herc_replica_f1"
 F2_STORE="$SCRATCH/herc_replica_f2"
-rm -rf "$LEADER_STORE" "$F1_STORE" "$F2_STORE" "$SCRATCH"/herc_replica_*.log
+rm -rf "$LEADER_STORE" "$F1_STORE" "$F2_STORE" "$SCRATCH"/herc_replica_*.log \
+  "$SCRATCH/herc_replica_f1_journal.before"
 
 addr_from_log() {  # addr_from_log <logfile>
   local addr=""
@@ -109,6 +110,15 @@ wait "$LEADER" 2>/dev/null || true
 kill -TERM "$F1" && wait "$F1" || {
   echo "FAIL: follower 1 exited nonzero"; cat "$SCRATCH/herc_replica_f1.log"; exit 1;
 }
+# Until then a leader refuses the follower's store (`herc resume` would
+# sweep the leader's live runs and journal there) and leaves it unchanged.
+cp "$F1_STORE/journal.wal" "$SCRATCH/herc_replica_f1_journal.before"
+if "$HERC" resume "$F1_STORE" >"$SCRATCH/herc_replica_resume.log" 2>&1 ||
+   ! grep -q "replica store" "$SCRATCH/herc_replica_resume.log" ||
+   ! cmp -s "$F1_STORE/journal.wal" "$SCRATCH/herc_replica_f1_journal.before"; then
+  echo "FAIL: herc resume did not refuse the replica store untouched"
+  cat "$SCRATCH/herc_replica_resume.log"; exit 1
+fi
 "$HERC" promote "$F1_STORE" || { echo "FAIL: promote failed"; exit 1; }
 "$HERC" fsck "$F1_STORE" || { echo "FAIL: promoted store does not audit clean"; exit 1; }
 

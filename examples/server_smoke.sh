@@ -10,7 +10,7 @@ HERC="$1"
 SCRATCH="$2"
 STORE="$SCRATCH/herc_smoke_store"
 LOG="$SCRATCH/herc_smoke_serve.log"
-rm -rf "$STORE" "$LOG"
+rm -rf "$STORE" "$LOG" "$SCRATCH/herc_smoke_junk" "$SCRATCH/herc_smoke_junk_swarm"
 
 "$HERC" serve "$STORE" --listen 127.0.0.1:0 --schema full >"$LOG" 2>&1 &
 SERVER=$!
@@ -115,5 +115,19 @@ echo "$RESUME_OUT" | grep -q "resumed run #" || {
 
 # After the resume the store is quiescent: fsck stays clean.
 "$HERC" fsck "$STORE" >/dev/null || { echo "FAIL: fsck regressed after resume"; exit 1; }
+
+# Numeric flags take whole numbers: trailing junk is a usage error (exit
+# 2) before anything runs, never a shorter number.
+expect_usage_error() {  # expect_usage_error <herc argument>...
+  local out rc=0
+  out=$("$HERC" "$@" 2>&1) || rc=$?
+  [ "$rc" = 2 ] && echo "$out" | grep -q "whole number" && return
+  echo "FAIL: 'herc $*' exited $rc instead of refusing its flag"; echo "$out"
+  exit 1
+}
+expect_usage_error serve "$SCRATCH/herc_smoke_junk" \
+  --replicate-from 127.0.0.1:1 --retry 3x
+expect_usage_error swarm "$SCRATCH/herc_smoke_junk_swarm" \
+  --clients 2x --rounds 1 --seed 1
 
 echo "server smoke: OK"

@@ -211,6 +211,12 @@ std::string DesignSession::save() const {
 storage::RecoveryReport DesignSession::open_storage(
     const std::string& dir, storage::StoreOptions options) {
   require_writable("open");
+  // Leading from a follower's store would sweep its leader's live runs.
+  if (storage::is_replica_store(dir)) {
+    throw support::HistoryError(
+        "store '" + dir + "' is a replica store; run `herc promote " + dir +
+        "` before leading from it, or serve it with --replicate-from");
+  }
   indexes_.reset();  // detach from the database we are about to replace
   // The index image reads no database, so it is parsed while the store
   // replays its snapshot; the checks against the store come after.

@@ -134,7 +134,8 @@ class DesignSession {
   /// checkpoints whatever the session has recorded so far.  From then on
   /// every mutation — imports, task products, failure records,
   /// annotations — is journaled (autosave-on-record).  Throws when both
-  /// the store and the session already hold instances.
+  /// the store and the session already hold instances, and refuses a
+  /// follower's replica store before touching it (`herc promote` first).
   storage::RecoveryReport open_storage(const std::string& dir,
                                        storage::StoreOptions options = {});
 

@@ -16,7 +16,8 @@
 
 namespace herc::data {
 
-/// A content key: 16 hex digits of the payload's FNV-1a hash.
+/// A content key: 16 hex digits of the payload's `support::fnv1a` hash,
+/// whose offset basis is not FNV-1a's and must never change (see hash.hpp).
 using BlobKey = std::string;
 
 /// Deduplicating payload store.

@@ -33,10 +33,10 @@ HistoryDb& HistoryDb::operator=(HistoryDb&& other) noexcept {
   instances_ = std::move(other.instances_);
   used_by_ = std::move(other.used_by_);
   runs_ = std::move(other.runs_);
-  listener_ = other.listener_;
-  // observers_ deliberately kept: the assignment swaps the image out from
-  // under whoever is watching this object (a replica resync), and they need
-  // to know their derived state is now stale.
+  // listener_ and observers_ deliberately kept: the assignment swaps the
+  // image out from under whoever is watching this object (a store's
+  // in-place install).  The store stays attached, and observers need to
+  // know their derived state is now stale.
   for (HistoryObserver* obs : observers_) obs->on_reset();
   return *this;
 }

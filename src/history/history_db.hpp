@@ -124,9 +124,10 @@ class HistoryDb {
 
   HistoryDb(HistoryDb&&) noexcept = default;
   /// Move-assignment replaces the *contents* but keeps the target's
-  /// observers attached, firing `on_reset` on each: a replica resync
-  /// installs a fresh image underneath the secondary indexes without any
-  /// re-registration.  The source's observers are dropped with it.
+  /// listener and observers attached, firing `on_reset` on each observer:
+  /// a store installs a fresh image underneath its own journal and the
+  /// secondary indexes without any re-registration.  The source's listener
+  /// and observers are dropped with it.
   HistoryDb& operator=(HistoryDb&& other) noexcept;
 
   [[nodiscard]] const schema::TaskSchema& schema() const { return *schema_; }

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <vector>
 
 #include "schema/schema_io.hpp"
@@ -9,7 +10,7 @@
 #include "support/backoff.hpp"
 #include "support/error.hpp"
 #include "support/file.hpp"
-#include "support/record.hpp"
+#include "support/hash.hpp"
 #include "support/text.hpp"
 
 namespace herc::replica {
@@ -17,37 +18,6 @@ namespace herc::replica {
 namespace fs = std::filesystem;
 using support::HistoryError;
 using support::NetError;
-
-namespace {
-
-std::string read_file(const std::string& path) {
-  std::optional<std::string> bytes = support::read_file(path);
-  if (!bytes) throw HistoryError("replica: cannot read '" + path + "'");
-  return std::move(*bytes);
-}
-
-std::uint64_t seed_from(std::string_view text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash | 1;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view token) {
-  if (token.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
-}  // namespace
 
 ReplicaApplier::ReplicaApplier(server::Endpoint leader, std::string dir,
                                ApplierOptions options)
@@ -57,26 +27,17 @@ ReplicaApplier::ReplicaApplier(server::Endpoint leader, std::string dir,
   if (options_.reconnect_cap_ms < options_.reconnect_delay_ms) {
     options_.reconnect_cap_ms = options_.reconnect_delay_ms;
   }
-  if (options_.backoff_seed == 0) options_.backoff_seed = seed_from(dir_);
+  if (options_.backoff_seed == 0) {
+    options_.backoff_seed = support::fnv1a(dir_) | 1;
+  }
+  // No `checkpoint_every`: a follower checkpoints only when its leader does.
+  store_options_.journal = options_.journal;
 }
 
 ReplicaApplier::~ReplicaApplier() { stop(); }
 
-std::string ReplicaApplier::schema_path() const {
-  return (fs::path(dir_) / "schema.herc").string();
-}
-std::string ReplicaApplier::snapshot_path() const {
-  return (fs::path(dir_) / "snapshot.herc").string();
-}
-std::string ReplicaApplier::journal_path() const {
-  return (fs::path(dir_) / "journal.wal").string();
-}
-std::string ReplicaApplier::marker_path() const {
-  return (fs::path(dir_) / "replica.herc").string();
-}
-
 bool ReplicaApplier::is_replica_store(const std::string& dir) {
-  return fs::exists(fs::path(dir) / "replica.herc");
+  return storage::is_replica_store(dir);
 }
 
 std::string ReplicaApplier::last_error() const {
@@ -98,7 +59,7 @@ void ReplicaApplier::gated(const std::function<void()>& fn) {
 }
 
 void ReplicaApplier::publish_position(std::uint64_t epoch, std::uint64_t seq) {
-  journal_bytes_.store(journal_.has_value() ? journal_->bytes() : 0,
+  journal_bytes_.store(store_ != nullptr ? store_->journal_file_bytes() : 0,
                        std::memory_order_relaxed);
   epoch_.store(epoch, std::memory_order_relaxed);
   // The release pairs with `position()`'s acquire: a reader that observes
@@ -108,152 +69,76 @@ void ReplicaApplier::publish_position(std::uint64_t epoch, std::uint64_t seq) {
 
 void ReplicaApplier::write_marker(std::uint64_t epoch,
                                   std::uint64_t base_seq) {
-  storage::write_file_atomic(
-      marker_path(), "replica base " + std::to_string(epoch) + " " +
-                         std::to_string(base_seq) + " leader " +
-                         leader_.describe() + "\n");
+  storage::write_file_atomic(storage::StorePaths(dir_).marker,
+                             "replica base " + std::to_string(epoch) + " " +
+                                 std::to_string(base_seq) + " leader " +
+                                 leader_.describe() + "\n");
 }
 
 // ---- local recovery ----------------------------------------------------------
 
 bool ReplicaApplier::recover_local() {
-  if (!fs::exists(marker_path()) || !fs::exists(schema_path()) ||
-      !fs::exists(snapshot_path())) {
+  const storage::StorePaths paths(dir_);
+  if (!fs::exists(paths.marker) || !fs::exists(paths.schema) ||
+      !fs::exists(paths.snapshot)) {
     return false;
   }
 
   // Marker: "replica base <epoch> <seq> leader <endpoint>".
-  const std::vector<std::string> marker =
-      support::split_ws(support::trim(read_file(marker_path())));
-  if (marker.size() < 6 || marker[0] != "replica" || marker[1] != "base" ||
-      marker[4] != "leader") {
-    set_error("replica store '" + dir_ + "': malformed replica marker");
-    return false;
+  const std::vector<std::string> marker = support::split_ws(
+      support::trim(support::read_file(paths.marker).value_or("")));
+  std::optional<std::uint64_t> marker_epoch;
+  std::optional<std::uint64_t> marker_base;
+  if (marker.size() >= 6 && marker[0] == "replica" && marker[1] == "base" &&
+      marker[4] == "leader") {
+    marker_epoch = support::parse_int<std::uint64_t>(marker[2]);
+    marker_base = support::parse_int<std::uint64_t>(marker[3]);
   }
-  const std::optional<std::uint64_t> marker_epoch = parse_u64(marker[2]);
-  const std::optional<std::uint64_t> marker_base = parse_u64(marker[3]);
   if (!marker_epoch.has_value() || !marker_base.has_value()) {
     set_error("replica store '" + dir_ + "': malformed replica marker");
     return false;
   }
 
-  if (schema_ == nullptr) {
-    schema_ = std::make_unique<schema::TaskSchema>(
-        schema::parse_schema(read_file(schema_path())));
-  } else {
-    *schema_ = schema::parse_schema(read_file(schema_path()));
-  }
-
-  // Snapshot: a "snap" meta line, then a full save image — the leader's
-  // format.  A snapshot from a different epoch than the marker means a
-  // crash landed between install steps; resync rather than guess.
-  auto fresh = std::make_unique<history::HistoryDb>(*schema_, clock_);
-  const std::optional<std::uint64_t> snapshot_epoch = storage::replay_snapshot(
-      read_file(snapshot_path()), *fresh, "replica store '" + dir_ + "'");
-  if (!snapshot_epoch.has_value()) {
-    set_error("replica store '" + dir_ + "': empty snapshot");
-    return false;
-  }
-  if (*snapshot_epoch != *marker_epoch) {
+  schema_ = storage::recorded_schema(dir_).value();
+  // The store recovers snapshot and journal, and skips the crash sweep: it
+  // sees the marker.  A snapshot from a different epoch than the marker
+  // means a crash landed between install steps; resync rather than guess.
+  auto store = std::make_unique<storage::DurableHistory>(schema_, clock_,
+                                                         dir_, store_options_);
+  if (store->epoch() != *marker_epoch) {
     set_error("replica store '" + dir_ +
               "': snapshot epoch differs from the replica marker");
     return false;
   }
-
-  // Journal tail on top — the follower's own WAL of applied frames.  No
-  // crash sweep here: open runs are the leader's live runs.
-  journal_.reset();
-  std::uint64_t replayed = 0;
-  bool need_fresh_journal = true;
-  has_tail_ = false;
-  if (fs::exists(journal_path())) {
-    const storage::ScanResult scan =
-        storage::scan_journal(read_file(journal_path()));
-    if (scan.header_valid && scan.epoch == *marker_epoch) {
-      for (const std::string& record : scan.records) {
-        for (const std::string_view line : support::Lines(record)) {
-          fresh->apply_saved_line(line);
-        }
-      }
-      replayed = scan.records.size();
-      if (!scan.records.empty()) {
-        tail_checksum_ = storage::frame_checksum(scan.records.back());
-        has_tail_ = true;
-      }
-      if (scan.torn) {
-        std::error_code ec;
-        fs::resize_file(journal_path(), scan.valid_bytes, ec);
-        if (ec) {
-          set_error("replica store '" + dir_ +
-                    "': cannot truncate torn journal tail: " + ec.message());
-          return false;
-        }
-      }
-      journal_ = storage::Journal::open(journal_path(), *marker_epoch,
-                                        scan.valid_bytes, options_.journal);
-      need_fresh_journal = false;
-    } else if (scan.header_valid && scan.epoch > *marker_epoch) {
-      set_error("replica store '" + dir_ + "': journal is at future epoch " +
-                std::to_string(scan.epoch) + " but the marker is at epoch " +
-                std::to_string(*marker_epoch) + "; resyncing");
-      return false;
-    }
-    // A stale-epoch journal's frames are inside the snapshot: discard.
-  }
-  if (need_fresh_journal) {
-    journal_ = storage::Journal::create(journal_path(), *marker_epoch,
-                                        options_.journal);
-  }
-
-  if (db_ == nullptr) {
-    db_ = std::move(fresh);
-  } else {
-    *db_ = std::move(*fresh);
-  }
-  base_seq_ = *marker_base;
+  const std::vector<std::string> records = store->take_journal_records();
+  has_tail_ = !records.empty();
+  if (has_tail_) tail_checksum_ = storage::frame_checksum(records.back());
+  store_ = std::move(store);
   need_snapshot_ = false;
-  publish_position(*marker_epoch, *marker_base + replayed);
+  publish_position(*marker_epoch, *marker_base + store_->journal_seq());
   return true;
 }
 
 // ---- the apply path ----------------------------------------------------------
 
 void ReplicaApplier::install_snapshot(const SnapshotShipment& snapshot) {
-  fs::create_directories(dir_);
-  if (schema_ == nullptr) {
-    schema_ = std::make_unique<schema::TaskSchema>(
-        schema::parse_schema(snapshot.schema_text));
+  schema_ = schema::parse_schema(snapshot.schema_text);
+  if (store_ == nullptr) {
+    store_ = std::make_unique<storage::DurableHistory>(
+        schema_, clock_, dir_, store_options_, snapshot.epoch, snapshot.image);
   } else {
-    *schema_ = schema::parse_schema(snapshot.schema_text);
+    store_->install(snapshot.epoch, snapshot.image);
   }
-  history::HistoryDb fresh =
-      history::HistoryDb::load(*schema_, clock_, snapshot.image);
-  if (db_ == nullptr) {
-    db_ = std::make_unique<history::HistoryDb>(std::move(fresh));
-  } else {
-    *db_ = std::move(fresh);
-  }
-
-  storage::write_file_atomic(schema_path(), snapshot.schema_text);
-  support::RecordWriter meta("snap");
-  meta.field(static_cast<std::int64_t>(snapshot.epoch));
-  meta.field(static_cast<std::uint32_t>(db_->size()));
-  storage::write_file_atomic(snapshot_path(),
-                             meta.str() + "\n" + snapshot.image);
-  journal_.reset();
-  journal_ = storage::Journal::create(journal_path(), snapshot.epoch,
-                                      options_.journal);
   // Marker last: a crash before this line leaves marker and snapshot at
   // different epochs, which recovery answers with a clean resync.
   write_marker(snapshot.epoch, snapshot.seq);
-  base_seq_ = snapshot.seq;
   need_snapshot_ = false;
   has_tail_ = false;  // local journal is empty: nothing to vouch for
   publish_position(snapshot.epoch, snapshot.seq);
 }
 
 ApplyOutcome ReplicaApplier::apply_frame(const JournalShipment& shipment) {
-  if (db_ == nullptr) return ApplyOutcome::kGap;
+  if (store_ == nullptr) return ApplyOutcome::kGap;
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
   const std::uint64_t seq = seq_.load(std::memory_order_relaxed);
   if (shipment.epoch < epoch) {
@@ -264,12 +149,7 @@ ApplyOutcome ReplicaApplier::apply_frame(const JournalShipment& shipment) {
   if (shipment.seq < seq) return ApplyOutcome::kDuplicate;
   if (shipment.seq > seq) return ApplyOutcome::kGap;
 
-  // Write-ahead: the local journal holds the frame before the database
-  // shows it, so a crash mid-apply recovers to a consistent prefix.
-  journal_->append(shipment.lines);
-  for (const std::string_view line : support::Lines(shipment.lines)) {
-    db_->apply_saved_line(line);
-  }
+  store_->apply_frame(shipment.lines);
   // Release: a reader that sees the new count also sees the frame's
   // mutations (`frames_applied` is what callers wait on).
   applied_.fetch_add(1, std::memory_order_release);
@@ -280,19 +160,12 @@ ApplyOutcome ReplicaApplier::apply_frame(const JournalShipment& shipment) {
 }
 
 void ReplicaApplier::apply_checkpoint(std::uint64_t new_epoch) {
-  if (db_ == nullptr) return;
+  if (store_ == nullptr) return;
   if (new_epoch <= epoch_.load(std::memory_order_relaxed)) return;
   // The leader compacted: everything we have applied is now inside its
   // snapshot of `new_epoch`.  Mirror the compaction locally.
-  support::RecordWriter meta("snap");
-  meta.field(static_cast<std::int64_t>(new_epoch));
-  meta.field(static_cast<std::uint32_t>(db_->size()));
-  storage::write_file_atomic(snapshot_path(), meta.str() + "\n" + db_->save());
-  journal_.reset();
-  journal_ =
-      storage::Journal::create(journal_path(), new_epoch, options_.journal);
+  store_->checkpoint(new_epoch);
   write_marker(new_epoch, 0);
-  base_seq_ = 0;
   has_tail_ = false;  // the compacted journal starts empty
   publish_position(new_epoch, 0);
 }
@@ -531,26 +404,30 @@ void ReplicaApplier::stream_once() {
 
 PromoteReport promote_store(const std::string& dir,
                             storage::StoreOptions options) {
-  if (!ReplicaApplier::is_replica_store(dir)) {
+  if (!storage::is_replica_store(dir)) {
     throw HistoryError("promote: '" + dir +
-                       "' is not a replica store (no replica.herc marker)");
+                       "' is not a replica store (no replica marker)");
   }
-  const schema::TaskSchema schema =
-      schema::parse_schema(read_file((fs::path(dir) / "schema.herc").string()));
+  const schema::TaskSchema schema = storage::recorded_schema(dir).value();
   support::SystemClock clock;
   PromoteReport report;
   {
-    // Leader-style recovery: the ex-leader's interrupted runs seal, their
-    // partial products quarantine — exactly a crashed leader restarting.
     storage::DurableHistory store(schema, clock, dir, options);
+    // Leader-style recovery, which the store skips while the marker is
+    // there: the ex-leader's interrupted runs seal, their partial products
+    // quarantine — exactly a crashed leader restarting.
     report.recovery = store.recovery();
+    const history::HistoryDb::SealSweep sweep =
+        store.db().seal_open_runs(storage::kCrashSweepReason);
+    report.recovery.interrupted_runs = sweep.open;
+    report.recovery.quarantined = sweep.quarantined;
     // The fence.  Checkpointing bumps the epoch above anything the old
     // leader ever journaled, so its frames can never apply here again.
     store.checkpoint();
     report.epoch = store.epoch();
   }
   std::error_code ec;
-  fs::remove(fs::path(dir) / "replica.herc", ec);
+  fs::remove(storage::StorePaths(dir).marker, ec);
   if (ec) {
     throw HistoryError("promote: cannot remove the replica marker: " +
                        ec.message());

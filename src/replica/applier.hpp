@@ -1,16 +1,17 @@
 // Follower-side replication: applies the leader's journal stream into a
 // local replica store and a read-only database.
 //
-// A replica store directory holds the same files as a leader store —
-// schema.herc, snapshot.herc, journal.wal — plus a `replica.herc` marker:
+// The replica store is a `storage::DurableHistory` over the same files as
+// a leader store, plus a `replica.herc` marker:
 //
 //   replica base <epoch> <seq> leader <endpoint>
 //
 // The marker is what distinguishes a follower's store from a leader's: it
 // carries the base sequence of the local journal (the snapshot meta line
 // cannot — frames 0..base-1 of the epoch are folded into the image, so the
-// local journal starts at `base`, not 0), and its presence makes `herc
-// serve` refuse to lead from the directory until `herc promote` removes it.
+// local journal starts at `base`, not 0), the store skips its crash sweep
+// when it sees it, and a leader refuses to open the directory until `herc
+// promote` removes it.
 //
 // Apply discipline is write-ahead, same as the leader: a shipped frame is
 // appended to the local journal before it touches the database, so the
@@ -32,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -127,9 +127,9 @@ class ReplicaApplier {
 
   // ---- observers -------------------------------------------------------------
 
-  [[nodiscard]] bool bootstrapped() const { return db_ != nullptr; }
-  [[nodiscard]] schema::TaskSchema& schema() { return *schema_; }
-  [[nodiscard]] history::HistoryDb& db() { return *db_; }
+  [[nodiscard]] bool bootstrapped() const { return store_ != nullptr; }
+  [[nodiscard]] schema::TaskSchema& schema() { return schema_; }
+  [[nodiscard]] history::HistoryDb& db() { return store_->db(); }
   [[nodiscard]] const std::string& dir() const { return dir_; }
   [[nodiscard]] const server::Endpoint& leader() const { return leader_; }
 
@@ -163,12 +163,7 @@ class ReplicaApplier {
   [[nodiscard]] static bool is_replica_store(const std::string& dir);
 
  private:
-  [[nodiscard]] std::string schema_path() const;
-  [[nodiscard]] std::string snapshot_path() const;
-  [[nodiscard]] std::string journal_path() const;
-  [[nodiscard]] std::string marker_path() const;
-
-  /// Rebuilds schema + db from the store directory.  Returns false (after
+  /// Opens the replica store in the directory.  Returns false (after
   /// recording why) when the directory holds nothing consistently usable —
   /// the caller falls back to a full snapshot fetch.
   [[nodiscard]] bool recover_local();
@@ -189,15 +184,13 @@ class ReplicaApplier {
   server::Endpoint leader_;
   std::string dir_;
   ApplierOptions options_;
+  storage::StoreOptions store_options_;
   support::SystemClock clock_;
 
-  /// Allocated once, reassigned in place on resync: the serving session
-  /// holds `&db()` across resyncs, so both addresses must be stable.
-  std::unique_ptr<schema::TaskSchema> schema_;
-  std::unique_ptr<history::HistoryDb> db_;
-  std::optional<storage::Journal> journal_;
-  /// Sequence of the local journal's first frame (= the snapshot's seq).
-  std::uint64_t base_seq_ = 0;
+  /// Replaced in place on resync: the store and its database point at
+  /// `schema_`, and the serving session holds `&db()` across resyncs.
+  schema::TaskSchema schema_;
+  std::unique_ptr<storage::DurableHistory> store_;
   /// When true the next subscribe asks for a full snapshot (the local
   /// database can no longer be trusted to extend).
   bool need_snapshot_ = true;

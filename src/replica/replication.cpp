@@ -1,5 +1,6 @@
 #include "replica/replication.hpp"
 
+#include <optional>
 #include <vector>
 
 #include "storage/journal.hpp"
@@ -12,25 +13,16 @@ using support::NetError;
 
 namespace {
 
-/// Strict decimal u64 parse: the payloads come off the wire, so anything
-/// non-numeric (including overflow) is a protocol error, not UB.
-std::uint64_t parse_u64(std::string_view token, std::string_view what) {
-  if (token.empty()) {
-    throw NetError("replication: missing " + std::string(what));
+/// A decimal u64 field of a wire payload.  The payloads come off the wire,
+/// so anything else (including overflow) is a protocol error, not UB.
+std::uint64_t u64_field(std::string_view token, std::string_view what) {
+  const std::optional<std::uint64_t> value =
+      support::parse_int<std::uint64_t>(token);
+  if (!value.has_value()) {
+    throw NetError("replication: malformed " + std::string(what) + " '" +
+                   std::string(token) + "'");
   }
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      throw NetError("replication: malformed " + std::string(what) + " '" +
-                     std::string(token) + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      throw NetError("replication: " + std::string(what) + " overflows");
-    }
-    value = value * 10 + digit;
-  }
-  return value;
+  return *value;
 }
 
 /// Splits the header line off a "<header>\n<body>" payload.
@@ -71,11 +63,11 @@ SubscribeInfo decode_subscribe_info(std::string_view payload) {
                    std::string(payload) + "'");
   }
   StreamPosition pos;
-  pos.epoch = parse_u64(parts[0], "subscribe epoch");
-  pos.seq = parse_u64(parts[1], "subscribe seq");
+  pos.epoch = u64_field(parts[0], "subscribe epoch");
+  pos.seq = u64_field(parts[1], "subscribe seq");
   info.position = pos;
   if (parts.size() == 3) {
-    info.tail_checksum = parse_u64(parts[2], "subscribe tail checksum");
+    info.tail_checksum = u64_field(parts[2], "subscribe tail checksum");
   }
   return info;
 }
@@ -97,9 +89,9 @@ JournalShipment decode_journal(std::string_view payload) {
                    std::string(header) + "'");
   }
   JournalShipment shipment;
-  shipment.epoch = parse_u64(parts[0], "journal epoch");
-  shipment.seq = parse_u64(parts[1], "journal seq");
-  const std::uint64_t check = parse_u64(parts[2], "journal checksum");
+  shipment.epoch = u64_field(parts[0], "journal epoch");
+  shipment.seq = u64_field(parts[1], "journal seq");
+  const std::uint64_t check = u64_field(parts[2], "journal checksum");
   if (check != storage::frame_checksum(body)) {
     throw NetError("replication: journal frame " + parts[0] + ":" +
                    parts[1] + " failed its checksum (corrupted in flight)");
@@ -128,10 +120,10 @@ SnapshotShipment decode_snapshot(std::string_view payload) {
                    std::string(header) + "'");
   }
   SnapshotShipment snapshot;
-  snapshot.epoch = parse_u64(parts[0], "snapshot epoch");
-  snapshot.seq = parse_u64(parts[1], "snapshot seq");
-  const std::uint64_t schema_bytes = parse_u64(parts[2], "snapshot schema size");
-  const std::uint64_t check = parse_u64(parts[3], "snapshot checksum");
+  snapshot.epoch = u64_field(parts[0], "snapshot epoch");
+  snapshot.seq = u64_field(parts[1], "snapshot seq");
+  const std::uint64_t schema_bytes = u64_field(parts[2], "snapshot schema size");
+  const std::uint64_t check = u64_field(parts[3], "snapshot checksum");
   if (schema_bytes > body.size()) {
     throw NetError("replication: snapshot header announces " +
                    std::to_string(schema_bytes) +
@@ -152,7 +144,7 @@ std::string encode_checkpoint(std::uint64_t new_epoch) {
 }
 
 std::uint64_t decode_checkpoint(std::string_view payload) {
-  return parse_u64(support::trim(payload), "checkpoint epoch");
+  return u64_field(support::trim(payload), "checkpoint epoch");
 }
 
 std::string encode_ack(const StreamPosition& position) {
@@ -167,8 +159,8 @@ StreamPosition decode_ack(std::string_view payload) {
                    "'");
   }
   StreamPosition pos;
-  pos.epoch = parse_u64(parts[0], "ack epoch");
-  pos.seq = parse_u64(parts[1], "ack seq");
+  pos.epoch = u64_field(parts[0], "ack epoch");
+  pos.seq = u64_field(parts[1], "ack seq");
   return pos;
 }
 

@@ -1,18 +1,14 @@
 #include "replica/shipper.hpp"
 
-#include <filesystem>
 #include <optional>
 #include <sstream>
 #include <vector>
 
 #include "schema/schema_io.hpp"
 #include "storage/journal.hpp"
-#include "support/error.hpp"
-#include "support/file.hpp"
 
 namespace herc::replica {
 
-namespace fs = std::filesystem;
 using server::Frame;
 using server::FrameType;
 
@@ -78,22 +74,14 @@ bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
     return false;
   }
 
-  // Catch-up from the journal file when the follower's position lies
+  // Catch-up from the store's journal when the follower's position lies
   // inside the current epoch; a full snapshot otherwise.
   std::vector<Frame> bootstrap;
   bool backlog_ok = false;
   if (pos.has_value() && pos->epoch == cur_epoch && pos->seq <= cur_seq) {
     try {
-      store->sync();  // the tail frames must be readable from the file
-      const std::string path =
-          (fs::path(store->dir()) / "journal.wal").string();
-      const std::optional<std::string> bytes = support::read_file(path);
-      if (!bytes) {
-        throw support::HistoryError("shipper: cannot read '" + path + "'");
-      }
-      const storage::ScanResult scan = storage::scan_journal(*bytes);
-      if (scan.header_valid && scan.epoch == cur_epoch &&
-          scan.records.size() >= cur_seq) {
+      const std::vector<std::string> records = store->read_journal_records();
+      if (records.size() >= cur_seq) {
         // Seq equality alone cannot prove the follower's history is a
         // prefix of ours: after a crash tore our journal tail, a follower
         // that streamed the torn frame complete sits at the same seq on a
@@ -103,8 +91,8 @@ bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
         bool tail_matches = true;
         if (info.tail_checksum.has_value() && pos->seq > 0) {
           tail_matches =
-              pos->seq <= scan.records.size() &&
-              storage::frame_checksum(scan.records[pos->seq - 1]) ==
+              pos->seq <= records.size() &&
+              storage::frame_checksum(records[pos->seq - 1]) ==
                   *info.tail_checksum;
           if (!tail_matches) {
             divergent_.fetch_add(1, std::memory_order_relaxed);
@@ -114,7 +102,7 @@ bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
           for (std::uint64_t seq = pos->seq; seq < cur_seq; ++seq) {
             bootstrap.push_back(
                 {FrameType::kJournal,
-                 encode_journal(cur_epoch, seq, scan.records[seq])});
+                 encode_journal(cur_epoch, seq, records[seq])});
           }
           backlog_ok = true;
         }

@@ -18,7 +18,6 @@
 
 #include "replica/applier.hpp"
 #include "replica/shipper.hpp"
-#include "schema/schema_io.hpp"
 #include "schema/standard_schemas.hpp"
 #include "server/client.hpp"
 #include "server/resilient.hpp"
@@ -27,7 +26,6 @@
 #include "storage/fsck.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
-#include "support/file.hpp"
 
 namespace herc::sim {
 
@@ -38,13 +36,9 @@ using Clock = std::chrono::steady_clock;
 /// An existing store dictates its schema; a fresh one gets the full
 /// standard schema (what `herc serve` defaults to).
 schema::TaskSchema store_schema(const std::string& dir) {
-  if (storage::DurableHistory::exists(dir)) {
-    const std::string path = dir + "/schema.herc";
-    const std::optional<std::string> text = support::read_file(path);
-    if (!text) throw std::runtime_error("cannot open '" + path + "'");
-    return schema::parse_schema(*text);
-  }
-  return schema::make_full_schema();
+  std::optional<schema::TaskSchema> recorded = storage::recorded_schema(dir);
+  return recorded.has_value() ? std::move(*recorded)
+                              : schema::make_full_schema();
 }
 
 /// The entities swarm traces import into; the heal snapshot scans them.

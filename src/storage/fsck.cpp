@@ -735,8 +735,7 @@ std::string serialize_image(const Audit& audit,
 /// Applies the repair verdicts and checkpoints the cleaned image under the
 /// next epoch with a fresh journal.
 void repair_store(Audit& audit, FsckReport& report,
-                  const std::string& snapshot_path,
-                  const std::string& journal_path) {
+                  const StorePaths& paths) {
   const std::string empty_key = data::BlobStore::key_for("");
   bool need_empty_blob = false;
   for (AuditInstance& inst : audit.instances) {
@@ -792,14 +791,9 @@ void repair_store(Audit& audit, FsckReport& report,
   }
 
   const std::uint64_t next_epoch = report.stats.epoch + 1;
-  support::RecordWriter meta("snap");
-  meta.field(static_cast<std::int64_t>(next_epoch));
-  meta.field(static_cast<std::uint32_t>(audit.instances.size()));
-  write_file_atomic(snapshot_path,
-                    meta.str() + "\n" + serialize_image(audit, keep));
-  // Same crash ordering as `DurableHistory::checkpoint`: if we die before
-  // the journal reset, recovery discards the stale-epoch journal.
-  Journal::create(journal_path, next_epoch, JournalOptions{});
+  std::optional<Journal> journal;
+  write_checkpoint(paths, next_epoch, audit.instances.size(),
+                   serialize_image(audit, keep), JournalOptions{}, journal);
   report.repairs.push_back("checkpointed repaired image at epoch " +
                            std::to_string(next_epoch));
 }
@@ -809,11 +803,8 @@ void repair_store(Audit& audit, FsckReport& report,
 FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   FsckReport report;
   report.dir = dir;
-  const std::string schema_path = (fs::path(dir) / "schema.herc").string();
-  const std::string snapshot_path =
-      (fs::path(dir) / "snapshot.herc").string();
-  const std::string journal_path = (fs::path(dir) / "journal.wal").string();
-  if (!fs::exists(schema_path)) {
+  const StorePaths paths(dir);
+  if (!fs::exists(paths.schema)) {
     throw HistoryError("fsck: '" + dir + "' does not hold a store (no " +
                        "schema.herc)");
   }
@@ -821,12 +812,11 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   // A replica marker changes the audit's reading of open runs (they are
   // the leader's live runs) and rules out repair: a repair checkpoint
   // would bump the epoch out from under the replication stream.
-  const std::string marker_path = (fs::path(dir) / "replica.herc").string();
-  const bool replica = fs::exists(marker_path);
+  const bool replica = fs::exists(paths.marker);
   if (replica) {
     std::string marker;
     try {
-      marker = std::string(support::trim(read_file(marker_path)));
+      marker = std::string(support::trim(read_file(paths.marker)));
     } catch (const std::exception&) {
     }
     note(report, "replica-store",
@@ -838,7 +828,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   schema::TaskSchema schema;
   const schema::TaskSchema* schema_ptr = nullptr;
   try {
-    schema = schema::parse_schema(read_file(schema_path));
+    schema = schema::parse_schema(read_file(paths.schema));
     schema_ptr = &schema;
   } catch (const std::exception& e) {
     corrupt(report, "bad-schema",
@@ -875,8 +865,8 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   };
 
   // Snapshot: "snap" meta line, then a full save() image.
-  if (fs::exists(snapshot_path)) {
-    const std::string text = read_file(snapshot_path);
+  if (fs::exists(paths.snapshot)) {
+    const std::string text = read_file(paths.snapshot);
     bool seen_meta = false;
     std::int64_t declared_count = -1;
     for (const std::string_view line : support::Lines(text)) {
@@ -904,6 +894,9 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
       fold_index_line(line);
       ++report.stats.snapshot_records;
     }
+    if (!seen_meta) {
+      corrupt(report, "bad-snapshot-header", "snapshot holds no snap record");
+    }
     if (declared_count >= 0 &&
         static_cast<std::size_t>(declared_count) != audit.instances.size()) {
       corrupt(report, "snapshot-count-mismatch",
@@ -921,8 +914,8 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   }
 
   // Journal: epoch-matched frames on top of the snapshot.
-  if (fs::exists(journal_path)) {
-    const ScanResult scan = scan_journal(read_file(journal_path));
+  if (fs::exists(paths.journal)) {
+    const ScanResult scan = scan_journal(read_file(paths.journal));
     if (!scan.header_valid) {
       corrupt(report, "bad-record", "journal header is invalid");
     } else if (scan.epoch < report.stats.epoch) {
@@ -998,7 +991,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
            " bump the epoch out from under the replication stream; resync"
            " the replica or promote it first");
     } else {
-      repair_store(audit, report, snapshot_path, journal_path);
+      repair_store(audit, report, paths);
       // The repair checkpoint bumped the epoch; rewrite the index from the
       // repaired image so the next open loads warm instead of detecting
       // skew and rebuilding cold.

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 
 #include "schema/schema_io.hpp"
 #include "support/error.hpp"
@@ -43,11 +44,11 @@ void fsync_path(const std::string& path) {
 #endif
 }
 
-}  // namespace
-
-std::optional<std::uint64_t> replay_snapshot(std::string_view text,
-                                             history::HistoryDb& db,
-                                             const std::string& where) {
+/// Replays a "snap" header and image into the empty `db`; returns the
+/// header's epoch.  Throws `HistoryError` naming `where` when the header is
+/// missing (an empty file included) or miscounts the image.
+std::uint64_t replay_snapshot(std::string_view text, history::HistoryDb& db,
+                              const std::string& where) {
   std::optional<std::uint64_t> epoch;
   std::uint32_t declared = 0;
   for (const std::string_view line : support::Lines(text)) {
@@ -64,23 +65,27 @@ std::optional<std::uint64_t> replay_snapshot(std::string_view text,
     epoch = static_cast<std::uint64_t>(rec.next_int64());
     declared = rec.next_uint32();
   }
-  if (epoch && db.size() != declared) {
+  if (!epoch) throw HistoryError(where + ": snapshot holds no snap record");
+  if (db.size() != declared) {
     throw HistoryError(where + ": snapshot declares " +
                        std::to_string(declared) + " instances but holds " +
                        std::to_string(db.size()));
   }
-  return epoch;
+  return *epoch;
 }
 
-void write_file_atomic(const std::string& path, std::string_view content) {
+/// `write_file_atomic` of `pieces` in turn, never joined in memory.
+void write_pieces_atomic(const std::string& path,
+                         std::initializer_list<std::string_view> pieces) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       throw HistoryError("store: cannot write '" + tmp + "'");
     }
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
+    for (const std::string_view piece : pieces) {
+      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+    }
     out.flush();
     if (!out) {
       throw HistoryError("store: short write to '" + tmp + "'");
@@ -96,52 +101,72 @@ void write_file_atomic(const std::string& path, std::string_view content) {
   fsync_path(fs::path(path).parent_path().string());
 }
 
-std::string DurableHistory::schema_path() const {
-  return (fs::path(dir_) / "schema.herc").string();
+}  // namespace
+
+StorePaths::StorePaths(const std::string& dir)
+    : schema((fs::path(dir) / "schema.herc").string()),
+      snapshot((fs::path(dir) / "snapshot.herc").string()),
+      journal((fs::path(dir) / "journal.wal").string()),
+      marker((fs::path(dir) / "replica.herc").string()) {}
+
+bool is_replica_store(const std::string& dir) {
+  return fs::exists(StorePaths(dir).marker);
 }
 
-std::string DurableHistory::snapshot_path() const {
-  return (fs::path(dir_) / "snapshot.herc").string();
+std::optional<schema::TaskSchema> recorded_schema(const std::string& dir) {
+  const std::string path = StorePaths(dir).schema;
+  if (!fs::exists(path)) return std::nullopt;
+  return schema::parse_schema(read_file(path));
 }
 
-std::string DurableHistory::journal_path() const {
-  return (fs::path(dir_) / "journal.wal").string();
+void write_file_atomic(const std::string& path, std::string_view content) {
+  write_pieces_atomic(path, {content});
 }
 
-bool DurableHistory::exists(const std::string& dir) {
-  return fs::exists(fs::path(dir) / "schema.herc");
+void write_checkpoint(const StorePaths& paths, std::uint64_t epoch,
+                      std::size_t instances, std::string_view image,
+                      JournalOptions options, std::optional<Journal>& journal) {
+  support::RecordWriter meta("snap");
+  meta.field(static_cast<std::int64_t>(epoch));
+  meta.field(static_cast<std::uint32_t>(instances));
+  write_pieces_atomic(paths.snapshot, {meta.str(), "\n", image});
+  journal.reset();
+  journal = Journal::create(paths.journal, epoch, options);
 }
 
 DurableHistory::DurableHistory(const schema::TaskSchema& schema,
                                support::Clock& clock, std::string dir,
                                StoreOptions options)
-    : schema_(&schema), dir_(std::move(dir)), options_(options) {
+    : schema_(&schema),
+      clock_(&clock),
+      dir_(std::move(dir)),
+      paths_(dir_),
+      options_(options) {
   fs::create_directories(dir_);
   const std::string schema_text = schema::write_schema(schema);
-  if (fs::exists(schema_path())) {
-    if (read_file(schema_path()) != schema_text) {
+  if (fs::exists(paths_.schema)) {
+    if (read_file(paths_.schema) != schema_text) {
       throw HistoryError("store '" + dir_ +
                          "': recorded schema differs from the session's; "
                          "open it from a session over the same schema");
     }
   } else {
-    write_file_atomic(schema_path(), schema_text);
+    write_file_atomic(paths_.schema, schema_text);
     report_.created = true;
   }
 
   db_ = std::make_unique<history::HistoryDb>(schema, clock);
 
-  if (fs::exists(snapshot_path())) {
-    epoch_ = replay_snapshot(read_file(snapshot_path()), *db_,
-                             "store '" + dir_ + "'")
-                 .value_or(0);
+  if (fs::exists(paths_.snapshot)) {
+    epoch_ = replay_snapshot(read_file(paths_.snapshot), *db_,
+                             "store '" + dir_ + "'");
     report_.snapshot_instances = db_->size();
   }
 
   // Journal: replay the tail on top of the snapshot.
   bool need_fresh_journal = true;
-  if (fs::exists(journal_path())) {
-    ScanResult scan = scan_journal(read_file(journal_path()));
+  if (fs::exists(paths_.journal)) {
+    ScanResult scan = scan_journal(read_file(paths_.journal));
     if (scan.header_valid && scan.epoch == epoch_) {
       for (const std::string& record : scan.records) {
         for (const std::string_view line : support::Lines(record)) {
@@ -152,14 +177,14 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
       report_.torn_tail = scan.torn;
       if (scan.torn) {
         std::error_code ec;
-        fs::resize_file(journal_path(), scan.valid_bytes, ec);
+        fs::resize_file(paths_.journal, scan.valid_bytes, ec);
         if (ec) {
           throw HistoryError("store '" + dir_ +
                              "': cannot truncate torn journal tail: " +
                              ec.message());
         }
       }
-      journal_ = Journal::open(journal_path(), epoch_, scan.valid_bytes,
+      journal_ = Journal::open(paths_.journal, epoch_, scan.valid_bytes,
                                options_.journal);
       journal_seq_ = scan.records.size();
       journal_records_ = std::move(scan.records);
@@ -180,7 +205,7 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
     }
   }
   if (need_fresh_journal) {
-    journal_ = Journal::create(journal_path(), epoch_, options_.journal);
+    journal_ = Journal::create(paths_.journal, epoch_, options_.journal);
   }
   report_.epoch = epoch_;
   db_->attach_listener(this);
@@ -193,11 +218,30 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
   // The sweep seals each interrupted run's window at the recovered table
   // size: work recorded from here on (new runs, imports, decompose) is not
   // the crashed run's doing, so a later reopen must not sweep it.
-  const history::HistoryDb::SealSweep sweep = db_->seal_open_runs(
-      "crash recovery: the producing task never finished");
-  report_.interrupted_runs = sweep.open;
-  report_.quarantined = sweep.quarantined;
+  // A follower's store skips it: its open runs are its leader's live runs,
+  // and `herc promote` sweeps them once the follower leads.
+  if (!fs::exists(paths_.marker)) {
+    const history::HistoryDb::SealSweep sweep =
+        db_->seal_open_runs(kCrashSweepReason);
+    report_.interrupted_runs = sweep.open;
+    report_.quarantined = sweep.quarantined;
+  }
   opening_ = false;
+}
+
+DurableHistory::DurableHistory(const schema::TaskSchema& schema,
+                               support::Clock& clock, std::string dir,
+                               StoreOptions options, std::uint64_t epoch,
+                               std::string_view image)
+    : schema_(&schema),
+      clock_(&clock),
+      dir_(std::move(dir)),
+      paths_(dir_),
+      options_(options),
+      db_(std::make_unique<history::HistoryDb>(schema, clock)),
+      opening_(false) {
+  db_->attach_listener(this);
+  install(epoch, image);
 }
 
 DurableHistory::~DurableHistory() {
@@ -219,23 +263,46 @@ void DurableHistory::on_mutation(std::string_view lines) {
   }
 }
 
-void DurableHistory::checkpoint() {
-  const std::uint64_t next = epoch_ + 1;
-  support::RecordWriter meta("snap");
-  meta.field(static_cast<std::int64_t>(next));
-  meta.field(static_cast<std::uint32_t>(db_->size()));
-  write_file_atomic(snapshot_path(), meta.str() + "\n" + db_->save());
-  // A crash here leaves a journal whose epoch predates the new snapshot;
-  // recovery discards it, and every record it held is inside the snapshot.
-  // Close the old handle first: a buffered flush after the truncation
-  // below would resurrect stale frames.
-  journal_.reset();
-  journal_ = Journal::create(journal_path(), next, options_.journal);
-  epoch_ = next;
+void DurableHistory::checkpoint(std::uint64_t epoch) {
+  rebase(epoch, db_->save());
+}
+
+void DurableHistory::install(std::uint64_t epoch, std::string_view image) {
+  *db_ = history::HistoryDb::load(*schema_, *clock_, image);
+  fs::create_directories(dir_);
+  write_file_atomic(paths_.schema, schema::write_schema(*schema_));
+  rebase(epoch, image);
+}
+
+void DurableHistory::rebase(std::uint64_t epoch, std::string_view image) {
+  write_checkpoint(paths_, epoch, db_->size(), image, options_.journal,
+                   journal_);
+  epoch_ = epoch;
   since_checkpoint_ = 0;
   journal_seq_ = 0;
   journal_records_.clear();
-  if (tap_ != nullptr) tap_->on_checkpoint(next);
+  if (tap_ != nullptr) tap_->on_checkpoint(epoch);
+}
+
+void DurableHistory::apply_frame(std::string_view lines) {
+  journal_->append(lines);
+  ++journal_seq_;
+  ++records_;
+  bytes_ += lines.size();
+  for (const std::string_view line : support::Lines(lines)) {
+    db_->apply_saved_line(line);
+  }
+}
+
+std::vector<std::string> DurableHistory::read_journal_records() {
+  journal_->sync();
+  ScanResult scan = scan_journal(read_file(paths_.journal));
+  if (!scan.header_valid || scan.epoch != epoch_) {
+    throw HistoryError("store '" + dir_ +
+                       "': the journal file no longer holds epoch " +
+                       std::to_string(epoch_));
+  }
+  return std::move(scan.records);
 }
 
 void DurableHistory::sync() { journal_->sync(); }
@@ -245,9 +312,7 @@ void DurableHistory::adopt(history::HistoryDb&& seed) {
     throw HistoryError("store '" + dir_ +
                        "': refusing to adopt over a non-empty store");
   }
-  seed.attach_listener(nullptr);
-  db_ = std::make_unique<history::HistoryDb>(std::move(seed));
-  db_->attach_listener(this);
+  *db_ = std::move(seed);  // keeps this store as the listener
   checkpoint();
 }
 

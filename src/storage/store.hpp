@@ -6,6 +6,7 @@
 //   schema.herc    the task schema the history was recorded against
 //   snapshot.herc  full image written by the last checkpoint (epoch-tagged)
 //   journal.wal    mutations appended since that checkpoint
+//   replica.herc   present only in a follower's store (src/replica)
 //
 // Every mutation (import, task product, failure record, annotation — and
 // any blob it introduces) is serialized by the history database itself and
@@ -16,6 +17,11 @@
 // truncated away, and a journal whose epoch does not match the snapshot's
 // (a crash between the checkpoint's two steps) is discarded — its records
 // are already inside the snapshot.
+//
+// A follower's replica is the same store, fed by `apply_frame` and
+// `install`.  Its marker makes the one difference on open: no crash sweep,
+// as its open runs are its leader's live runs.  Only src/storage touches
+// a store's files.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +33,7 @@
 #include <vector>
 
 #include "history/history_db.hpp"
+#include "schema/task_schema.hpp"
 #include "storage/journal.hpp"
 
 namespace herc::storage {
@@ -59,20 +66,43 @@ struct RecoveryReport {
   std::size_t quarantined = 0;
 };
 
+/// The files of store directory `dir`: the one place their names are
+/// spelled.
+struct StorePaths {
+  explicit StorePaths(const std::string& dir);
+  std::string schema;
+  std::string snapshot;
+  std::string journal;
+  /// The replica marker: present only in a follower's store.
+  std::string marker;
+};
+
+/// True when `dir` carries the replica marker: a follower's store, which
+/// a leader may not open until `herc promote` removes the marker.
+[[nodiscard]] bool is_replica_store(const std::string& dir);
+
+/// The schema recorded in store `dir`, or nullopt when `dir` holds no
+/// store.  Throws `HistoryError` when the schema cannot be read and
+/// `ParseError` when it does not parse.
+[[nodiscard]] std::optional<schema::TaskSchema> recorded_schema(
+    const std::string& dir);
+
+/// The quarantine comment the crash sweep gives a partial product.
+inline constexpr std::string_view kCrashSweepReason =
+    "crash recovery: the producing task never finished";
+
 /// Durable file replacement: write `path`.tmp, flush + fsync, rename over
-/// `path`, fsync the directory so the rename itself is durable.  Shared by
-/// checkpointing and fsck repair.
+/// `path`, fsync the directory so the rename itself is durable.
 void write_file_atomic(const std::string& path, std::string_view content);
 
-/// Replays snapshot text — a "snap" header (epoch, instance count) then a
-/// full `HistoryDb::save` image — into the empty `db`: the one snapshot
-/// reader behind store open and replica recovery.  Returns the header's
-/// epoch, or nullopt when the text holds no records.  Throws `HistoryError`,
-/// its message prefixed with `where`, when the first record is not a snap
-/// header or when the image holds a different number of instances than the
-/// header declares; a malformed record throws from `apply_saved_line`.
-[[nodiscard]] std::optional<std::uint64_t> replay_snapshot(
-    std::string_view text, history::HistoryDb& db, const std::string& where);
+/// The one checkpoint writer (store checkpoint and install, fsck repair):
+/// a "snap" header (`epoch`, `instances`) and `image` replace the
+/// snapshot, then the journal restarts under `epoch`.  A crash between
+/// the two leaves a stale-epoch journal, which recovery discards.  The old
+/// `journal` handle is closed only then, and holds the fresh one after.
+void write_checkpoint(const StorePaths& paths, std::uint64_t epoch,
+                      std::size_t instances, std::string_view image,
+                      JournalOptions options, std::optional<Journal>& journal);
 
 /// Observer of the journal frame stream — the replication shipping hook.
 /// Called synchronously from the mutation path, under whatever lock the
@@ -103,6 +133,12 @@ class DurableHistory final : public history::MutationListener {
   /// snapshot/journal contents fail integrity checks.
   DurableHistory(const schema::TaskSchema& schema, support::Clock& clock,
                  std::string dir, StoreOptions options = {});
+  /// Creates the store in `dir` from `image` at `epoch`, as `install`
+  /// does, without reading anything the directory held: how a follower
+  /// bootstraps from its leader's snapshot.
+  DurableHistory(const schema::TaskSchema& schema, support::Clock& clock,
+                 std::string dir, StoreOptions options, std::uint64_t epoch,
+                 std::string_view image);
   ~DurableHistory() override;
 
   DurableHistory(const DurableHistory&) = delete;
@@ -118,7 +154,21 @@ class DurableHistory final : public history::MutationListener {
 
   /// Snapshot compaction: writes the full image (temp + rename), then
   /// resets the journal under the next epoch.
-  void checkpoint();
+  void checkpoint() { checkpoint(epoch_ + 1); }
+  /// The same under `epoch`: a follower mirrors its leader's checkpoint.
+  void checkpoint(std::uint64_t epoch);
+
+  /// Replaces the contents with `image`, a `HistoryDb::save` image at
+  /// `epoch`, then writes the schema, `image` itself as the snapshot and a
+  /// fresh journal.  The database is replaced in place: whoever holds
+  /// `db()` keeps it, this store stays its listener and its observers get
+  /// `on_reset`.  Nothing the directory held before is read.
+  void install(std::uint64_t epoch, std::string_view image);
+
+  /// Applies a frame its leader journaled: appends `lines` to the journal
+  /// as one frame, then applies them to `db()`.  Write-ahead, so a crash
+  /// mid-apply recovers to a consistent prefix.
+  void apply_frame(std::string_view lines);
 
   /// Forces journaled records to stable storage now (regardless of policy).
   void sync();
@@ -135,6 +185,12 @@ class DurableHistory final : public history::MutationListener {
   [[nodiscard]] std::vector<std::string> take_journal_records() {
     return std::exchange(journal_records_, {});
   }
+
+  /// The current epoch's journal frames, read back from the file once
+  /// everything appended is on it: the backlog a shipper sends a follower
+  /// that subscribes from inside the epoch.  Throws `HistoryError` when the
+  /// file cannot be read or no longer holds this epoch's journal.
+  [[nodiscard]] std::vector<std::string> read_journal_records();
 
   /// Streams every journaled frame (and checkpoint) to `tap`; pass
   /// `nullptr` to detach.  One tap at a time.
@@ -155,18 +211,16 @@ class DurableHistory final : public history::MutationListener {
     return journal_.has_value() ? journal_->bytes() : 0;
   }
 
-  /// True when `dir` already holds a store (a schema file).
-  [[nodiscard]] static bool exists(const std::string& dir);
-
   void on_mutation(std::string_view lines) override;
 
  private:
-  [[nodiscard]] std::string schema_path() const;
-  [[nodiscard]] std::string snapshot_path() const;
-  [[nodiscard]] std::string journal_path() const;
+  /// Writes `image` as the snapshot at `epoch` and restarts the journal.
+  void rebase(std::uint64_t epoch, std::string_view image);
 
   const schema::TaskSchema* schema_;
+  support::Clock* clock_;
   std::string dir_;
+  StorePaths paths_;
   StoreOptions options_;
   std::unique_ptr<history::HistoryDb> db_;
   std::optional<Journal> journal_;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace herc::tools {
 
@@ -21,13 +22,10 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// FNV-1a from the published offset basis, which `support::fnv1a` does
+/// not start from; fault schedules depend on these exact bits.
 std::uint64_t hash_name(std::string_view name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return support::fnv1a_append(0xcbf29ce484222325ULL, name);
 }
 
 }  // namespace

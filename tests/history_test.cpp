@@ -389,5 +389,32 @@ TEST_F(HistoryTest, MutationListenerStreamReproducesDatabase) {
   EXPECT_TRUE(quiet.log_.empty());
 }
 
+TEST_F(HistoryTest, MoveAssignmentKeepsTheTargetsListener) {
+  // A store that installs a new image into its own database in place must
+  // stay attached to it: move-assignment replaces the contents and keeps
+  // the target's listener, the rule it already applies to observers.
+  class Count : public MutationListener {
+   public:
+    void on_mutation(std::string_view) override { ++calls_; }
+    int calls_ = 0;
+  };
+  Count target_listener;
+  Count source_listener;
+  db_.attach_listener(&target_listener);
+  support::ManualClock clock2(0, 1);
+  HistoryDb source(schema_, clock2);
+  source.attach_listener(&source_listener);
+  (void)source.import_instance(schema_.require("Stimuli"), "s", "w", "u");
+  ASSERT_EQ(source_listener.calls_, 1);
+
+  db_ = std::move(source);
+  EXPECT_EQ(db_.listener(), &target_listener);
+  EXPECT_EQ(db_.size(), 1u);
+  (void)db_.import_instance(schema_.require("Stimuli"), "t", "w", "u");
+  EXPECT_EQ(target_listener.calls_, 1);
+  EXPECT_EQ(source_listener.calls_, 1);
+  db_.attach_listener(nullptr);
+}
+
 }  // namespace
 }  // namespace herc::history

@@ -15,6 +15,9 @@
 //   - Promotion: `promote_store` runs leader recovery, bumps the epoch
 //     and removes the marker; the failover drill then rebuilds the whole
 //     chain (new leader, new follower) on top of the promoted store.
+//   - The follower's own store: a torn local journal recovers at every
+//     byte, a crash between install steps falls back to a snapshot fetch,
+//     and a leader open refuses the directory untouched.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -36,6 +39,7 @@
 #include "storage/fsck.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
+#include "support/record.hpp"
 
 namespace herc::replica {
 namespace {
@@ -73,6 +77,50 @@ struct CaptureTap final : storage::JournalTap {
   }
   void on_checkpoint(std::uint64_t) override {}
 };
+
+/// A leader's snapshot and the `frames` mutation frames it journaled after
+/// it: what the hand-fed tests install into a follower store directly.
+struct Captured {
+  SnapshotShipment snapshot;
+  std::vector<JournalShipment> frames;
+};
+
+Captured capture_leader(const std::string& leader_dir, int frames) {
+  CaptureTap tap;
+  core::DesignSession session(schema::make_full_schema());
+  (void)session.open_storage(leader_dir);
+  (void)session.import_data("Stimuli", "base", kWaveBody);
+  Captured out;
+  out.snapshot = {session.storage()->epoch(), session.storage()->journal_seq(),
+                  schema::write_schema(session.schema()),
+                  session.db().save()};
+  session.storage()->attach_tap(&tap);
+  for (int i = 0; i < frames; ++i) {
+    (void)session.import_data("Stimuli", "frame_" + std::to_string(i),
+                              kWaveBody);
+  }
+  session.storage()->attach_tap(nullptr);
+  session.close_storage();
+  out.frames = std::move(tap.frames);
+  return out;
+}
+
+/// Installs `captured` into the follower store at `dir` by hand, then
+/// closes the applier as a stopped follower would.
+void install_by_hand(const std::string& dir, const Captured& captured) {
+  ReplicaApplier applier(server::Endpoint::parse("127.0.0.1:1"), dir);
+  applier.install_snapshot(captured.snapshot);
+  for (const JournalShipment& frame : captured.frames) {
+    ASSERT_EQ(applier.apply_frame(frame), ApplyOutcome::kApplied);
+  }
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 bool wait_until(const std::function<bool()>& done, int timeout_ms = 10000) {
   const auto deadline =
@@ -593,6 +641,105 @@ TEST(ReplicaTest, TornTailDivergenceForcesASnapshotResync) {
   session.close_storage();
   EXPECT_EQ(storage::fsck_store(leader_dir).exit_code(), 0);
   EXPECT_EQ(storage::fsck_store(follower_dir).exit_code(), 0);
+}
+
+// A follower killed mid-append leaves a torn last frame in its own
+// journal.  Wherever the cut lands inside that frame, local recovery keeps
+// the three whole frames before it, with no leader involved, and the store
+// audits clean.
+TEST(ReplicaTest, TornFollowerJournalRecoversLocallyAtEveryByte) {
+  TempDir tmp;
+  const std::string follower_dir = tmp.sub("follower");
+  const Captured captured = capture_leader(tmp.sub("leader"), 4);
+  ASSERT_EQ(captured.frames.size(), 4u);
+  install_by_hand(follower_dir, captured);
+  const std::uint64_t base = captured.snapshot.seq;
+
+  const std::size_t journal_size =
+      fs::file_size(fs::path(follower_dir) / "journal.wal");
+  const std::size_t last_frame =
+      storage::kFrameHeaderBytes + captured.frames.back().lines.size();
+  ASSERT_GT(journal_size, last_frame);
+  const std::string trial = tmp.sub("trial");
+  for (std::size_t cut = journal_size - last_frame; cut < journal_size;
+       ++cut) {
+    fs::remove_all(trial);
+    fs::copy(follower_dir, trial);
+    fs::resize_file(fs::path(trial) / "journal.wal", cut);
+    {
+      ReplicaApplier applier(server::Endpoint::parse("127.0.0.1:1"), trial);
+      ASSERT_TRUE(applier.bootstrap(0))
+          << "cut at byte " << cut << ": " << applier.last_error();
+      EXPECT_EQ(applier.position(),
+                (StreamPosition{captured.snapshot.epoch, base + 3}))
+          << "cut at byte " << cut;
+    }
+    EXPECT_EQ(storage::fsck_store(trial).exit_code(), 0)
+        << "cut at byte " << cut;
+  }
+}
+
+// `apply_checkpoint` writes the new snapshot before it rewrites the
+// marker.  A crash between the two leaves them at different epochs; local
+// recovery must not guess which is right, so it refuses and the follower
+// falls back to fetching a snapshot from its leader.
+TEST(ReplicaTest, CrashBeforeTheMarkerFallsBackToASnapshotFetch) {
+  TempDir tmp;
+  const std::string follower_dir = tmp.sub("follower");
+  const Captured captured = capture_leader(tmp.sub("leader"), 2);
+  install_by_hand(follower_dir, captured);
+
+  const std::string snapshot_path =
+      (fs::path(follower_dir) / "snapshot.herc").string();
+  const std::string snapshot = slurp(snapshot_path);
+  support::RecordReader header(
+      std::string_view(snapshot).substr(0, snapshot.find('\n')));
+  ASSERT_EQ(header.kind(), "snap");
+  (void)header.next_int64();
+  const std::uint32_t count = header.next_uint32();
+  std::ofstream(snapshot_path, std::ios::binary | std::ios::trunc)
+      << support::RecordWriter("snap")
+             .field(static_cast<std::int64_t>(captured.snapshot.epoch + 1))
+             .field(count)
+             .str()
+      << snapshot.substr(snapshot.find('\n'));
+
+  ReplicaApplier applier(server::Endpoint::parse("127.0.0.1:1"),
+                         follower_dir);
+  EXPECT_FALSE(applier.bootstrap(0));
+  EXPECT_NE(applier.last_error().find(
+                "snapshot epoch differs from the replica marker"),
+            std::string::npos)
+      << applier.last_error();
+}
+
+// Only `herc promote` turns a follower's store into a leader's.  Opening
+// one as a leader would run the crash sweep over the leader's live runs
+// and accept local writes into the replicated journal, so the open is
+// refused before it touches a file.
+TEST(ReplicaTest, LeaderOpenRefusesAReplicaStore) {
+  TempDir tmp;
+  const std::string follower_dir = tmp.sub("follower");
+  install_by_hand(follower_dir, capture_leader(tmp.sub("leader"), 2));
+  const std::string journal_path =
+      (fs::path(follower_dir) / "journal.wal").string();
+  const std::string journal = slurp(journal_path);
+
+  {
+    core::DesignSession session(schema::make_full_schema());
+    try {
+      (void)session.open_storage(follower_dir);
+      (void)session.import_data("Stimuli", "local_write", kWaveBody);
+      ADD_FAILURE() << "a leader opened a replica store";
+    } catch (const support::HistoryError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("herc promote"), std::string::npos) << message;
+      EXPECT_NE(message.find("--replicate-from"), std::string::npos)
+          << message;
+    }
+  }
+  EXPECT_EQ(slurp(journal_path), journal);
+  EXPECT_TRUE(ReplicaApplier::is_replica_store(follower_dir));
 }
 
 }  // namespace

@@ -227,6 +227,40 @@ TEST_F(StorageTest, MutationsAfterCheckpointLandInNewJournal) {
   EXPECT_EQ(store.db().save(), image);
 }
 
+TEST_F(StorageTest, InPlaceInstallKeepsJournalingLocalMutations) {
+  // The image a follower receives from its leader.
+  support::ManualClock leader_clock(0, 1);
+  HistoryDb leader(schema_, leader_clock);
+  populate(leader);
+  const std::string image = leader.save();
+
+  std::string after;
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    store.db().import_instance(schema_.require("Stimuli"), "replaced", "w",
+                               "u");
+    const HistoryDb* const db = &store.db();
+    store.install(7, image);
+    EXPECT_EQ(&store.db(), db);
+    EXPECT_EQ(store.db().listener(),
+              static_cast<history::MutationListener*>(&store));
+    EXPECT_EQ(store.epoch(), 7u);
+    EXPECT_EQ(store.journal_seq(), 0u);
+    EXPECT_EQ(store.db().save(), image);
+    // A local mutation after the install still reaches the journal.
+    store.db().import_instance(schema_.require("Stimuli"), "local", "w", "u");
+    EXPECT_EQ(store.journal_seq(), 1u);
+    after = store.db().save();
+  }
+  EXPECT_EQ(slurp(snapshot_path()).find("replaced"), std::string::npos);
+  support::ManualClock clock2(0, 1);
+  DurableHistory store(schema_, clock2, dir_);
+  EXPECT_EQ(store.recovery().epoch, 7u);
+  EXPECT_EQ(store.recovery().snapshot_instances, 4u);
+  EXPECT_EQ(store.recovery().journal_records_applied, 1u);
+  EXPECT_EQ(store.db().save(), after);
+}
+
 TEST_F(StorageTest, TornTailTruncatedOnReopen) {
   std::string image;
   {
@@ -332,6 +366,31 @@ TEST_F(StorageTest, SnapshotShortOfItsDeclaredCountRefused) {
   }
   const FsckReport report = fsck_store(dir_);
   EXPECT_TRUE(report.has("snapshot-count-mismatch")) << report.render();
+  EXPECT_EQ(report.exit_code(), 2);
+}
+
+TEST_F(StorageTest, EmptySnapshotRefused) {
+  // A checkpoint never writes a snapshot without its "snap" header, so an
+  // empty file is damage: opening it as an empty epoch-0 history would
+  // drop everything the image held (and let a follower's recovery accept
+  // it when its marker is at epoch 0).
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    populate(store.db());
+    store.checkpoint();
+  }
+  spill(snapshot_path(), "");
+  support::ManualClock clock2(0, 1);
+  try {
+    DurableHistory store(schema_, clock2, dir_);
+    ADD_FAILURE() << "opened an empty snapshot at epoch " << store.epoch();
+  } catch (const HistoryError& e) {
+    EXPECT_NE(std::string(e.what()).find("snapshot holds no snap record"),
+              std::string::npos)
+        << e.what();
+  }
+  const FsckReport report = fsck_store(dir_);
+  EXPECT_TRUE(report.has("bad-snapshot-header")) << report.render();
   EXPECT_EQ(report.exit_code(), 2);
 }
 
