@@ -10,7 +10,7 @@
 //   - `server::ReplicationHub`: the server calls `subscribe` under the
 //     exclusive lock (so the bootstrap is position-atomic with the live
 //     stream) and then pumps `next_frame` to the follower's socket from
-//     the connection's worker thread.
+//     the connection's pump thread.
 //
 // Bootstrap decides between two shapes: a follower whose position lies
 // inside the current epoch's journal gets the missing frames re-read from

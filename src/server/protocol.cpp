@@ -92,27 +92,40 @@ int remaining_ms(std::chrono::steady_clock::time_point deadline) {
   return left > 0 ? static_cast<int>(left) : 0;
 }
 
-}  // namespace
-
-std::string encode_frame(const Frame& frame) {
+/// Appends one frame's header and payload to `out`.
+void append_frame(std::string& out, const Frame& frame) {
   if (frame.payload.size() > kMaxFramePayload) {
     throw NetError("frame payload of " +
                    std::to_string(frame.payload.size()) +
                    " bytes exceeds the " +
                    std::to_string(kMaxFramePayload) + "-byte limit");
   }
-  std::string out;
-  out.reserve(kHeaderBytes + frame.payload.size());
   put_u32_le(out, static_cast<std::uint32_t>(frame.payload.size()));
   out.push_back(static_cast<char>(frame.type));
   out += frame.payload;
+}
+
+}  // namespace
+
+std::string encode_frame(const Frame& frame) {
+  std::string out;
+  out.reserve(kHeaderBytes + frame.payload.size());
+  append_frame(out, frame);
   return out;
 }
 
-void write_frame(int fd, const Frame& frame) {
-  const std::string wire = encode_frame(frame);
+void write_frames(int fd, std::span<const Frame> frames) {
+  std::size_t size = 0;
+  for (const Frame& frame : frames) {
+    size += kHeaderBytes + frame.payload.size();
+  }
+  std::string wire;
+  wire.reserve(size);
+  for (const Frame& frame : frames) append_frame(wire, frame);
   send_all(fd, wire.data(), wire.size());
 }
+
+void write_frame(int fd, const Frame& frame) { write_frames(fd, {&frame, 1}); }
 
 bool read_frame(int fd, Frame& frame) {
   unsigned char header[kHeaderBytes];

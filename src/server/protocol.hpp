@@ -52,6 +52,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,8 +92,14 @@ struct Frame {
 /// when the payload exceeds `kMaxFramePayload`.
 [[nodiscard]] std::string encode_frame(const Frame& frame);
 
-/// Writes one frame to a connected socket, looping over partial sends and
-/// EINTR.  Throws `support::NetError` when the peer is gone.
+/// Writes `frames` to a connected socket as one buffer with one `send`
+/// (looping only over partial sends and EINTR), so a reply's kOutput and
+/// kResult frames leave together.  Throws `support::NetError` when a
+/// payload exceeds `kMaxFramePayload` (nothing is sent) or the peer is
+/// gone.
+void write_frames(int fd, std::span<const Frame> frames);
+
+/// `write_frames` for one frame.
 void write_frame(int fd, const Frame& frame);
 
 /// Reads one frame.  Returns false on a clean end-of-stream at a frame

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include <poll.h>
@@ -44,20 +44,9 @@ struct Server::Connection {
   std::string user = "designer";
   std::ostringstream out;
   std::unique_ptr<cli::Interpreter> interp;
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Frame> queue;
-  bool eof = false;      ///< reader saw end-of-stream (or a wire error)
-  bool closing = false;  ///< worker decided to close (quit, dead peer)
-  /// Worker is executing a command (or pumping a subscription): the idle
-  /// reaper must not cut a connection that is merely waiting on a long
-  /// run's reply.
-  bool busy = false;
+  std::uint64_t commands = 0;
   std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> commands{0};
-  std::thread reader;
-  std::thread worker;
+  std::thread thread;
 };
 
 /// The per-client idempotency dedup window: replies of recently applied
@@ -79,7 +68,6 @@ struct Server::ClientWindow {
 
 Server::Server(core::DesignSession& session, ServeOptions options)
     : session_(session), options_(options) {
-  if (options_.queue_depth == 0) options_.queue_depth = 1;
   if (options_.dedup_window == 0) options_.dedup_window = 1;
   if (options_.dedup_clients == 0) options_.dedup_clients = 1;
   boot_id_ =
@@ -173,60 +161,44 @@ void Server::accept_loop() {
         ref.id = next_connection_id_++;
         connections_.push_back(std::move(conn));
       }
-      ref.reader = std::thread(&Server::reader_loop, this, std::ref(ref));
-      ref.worker = std::thread(&Server::worker_loop, this, std::ref(ref));
+      ref.thread = std::thread(&Server::connection_loop, this, std::ref(ref));
     }
     join_finished_connections();
   }
 }
 
-void Server::reader_loop(Connection& conn) {
+void Server::connection_loop(Connection& conn) {
   bool reaped = false;
+  std::thread pump;  // a follower's journal stream, once it subscribed
   try {
     Frame frame;
     const ReadDeadline deadline{options_.idle_timeout_ms,
                                 options_.frame_timeout_ms};
-    const bool bounded = deadline.idle_ms > 0 || deadline.frame_ms > 0;
     while (true) {
-      ReadOutcome outcome;
-      if (bounded) {
-        outcome = read_frame(conn.sock.fd(), frame, deadline);
-      } else {
-        outcome = read_frame(conn.sock.fd(), frame) ? ReadOutcome::kFrame
-                                                    : ReadOutcome::kEof;
-      }
+      const ReadOutcome outcome = read_frame(conn.sock.fd(), frame, deadline);
       if (outcome == ReadOutcome::kEof) break;
       if (outcome == ReadOutcome::kIdle) {
-        // Reap only a connection with nothing queued or executing: a
-        // client quietly waiting on a long run's reply is not half-open.
-        bool busy;
-        {
-          std::scoped_lock lock(conn.mutex);
-          busy = conn.busy || !conn.queue.empty() || conn.closing;
-        }
-        if (busy || stopping_.load()) continue;
+        // Only a connection waiting for its next command is reaped: a
+        // follower's acks pause whenever its stream does.
+        if (pump.joinable() || stopping_.load()) continue;
         reaped = true;
         break;
       }
       stats_.bytes_in.fetch_add(frame.payload.size() + kFrameOverhead,
                                 std::memory_order_relaxed);
       if (frame.type == FrameType::kAck) {
-        // Follower progress reports bypass the command queue: they never
-        // produce a reply and must not wait behind the stream pump.
         if (hub_ != nullptr) hub_->ack(conn.id, frame.payload);
         continue;
       }
-      std::unique_lock lock(conn.mutex);
-      // Backpressure: a client that pipelines past the queue depth blocks
-      // here, which stops draining the socket, which fills the kernel
-      // buffers, which blocks the client's send — flow control for free.
-      conn.cv.wait(lock, [&] {
-        return conn.queue.size() < options_.queue_depth || conn.closing ||
-               stopping_.load();
-      });
-      if (conn.closing) break;
-      conn.queue.push_back(std::move(frame));
-      conn.cv.notify_all();
+      // A journal stream is one-way: the pump owns the socket's writes,
+      // so anything else a follower sends goes unanswered.
+      if (pump.joinable()) continue;
+      if (frame.type == FrameType::kSubscribe) {
+        if (!subscribe(conn, frame)) break;
+        pump = std::thread(&Server::pump_journal, this, std::ref(conn));
+        continue;
+      }
+      if (!serve_command(conn, frame)) break;
     }
   } catch (const FrameStallError&) {
     // A half-open peer held mid-frame past the deadline: the server shed
@@ -237,132 +209,86 @@ void Server::reader_loop(Connection& conn) {
   }
   if (reaped) {
     stats_.connections_reaped.fetch_add(1, std::memory_order_relaxed);
-    conn.sock.shutdown_both();
-  }
-  // A follower that vanished must not leave its stream pump blocked in
-  // `next_frame` until the next mutation happens to wake it: dropping the
-  // subscription ends the pump now.  A no-op for plain command connections.
-  if (hub_ != nullptr) hub_->unsubscribe(conn.id);
-  {
-    std::scoped_lock lock(conn.mutex);
-    conn.eof = true;
-  }
-  conn.cv.notify_all();
-}
-
-void Server::worker_loop(Connection& conn) {
-  while (true) {
-    Frame frame;
-    {
-      std::unique_lock lock(conn.mutex);
-      conn.cv.wait(lock, [&] { return !conn.queue.empty() || conn.eof; });
-      if (conn.queue.empty()) break;  // eof and fully drained
-      frame = std::move(conn.queue.front());
-      conn.queue.pop_front();
-      conn.busy = true;  // the idle reaper leaves executing connections be
-      conn.cv.notify_all();  // release a backpressured reader
-    }
-    if (frame.type == FrameType::kSubscribe) {
-      // The connection becomes a one-way journal stream; this worker is
-      // its pump until the stream ends, then the connection closes.
-      serve_subscription(conn, frame);
-      {
-        std::scoped_lock lock(conn.mutex);
-        conn.closing = true;
-      }
-      conn.cv.notify_all();
-      conn.sock.shutdown_both();
-      break;
-    }
-    std::string output;
-    std::string result;
-    bool quit = false;
-    if (frame.type != FrameType::kCommand &&
-        frame.type != FrameType::kTokenCommand) {
-      result = encode_result(Severity::kError,
-                             "protocol error: expected a command frame");
-      stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
-    } else if (stopping_.load()) {
-      // Queued behind the shutdown: refused, not silently dropped — the
-      // client learns its command never ran.
-      result = encode_result(Severity::kError, "server shutting down");
-      stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      const auto begin = std::chrono::steady_clock::now();
-      if (frame.type == FrameType::kTokenCommand) {
-        result = execute_tokened(conn, frame.payload, output, quit);
-      } else {
-        CommandPayload cmd = split_command(frame.payload);
-        result = execute_command(
-            conn, cli::Interpreter::parse(cmd.line, std::move(cmd.body)),
-            output, quit);
-      }
-      stats_.command_latency.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - begin)
-              .count()));
-    }
-    conn.commands.fetch_add(1, std::memory_order_relaxed);
-    try {
-      if (!output.empty()) {
-        stats_.bytes_out.fetch_add(output.size() + kFrameOverhead,
-                                   std::memory_order_relaxed);
-        write_frame(conn.sock.fd(), {FrameType::kOutput, std::move(output)});
-      }
-      stats_.bytes_out.fetch_add(result.size() + kFrameOverhead,
-                                 std::memory_order_relaxed);
-      write_frame(conn.sock.fd(), {FrameType::kResult, std::move(result)});
-    } catch (const NetError&) {
-      quit = true;  // the peer is gone; no point executing its backlog
-    }
-    {
-      std::scoped_lock lock(conn.mutex);
-      conn.busy = false;
-    }
-    if (quit) {
-      {
-        std::scoped_lock lock(conn.mutex);
-        conn.closing = true;
-      }
-      conn.cv.notify_all();
-      conn.sock.shutdown_both();
-      break;
-    }
   }
   conn.sock.shutdown_both();
+  if (pump.joinable()) {
+    // Dropping the subscription ends a pump blocked in `next_frame`; the
+    // shutdown above ends one blocked in a send.
+    hub_->unsubscribe(conn.id);
+    pump.join();
+  }
   stats_.connections_active.fetch_sub(1, std::memory_order_relaxed);
   conn.done.store(true);
 }
 
-void Server::serve_subscription(Connection& conn, const Frame& frame) {
-  if (hub_ == nullptr) {
-    try {
-      write_frame(conn.sock.fd(),
-                  {FrameType::kResult,
-                   encode_result(Severity::kError,
-                                 "replication is not enabled on this "
-                                 "server")});
-    } catch (const NetError&) {
+bool Server::serve_command(Connection& conn, const Frame& frame) {
+  std::string output;
+  std::string result;
+  bool quit = false;
+  if (frame.type != FrameType::kCommand &&
+      frame.type != FrameType::kTokenCommand) {
+    result = encode_result(Severity::kError,
+                           "protocol error: expected a command frame");
+    stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
+  } else if (stopping_.load()) {
+    // Read or buffered behind the shutdown: refused, not silently
+    // dropped — the client learns its command never ran.
+    result = encode_result(Severity::kError, "server shutting down");
+    stats_.command_errors.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    const auto begin = std::chrono::steady_clock::now();
+    if (frame.type == FrameType::kTokenCommand) {
+      result = execute_tokened(conn, frame.payload, output, quit);
+    } else {
+      CommandPayload cmd = split_command(frame.payload);
+      result = execute_command(
+          conn, cli::Interpreter::parse(cmd.line, std::move(cmd.body)),
+          output, quit);
     }
-    return;
+    stats_.command_latency.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - begin)
+            .count()));
   }
-  {
+  ++conn.commands;
+  // kOutput is omitted when the command printed nothing.
+  const bool printed = !output.empty();
+  const Frame reply[] = {{FrameType::kOutput, std::move(output)},
+                         {FrameType::kResult, std::move(result)}};
+  const std::span<const Frame> frames =
+      std::span(reply).subspan(printed ? 0 : 1);
+  for (const Frame& f : frames) {
+    stats_.bytes_out.fetch_add(f.payload.size() + kFrameOverhead,
+                               std::memory_order_relaxed);
+  }
+  try {
+    write_frames(conn.sock.fd(), frames);
+  } catch (const NetError&) {
+    return false;  // the peer is gone; its pipelined backlog goes unread
+  }
+  return !quit;
+}
+
+bool Server::subscribe(Connection& conn, const Frame& frame) {
+  std::string error = "replication is not enabled on this server";
+  if (hub_ != nullptr) {
     // The exclusive lock makes the bootstrap position-atomic: no mutation
     // (and therefore no shipped frame) can interleave between capturing
     // the position and queuing the bootstrap.
     std::unique_lock lock(session_mutex_);
-    std::string error;
-    if (!hub_->subscribe(conn.id, conn.peer, frame.payload, &error)) {
-      lock.unlock();
-      try {
-        write_frame(conn.sock.fd(),
-                    {FrameType::kResult,
-                     encode_result(Severity::kError, error)});
-      } catch (const NetError&) {
-      }
-      return;
+    if (hub_->subscribe(conn.id, conn.peer, frame.payload, &error)) {
+      return true;
     }
   }
+  try {
+    write_frame(conn.sock.fd(),
+                {FrameType::kResult, encode_result(Severity::kError, error)});
+  } catch (const NetError&) {
+  }
+  return false;
+}
+
+void Server::pump_journal(Connection& conn) {
   try {
     Frame out;
     while (hub_->next_frame(conn.id, out)) {
@@ -374,6 +300,9 @@ void Server::serve_subscription(Connection& conn, const Frame& frame) {
     // The follower vanished; it will reconnect and resync.
   }
   hub_->unsubscribe(conn.id);
+  // The stream is over, and so is the connection: its thread's read sees
+  // end-of-stream and joins this pump.
+  conn.sock.shutdown_both();
 }
 
 std::string Server::execute_command(Connection& conn,
@@ -623,7 +552,7 @@ std::string Server::render_stats(const Connection& conn, bool json) const {
   if (hub_ != nullptr) out << hub_->render_followers(/*json=*/false);
   out << "this connection: #" << conn.id << " (" << conn.peer << ") user '"
       << conn.user << "', "
-      << conn.commands.load(std::memory_order_relaxed) << " command(s)\n";
+      << conn.commands << " command(s)\n";
   return out.str();
 }
 
@@ -635,8 +564,7 @@ void Server::join_finished_connections() {
       ++it;
       continue;
     }
-    if (conn.reader.joinable()) conn.reader.join();
-    if (conn.worker.joinable()) conn.worker.join();
+    if (conn.thread.joinable()) conn.thread.join();
     it = connections_.erase(it);
   }
 }
@@ -670,25 +598,20 @@ void Server::stop() {
   }
   wake_pipe_[0] = wake_pipe_[1] = -1;
 
-  // 3. Wind down every connection: no new bytes read (SHUT_RD -> the
-  //    reader sees EOF), backpressured readers released, queued commands
-  //    answered with "server shutting down" by the worker.  Follower
-  //    streams end first so their pump workers can join.
+  // 3. Wind down every connection: after SHUT_RD a connection thread
+  //    reads until its socket's buffer runs dry, then sees end-of-stream;
+  //    every command it still reads is answered "server shutting down".
+  //    Follower streams end first so their pumps can join.  The
+  //    executor's cancel flag bounds how long an in-flight run keeps a
+  //    connection thread busy.
   if (hub_ != nullptr) hub_->close_all();
   {
     std::scoped_lock lock(connections_mutex_);
     for (const std::unique_ptr<Connection>& conn : connections_) {
       conn->sock.shutdown_read();
-      conn->cv.notify_all();
     }
-  }
-  // Workers drain and exit on their own (the executor's cancel flag bounds
-  // how long an in-flight run keeps one busy).
-  {
-    std::scoped_lock lock(connections_mutex_);
     for (const std::unique_ptr<Connection>& conn : connections_) {
-      if (conn->reader.joinable()) conn->reader.join();
-      if (conn->worker.joinable()) conn->worker.join();
+      if (conn->thread.joinable()) conn->thread.join();
     }
     connections_.clear();
   }

@@ -12,18 +12,19 @@
 //     serialize under an exclusive lock and flow through the session's
 //     MutationListener into the write-ahead journal exactly as they would
 //     in a local shell.
-//   - Per-connection pipelining: each connection has a reader thread
-//     feeding a bounded command queue and a worker thread answering in
-//     order.  A full queue blocks the reader — TCP backpressure is the
-//     flow control.
+//   - One thread per connection: it reads a frame, runs the command under
+//     the lock its table row names, and sends the reply with one write
+//     before it reads the next frame.  Pipelined frames wait in the
+//     socket's receive buffer, so a client that sends faster than the
+//     server answers is held back by the transport's own flow control.
 //   - Per-connection identity: `session user` is intercepted and applied
 //     under the exclusive lock before each write, so concurrent clients'
 //     products carry the right creating user.
 //   - Graceful shutdown: `stop()` raises the session's cooperative cancel
 //     flag (an in-flight `run` stops launching tasks and its run record
-//     stays open), refuses queued commands, seals every open run and
-//     syncs the journal — the store on disk is fsck-clean and every
-//     interrupted run resumable.
+//     stays open), refuses the commands still buffered on each
+//     connection, seals every open run and syncs the journal — the store
+//     on disk is fsck-clean and every interrupted run resumable.
 #pragma once
 
 #include <atomic>
@@ -53,16 +54,14 @@ struct Command;
 namespace herc::server {
 
 struct ServeOptions {
-  /// Commands a connection may have in flight (queued + executing) before
-  /// its reader stops draining the socket.
-  std::size_t queue_depth = 32;
   /// Serve a replica: write-classified commands are refused with a
   /// structured error, the hello banner says so, and shutdown does not
   /// seal open runs (they are the leader's live runs, not crashes).
   bool read_only = false;
-  /// Reap a connection that sends nothing for this long while it has no
-  /// command queued or executing (a half-open peer must not pin its
-  /// reader+worker threads forever).  0 disables the reaper.
+  /// Reap a connection that sends nothing for this long while its thread
+  /// waits for the next command (a half-open peer must not pin its thread
+  /// forever).  A command that is executing, or a follower's journal
+  /// stream, is never reaped.  0 disables the reaper.
   int idle_timeout_ms = 600'000;
   /// A peer that starts a frame must finish it within this (half-open
   /// mid-frame, or a hostile trickler).  0 disables the deadline.
@@ -79,11 +78,12 @@ struct ServeOptions {
 /// `replica::JournalShipper` in src/replica — the server knows only this
 /// interface, so herc_server does not depend on herc_replica).
 ///
-/// Lifecycle per follower connection: the worker thread calls `subscribe`
-/// under the *exclusive* session lock (no mutation can interleave, so the
-/// bootstrap is position-atomic), then becomes the connection's pump,
-/// draining `next_frame` to the socket until the stream ends.  The reader
-/// thread feeds `ack` as progress reports arrive.
+/// Lifecycle per follower connection: the connection thread calls
+/// `subscribe` under the *exclusive* session lock (no mutation can
+/// interleave, so the bootstrap is position-atomic), then starts the
+/// connection's pump thread, which drains `next_frame` to the socket until
+/// the stream ends.  The connection thread keeps reading, feeds `ack` as
+/// progress reports arrive, and joins the pump when the stream ends.
 class ReplicationHub {
  public:
   virtual ~ReplicationHub() = default;
@@ -135,9 +135,9 @@ struct ServerStats {
   std::atomic<std::uint64_t> replays_served{0};
   /// Connections closed by the idle/mid-frame deadline reaper.
   std::atomic<std::uint64_t> connections_reaped{0};
-  /// Per-command wall time (queue wait excluded), microseconds.  The
-  /// `stats` command reports p50/p95/p99 from here; the scale benchmark
-  /// reads it for BENCH_scale.json.
+  /// Per-command execution time (frame read and reply write excluded),
+  /// microseconds.  The `stats` command reports p50/p95/p99 from here;
+  /// the scale benchmark reads it for BENCH_scale.json.
   LatencyHistogram command_latency;
 };
 
@@ -160,8 +160,9 @@ class Server {
   void start();
 
   /// Graceful shutdown: stop accepting, cancel in-flight runs
-  /// cooperatively, answer still-queued commands with an error, join every
-  /// connection, then seal open runs and sync the journal.  Idempotent.
+  /// cooperatively, answer commands still buffered on a connection with
+  /// an error, join every connection, then seal open runs and sync the
+  /// journal.  Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const { return running_.load(); }
@@ -194,8 +195,12 @@ class Server {
   struct ClientWindow;
 
   void accept_loop();
-  void reader_loop(Connection& conn);
-  void worker_loop(Connection& conn);
+  /// The connection's thread: reads frames and answers each before it
+  /// reads the next, until end-of-stream, `quit`, a dead peer or a reap.
+  void connection_loop(Connection& conn);
+  /// Runs one command frame and sends its reply with one write.  False
+  /// when the connection should close (`quit`, or the peer is gone).
+  bool serve_command(Connection& conn, const Frame& frame);
   /// Executes one parsed command under the lock its table row names;
   /// returns the result frame payload and appends printed output to
   /// `output`.
@@ -208,10 +213,13 @@ class Server {
   /// Finds/creates the client's dedup window (dedup_mutex_ held), bumping
   /// its LRU tick; evicts the least recently active idle client at cap.
   ClientWindow& touch_window(const std::string& client_id);
-  /// Handles a kSubscribe frame: registers with the hub and pumps the
-  /// journal stream to the socket until it ends.  The connection closes
-  /// after.
-  void serve_subscription(Connection& conn, const Frame& frame);
+  /// Handles a kSubscribe frame: registers the follower with the hub.  On
+  /// refusal sends the error result and returns false (the connection
+  /// closes).
+  bool subscribe(Connection& conn, const Frame& frame);
+  /// The pump thread: sends the hub's journal stream to the socket until
+  /// it ends, then shuts the connection down.
+  void pump_journal(Connection& conn);
   [[nodiscard]] std::string render_stats(const Connection& conn,
                                          bool json) const;
   [[nodiscard]] JournalPosition journal_position() const;

@@ -34,12 +34,9 @@ std::vector<std::string> split_composite(std::string_view payload) {
   if (pos == std::string_view::npos) {
     throw ExecError("malformed composite payload: missing header newline");
   }
-  const std::string count_str(
+  const std::optional<std::size_t> expected = support::parse_int<std::size_t>(
       support::trim(payload.substr(kHeader.size(), pos - kHeader.size())));
-  std::size_t expected = 0;
-  try {
-    expected = static_cast<std::size_t>(std::stoul(count_str));
-  } catch (const std::exception&) {
+  if (!expected) {
     throw ExecError("malformed composite payload: bad part count");
   }
   ++pos;
@@ -53,24 +50,22 @@ std::vector<std::string> split_composite(std::string_view payload) {
     if (nl == std::string_view::npos) {
       throw ExecError("malformed composite payload: truncated part header");
     }
-    std::size_t length = 0;
-    try {
-      length = static_cast<std::size_t>(
-          std::stoul(std::string(payload.substr(pos, nl - pos))));
-    } catch (const std::exception&) {
+    const std::optional<std::size_t> length =
+        support::parse_int<std::size_t>(payload.substr(pos, nl - pos));
+    if (!length) {
       throw ExecError("malformed composite payload: bad part length");
     }
     pos = nl + 1;
-    if (pos + length > payload.size()) {
+    if (*length > payload.size() - pos) {
       throw ExecError("malformed composite payload: truncated part body");
     }
-    parts.emplace_back(payload.substr(pos, length));
-    pos += length;
+    parts.emplace_back(payload.substr(pos, *length));
+    pos += *length;
     if (pos < payload.size() && payload[pos] == '\n') ++pos;
   }
-  if (parts.size() != expected) {
+  if (parts.size() != *expected) {
     throw ExecError("malformed composite payload: expected " +
-                    std::to_string(expected) + " parts, found " +
+                    std::to_string(*expected) + " parts, found " +
                     std::to_string(parts.size()));
   }
   return parts;

@@ -19,6 +19,7 @@
 #include "circuit/vcd.hpp"
 #include "circuit/verify.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 #include "tools/composite.hpp"
 
 namespace herc::tools {
@@ -44,12 +45,13 @@ std::uint64_t arg_u64(const ToolContext& ctx, std::string_view key,
                       std::uint64_t fallback) {
   const std::string v = ctx.arg(key);
   if (v.empty()) return fallback;
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> value =
+      support::parse_int<std::uint64_t>(v);
+  if (!value) {
     throw ExecError("tool '" + ctx.tool_type_name + "': bad argument " +
                     std::string(key) + "='" + v + "'");
   }
+  return *value;
 }
 
 double arg_double(const ToolContext& ctx, std::string_view key,

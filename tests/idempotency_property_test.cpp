@@ -18,7 +18,9 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "core/session.hpp"
 #include "schema/standard_schemas.hpp"
@@ -133,6 +135,16 @@ TEST(IdempotencyPropertyTest, KillAtEveryByteThenRetryAppliesExactlyOnce) {
   const long rows =
       std::count(browse.output.begin(), browse.output.end(), '\n') - 2;
   EXPECT_EQ(static_cast<std::size_t>(rows), frame_size + 1);
+  // On the full-frame cut the retry may run first; the dead connection's
+  // copy is then the replay, served once that connection's thread reads
+  // its frame.  Once only the checker's connection is left, every dead
+  // connection has run its frame.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (served.server.stats().connections_active.load() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   // Only full-frame deliveries count as duplicates; every shorter cut
   // never reached the interpreter, so its retry was a first execution.
   EXPECT_GE(served.server.stats().replays_served.load(), 1u);

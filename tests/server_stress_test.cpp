@@ -11,7 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,7 +132,7 @@ TEST(ServerStressTest, ManyClientsMixQueriesAndMutations) {
 TEST(ServerStressTest, PipelinedRepliesArriveStrictlyInOrder) {
   ServedSession served;
   Client client = Client::connect(served.bound);
-  constexpr int kDepth = 64;  // deeper than the queue: backpressure path
+  constexpr int kDepth = 64;  // all in flight before the first reply
   for (int i = 0; i < kDepth; ++i) {
     client.send("echo msg-" + std::to_string(i));
   }
@@ -140,6 +143,41 @@ TEST(ServerStressTest, PipelinedRepliesArriveStrictlyInOrder) {
   }
   client.close();
   served.server.stop();
+}
+
+TEST(ServerStressTest, PipelinedBurstLargerThanTheSocketBuffers) {
+  ServedSession served;
+  Client client = Client::connect(served.bound);
+  // 2,000 commands of 4 KiB each way are far more than the kernel's
+  // socket buffers hold: the sender blocks until the server reads, and
+  // the server blocks on its replies until the reader below catches up.
+  constexpr int kCommands = 2'000;
+  const auto word = [](int i) {
+    std::string w = std::to_string(i) + "-";
+    w.resize(4'096, 'x');
+    return w;
+  };
+  std::thread sender([&] {
+    try {
+      for (int i = 0; i < kCommands; ++i) client.send("echo " + word(i));
+    } catch (const support::NetError&) {
+      // A torn connection fails the reply count below.
+    }
+  });
+  int in_order = 0;
+  try {
+    for (int i = 0; i < kCommands; ++i) {
+      const CallResult result = client.receive();
+      if (result.ok() && result.output == word(i) + "\n") ++in_order;
+    }
+  } catch (const support::NetError& e) {
+    ADD_FAILURE() << e.what();
+  }
+  sender.join();
+  EXPECT_EQ(in_order, kCommands);
+  client.close();
+  served.server.stop();
+  EXPECT_FALSE(served.server.running());
 }
 
 TEST(ServerStressTest, SessionScopedCommandsAreRefusedOnTheSharedSession) {
@@ -226,6 +264,120 @@ TEST(ServerStressTest, StopMidRunLeavesAResumableFsckCleanStore) {
   const storage::FsckReport after = storage::fsck_store(dir);
   EXPECT_EQ(after.exit_code(), 0) << after.render();
   fs::remove_all(dir);
+}
+
+// ---- the connection model ---------------------------------------------------
+//
+// A connection costs the server one thread: the thread that reads a
+// command runs it and sends the reply.  A follower's journal stream adds
+// its pump.
+
+/// Threads in this process right now.
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const fs::directory_entry& task :
+       fs::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+/// Polls (bounded) until the process has `want` threads; returns the
+/// last count seen.  Threads start and exit asynchronously to the replies
+/// that prove they exist.
+std::size_t await_threads(std::size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t count = thread_count();
+  while (count != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    count = thread_count();
+  }
+  return count;
+}
+
+/// A replication hub whose followers get one frame and then a stream that
+/// stays open until the follower leaves or the server stops.
+class HoldingHub : public ReplicationHub {
+ public:
+  bool subscribe(std::uint64_t conn_id, const std::string& /*peer*/,
+                 std::string_view /*position*/,
+                 std::string* /*error*/) override {
+    std::scoped_lock lock(mutex_);
+    pending_[conn_id] = 1;
+    return true;
+  }
+  bool next_frame(std::uint64_t conn_id, Frame& frame) override {
+    std::unique_lock lock(mutex_);
+    while (true) {
+      const auto it = pending_.find(conn_id);
+      if (closed_ || it == pending_.end()) return false;
+      if (it->second > 0) {
+        --it->second;
+        frame = {FrameType::kCheckpoint, ""};
+        return true;
+      }
+      cv_.wait(lock);
+    }
+  }
+  void ack(std::uint64_t /*conn_id*/, std::string_view /*payload*/) override {}
+  void unsubscribe(std::uint64_t conn_id) override {
+    {
+      std::scoped_lock lock(mutex_);
+      pending_.erase(conn_id);
+    }
+    cv_.notify_all();
+  }
+  std::string render_followers(bool json) const override {
+    return json ? "[]" : "";
+  }
+  void close_all() override {
+    {
+      std::scoped_lock lock(mutex_);
+      closed_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::map<std::uint64_t, int> pending_;  ///< frames left to send
+  bool closed_ = false;
+};
+
+TEST(ServerStressTest, EachConnectionCostsOneServerThread) {
+  core::DesignSession session(schema::make_full_schema());
+  HoldingHub hub;
+  Server server(session);
+  server.set_replication_hub(&hub);
+  const Endpoint bound = server.add_listener(Endpoint::parse("127.0.0.1:0"));
+  server.start();
+  const std::size_t idle = thread_count();
+
+  constexpr std::size_t kClients = 8;
+  std::vector<Client> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.push_back(Client::connect(bound));
+    ASSERT_TRUE(clients.back().call("echo " + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(await_threads(idle + kClients), idle + kClients);
+  for (Client& client : clients) client.close();
+  EXPECT_EQ(await_threads(idle), idle);
+
+  // A subscribed follower: its connection thread reads acks while the
+  // pump sends the stream.
+  Socket follower = connect_to(bound, 2'000);
+  Frame frame;
+  ASSERT_TRUE(read_frame(follower.fd(), frame));
+  ASSERT_EQ(frame.type, FrameType::kHello);
+  write_frame(follower.fd(), {FrameType::kSubscribe, ""});
+  ASSERT_TRUE(read_frame(follower.fd(), frame));
+  EXPECT_EQ(frame.type, FrameType::kCheckpoint);
+  EXPECT_EQ(await_threads(idle + 2), idle + 2);
+  follower.close();
+  EXPECT_EQ(await_threads(idle), idle);
+  server.stop();
 }
 
 // ---- lock classes -----------------------------------------------------------
@@ -331,15 +483,14 @@ TEST(ServerStressTest, UnknownAndMalformedCommandsAreReads) {
 //
 // The two nastiest shutdown windows: a client mid-pipeline (replies and
 // refusals must stay strictly ordered, with no ok after the first
-// refusal), and a client whose bounded queue is full (its reader is
-// parked on backpressure when the stop lands).  Both run under the TSan
-// CI job, so a leaked connection thread or a lock order mistake in
-// `stop()` fails the suite, not just this process's exit code.
+// refusal), and a client whose pipelined commands wait in the socket
+// behind a slow run when the stop lands.  Both run under the TSan CI job,
+// so a leaked connection thread or a lock order mistake in `stop()` fails
+// the suite, not just this process's exit code.
 
 TEST(ServerStressTest, StopMidPipelineDrainsOrRefusesInOrder) {
   core::DesignSession session(schema::make_full_schema());
   ServeOptions options;
-  options.queue_depth = 4;  // small queue: the reader parks early
   Server server(session, options);
   const Endpoint bound = server.add_listener(Endpoint::parse("127.0.0.1:0"));
   server.start();
@@ -409,7 +560,6 @@ TEST(ServerStressTest, StopWithFullQueueSealsAResumableStore) {
     core::DesignSession session(schema::make_full_schema());
     session.open_storage(dir);
     ServeOptions options;
-    options.queue_depth = 2;
     Server server(session, options);
     const Endpoint bound = server.add_listener(Endpoint::parse("127.0.0.1:0"));
     server.start();

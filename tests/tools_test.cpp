@@ -2,6 +2,7 @@
 // context lookup.
 #include <gtest/gtest.h>
 
+#include "circuit/library.hpp"
 #include "schema/standard_schemas.hpp"
 #include "support/error.hpp"
 #include "tools/composite.hpp"
@@ -103,6 +104,18 @@ TEST(Composite, RejectsMalformedPayloads) {
   EXPECT_THROW(split_composite("@composite abc\n"), ExecError);
   EXPECT_THROW(split_composite("@composite 2\n@part 5\nabc"), ExecError);
   EXPECT_THROW(split_composite("@composite 2\n@part 1\na\n"), ExecError);
+  // Counts and lengths are whole, unsigned, unpadded numbers: a suffix or
+  // a sign is malformed, and no length may wrap past the bounds check
+  // (which would read the next part's marker as this part's body).
+  EXPECT_THROW(split_composite("@composite 2x\n@part 1\na\n@part 1\nb\n"),
+               ExecError);
+  EXPECT_THROW(split_composite("@composite 1\n@part 1x\na\n"), ExecError);
+  EXPECT_THROW(split_composite("@composite 1\n@part +1\na\n"), ExecError);
+  EXPECT_THROW(split_composite("@composite 2\n@part -1\n@part 1\nb\n"),
+               ExecError);
+  EXPECT_THROW(split_composite(
+                   "@composite 2\n@part 18446744073709551615\n@part 1\nb\n"),
+               ExecError);
 }
 
 TEST(ToolContext, LookupByRoleTypeAndSubtype) {
@@ -153,6 +166,38 @@ TEST(StandardTools, RegistersOnlyEntitiesPresentInSchema) {
   EXPECT_TRUE(registry.has(fig2.require("SimCompiler")));
   EXPECT_TRUE(registry.has(fig2.require("CompiledSimulator")));
   EXPECT_EQ(registry.find("Placer.default"), nullptr);
+}
+
+TEST(StandardTools, NumericArgumentsMustBeWholeInRangeNumbers) {
+  const schema::TaskSchema schema = schema::make_full_schema();
+  ToolRegistry registry(schema);
+  register_standard_tools(registry);
+  const Encapsulation* placer = registry.find("Placer.default");
+  ASSERT_NE(placer, nullptr);
+  ToolContext ctx;
+  ctx.schema = &schema;
+  ctx.tool_type_name = "Placer";
+  ToolInput netlist;
+  netlist.type = schema.require("EditedNetlist");
+  netlist.type_name = "EditedNetlist";
+  netlist.role = "Netlist";
+  netlist.payloads = {circuit::inverter_netlist().to_text()};
+  ctx.inputs.push_back(netlist);
+  ctx.args["moves"] = "10";
+  ctx.args["seed"] = "7";
+  EXPECT_NO_THROW((void)placer->fn(ctx));
+  for (const std::string bad :
+       {"12abc", "-1", "+7", " 7", "18446744073709551616"}) {
+    ctx.args["seed"] = bad;
+    try {
+      (void)placer->fn(ctx);
+      ADD_FAILURE() << "seed='" << bad << "' was accepted";
+    } catch (const ExecError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad argument seed='" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(StandardTools, ComposeCheckInstalledOnCircuit) {
