@@ -13,11 +13,18 @@
 // Sized by HERC_BENCH_QUERY_N (default 200k, where the ratios are smaller
 // but the parity checks are the same; EXPERIMENTS.md S14 records a 10M
 // run).  The <10ms / >=100x gates are enforced from 1M up.
+//
+// The index's own footprint is reported too: `index_rss_mb`, the growth of
+// the process's resident set across `HistoryIndexes::rebuild()` (Linux
+// VmRSS; -1 where /proc is missing), and `index_load_ms`, the time to save
+// the image and then `load_image` and `open` it again.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,6 +69,19 @@ std::vector<InstanceId> scan_page(const history::HistoryDb& db,
     if (history::matches(db, filter, id)) out.push_back(id);
   }
   return out;
+}
+
+/// The process's resident set in MB (VmRSS), or -1 when unknown.
+double rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) != 0) continue;
+    std::istringstream fields(line.substr(6));
+    double kib = 0;
+    if (fields >> kib) return kib / 1024;
+  }
+  return -1;
 }
 
 }  // namespace
@@ -120,12 +140,38 @@ int main() {
   const double populate_ms = ms_since(start);
 
   start = Clock::now();
+  const double rss_before = rss_mb();
   index::HistoryIndexes indexes(db);
   indexes.rebuild();
+  const double rss_after = rss_mb();
   indexes.attach();
   const double rebuild_ms = ms_since(start);
-  std::printf("  populate %.0f ms, index rebuild %.0f ms\n", populate_ms,
-              rebuild_ms);
+  const double index_rss_mb =
+      rss_before < 0 || rss_after < 0 ? -1 : rss_after - rss_before;
+  std::printf("  populate %.0f ms, index rebuild %.0f ms, +%.1f MB resident\n",
+              populate_ms, rebuild_ms, index_rss_mb);
+
+  bool failed = false;
+  // Save the image, then read it back the way a store open does.
+  const std::string image_dir =
+      (std::filesystem::temp_directory_path() / "herc_bench_query_index")
+          .string();
+  std::filesystem::remove_all(image_dir);
+  std::filesystem::create_directories(image_dir);
+  start = Clock::now();
+  indexes.save(image_dir, 0, 0);
+  index::HistoryIndexes reopened(db);
+  const index::HistoryIndexes::OpenReport reopen =
+      reopened.open(index::HistoryIndexes::load_image(image_dir), 0, {});
+  const double index_load_ms = ms_since(start);
+  std::filesystem::remove_all(image_dir);
+  if (!reopen.loaded ||
+      reopened.image().serialize() != indexes.image().serialize()) {
+    std::fprintf(stderr, "FAIL: saved index image did not load back (%s)\n",
+                 reopen.reason.c_str());
+    failed = true;
+  }
+  std::printf("  index save + load + open %.0f ms\n", index_load_ms);
 
   // A ~0.01% date window, bounds read off real instances.
   const std::size_t win_lo = n / 2;
@@ -149,7 +195,6 @@ int main() {
                     {"chain_forward", &by_uses}};
 
   std::vector<PredicateResult> results;
-  bool failed = false;
   for (const auto& [name, filter] : predicates) {
     PredicateResult r;
     r.name = name;
@@ -235,6 +280,8 @@ int main() {
   json << "{\n  \"instances\": " << n << ",\n  \"page_rows\": " << kPage
        << ",\n  \"populate_ms\": " << populate_ms
        << ",\n  \"index_rebuild_ms\": " << rebuild_ms
+       << ",\n  \"index_rss_mb\": " << index_rss_mb
+       << ",\n  \"index_load_ms\": " << index_load_ms
        << ",\n  \"predicates\": {";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PredicateResult& r = results[i];

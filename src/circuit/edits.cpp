@@ -51,25 +51,15 @@ std::unordered_map<std::string, std::string> kv_of(const ScriptLine& line,
 }
 
 double to_double(const ScriptLine& line, const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    fail(line, "bad number '" + s + "'");
-  }
+  const std::optional<double> v = support::parse_double(s);
+  if (!v) fail(line, "bad number '" + s + "'");
+  return *v;
 }
 
 int to_int(const ScriptLine& line, const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    fail(line, "bad integer '" + s + "'");
-  }
+  const std::optional<int> v = support::parse_int<int>(s);
+  if (!v) fail(line, "bad integer '" + s + "'");
+  return *v;
 }
 
 }  // namespace

@@ -344,27 +344,21 @@ const std::string& require_kv(
 }
 
 int parse_int(const std::string& s, int line_number) {
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
+  const std::optional<int> v = support::parse_int<int>(s);
+  if (!v) {
     throw ParseError("layout line " + std::to_string(line_number) +
                      ": bad integer '" + s + "'");
   }
+  return *v;
 }
 
 double parse_double(const std::string& s, int line_number) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
+  const std::optional<double> v = support::parse_double(s);
+  if (!v) {
     throw ParseError("layout line " + std::to_string(line_number) +
                      ": bad number '" + s + "'");
   }
+  return *v;
 }
 
 }  // namespace

@@ -91,20 +91,23 @@ DeviceModelLibrary DeviceModelLibrary::from_text(std::string_view text) {
         }
         const std::string key = tokens[i].substr(0, eq);
         const std::string value = tokens[i].substr(eq + 1);
-        try {
-          if (key == "type") {
-            m.is_pmos = (value == "pmos");
-          } else if (key == "resistance") {
-            m.resistance_kohm = std::stod(value);
-          } else if (key == "threshold") {
-            m.threshold_v = std::stod(value);
-          } else {
+        const auto number = [&] {
+          const std::optional<double> v = support::parse_double(value);
+          if (!v) {
             throw ParseError("models line " + std::to_string(line_number) +
-                             ": unknown key '" + key + "'");
+                             ": bad number '" + value + "'");
           }
-        } catch (const std::invalid_argument&) {
+          return *v;
+        };
+        if (key == "type") {
+          m.is_pmos = (value == "pmos");
+        } else if (key == "resistance") {
+          m.resistance_kohm = number();
+        } else if (key == "threshold") {
+          m.threshold_v = number();
+        } else {
           throw ParseError("models line " + std::to_string(line_number) +
-                           ": bad number '" + value + "'");
+                           ": unknown key '" + key + "'");
         }
       }
       lib.set_model(std::move(m));

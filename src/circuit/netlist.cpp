@@ -264,15 +264,12 @@ double parse_value(const std::unordered_map<std::string, std::string>& kv,
                    int line_number) {
   const auto it = kv.find("value");
   if (it == kv.end()) return 1.0;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
+  const std::optional<double> v = support::parse_double(it->second);
+  if (!v) {
     throw ParseError("netlist line " + std::to_string(line_number) +
                      ": bad value '" + it->second + "'");
   }
+  return *v;
 }
 
 const std::string& require_kv(

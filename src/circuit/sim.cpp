@@ -37,25 +37,20 @@ struct Element {
 };
 
 double parse_double_kv(const std::string& value, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
+  const std::optional<double> v = support::parse_double(value);
+  if (!v) {
     throw ParseError(std::string(what) + ": bad number '" + value + "'");
   }
+  return *v;
 }
 
-std::int64_t parse_int_kv(const std::string& value, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
+template <typename T>
+T parse_int_kv(const std::string& value, const char* what) {
+  const std::optional<T> v = support::parse_int<T>(value);
+  if (!v) {
     throw ParseError(std::string(what) + ": bad integer '" + value + "'");
   }
+  return *v;
 }
 
 }  // namespace
@@ -82,10 +77,9 @@ SimOptions SimOptions::from_text(std::string_view text) {
     const std::string key(body.substr(0, eq));
     const std::string value(body.substr(eq + 1));
     if (key == "max_relax_iters") {
-      opts.max_relax_iters =
-          static_cast<std::size_t>(parse_int_kv(value, "simoptions"));
+      opts.max_relax_iters = parse_int_kv<std::size_t>(value, "simoptions");
     } else if (key == "record_internal") {
-      opts.record_internal = parse_int_kv(value, "simoptions") != 0;
+      opts.record_internal = parse_int_kv<int>(value, "simoptions") != 0;
     } else if (key == "gate_load_pf") {
       opts.gate_load_pf = parse_double_kv(value, "simoptions");
     } else {
@@ -118,8 +112,8 @@ SimStatistics SimStatistics::from_text(std::string_view text) {
       throw ParseError("statistics: expected key=value");
     }
     const std::string key(body.substr(0, eq));
-    const auto value = static_cast<std::uint64_t>(
-        parse_int_kv(std::string(body.substr(eq + 1)), "statistics"));
+    const auto value = parse_int_kv<std::uint64_t>(
+        std::string(body.substr(eq + 1)), "statistics");
     if (key == "input_events") {
       stats.input_events = value;
     } else if (key == "relax_iterations") {
@@ -185,7 +179,7 @@ SimResult SimResult::from_text(std::string_view text) {
         throw ParseError("performance: bad metric line");
       }
       result.max_delay_ps =
-          parse_int_kv(tokens[1].substr(eq + 1), "performance");
+          parse_int_kv<std::int64_t>(tokens[1].substr(eq + 1), "performance");
     } else if (tokens[0] == "stat") {
       stat_block += std::string(body.substr(5)) + "\n";
     } else if (tokens[0] == "wave") {

@@ -130,12 +130,14 @@ Stimuli Stimuli::from_text(std::string_view text) {
                            ": expected time:level, got '" + tokens[i] + "'");
         }
         WavePoint p;
-        try {
-          p.time_ps = std::stoll(tokens[i].substr(0, colon));
-        } catch (const std::exception&) {
+        const std::optional<std::int64_t> time =
+            support::parse_int<std::int64_t>(
+                std::string_view(tokens[i]).substr(0, colon));
+        if (!time) {
           throw ParseError("stimuli line " + std::to_string(line_number) +
                            ": bad time in '" + tokens[i] + "'");
         }
+        p.time_ps = *time;
         switch (tokens[i][colon + 1]) {
           case '0': p.level = Level::kLow; break;
           case '1': p.level = Level::kHigh; break;

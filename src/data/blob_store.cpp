@@ -9,15 +9,20 @@ namespace herc::data {
 
 using support::HistoryError;
 
-BlobKey BlobStore::put(std::string_view payload) {
-  BlobKey key = key_for(payload);
+BlobRef BlobStore::put(std::string_view payload) {
+  return add(key_for(payload), payload);
+}
+
+BlobRef BlobStore::add(BlobKey key, std::string_view payload) {
   bytes_logical_ += payload.size();
-  auto [it, inserted] = blobs_.try_emplace(key, std::string(payload));
+  const BlobRef next(static_cast<std::uint32_t>(keys_.size()));
+  const auto [it, inserted] = refs_.try_emplace(std::move(key), next);
   if (inserted) {
+    keys_.push_back(it->first);
+    payloads_.emplace_back(payload);
     bytes_stored_ += payload.size();
-    order_.push_back(key);
   }
-  return key;
+  return it->second;
 }
 
 BlobKey BlobStore::key_for(std::string_view payload) {
@@ -25,33 +30,63 @@ BlobKey BlobStore::key_for(std::string_view payload) {
 }
 
 void BlobStore::restore(const BlobKey& key, std::string_view payload) {
-  if (key_for(payload) != key) {
+  BlobKey actual = key_for(payload);
+  if (actual != key) {
     throw HistoryError("blob store: content hash mismatch for key '" + key +
                        "' (corrupt record rejected)");
   }
-  put(payload);
+  add(std::move(actual), payload);
 }
 
 bool BlobStore::contains(const BlobKey& key) const {
-  return blobs_.contains(key);
+  return refs_.contains(key);
 }
 
-const std::string& BlobStore::get(const BlobKey& key) const {
-  const auto it = blobs_.find(key);
-  if (it == blobs_.end()) {
-    throw HistoryError("no blob with key '" + key + "'");
-  }
+std::optional<BlobRef> BlobStore::find(std::string_view key) const {
+  const auto it = refs_.find(key);
+  if (it == refs_.end()) return std::nullopt;
   return it->second;
 }
 
+BlobRef BlobStore::require(std::string_view key) const {
+  const std::optional<BlobRef> ref = find(key);
+  if (!ref) {
+    throw HistoryError("no blob with key '" + std::string(key) + "'");
+  }
+  return *ref;
+}
+
+const std::string& BlobStore::get(const BlobKey& key) const {
+  return payloads_[require(key).index()];
+}
+
+const std::string& BlobStore::get(BlobRef ref) const {
+  return payloads_[index_of(ref)];
+}
+
+const BlobKey& BlobStore::key(BlobRef ref) const {
+  return keys_[index_of(ref)];
+}
+
+std::size_t BlobStore::index_of(BlobRef ref) const {
+  if (!contains(ref)) {
+    throw HistoryError("no blob with ref " + std::to_string(ref.value()));
+  }
+  return ref.index();
+}
+
 std::string BlobStore::record_line(const BlobKey& key) const {
-  return support::RecordWriter("blob").field(key).field(get(key)).str();
+  return record_line(require(key));
+}
+
+std::string BlobStore::record_line(BlobRef ref) const {
+  return support::RecordWriter("blob").field(key(ref)).field(get(ref)).str();
 }
 
 std::string BlobStore::save() const {
   std::string out;
-  for (const BlobKey& key : order_) {
-    out += record_line(key);
+  for (std::uint32_t r = 0; r < keys_.size(); ++r) {
+    out += record_line(BlobRef(r));
     out += '\n';
   }
   return out;

@@ -9,10 +9,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "support/ids.hpp"
 
 namespace herc::data {
 
@@ -20,11 +24,19 @@ namespace herc::data {
 /// whose offset basis is not FNV-1a's and must never change (see hash.hpp).
 using BlobKey = std::string;
 
+struct BlobTag {};
+/// What an instance holds of its payload: the payload's first-seen ordinal
+/// in the `BlobStore` that keeps it.  Four bytes, where a `BlobKey` is a
+/// 32-byte string with its text on the heap; the key text lives only in
+/// the store and in the files it writes.
+using BlobRef = support::Id<BlobTag>;
+
 /// Deduplicating payload store.
 class BlobStore {
  public:
-  /// Stores `payload` (no-op when already present) and returns its key.
-  BlobKey put(std::string_view payload);
+  /// Stores `payload` (no-op when already present) and returns its ref.
+  /// Hashes the payload once.
+  BlobRef put(std::string_view payload);
 
   /// The content key `payload` would get, without storing anything.
   [[nodiscard]] static BlobKey key_for(std::string_view payload);
@@ -36,12 +48,22 @@ class BlobStore {
   void restore(const BlobKey& key, std::string_view payload);
 
   [[nodiscard]] bool contains(const BlobKey& key) const;
+  [[nodiscard]] bool contains(BlobRef ref) const {
+    return ref.valid() && ref.index() < keys_.size();
+  }
 
-  /// Payload for `key`; throws `HistoryError` when absent.
+  /// The ref of the payload stored under `key`, or nullopt.
+  [[nodiscard]] std::optional<BlobRef> find(std::string_view key) const;
+
+  /// Payload for `key` or `ref`; throws `HistoryError` when absent.
   [[nodiscard]] const std::string& get(const BlobKey& key) const;
+  [[nodiscard]] const std::string& get(BlobRef ref) const;
+
+  /// The content key of `ref`'s payload; throws `HistoryError` when absent.
+  [[nodiscard]] const BlobKey& key(BlobRef ref) const;
 
   /// Number of distinct payloads.
-  [[nodiscard]] std::size_t size() const { return blobs_.size(); }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
 
   /// Bytes actually stored (after deduplication).
   [[nodiscard]] std::uint64_t bytes_stored() const { return bytes_stored_; }
@@ -49,19 +71,39 @@ class BlobStore {
   /// Bytes that would be stored without sharing (every `put` counted).
   [[nodiscard]] std::uint64_t bytes_logical() const { return bytes_logical_; }
 
-  /// All keys, in insertion order (for persistence).
-  [[nodiscard]] const std::vector<BlobKey>& keys() const { return order_; }
+  /// All keys, in insertion order (for persistence): `keys()[r.index()]`
+  /// is the key of ref `r`.
+  [[nodiscard]] const std::vector<BlobKey>& keys() const { return keys_; }
 
-  /// One save()-format record line for `key` (no trailing newline).
+  /// One save()-format record line for `key` or `ref` (no trailing
+  /// newline).
   [[nodiscard]] std::string record_line(const BlobKey& key) const;
+  [[nodiscard]] std::string record_line(BlobRef ref) const;
 
   /// Serializes to record lines / restores from them.
   [[nodiscard]] std::string save() const;
   [[nodiscard]] static BlobStore load(std::string_view text);
 
  private:
-  std::unordered_map<BlobKey, std::string> blobs_;
-  std::vector<BlobKey> order_;
+  /// Hashes a key by its text, so `find` looks up a view without copying.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
+  /// Stores `payload` under `key`, its content key, unless present.
+  BlobRef add(BlobKey key, std::string_view payload);
+  /// The ref of `key`; throws `HistoryError` when absent.
+  [[nodiscard]] BlobRef require(std::string_view key) const;
+  /// `ref`'s ordinal; throws `HistoryError` when it names no payload.
+  [[nodiscard]] std::size_t index_of(BlobRef ref) const;
+
+  std::unordered_map<BlobKey, BlobRef, KeyHash, std::equal_to<>> refs_;
+  /// Key and payload of each ref, by ordinal.
+  std::vector<BlobKey> keys_;
+  std::vector<std::string> payloads_;
   std::uint64_t bytes_stored_ = 0;
   std::uint64_t bytes_logical_ = 0;
 };

@@ -111,8 +111,9 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
   inst.user = request.user;
   inst.comment = request.comment;
   inst.created = clock_->now();
-  const bool new_blob = !blobs_.contains(data::BlobStore::key_for(request.payload));
+  const std::size_t blobs_before = blobs_.size();
   inst.blob = blobs_.put(request.payload);
+  const bool new_blob = blobs_.size() > blobs_before;
   inst.status = request.status;
   inst.derivation = request.derivation;
 
@@ -588,7 +589,7 @@ std::string HistoryDb::instance_line(const Instance& inst) const {
   w.field(inst.user);
   w.field(inst.created.micros());
   w.field(inst.comment);
-  w.field(inst.blob);
+  w.field(blobs_.key(inst.blob));
   w.field(inst.version);
   w.field(static_cast<std::uint32_t>(inst.status));
   w.field(inst.derivation.task);
@@ -675,10 +676,11 @@ void HistoryDb::apply_saved_line(std::string_view line) {
     inst.user = rec.next_string();
     inst.created = support::Timestamp(rec.next_int64());
     inst.comment = rec.next_string();
-    inst.blob = rec.next_string();
-    if (!blobs_.contains(inst.blob)) {
+    const std::optional<data::BlobRef> blob = blobs_.find(rec.next_string());
+    if (!blob) {
       throw HistoryError("history file: instance references missing blob");
     }
+    inst.blob = *blob;
     inst.version = rec.next_uint32();
     const std::uint32_t status = rec.next_uint32();
     if (status > static_cast<std::uint32_t>(InstanceStatus::kQuarantined)) {

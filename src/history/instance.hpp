@@ -65,9 +65,9 @@ struct Instance {
   support::Timestamp created;
   /// Free-text annotation (§4.1: designers document steps this way).
   std::string comment;
-  /// Key of the physical payload; several instances may share one blob
-  /// (footnote 5's RCS analogy).
-  data::BlobKey blob;
+  /// The physical payload in the database's blob store; several
+  /// instances may share one blob (footnote 5's RCS analogy).
+  data::BlobRef blob;
   /// Version ordinal within the instance's edit lineage (1 = original).
   std::uint32_t version = 1;
   /// Failure records (`kFailed`/`kSkipped`) exist only for their

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <limits>
 #include <queue>
+#include <span>
 
 #include "support/error.hpp"
 #include "support/file.hpp"
@@ -65,24 +66,9 @@ bool indexable_keyword(std::string_view keyword) {
 
 void IndexImage::add_tokens(std::uint32_t id, std::string_view text) {
   for (const std::string& tok : tokenize(text)) {
-    std::uint32_t tid = 0;
-    const auto it = token_ids.find(tok);
-    if (it == token_ids.end()) {
-      tid = static_cast<std::uint32_t>(tokens.size());
-      token_ids.emplace(tok, tid);
-      tokens.push_back(tok);
-      postings.emplace_back();
-    } else {
-      tid = it->second;
-    }
-    std::vector<std::uint32_t>& list = postings[tid];
-    if (list.empty() || list.back() < id) {
-      list.push_back(id);
-    } else {
-      // Annotation of an old instance: keep the list sorted + unique.
-      const auto pos = std::lower_bound(list.begin(), list.end(), id);
-      if (pos == list.end() || *pos != id) list.insert(pos, id);
-    }
+    const auto [tid, added] = tokens.intern(tok);
+    if (added) postings.add();
+    postings.insert(tid, id);
   }
 }
 
@@ -150,9 +136,9 @@ void IndexImage::apply_line(std::string_view line) {
 
 std::string IndexImage::serialize() const {
   std::string body;
-  for (std::size_t t = 0; t < tokens.size(); ++t) {
+  for (std::uint32_t t = 0; t < tokens.size(); ++t) {
     support::RecordWriter w("tok");
-    w.field(tokens[t]);
+    w.field(tokens.text(t));
     for (const std::uint32_t id : postings[t]) w.field(id);
     body += w.str();
     body += '\n';
@@ -227,21 +213,20 @@ bool IndexImage::parse(std::string_view text, IndexImage& out,
     const auto lines =
         static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n'));
     img.tokens.reserve(lines);
-    img.token_ids.reserve(lines);
     img.postings.reserve(lines);
+    std::vector<std::uint32_t> ids;
     for (const std::string_view line : support::Lines(body)) {
       if (support::trim(line).empty()) continue;
       support::RecordReader r(line);
       if (r.kind() == "tok") {
-        std::string tok = r.next_string();
-        const auto id = static_cast<std::uint32_t>(img.tokens.size());
-        if (!img.token_ids.try_emplace(tok, id).second) {
+        const std::string tok = r.next_string();
+        if (!img.tokens.intern(tok).second) {
           error = "duplicate token '" + tok + "'";
           return false;
         }
-        img.tokens.push_back(std::move(tok));
-        img.postings.emplace_back();
-        while (!r.exhausted()) img.postings.back().push_back(r.next_uint32());
+        ids.clear();
+        while (!r.exhausted()) ids.push_back(r.next_uint32());
+        img.postings.add(ids);
       } else if (r.kind() == "usr") {
         std::vector<std::uint32_t>& list = img.users[r.next_string()];
         while (!r.exhausted()) list.push_back(r.next_uint32());
@@ -439,11 +424,11 @@ std::uint32_t TrigramMap::key(std::string_view trigram) {
          static_cast<std::uint32_t>(static_cast<unsigned char>(trigram[2]));
 }
 
-void TrigramMap::extend(const std::vector<std::string>& tokens) {
+void TrigramMap::extend(const TokenDictionary& tokens) {
   for (; covered < tokens.size(); ++covered) {
-    const std::string_view tok = tokens[covered];
-    if (tok.size() < 3) continue;
     const auto tid = static_cast<std::uint32_t>(covered);
+    const std::string_view tok = tokens.text(tid);
+    if (tok.size() < 3) continue;
     for (std::size_t i = 0; i + 3 <= tok.size(); ++i) {
       std::vector<std::uint32_t>& list = lists[key(tok.substr(i, 3))];
       if (list.empty() || list.back() != tid) list.push_back(tid);
@@ -466,7 +451,7 @@ std::vector<std::uint32_t> HistoryIndexes::matching_tokens(
   }
   std::vector<std::uint32_t> out;
   for (const std::uint32_t tid : *rarest) {
-    if (img_.tokens[tid].find(keyword) != std::string::npos) {
+    if (img_.tokens.text(tid).find(keyword) != std::string_view::npos) {
       out.push_back(tid);
     }
   }
@@ -576,15 +561,15 @@ std::vector<InstanceId> HistoryIndexes::candidates(
     }
     case AccessPath::kKeyword: {
       const std::string kw = lowercase(filter.keyword);
-      std::vector<const std::vector<std::uint32_t>*> lists;
+      std::vector<std::span<const std::uint32_t>> lists;
       std::vector<std::size_t> pos;
       for (const std::uint32_t tid : matching_tokens(kw)) {
-        const std::vector<std::uint32_t>& list = img_.postings[tid];
+        const std::span<const std::uint32_t> list = img_.postings[tid];
         const auto p = static_cast<std::size_t>(
             std::lower_bound(list.begin(), list.end(), cursor.id) -
             list.begin());
         if (p > 0) {
-          lists.push_back(&list);
+          lists.push_back(list);
           pos.push_back(p);
         }
       }
@@ -592,7 +577,7 @@ std::vector<InstanceId> HistoryIndexes::candidates(
       // several matching tokens) surface adjacently and are dropped.
       std::priority_queue<std::pair<std::uint32_t, std::size_t>> heap;
       for (std::size_t i = 0; i < lists.size(); ++i) {
-        heap.emplace((*lists[i])[pos[i] - 1], i);
+        heap.emplace(lists[i][pos[i] - 1], i);
       }
       while (!heap.empty() && out.size() < limit) {
         const auto [id, which] = heap.top();
@@ -601,7 +586,7 @@ std::vector<InstanceId> HistoryIndexes::candidates(
           out.push_back(InstanceId(id));
         }
         if (--pos[which] > 0) {
-          heap.emplace((*lists[which])[pos[which] - 1], which);
+          heap.emplace(lists[which][pos[which] - 1], which);
         }
       }
       return out;
@@ -650,12 +635,12 @@ std::optional<std::vector<InstanceId>> HistoryIndexes::name_candidates(
   if (toks.empty()) return std::nullopt;
   // The maintenance invariant guarantees every instance's *current* name
   // tokens are posted, so a missing token is a hard "no instance".
-  const std::vector<std::uint32_t>* best = nullptr;
+  std::optional<std::span<const std::uint32_t>> best;
   for (const std::string& tok : toks) {
-    const auto it = img_.token_ids.find(tok);
-    if (it == img_.token_ids.end()) return std::vector<InstanceId>{};
-    const std::vector<std::uint32_t>& posting = img_.postings[it->second];
-    if (best == nullptr || posting.size() < best->size()) best = &posting;
+    const std::optional<std::uint32_t> tid = img_.tokens.find(tok);
+    if (!tid) return std::vector<InstanceId>{};
+    const std::span<const std::uint32_t> posting = img_.postings[*tid];
+    if (!best || posting.size() < best->size()) best = posting;
   }
   std::vector<InstanceId> out;
   out.reserve(best->size());

@@ -39,6 +39,7 @@
 
 #include "history/history_db.hpp"
 #include "history/query_planner.hpp"
+#include "index/arena.hpp"
 
 namespace herc::index {
 
@@ -66,11 +67,10 @@ struct IndexImage {
   /// Instance records folded in (the table size the image describes).
   std::uint32_t instances = 0;
 
-  /// Token dictionary: id -> text, first-seen order.
-  std::vector<std::string> tokens;
-  std::unordered_map<std::string, std::uint32_t> token_ids;
+  /// Token dictionary: id <-> text, first-seen order.
+  TokenDictionary tokens;
   /// Token id -> instance ids (ascending, deduplicated).
-  std::vector<std::vector<std::uint32_t>> postings;
+  PostingLists postings;
 
   /// Creating user -> instance ids (ascending).
   std::unordered_map<std::string, std::vector<std::uint32_t>> users;
@@ -129,7 +129,7 @@ struct TrigramMap {
 
   /// Extends the map over the tokens added since the last call (a token
   /// dictionary only grows, so this is an append).
-  void extend(const std::vector<std::string>& tokens);
+  void extend(const TokenDictionary& tokens);
 };
 
 /// The live secondary indexes of one database: a `SecondaryIndex` the query

@@ -553,13 +553,13 @@ void audit_index(const index::IndexImage& file, const index::IndexImage& all,
     if (missing++ < kMaxDetails) warn(report, "missing-posting", detail);
   };
   for (std::uint32_t tid = 0; tid < minimal.tokens.size(); ++tid) {
-    const std::string& token = minimal.tokens[tid];
-    const auto it = file.token_ids.find(token);
+    const std::string_view token = minimal.tokens.text(tid);
+    const std::optional<std::uint32_t> in_file = file.tokens.find(token);
     for (const std::uint32_t id : minimal.postings[tid]) {
-      if (it == file.token_ids.end() ||
-          !std::binary_search(file.postings[it->second].begin(),
-                              file.postings[it->second].end(), id)) {
-        miss("keyword token '" + token + "' lacks i" + std::to_string(id));
+      if (!in_file ||
+          !std::ranges::binary_search(file.postings[*in_file], id)) {
+        miss("keyword token '" + std::string(token) + "' lacks i" +
+             std::to_string(id));
       }
     }
   }
@@ -591,16 +591,13 @@ void audit_index(const index::IndexImage& file, const index::IndexImage& all,
   const auto stray = [&](const std::string& detail) {
     if (orphan++ < kMaxDetails) warn(report, "orphan-index", detail);
   };
-  for (std::uint32_t tid = 0;
-       tid < static_cast<std::uint32_t>(file.tokens.size()); ++tid) {
-    const std::string& token = file.tokens[tid];
-    const auto it = all.token_ids.find(token);
+  for (std::uint32_t tid = 0; tid < file.tokens.size(); ++tid) {
+    const std::string_view token = file.tokens.text(tid);
+    const std::optional<std::uint32_t> in_all = all.tokens.find(token);
     for (const std::uint32_t id : file.postings[tid]) {
-      if (it == all.token_ids.end() ||
-          !std::binary_search(all.postings[it->second].begin(),
-                              all.postings[it->second].end(), id)) {
-        stray("keyword token '" + token + "' posts i" + std::to_string(id) +
-              ", which no history record justifies");
+      if (!in_all || !std::ranges::binary_search(all.postings[*in_all], id)) {
+        stray("keyword token '" + std::string(token) + "' posts i" +
+              std::to_string(id) + ", which no history record justifies");
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "support/text.hpp"
 
 #include <cctype>
+#include <cmath>
 
 namespace herc::support {
 
@@ -115,6 +116,16 @@ bool is_identifier(std::string_view name) {
     if (!ok) return false;
   }
   return true;
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace herc::support

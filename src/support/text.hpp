@@ -92,6 +92,12 @@ template <typename T>
   return value;
 }
 
+/// Parses all of `text` as a finite decimal `double`, or nullopt.  Like
+/// `parse_int` it takes no leading space or `+` and no trailing characters;
+/// unlike `std::stod` it also refuses `nan`, `inf`, hexadecimal floats and
+/// values out of `double`'s range.
+[[nodiscard]] std::optional<double> parse_double(std::string_view text);
+
 /// True when `name` is a legal identifier for schema entities and
 /// encapsulations: `[A-Za-z_][A-Za-z0-9_.-]*`.
 [[nodiscard]] bool is_identifier(std::string_view name);

@@ -58,12 +58,12 @@ double arg_double(const ToolContext& ctx, std::string_view key,
                   double fallback) {
   const std::string v = ctx.arg(key);
   if (v.empty()) return fallback;
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
+  const std::optional<double> value = support::parse_double(v);
+  if (!value) {
     throw ExecError("tool '" + ctx.tool_type_name + "': bad argument " +
                     std::string(key) + "='" + v + "'");
   }
+  return *value;
 }
 
 // ---- encapsulation functions ------------------------------------------------

@@ -2,6 +2,7 @@
 // validation, round trips.
 #include <gtest/gtest.h>
 
+#include "circuit/edits.hpp"
 #include "circuit/layout.hpp"
 #include "circuit/library.hpp"
 #include "circuit/models.hpp"
@@ -108,6 +109,64 @@ TEST(ModelData, ParseErrors) {
   EXPECT_THROW(DeviceModelLibrary::from_text("model x unknown=1"),
                ParseError);
   EXPECT_THROW(DeviceModelLibrary::from_text("nonsense"), ParseError);
+}
+
+TEST(ModelData, NumbersAreWholeAndFinite) {
+  EXPECT_DOUBLE_EQ(DeviceModelLibrary::from_text("model x resistance=1.5")
+                       .model("x")
+                       .resistance_kohm,
+                   1.5);
+  for (const char* bad : {"1.5x", "nan", "inf", "1e999"}) {
+    EXPECT_THROW(DeviceModelLibrary::from_text(
+                     std::string("model x resistance=") + bad),
+                 ParseError)
+        << bad;
+  }
+}
+
+TEST(NetlistData, ValuesAreWholeAndFinite) {
+  EXPECT_THROW(Netlist::from_text("cap c1 a=x b=y value=nan"), ParseError);
+  EXPECT_THROW(Netlist::from_text("cap c1 a=x b=y value=1.5x"), ParseError);
+}
+
+TEST(LayoutData, NumbersAreWholeAndFinite) {
+  const std::string head = "layout l rows=4 cols=4\n";
+  EXPECT_NO_THROW(Layout::from_text(
+      head + "place r1 res a=x b=y x=0 y=0 value=2.5\n"));
+  EXPECT_THROW(Layout::from_text(
+                   head + "place r1 res a=x b=y x=0 y=0 value=nan\n"),
+               ParseError);
+  EXPECT_THROW(Layout::from_text(head + "wire n 0 0 1x 1\n"), ParseError);
+  EXPECT_THROW(Layout::from_text("layout l rows=99999999999\n"), ParseError);
+}
+
+TEST(EditData, NumbersAreWholeAndFinite) {
+  const DeviceModelLibrary base = DeviceModelLibrary::standard();
+  EXPECT_DOUBLE_EQ(
+      apply_model_edits(base, "set nch resistance=2.5").model("nch")
+          .resistance_kohm,
+      2.5);
+  EXPECT_THROW(apply_model_edits(base, "set nch resistance=nan"), ParseError);
+  EXPECT_THROW(apply_model_edits(base, "set nch threshold=0.7v"), ParseError);
+  const Layout layout = Layout::from_text(
+      "layout l rows=4 cols=4\nplace r1 res a=x b=y x=0 y=0\n");
+  EXPECT_THROW(apply_layout_edits(layout, "move r1 1 2x"), ParseError);
+  EXPECT_THROW(apply_layout_edits(layout, "resize 4 99999999999"), ParseError);
+}
+
+TEST(StimuliData, WaveTimesAreWholeIntegers) {
+  EXPECT_THROW(Stimuli::from_text("stimuli sw\nwave in 0:0 12x:1\n"),
+               ParseError);
+  EXPECT_THROW(Stimuli::from_text("stimuli sw\nwave in +5:1\n"),
+               ParseError);
+  EXPECT_THROW(
+      Stimuli::from_text("stimuli sw\nwave in 99999999999999999999:1\n"),
+      ParseError);
+  EXPECT_EQ(Stimuli::from_text("stimuli sw\nwave in 0:0 12:1\n")
+                .wave("in")
+                .points.back()
+                .time_ps,
+            12);
 }
 
 TEST(StimuliData, WaveformSemantics) {

@@ -147,6 +147,29 @@ TEST(SwitchSim, PerformanceRoundTripsThroughText) {
   EXPECT_EQ(back.stats.output_toggles, r.stats.output_toggles);
 }
 
+TEST(SwitchSim, OptionAndStatisticNumbersAreStrict) {
+  using support::ParseError;
+  EXPECT_EQ(SimOptions::from_text("simoptions\nmax_relax_iters=12\n")
+                .max_relax_iters,
+            12u);
+  // A count is unsigned: -1 must not wrap to 2^64 - 1.
+  for (const char* bad :
+       {"max_relax_iters=-1", "gate_load_pf=nan", "gate_load_pf=inf",
+        "gate_load_pf=0.5x"}) {
+    EXPECT_THROW(
+        (void)SimOptions::from_text(std::string("simoptions\n") + bad),
+        ParseError)
+        << bad;
+  }
+  EXPECT_THROW((void)SimStatistics::from_text("statistics\nx_nets=-1\n"),
+               ParseError);
+  try {
+    (void)SimOptions::from_text("simoptions\nmax_relax_iters=-1\n");
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "simoptions: bad integer '-1'");
+  }
+}
+
 TEST(SwitchSim, UnknownModelIsRejected) {
   Netlist nl = inverter_netlist();
   nl.device_mut("mn").model = "mystery";

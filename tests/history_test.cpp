@@ -416,5 +416,54 @@ TEST_F(HistoryTest, MoveAssignmentKeepsTheTargetsListener) {
   db_.attach_listener(nullptr);
 }
 
+TEST_F(HistoryTest, ARepeatedPayloadJournalsNoSecondBlobLine) {
+  class Capture : public MutationListener {
+   public:
+    void on_mutation(std::string_view lines) override {
+      mutations_.emplace_back(lines);
+    }
+    std::vector<std::string> mutations_;
+  };
+  Capture capture;
+  db_.attach_listener(&capture);
+  (void)db_.import_instance(schema_.require("Stimuli"), "a", "same", "u");
+  (void)db_.import_instance(schema_.require("Stimuli"), "b", "same", "u");
+  derive("Stimuli", InstanceId(), {}, "same");
+  db_.attach_listener(nullptr);
+
+  ASSERT_EQ(capture.mutations_.size(), 3u);
+  const auto blob_lines = [](const std::string& lines) {
+    std::size_t n = 0;
+    for (const std::string& line : support::split(lines, '\n')) {
+      if (line.starts_with("blob|")) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(blob_lines(capture.mutations_[0]), 1u);
+  EXPECT_EQ(blob_lines(capture.mutations_[1]), 0u);
+  EXPECT_EQ(blob_lines(capture.mutations_[2]), 0u);
+  EXPECT_EQ(db_.blobs().size(), 1u);
+}
+
+TEST_F(HistoryTest, SharedPayloadsShareOneBlobRefAfterSaveAndLoad) {
+  (void)db_.import_instance(schema_.require("Stimuli"), "first", "other",
+                            "u");
+  const InstanceId a =
+      db_.import_instance(schema_.require("Stimuli"), "a", "same", "u");
+  const InstanceId b =
+      db_.import_instance(schema_.require("Stimuli"), "b", "same", "u");
+  const std::string text = db_.save();
+
+  support::ManualClock clock2(0, 1);
+  const HistoryDb back = HistoryDb::load(schema_, clock2, text);
+  EXPECT_EQ(back.save(), text);
+  EXPECT_EQ(back.blobs().size(), 2u);
+  EXPECT_EQ(back.instance(a).blob, back.instance(b).blob);
+  EXPECT_EQ(back.instance(a).blob, db_.instance(a).blob);
+  EXPECT_EQ(back.payload(b), "same");
+  EXPECT_EQ(back.blobs().key(back.instance(b).blob),
+            data::BlobStore::key_for("same"));
+}
+
 }  // namespace
 }  // namespace herc::history

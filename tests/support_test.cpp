@@ -66,6 +66,34 @@ TEST(Text, ParseIntTakesWholeInRangeDecimalsOnly) {
   EXPECT_EQ(parse_int<std::int64_t>("9223372036854775808"), std::nullopt);
 }
 
+TEST(Text, ParseDoubleTakesWholeFiniteDecimalsOnly) {
+  // What `std::stod` let through: a prefix with trailing junk, a leading
+  // sign or space, and the non-finite spellings.
+  const std::pair<const char*, std::optional<double>> cases[] = {
+      {"1.5", 1.5},
+      {"-0.25", -0.25},
+      {"2", 2.0},
+      {"1e-3", 1e-3},
+      {".5", 0.5},
+      {"1.5x", std::nullopt},
+      {"12abc", std::nullopt},
+      {"+1", std::nullopt},
+      {" 1", std::nullopt},
+      {"1 ", std::nullopt},
+      {"nan", std::nullopt},
+      {"inf", std::nullopt},
+      {"-inf", std::nullopt},
+      {"infinity", std::nullopt},
+      {"1e999", std::nullopt},
+      {"0x1p3", std::nullopt},
+      {"", std::nullopt},
+      {"-", std::nullopt},
+  };
+  for (const auto& [text, want] : cases) {
+    EXPECT_EQ(parse_double(text), want) << "'" << text << "'";
+  }
+}
+
 TEST(Text, LinesViewTheSamePiecesAsSplit) {
   for (const std::string_view text :
        {"", "a", "a\n", "\n", "a\nb", "a\n\nb\n", "\n\n", "|\\\n"}) {

@@ -198,6 +198,38 @@ TEST(StandardTools, NumericArgumentsMustBeWholeInRangeNumbers) {
           << e.what();
     }
   }
+
+  // A real-valued argument must be one whole, finite number too.
+  ctx.args["seed"] = "7";
+  const ToolOutput placement = placer->fn(ctx);
+  const std::string* placed = placement.find("PlacedLayout");
+  ASSERT_NE(placed, nullptr);
+  const Encapsulation* extractor = registry.find("Extractor.default");
+  ASSERT_NE(extractor, nullptr);
+  ToolContext extract;
+  extract.schema = &schema;
+  extract.tool_type_name = "Extractor";
+  ToolInput layout;
+  layout.type = schema.require("PlacedLayout");
+  layout.type_name = "PlacedLayout";
+  layout.role = "Layout";
+  layout.payloads = {*placed};
+  extract.inputs.push_back(layout);
+  extract.args["cap_per_unit_pf"] = "1.5";
+  EXPECT_NO_THROW((void)extractor->fn(extract));
+  for (const std::string bad :
+       {"1.5x", "nan", "inf", "+1.5", " 1.5", "1e999"}) {
+    extract.args["cap_per_unit_pf"] = bad;
+    try {
+      (void)extractor->fn(extract);
+      ADD_FAILURE() << "cap_per_unit_pf='" << bad << "' was accepted";
+    } catch (const ExecError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad argument cap_per_unit_pf='" +
+                                           bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(StandardTools, ComposeCheckInstalledOnCircuit) {
