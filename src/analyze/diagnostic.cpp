@@ -1,48 +1,13 @@
 #include "analyze/diagnostic.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <tuple>
 #include <vector>
 
+#include "support/text.hpp"
+
 namespace herc::analyze {
-
-namespace {
-
-/// Minimal JSON string escaping (the report carries entity names and
-/// free-text messages).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void LintReport::add(std::string code, Severity severity, std::string location,
                      std::string message, std::string fixit) {
@@ -109,19 +74,19 @@ std::string LintReport::render_json() const {
                      std::tie(b.code, b.location, b.message, b.severity);
             });
   std::ostringstream out;
-  out << "{\"subject\":\"" << json_escape(subject_) << "\",\"severity\":\""
+  out << "{\"subject\":\"" << support::json_escape(subject_) << "\",\"severity\":\""
       << support::to_string(severity()) << "\",\"exit_code\":" << exit_code()
       << ",\"diagnostics\":[";
   bool first = true;
   for (const Diagnostic& d : sorted) {
     if (!first) out << ",";
     first = false;
-    out << "{\"code\":\"" << json_escape(d.code) << "\",\"severity\":\""
+    out << "{\"code\":\"" << support::json_escape(d.code) << "\",\"severity\":\""
         << support::to_string(d.severity) << "\",\"location\":\""
-        << json_escape(d.location) << "\",\"message\":\""
-        << json_escape(d.message) << "\"";
+        << support::json_escape(d.location) << "\",\"message\":\""
+        << support::json_escape(d.message) << "\"";
     if (!d.fixit.empty()) {
-      out << ",\"fixit\":\"" << json_escape(d.fixit) << "\"";
+      out << ",\"fixit\":\"" << support::json_escape(d.fixit) << "\"";
     }
     out << "}";
   }

@@ -2,8 +2,6 @@
 
 #include "support/error.hpp"
 #include "support/hash.hpp"
-#include "support/record.hpp"
-#include "support/text.hpp"
 
 namespace herc::data {
 
@@ -73,39 +71,6 @@ std::size_t BlobStore::index_of(BlobRef ref) const {
     throw HistoryError("no blob with ref " + std::to_string(ref.value()));
   }
   return ref.index();
-}
-
-std::string BlobStore::record_line(const BlobKey& key) const {
-  return record_line(require(key));
-}
-
-std::string BlobStore::record_line(BlobRef ref) const {
-  return support::RecordWriter("blob").field(key(ref)).field(get(ref)).str();
-}
-
-std::string BlobStore::save() const {
-  std::string out;
-  for (std::uint32_t r = 0; r < keys_.size(); ++r) {
-    out += record_line(BlobRef(r));
-    out += '\n';
-  }
-  return out;
-}
-
-BlobStore BlobStore::load(std::string_view text) {
-  BlobStore store;
-  for (const std::string& line : support::split(text, '\n')) {
-    if (support::trim(line).empty()) continue;
-    support::RecordReader rec(line);
-    if (rec.kind() != "blob") {
-      throw HistoryError("blob store: unexpected record '" +
-                         std::string(rec.kind()) + "'");
-    }
-    const std::string key = rec.next_string();
-    const std::string payload = rec.next_string();
-    store.restore(key, payload);
-  }
-  return store;
 }
 
 }  // namespace herc::data

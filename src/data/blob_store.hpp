@@ -4,7 +4,10 @@
 // different versions of the same design — may share the *physical* data,
 // e.g. several meta-data records pointing at one RCS file.  The blob store
 // reproduces that: payloads are stored once, keyed by content hash, and any
-// number of instances reference the same key.
+// number of instances reference the same key.  The store holds no file
+// format: the history database writes each payload as a `blob` record
+// (history/record_codec.hpp) and hands records read back to `restore`,
+// which re-checks the content hash.
 #pragma once
 
 #include <cstddef>
@@ -74,15 +77,6 @@ class BlobStore {
   /// All keys, in insertion order (for persistence): `keys()[r.index()]`
   /// is the key of ref `r`.
   [[nodiscard]] const std::vector<BlobKey>& keys() const { return keys_; }
-
-  /// One save()-format record line for `key` or `ref` (no trailing
-  /// newline).
-  [[nodiscard]] std::string record_line(const BlobKey& key) const;
-  [[nodiscard]] std::string record_line(BlobRef ref) const;
-
-  /// Serializes to record lines / restores from them.
-  [[nodiscard]] std::string save() const;
-  [[nodiscard]] static BlobStore load(std::string_view text);
 
  private:
   /// Hashes a key by its text, so `find` looks up a view without copying.

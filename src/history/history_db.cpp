@@ -1,11 +1,11 @@
 #include "history/history_db.hpp"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <unordered_set>
 
 #include "support/error.hpp"
-#include "support/record.hpp"
 #include "support/text.hpp"
 
 namespace herc::history {
@@ -20,6 +20,90 @@ std::size_t RunRecord::tasks_finished() const {
     if (t.finished) ++n;
   }
   return n;
+}
+
+void RunRecord::save_to(std::string& out) const {
+  encode(static_cast<const RunBeginRecord&>(*this), out);
+  for (const RunTask& task : tasks) encode(TaskStartRecord{id, task.key}, out);
+  if (!covered.empty()) encode(TaskCoverRecord{id, covered}, out);
+  for (const RunTask& task : tasks) {
+    if (task.finished) encode(TaskFinishRecord{id, task.key, task.status}, out);
+  }
+  if (sealed()) encode(RunSealRecord{id, sweep_end}, out);
+  if (!open()) encode(RunEndRecord{id, outcome}, out);
+}
+
+namespace {
+
+RunRecord& run_of(std::vector<RunRecord>& runs, std::uint64_t id) {
+  if (id >= runs.size()) {
+    throw HistoryError("unknown run #" + std::to_string(id));
+  }
+  return runs[static_cast<std::size_t>(id)];
+}
+
+}  // namespace
+
+void fold(std::vector<RunRecord>& runs, RunBeginRecord&& r) {
+  if (r.id != runs.size()) {
+    throw HistoryError("history file: run records out of order");
+  }
+  RunRecord run;
+  static_cast<RunBeginRecord&>(run) = std::move(r);
+  runs.push_back(std::move(run));
+}
+
+void fold(std::vector<RunRecord>& runs, TaskStartRecord&& r) {
+  run_of(runs, r.run).tasks.push_back(RunTask{std::move(r.key), false, ""});
+}
+
+void fold(std::vector<RunRecord>& runs, TaskCoverRecord&& r) {
+  RunRecord& run = run_of(runs, r.run);
+  run.covered.insert(run.covered.end(), r.produced.begin(), r.produced.end());
+}
+
+void fold(std::vector<RunRecord>& runs, TaskFinishRecord&& r) {
+  for (RunTask& task : run_of(runs, r.run).tasks) {
+    if (!task.finished && task.key == r.key) {
+      task.finished = true;
+      task.status = std::move(r.status);
+      return;
+    }
+  }
+  throw HistoryError("run #" + std::to_string(r.run) + ": task '" + r.key +
+                     "' finished without starting");
+}
+
+void fold(std::vector<RunRecord>& runs, RunSealRecord&& r) {
+  run_of(runs, r.run).sweep_end = r.sweep_end;
+}
+
+void fold(std::vector<RunRecord>& runs, RunEndRecord&& r) {
+  RunRecord& run = run_of(runs, r.run);
+  if (!run.open()) {
+    throw HistoryError("run #" + std::to_string(r.run) + " already ended ('" +
+                       run.outcome + "')");
+  }
+  if (r.outcome.empty()) {
+    throw HistoryError("run outcome must be non-empty");
+  }
+  run.outcome = std::move(r.outcome);
+  // The flow is only needed to resume an open run; keep closed runs cheap.
+  run.flow_text.clear();
+  run.flow_text.shrink_to_fit();
+}
+
+SweepWindow sweep_window(const std::vector<RunRecord>& runs, std::size_t r,
+                         std::size_t table_size) {
+  const RunRecord& run = runs[r];
+  std::size_t end = run.sealed()
+                        ? std::min<std::size_t>(run.sweep_end, table_size)
+                        : table_size;
+  if (r + 1 < runs.size()) {
+    end = std::min<std::size_t>(end, runs[r + 1].db_size_at_begin);
+  }
+  return SweepWindow{run.db_size_at_begin,
+                     std::max<std::size_t>(run.db_size_at_begin, end)};
 }
 
 HistoryDb::HistoryDb(const schema::TaskSchema& schema, support::Clock& clock)
@@ -58,9 +142,22 @@ void HistoryDb::remove_observer(HistoryObserver* observer) {
       observers_.end());
 }
 
-void HistoryDb::emit(std::string_view lines) {
-  if (listener_ != nullptr) listener_->on_mutation(lines);
-  for (HistoryObserver* obs : observers_) obs->on_lines(lines);
+void HistoryDb::emit(std::span<const Record> records) {
+  if (listener_ != nullptr) {
+    std::string lines;
+    for (const Record& record : records) encode(record, lines);
+    listener_->on_mutation(lines);
+  }
+  for (HistoryObserver* obs : observers_) obs->on_records(records);
+}
+
+void HistoryDb::commit(Record record) {
+  if (!observed()) {
+    apply(std::move(record));
+    return;
+  }
+  apply(Record(record));
+  emit(std::span<const Record>(&record, 1));
 }
 
 void HistoryDb::check_id(InstanceId id) const {
@@ -131,7 +228,24 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
     }
   }
 
-  // Maintain the forward index.
+  const InstanceId id = inst.id;
+  instances_.push_back(std::move(inst));
+  link_newest();
+  if (observed()) {
+    // One mutation = one journal entry: the (possibly new) blob plus the
+    // instance, applied atomically on recovery.
+    const Instance& added = instances_.back();
+    std::array<Record, 2> records{BlobRecord{}, instance_record(added)};
+    if (new_blob) {
+      records[0] = BlobRecord{blobs_.key(added.blob), request.payload};
+    }
+    emit(std::span<const Record>(records).subspan(new_blob ? 0 : 1));
+  }
+  return id;
+}
+
+void HistoryDb::link_newest() {
+  const Instance& inst = instances_.back();
   used_by_.emplace_back();
   if (inst.derivation.tool.valid()) {
     used_by_[inst.derivation.tool.index()].push_back(inst.id);
@@ -141,68 +255,18 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
     auto& vec = used_by_[in.index()];
     if (vec.empty() || vec.back() != inst.id) vec.push_back(inst.id);
   }
-
-  instances_.push_back(std::move(inst));
-  if (observed()) {
-    // One mutation = one journal entry: the (possibly new) blob plus the
-    // instance line, applied atomically on recovery.
-    std::string lines;
-    if (new_blob) {
-      lines += blobs_.record_line(instances_.back().blob);
-      lines += '\n';
-    }
-    lines += instance_line(instances_.back());
-    lines += '\n';
-    emit(lines);
-  }
-  return instances_.back().id;
 }
 
 void HistoryDb::annotate(InstanceId id, std::string_view name,
                          std::string_view comment) {
-  check_id(id);
-  instances_[id.index()].name = std::string(name);
-  instances_[id.index()].comment = std::string(comment);
-  if (observed()) {
-    support::RecordWriter w("annot");
-    w.field(id.value());
-    w.field(name);
-    w.field(comment);
-    emit(w.str() + "\n");
-  }
+  commit(AnnotateRecord{id, std::string(name), std::string(comment)});
 }
 
 void HistoryDb::quarantine(InstanceId id, std::string_view reason) {
-  apply_quarantine(id, reason);
-  if (observed()) {
-    support::RecordWriter w("quar");
-    w.field(id.value());
-    w.field(reason);
-    emit(w.str() + "\n");
-  }
-}
-
-void HistoryDb::apply_quarantine(InstanceId id, std::string_view reason) {
-  check_id(id);
-  Instance& inst = instances_[id.index()];
-  if (!inst.ok()) {
-    throw HistoryError("instance i" + std::to_string(id.value()) +
-                       " is not an OK record; only OK instances can be "
-                       "quarantined");
-  }
-  inst.status = InstanceStatus::kQuarantined;
-  if (!inst.comment.empty()) inst.comment += ' ';
-  inst.comment += "[quarantined: " + std::string(reason) + "]";
+  commit(QuarantineRecord{id, std::string(reason)});
 }
 
 // ---- run log ---------------------------------------------------------------
-
-RunRecord& HistoryDb::run_ref(std::uint64_t id) {
-  if (id >= runs_.size()) {
-    throw HistoryError("unknown run #" + std::to_string(id));
-  }
-  return runs_[static_cast<std::size_t>(id)];
-}
 
 const RunRecord* HistoryDb::find_run(std::uint64_t id) const {
   if (id >= runs_.size()) return nullptr;
@@ -231,17 +295,9 @@ std::vector<InstanceId> HistoryDb::partial_products() const {
   if (!any_open) return out;
   std::unordered_set<std::uint32_t> reported;
   for (std::size_t r = 0; r < runs_.size(); ++r) {
-    const RunRecord& run = runs_[r];
-    if (!run.open()) continue;
-    // Sweep only the run's own window.  Runs execute sequentially, so the
-    // next run's begin bounds it even when no seal frame survived; the
-    // seal recovery journals bounds work recorded in later sessions.
-    std::size_t end = run.sealed() ? run.sweep_end : instances_.size();
-    if (r + 1 < runs_.size()) {
-      end = std::min<std::size_t>(end, runs_[r + 1].db_size_at_begin);
-    }
-    end = std::min(end, instances_.size());
-    for (std::size_t i = run.db_size_at_begin; i < end; ++i) {
+    if (!runs_[r].open()) continue;
+    const SweepWindow window = sweep_window(runs_, r, instances_.size());
+    for (std::size_t i = window.begin; i < window.end; ++i) {
       const Instance& inst = instances_[i];
       // Imports are designer-supplied, not task products; failure records
       // and already-quarantined instances are invisible anyway.
@@ -253,114 +309,31 @@ std::vector<InstanceId> HistoryDb::partial_products() const {
   return out;
 }
 
-std::string HistoryDb::run_begin_line(const RunRecord& run) {
-  support::RecordWriter w("runb");
-  w.field(static_cast<std::int64_t>(run.id));
-  w.field(run.flow_name);
-  w.field(run.goal);
-  w.field(run.goal_node);
-  w.field(run.user);
-  w.field(run.options);
-  w.field(static_cast<std::int64_t>(run.seed));
-  w.field(run.db_size_at_begin);
-  w.field(run.flow_text);
-  return w.str();
-}
-
 std::uint64_t HistoryDb::begin_run(RunRecord run) {
   run.id = runs_.size();
   run.db_size_at_begin = static_cast<std::uint32_t>(instances_.size());
-  run.outcome.clear();
-  run.tasks.clear();
-  run.covered.clear();
-  const std::string line = run_begin_line(run);
-  const std::uint64_t id = run.id;
-  apply_run_begin(std::move(run));
-  if (observed()) emit(line + "\n");
-  return id;
-}
-
-void HistoryDb::apply_run_begin(RunRecord run) {
-  if (run.id != runs_.size()) {
-    throw HistoryError("history file: run records out of order");
-  }
-  runs_.push_back(std::move(run));
+  // The progress fields are sliced off: a run starts with none.
+  commit(RunBeginRecord(std::move(run)));
+  return runs_.back().id;
 }
 
 void HistoryDb::run_task_started(std::uint64_t run, std::string_view key) {
-  apply_task_started(run, key);
-  if (observed()) {
-    support::RecordWriter w("tstart");
-    w.field(static_cast<std::int64_t>(run));
-    w.field(key);
-    emit(w.str() + "\n");
-  }
+  commit(TaskStartRecord{run, std::string(key)});
 }
 
-void HistoryDb::apply_task_started(std::uint64_t run, std::string_view key) {
-  run_ref(run).tasks.push_back(RunTask{std::string(key), false, ""});
-}
-
-void HistoryDb::run_task_covered(
-    std::uint64_t run, const std::vector<InstanceId>& produced) {
-  apply_task_covered(run, produced);
-  if (observed()) {
-    support::RecordWriter w("tcover");
-    w.field(static_cast<std::int64_t>(run));
-    w.field(static_cast<std::uint32_t>(produced.size()));
-    for (const InstanceId id : produced) w.field(id.value());
-    emit(w.str() + "\n");
-  }
-}
-
-void HistoryDb::apply_task_covered(
-    std::uint64_t run, const std::vector<InstanceId>& produced) {
-  RunRecord& record = run_ref(run);
-  for (const InstanceId id : produced) {
-    check_id(id);
-    record.covered.push_back(id);
-  }
+void HistoryDb::run_task_covered(std::uint64_t run,
+                                 const std::vector<InstanceId>& produced) {
+  commit(TaskCoverRecord{run, produced});
 }
 
 void HistoryDb::run_task_finished(std::uint64_t run, std::string_view key,
                                   std::string_view status) {
-  apply_task_finished(run, key, status);
-  if (observed()) {
-    support::RecordWriter w("tfin");
-    w.field(static_cast<std::int64_t>(run));
-    w.field(key);
-    w.field(status);
-    emit(w.str() + "\n");
-  }
-}
-
-void HistoryDb::apply_task_finished(std::uint64_t run, std::string_view key,
-                                    std::string_view status) {
-  for (RunTask& task : run_ref(run).tasks) {
-    if (!task.finished && task.key == key) {
-      task.finished = true;
-      task.status = std::string(status);
-      return;
-    }
-  }
-  throw HistoryError("run #" + std::to_string(run) + ": task '" +
-                     std::string(key) + "' finished without starting");
+  commit(TaskFinishRecord{run, std::string(key), std::string(status)});
 }
 
 void HistoryDb::seal_run(std::uint64_t run) {
-  if (run_ref(run).sealed()) return;
-  const auto sweep_end = static_cast<std::uint32_t>(instances_.size());
-  apply_run_seal(run, sweep_end);
-  if (observed()) {
-    support::RecordWriter w("runseal");
-    w.field(static_cast<std::int64_t>(run));
-    w.field(sweep_end);
-    emit(w.str() + "\n");
-  }
-}
-
-void HistoryDb::apply_run_seal(std::uint64_t run, std::uint32_t sweep_end) {
-  run_ref(run).sweep_end = sweep_end;
+  if (run_of(runs_, run).sealed()) return;
+  commit(RunSealRecord{run, static_cast<std::uint32_t>(instances_.size())});
 }
 
 HistoryDb::SealSweep HistoryDb::seal_open_runs(std::string_view reason) {
@@ -387,28 +360,7 @@ HistoryDb::SealSweep HistoryDb::seal_open_runs(std::string_view reason) {
 }
 
 void HistoryDb::end_run(std::uint64_t run, std::string_view outcome) {
-  apply_run_end(run, outcome);
-  if (observed()) {
-    support::RecordWriter w("rune");
-    w.field(static_cast<std::int64_t>(run));
-    w.field(outcome);
-    emit(w.str() + "\n");
-  }
-}
-
-void HistoryDb::apply_run_end(std::uint64_t run, std::string_view outcome) {
-  RunRecord& record = run_ref(run);
-  if (!record.open()) {
-    throw HistoryError("run #" + std::to_string(run) + " already ended ('" +
-                       record.outcome + "')");
-  }
-  if (outcome.empty()) {
-    throw HistoryError("run outcome must be non-empty");
-  }
-  record.outcome = std::string(outcome);
-  // The flow is only needed to resume an open run; keep closed runs cheap.
-  record.flow_text.clear();
-  record.flow_text.shrink_to_fit();
+  commit(RunEndRecord{run, std::string(outcome)});
 }
 
 bool HistoryDb::contains(InstanceId id) const {
@@ -581,187 +533,105 @@ std::optional<InstanceId> HistoryDb::find_existing(
   return std::nullopt;
 }
 
-std::string HistoryDb::instance_line(const Instance& inst) const {
-  support::RecordWriter w("inst");
-  w.field(inst.id.value());
-  w.field(schema_->entity_name(inst.type));
-  w.field(inst.name);
-  w.field(inst.user);
-  w.field(inst.created.micros());
-  w.field(inst.comment);
-  w.field(blobs_.key(inst.blob));
-  w.field(inst.version);
-  w.field(static_cast<std::uint32_t>(inst.status));
-  w.field(inst.derivation.task);
-  w.field(inst.derivation.tool.valid()
-              ? static_cast<std::int64_t>(inst.derivation.tool.value())
-              : static_cast<std::int64_t>(-1));
-  w.field(static_cast<std::uint32_t>(inst.derivation.inputs.size()));
-  for (std::size_t i = 0; i < inst.derivation.inputs.size(); ++i) {
-    w.field(inst.derivation.inputs[i].value());
-    w.field(inst.derivation.input_roles[i]);
-  }
-  return w.str();
+InstanceRecord HistoryDb::instance_record(const Instance& inst) const {
+  return InstanceRecord{inst.id,      schema_->entity_name(inst.type),
+                        inst.name,    inst.user,
+                        inst.created, inst.comment,
+                        blobs_.key(inst.blob), inst.version,
+                        inst.status,  inst.derivation};
 }
 
 std::string HistoryDb::save() const {
-  std::string out = blobs_.save();
-  for (const Instance& inst : instances_) {
-    out += instance_line(inst);
-    out += '\n';
+  std::string out;
+  const std::vector<data::BlobKey>& keys = blobs_.keys();
+  for (std::uint32_t r = 0; r < keys.size(); ++r) {
+    encode(BlobRecord{keys[r], blobs_.get(data::BlobRef(r))}, out);
   }
-  // Run log: the same frame kinds the journal carries, re-emitted so a
-  // snapshot/load round-trip reproduces the run state exactly (an open
-  // run stays resumable across a checkpoint).
-  for (const RunRecord& run : runs_) {
-    out += run_begin_line(run);
-    out += '\n';
-    for (const RunTask& task : run.tasks) {
-      out += support::RecordWriter("tstart")
-                 .field(static_cast<std::int64_t>(run.id))
-                 .field(task.key)
-                 .str();
-      out += '\n';
-    }
-    if (!run.covered.empty()) {
-      support::RecordWriter w("tcover");
-      w.field(static_cast<std::int64_t>(run.id));
-      w.field(static_cast<std::uint32_t>(run.covered.size()));
-      for (const InstanceId id : run.covered) w.field(id.value());
-      out += w.str();
-      out += '\n';
-    }
-    for (const RunTask& task : run.tasks) {
-      if (!task.finished) continue;
-      out += support::RecordWriter("tfin")
-                 .field(static_cast<std::int64_t>(run.id))
-                 .field(task.key)
-                 .field(task.status)
-                 .str();
-      out += '\n';
-    }
-    if (run.sealed()) {
-      out += support::RecordWriter("runseal")
-                 .field(static_cast<std::int64_t>(run.id))
-                 .field(run.sweep_end)
-                 .str();
-      out += '\n';
-    }
-    if (!run.open()) {
-      out += support::RecordWriter("rune")
-                 .field(static_cast<std::int64_t>(run.id))
-                 .field(run.outcome)
-                 .str();
-      out += '\n';
-    }
-  }
+  for (const Instance& inst : instances_) encode(instance_record(inst), out);
+  // Run log: the same records the journal carries, so a snapshot/load
+  // round trip reproduces the run state exactly (an open run stays
+  // resumable across a checkpoint).
+  for (const RunRecord& run : runs_) run.save_to(out);
   return out;
 }
 
 void HistoryDb::apply_saved_line(std::string_view line) {
   if (support::trim(line).empty()) return;
-  support::RecordReader rec(line);
-  if (rec.kind() == "blob") {
-    const std::string key = rec.next_string();
-    const std::string payload = rec.next_string();
-    blobs_.restore(key, payload);
-  } else if (rec.kind() == "inst") {
-    Instance inst;
-    inst.id = InstanceId(rec.next_uint32());
-    if (inst.id.index() != instances_.size()) {
-      throw HistoryError("history file: instance records out of order");
-    }
-    inst.type = schema_->require(rec.next_string());
-    inst.name = rec.next_string();
-    inst.user = rec.next_string();
-    inst.created = support::Timestamp(rec.next_int64());
-    inst.comment = rec.next_string();
-    const std::optional<data::BlobRef> blob = blobs_.find(rec.next_string());
-    if (!blob) {
-      throw HistoryError("history file: instance references missing blob");
-    }
-    inst.blob = *blob;
-    inst.version = rec.next_uint32();
-    const std::uint32_t status = rec.next_uint32();
-    if (status > static_cast<std::uint32_t>(InstanceStatus::kQuarantined)) {
-      throw HistoryError("history file: unknown instance status");
-    }
-    inst.status = static_cast<InstanceStatus>(status);
-    inst.derivation.task = rec.next_string();
-    const std::int64_t tool = rec.next_int64();
-    if (tool >= 0) {
-      inst.derivation.tool = InstanceId(static_cast<std::uint32_t>(tool));
-    }
-    const std::uint32_t n_inputs = rec.next_uint32();
-    for (std::uint32_t i = 0; i < n_inputs; ++i) {
-      inst.derivation.inputs.push_back(InstanceId(rec.next_uint32()));
-      inst.derivation.input_roles.push_back(rec.next_string());
-    }
-    used_by_.emplace_back();
-    if (inst.derivation.tool.valid()) {
-      check_id(inst.derivation.tool);
-      used_by_[inst.derivation.tool.index()].push_back(inst.id);
-    }
-    for (const InstanceId in : inst.derivation.inputs) {
-      check_id(in);
-      auto& vec = used_by_[in.index()];
-      if (vec.empty() || vec.back() != inst.id) vec.push_back(inst.id);
-    }
-    instances_.push_back(std::move(inst));
-  } else if (rec.kind() == "annot") {
-    const InstanceId id(rec.next_uint32());
-    check_id(id);
-    instances_[id.index()].name = rec.next_string();
-    instances_[id.index()].comment = rec.next_string();
-  } else if (rec.kind() == "runb") {
-    RunRecord run;
-    run.id = static_cast<std::uint64_t>(rec.next_int64());
-    run.flow_name = rec.next_string();
-    run.goal = rec.next_string();
-    run.goal_node = rec.next_int64();
-    run.user = rec.next_string();
-    run.options = rec.next_string();
-    run.seed = static_cast<std::uint64_t>(rec.next_int64());
-    run.db_size_at_begin = rec.next_uint32();
-    run.flow_text = rec.next_string();
-    apply_run_begin(std::move(run));
-  } else if (rec.kind() == "tstart") {
-    const auto run = static_cast<std::uint64_t>(rec.next_int64());
-    apply_task_started(run, rec.next_string());
-  } else if (rec.kind() == "tcover") {
-    const auto run = static_cast<std::uint64_t>(rec.next_int64());
-    const std::uint32_t count = rec.next_uint32();
-    std::vector<InstanceId> produced;
-    produced.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      produced.push_back(InstanceId(rec.next_uint32()));
-    }
-    apply_task_covered(run, produced);
-  } else if (rec.kind() == "tfin") {
-    const auto run = static_cast<std::uint64_t>(rec.next_int64());
-    const std::string key = rec.next_string();
-    apply_task_finished(run, key, rec.next_string());
-  } else if (rec.kind() == "runseal") {
-    const auto run = static_cast<std::uint64_t>(rec.next_int64());
-    apply_run_seal(run, rec.next_uint32());
-  } else if (rec.kind() == "rune") {
-    const auto run = static_cast<std::uint64_t>(rec.next_int64());
-    apply_run_end(run, rec.next_string());
-  } else if (rec.kind() == "quar") {
-    const InstanceId id(rec.next_uint32());
-    apply_quarantine(id, rec.next_string());
-  } else {
-    throw HistoryError("history file: unknown record '" +
-                       std::string(rec.kind()) + "'");
-  }
-  // Observers see replayed records too (a throw above skips this, so only
+  Record record = decode(line);
+  // Observers see replayed records too (a throw skips them, so only
   // applied records are observed).  The listener is never notified here:
   // it owns the journal these lines came from.
-  if (!observers_.empty()) {
-    std::string terminated(line);
-    terminated += '\n';
-    for (HistoryObserver* obs : observers_) obs->on_lines(terminated);
+  if (observers_.empty()) {
+    apply(std::move(record));
+    return;
   }
+  apply(Record(record));
+  for (HistoryObserver* obs : observers_) {
+    obs->on_records(std::span<const Record>(&record, 1));
+  }
+}
+
+void HistoryDb::apply(Record&& record) {
+  if (const auto* cover = std::get_if<TaskCoverRecord>(&record)) {
+    for (const InstanceId id : cover->produced) check_id(id);
+  }
+  std::visit(
+      [this](auto&& r) {
+        using R = decltype(r);
+        if constexpr (requires { fold(runs_, std::forward<R>(r)); }) {
+          fold(runs_, std::forward<R>(r));
+        } else {
+          apply(std::forward<R>(r));
+        }
+      },
+      std::move(record));
+}
+
+void HistoryDb::apply(BlobRecord&& r) { blobs_.restore(r.key, r.payload); }
+
+void HistoryDb::apply(InstanceRecord&& r) {
+  if (r.id.index() != instances_.size()) {
+    throw HistoryError("history file: instance records out of order");
+  }
+  const std::optional<data::BlobRef> blob = blobs_.find(r.blob);
+  if (!blob) {
+    throw HistoryError("history file: instance references missing blob");
+  }
+  if (r.derivation.tool.valid()) check_id(r.derivation.tool);
+  for (const InstanceId in : r.derivation.inputs) check_id(in);
+  const EntityTypeId type = schema_->require(r.type);
+  // Every check is done: build the instance in place.
+  Instance& inst = instances_.emplace_back();
+  inst.id = r.id;
+  inst.type = type;
+  inst.name = std::move(r.name);
+  inst.user = std::move(r.user);
+  inst.created = r.created;
+  inst.comment = std::move(r.comment);
+  inst.blob = *blob;
+  inst.version = r.version;
+  inst.status = r.status;
+  inst.derivation = std::move(r.derivation);
+  link_newest();
+}
+
+void HistoryDb::apply(AnnotateRecord&& r) {
+  check_id(r.id);
+  instances_[r.id.index()].name = std::move(r.name);
+  instances_[r.id.index()].comment = std::move(r.comment);
+}
+
+void HistoryDb::apply(QuarantineRecord&& r) {
+  check_id(r.id);
+  Instance& inst = instances_[r.id.index()];
+  if (!inst.ok()) {
+    throw HistoryError("instance i" + std::to_string(r.id.value()) +
+                       " is not an OK record; only OK instances can be "
+                       "quarantined");
+  }
+  inst.status = InstanceStatus::kQuarantined;
+  if (!inst.comment.empty()) inst.comment += ' ';
+  inst.comment += "[quarantined: " + r.reason + "]";
 }
 
 HistoryDb HistoryDb::load(const schema::TaskSchema& schema,

@@ -7,10 +7,17 @@
 // this made from?"), forward-chaining queries ("what was made from this?"),
 // template queries using a task graph as the query form, staleness analysis
 // for design-consistency maintenance, and version management.
+//
+// Every record the database writes (its mutation stream, `save()`) or
+// reads (`apply_saved_line`, `load`) is one of the structs of
+// history/record_codec.hpp, turned into text and back only by that
+// module's `encode`/`decode`.  Replay is `decode` plus one `apply` per
+// kind, which the mutators share.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,6 +25,7 @@
 
 #include "data/blob_store.hpp"
 #include "history/instance.hpp"
+#include "history/record_codec.hpp"
 #include "schema/task_schema.hpp"
 
 namespace herc::history {
@@ -47,29 +55,12 @@ struct RunTask {
   std::string status;
 };
 
-/// One journaled flow execution.  The run-begin frame carries everything
-/// needed to re-execute the flow after a crash (the bound flow itself, the
-/// executor options, the fault-injection seed); task frames record
-/// progress, and the covered-instance list lets crash recovery quarantine
-/// partial products of tasks that started but never finished.
-struct RunRecord {
-  std::uint64_t id = 0;
-  std::string flow_name;
-  /// Entity name of the goal for a sub-flow run; empty for a full run.
-  std::string goal;
-  /// Compact node id of the goal in `flow_text` (-1 = whole flow).
-  std::int64_t goal_node = -1;
-  std::string user;
-  /// Encoded ExecOptions (exec layer format), replayed by resume.
-  std::string options;
-  /// Fault-injection seed in effect (0 = none).
-  std::uint64_t seed = 0;
-  /// Database size when the run began: instances at or above this index
-  /// were (re)corded during the run.
-  std::uint32_t db_size_at_begin = 0;
-  /// `TaskGraph::save()` of the bound flow; cleared when the run ends so
-  /// closed runs cost nothing to keep.
-  std::string flow_text;
+/// One journaled flow execution: its `runb` record (everything needed to
+/// re-execute the flow after a crash) folded together with its progress.
+/// Task records track each task, and the covered-instance list lets crash
+/// recovery quarantine partial products of tasks that started but never
+/// finished.
+struct RunRecord : RunBeginRecord {
   /// "" while open; "complete", "failed" or "resumed" once ended.
   std::string outcome;
   std::vector<RunTask> tasks;
@@ -86,12 +77,45 @@ struct RunRecord {
   [[nodiscard]] bool open() const { return outcome.empty(); }
   [[nodiscard]] bool sealed() const { return sweep_end != kUnsealed; }
   [[nodiscard]] std::size_t tasks_finished() const;
+
+  /// Appends the records that restore this run's state, in the order
+  /// `HistoryDb::save` writes them: `runb`, a `tstart` per task, one
+  /// `tcover`, a `tfin` per finished task, then `runseal` and `rune`
+  /// when sealed and closed.
+  void save_to(std::string& out) const;
 };
 
+/// Folds one run-log record into `runs` by the rules replay applies (fsck
+/// folds with the same rules).  Throws `HistoryError`, changing nothing,
+/// when the record does not fit: a run out of order or unknown, a task
+/// finished without starting, a run ended twice or with no outcome.
+/// Covered instance ids are the caller's to check.
+void fold(std::vector<RunRecord>& runs, RunBeginRecord&& r);
+void fold(std::vector<RunRecord>& runs, TaskStartRecord&& r);
+void fold(std::vector<RunRecord>& runs, TaskCoverRecord&& r);
+void fold(std::vector<RunRecord>& runs, TaskFinishRecord&& r);
+void fold(std::vector<RunRecord>& runs, RunSealRecord&& r);
+void fold(std::vector<RunRecord>& runs, RunEndRecord&& r);
+
+/// Instance positions [begin, end) that the crash sweep of an open run may
+/// treat as its partial products.
+struct SweepWindow {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The sweep window of `runs[r]` in a table of `table_size` instances:
+/// from its `db_size_at_begin` to its seal, the next run's begin or the
+/// table end, whichever comes first.  Runs execute one at a time, so the
+/// next run's begin bounds the window even when no seal was journaled.
+/// Crash recovery and fsck both sweep by this rule.
+[[nodiscard]] SweepWindow sweep_window(const std::vector<RunRecord>& runs,
+                                       std::size_t r, std::size_t table_size);
+
 /// Observer of history mutations — the hook durable storage (src/storage)
-/// attaches to.  `lines` holds one or more '\n'-terminated record lines in
-/// the same format `save()` emits; feeding them to `apply_saved_line` in
-/// order reproduces the mutation on another database.
+/// attaches to.  `lines` holds one or more '\n'-terminated record lines
+/// (`encode`d records); feeding them to `apply_saved_line` in order
+/// reproduces the mutation on another database.
 class MutationListener {
  public:
   virtual ~MutationListener() = default;
@@ -109,9 +133,9 @@ class MutationListener {
 class HistoryObserver {
  public:
   virtual ~HistoryObserver() = default;
-  /// One mutation's save()-format record lines ('\n'-terminated), fired
-  /// after the state change has been applied.
-  virtual void on_lines(std::string_view lines) = 0;
+  /// One mutation's records, already decoded, fired after the state
+  /// change has been applied.
+  virtual void on_records(std::span<const Record> records) = 0;
   /// The database's contents were replaced wholesale (a replica resync's
   /// move-assignment); derived state must be rebuilt from the new image.
   virtual void on_reset() = 0;
@@ -298,26 +322,25 @@ class HistoryDb {
 
   // ---- persistence -------------------------------------------------------------
 
-  /// Serializes blobs + instances to text.
+  /// Serializes blobs, instances and the run log to text: one `encode`d
+  /// record per line.
   [[nodiscard]] std::string save() const;
   /// Restores a database saved with `save` against the same schema.
   [[nodiscard]] static HistoryDb load(const schema::TaskSchema& schema,
                                       support::Clock& clock,
                                       std::string_view text);
 
-  /// Applies one save()-format record line ("blob", "inst", "annot", the
-  /// run-log kinds "runb"/"tstart"/"tcover"/"tfin"/"runseal"/"rune", or
-  /// "quar"),
-  /// verifying content hashes and id ordering.  `load` is a loop over this;
-  /// journal recovery (src/storage) replays incremental mutations through
-  /// the same path.  Never notifies the attached listener; observers *are*
-  /// notified, after the line has been applied.
+  /// Applies one saved record line: `decode`s it, then resolves its entity
+  /// name and blob key, verifying content hashes, id ordering and
+  /// references.  `load` is a loop over this; journal recovery
+  /// (src/storage) replays incremental mutations through the same path.
+  /// Never notifies the attached listener; observers *are* notified, with
+  /// the decoded record, after it has been applied.
   void apply_saved_line(std::string_view line);
 
   /// Attaches (or detaches, with nullptr) a mutation observer.  Every
-  /// `record` / `import_instance` / `annotate` is reported after it has been
-  /// applied, serialized as save()-format lines.  The listener must outlive
-  /// the attachment.
+  /// mutation is reported after it has been applied, as its `encode`d
+  /// record lines.  The listener must outlive the attachment.
   void attach_listener(MutationListener* listener) { listener_ = listener; }
   [[nodiscard]] MutationListener* listener() const { return listener_; }
 
@@ -331,29 +354,30 @@ class HistoryDb {
  private:
   void check_id(data::InstanceId id) const;
   [[nodiscard]] schema::EntityTypeId root_type(schema::EntityTypeId t) const;
-  [[nodiscard]] std::string instance_line(const Instance& inst) const;
-  [[nodiscard]] static std::string run_begin_line(const RunRecord& run);
+  /// `inst` as its `inst` record.
+  [[nodiscard]] InstanceRecord instance_record(const Instance& inst) const;
+  /// Adds the last instance's derivation to the forward index.
+  void link_newest();
 
-  /// State mutation shared by the public mutators (which also notify the
-  /// listener) and `apply_saved_line` (which must not).
-  [[nodiscard]] RunRecord& run_ref(std::uint64_t id);
-  void apply_run_begin(RunRecord run);
-  void apply_task_started(std::uint64_t run, std::string_view key);
-  void apply_task_covered(std::uint64_t run,
-                          const std::vector<data::InstanceId>& produced);
-  void apply_task_finished(std::uint64_t run, std::string_view key,
-                           std::string_view status);
-  void apply_run_seal(std::uint64_t run, std::uint32_t sweep_end);
-  void apply_run_end(std::uint64_t run, std::string_view outcome);
-  void apply_quarantine(data::InstanceId id, std::string_view reason);
+  /// The state change a record makes, shared by the public mutators and
+  /// `apply_saved_line`: run-log records `fold` into `runs_`, the others
+  /// go to the overloads below.  Throws `HistoryError` when the record
+  /// does not fit the database, leaving it unchanged.
+  void apply(Record&& record);
+  void apply(BlobRecord&& r);
+  void apply(InstanceRecord&& r);
+  void apply(AnnotateRecord&& r);
+  void apply(QuarantineRecord&& r);
 
-  /// True when some consumer wants mutation lines built at all.
+  /// A locally originated one-record mutation: applies, then emits it.
+  void commit(Record record);
+  /// True when some consumer wants mutation records at all.
   [[nodiscard]] bool observed() const {
     return listener_ != nullptr || !observers_.empty();
   }
-  /// Sends `lines` to the listener (journal first — WAL discipline), then
-  /// to every observer.
-  void emit(std::string_view lines);
+  /// Sends one mutation's `records` to the listener as encoded lines
+  /// (journal first — WAL discipline), then to every observer.
+  void emit(std::span<const Record> records);
 
   const schema::TaskSchema* schema_;
   support::Clock* clock_;

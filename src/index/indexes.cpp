@@ -75,61 +75,36 @@ void IndexImage::add_tokens(std::uint32_t id, std::string_view text) {
 void IndexImage::add_instance(std::uint32_t id, std::string_view type_name,
                               std::string_view name, std::string_view user,
                               std::int64_t created, std::string_view comment,
-                              std::int64_t tool,
-                              const std::vector<std::uint32_t>& inputs) {
+                              const history::Derivation& derivation) {
   add_tokens(id, name);
   add_tokens(id, comment);
   users[std::string(user)].push_back(id);
   by_type[std::string(type_name)].emplace_back(created, id);
   by_date.emplace_back(created, id);
-  const auto fold = [this, id](std::uint32_t src) {
+  const auto fold_edge = [this, id](InstanceId src) {
     ++edges;
     const std::string edge =
-        std::to_string(src) + ">" + std::to_string(id) + ";";
+        std::to_string(src.value()) + ">" + std::to_string(id) + ";";
     adjacency_digest = support::fnv1a_append(adjacency_digest, edge);
   };
-  if (tool >= 0) fold(static_cast<std::uint32_t>(tool));
-  for (const std::uint32_t in : inputs) fold(in);
+  if (derivation.tool.valid()) fold_edge(derivation.tool);
+  for (const InstanceId in : derivation.inputs) fold_edge(in);
   ++instances;
 }
 
-void IndexImage::annotate(std::uint32_t id, std::string_view name,
-                          std::string_view comment) {
-  add_tokens(id, name);
-  add_tokens(id, comment);
-}
-
-void IndexImage::apply_line(std::string_view line) {
-  support::RecordReader rec(line);
-  if (rec.kind() == "inst") {
-    const std::uint32_t id = rec.next_uint32();
-    const std::string type_name = rec.next_string();
-    const std::string name = rec.next_string();
-    const std::string user = rec.next_string();
-    const std::int64_t created = rec.next_int64();
-    const std::string comment = rec.next_string();
-    (void)rec.next_string();  // blob
-    (void)rec.next_uint32();  // version
-    (void)rec.next_uint32();  // status
-    (void)rec.next_string();  // task
-    const std::int64_t tool = rec.next_int64();
-    const std::uint32_t n_inputs = rec.next_uint32();
-    std::vector<std::uint32_t> inputs;
-    inputs.reserve(n_inputs);
-    for (std::uint32_t i = 0; i < n_inputs; ++i) {
-      inputs.push_back(rec.next_uint32());
-      (void)rec.next_string();  // role
-    }
-    add_instance(id, type_name, name, user, created, comment, tool, inputs);
-  } else if (rec.kind() == "annot") {
-    const std::uint32_t id = rec.next_uint32();
-    const std::string name = rec.next_string();
-    annotate(id, name, rec.next_string());
-  } else if (rec.kind() == "quar") {
+void IndexImage::fold(const history::Record& record) {
+  if (const auto* inst = std::get_if<history::InstanceRecord>(&record)) {
+    add_instance(inst->id.value(), inst->type, inst->name, inst->user,
+                 inst->created.micros(), inst->comment, inst->derivation);
+  } else if (const auto* annot =
+                 std::get_if<history::AnnotateRecord>(&record)) {
+    add_tokens(annot->id.value(), annot->name);
+    add_tokens(annot->id.value(), annot->comment);
+  } else if (const auto* quar =
+                 std::get_if<history::QuarantineRecord>(&record)) {
     // Quarantine appends "[quarantined: <reason>]" to the comment; index
     // the same tokens so a keyword search over that text still matches.
-    const std::uint32_t id = rec.next_uint32();
-    add_tokens(id, "quarantined " + rec.next_string());
+    add_tokens(quar->id.value(), "quarantined " + quar->reason);
   }
   // blob and run-log records carry nothing the indexes serve.
 }
@@ -286,19 +261,9 @@ void HistoryIndexes::rebuild() {
   for (std::size_t i = 0; i < n; ++i) {
     const history::Instance& inst =
         db_->instance(InstanceId(static_cast<std::uint32_t>(i)));
-    std::vector<std::uint32_t> inputs;
-    inputs.reserve(inst.derivation.inputs.size());
-    for (const InstanceId in : inst.derivation.inputs) {
-      inputs.push_back(in.value());
-    }
     img_.add_instance(static_cast<std::uint32_t>(i),
                       schema.entity_name(inst.type), inst.name, inst.user,
-                      inst.created.micros(), inst.comment,
-                      inst.derivation.tool.valid()
-                          ? static_cast<std::int64_t>(
-                                inst.derivation.tool.value())
-                          : -1,
-                      inputs);
+                      inst.created.micros(), inst.comment, inst.derivation);
   }
   trigrams_.extend(img_.tokens);
 }
@@ -356,10 +321,7 @@ HistoryIndexes::OpenReport HistoryIndexes::open(
   try {
     for (std::size_t i = static_cast<std::size_t>(img_.seq);
          i < journal_records.size(); ++i) {
-      for (const std::string_view line : support::Lines(journal_records[i])) {
-        if (support::trim(line).empty()) continue;
-        img_.apply_line(line);
-      }
+      on_lines(journal_records[i]);
       ++rep.caught_up;
     }
   } catch (const std::exception& e) {
@@ -373,7 +335,6 @@ HistoryIndexes::OpenReport HistoryIndexes::open(
     return rep;
   }
   rep.loaded = true;
-  trigrams_.extend(img_.tokens);
   return rep;
 }
 
@@ -409,8 +370,13 @@ void HistoryIndexes::save(const std::string& dir, std::uint64_t epoch,
 void HistoryIndexes::on_lines(std::string_view lines) {
   for (const std::string_view line : support::Lines(lines)) {
     if (support::trim(line).empty()) continue;
-    img_.apply_line(line);
+    img_.fold(history::decode(line));
   }
+  trigrams_.extend(img_.tokens);
+}
+
+void HistoryIndexes::on_records(std::span<const history::Record> records) {
+  for (const history::Record& record : records) img_.fold(record);
   trigrams_.extend(img_.tokens);
 }
 

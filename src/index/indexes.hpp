@@ -16,7 +16,10 @@
 // Maintenance is incremental: the structure registers as a `HistoryObserver`
 // on the database, so it sees the same record stream the HERCWAL1 journal
 // carries — locally originated mutations and replica-applied frames alike —
-// and a replica resync's `on_reset` triggers a full rebuild.
+// as the decoded records (history/record_codec.hpp) the database already
+// holds, never re-parsing text; a replica resync's `on_reset` triggers a
+// full rebuild.  Journal text (open's catch-up) goes through the same
+// `decode` the database replays with.
 //
 // Persistence (`indexes.herc` next to the snapshot/journal) is epoch- and
 // sequence-stamped: a file written at (epoch E, seq S) plus the journal
@@ -31,6 +34,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -89,19 +93,16 @@ struct IndexImage {
   std::uint64_t edges = 0;
   std::uint64_t adjacency_digest = 0;
 
-  /// Folds one freshly recorded instance in (`tool` < 0 = none).
+  /// Folds one freshly recorded instance in.
   void add_instance(std::uint32_t id, std::string_view type_name,
                     std::string_view name, std::string_view user,
                     std::int64_t created, std::string_view comment,
-                    std::int64_t tool,
-                    const std::vector<std::uint32_t>& inputs);
-  /// Annotation replacement: the new name/comment tokens are added for
-  /// `id`; old postings stay (supersets are fine, omissions are not).
-  void annotate(std::uint32_t id, std::string_view name,
-                std::string_view comment);
-  /// Applies one save()-format record line ("inst", "annot" and "quar"
-  /// carry index content; blob and run-log kinds are ignored).
-  void apply_line(std::string_view line);
+                    const history::Derivation& derivation);
+  /// Folds one decoded record in: `inst`, `annot` (the new name/comment
+  /// tokens are added; old postings stay, as supersets are fine and
+  /// omissions are not) and `quar` carry index content; blob and run-log
+  /// records are ignored.
+  void fold(const history::Record& record);
 
   /// Serializes header + sections; `parse` inverts it.  The header carries
   /// a checksum over the body, so torn or tampered files are detected.
@@ -213,8 +214,12 @@ class HistoryIndexes final : public history::SecondaryIndex,
   [[nodiscard]] std::optional<std::vector<data::InstanceId>> name_candidates(
       std::string_view name) const override;
 
+  /// Decodes '\n'-separated record lines (a journal frame) and folds them
+  /// in: `open`'s catch-up, for records that exist only as text.
+  void on_lines(std::string_view lines);
+
   // HistoryObserver
-  void on_lines(std::string_view lines) override;
+  void on_records(std::span<const history::Record> records) override;
   void on_reset() override;
 
  private:

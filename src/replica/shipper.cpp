@@ -6,24 +6,12 @@
 
 #include "schema/schema_io.hpp"
 #include "storage/journal.hpp"
+#include "support/text.hpp"
 
 namespace herc::replica {
 
 using server::Frame;
 using server::FrameType;
-
-namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
 
 JournalShipper::JournalShipper(core::DesignSession& session,
                                ShipperOptions options)
@@ -228,7 +216,7 @@ std::string JournalShipper::render_followers(bool json) const {
       if (!first) out << ",";
       first = false;
       const bool same_epoch = follower.acked.epoch == epoch;
-      out << "{\"id\":" << id << ",\"peer\":\"" << json_escape(follower.peer)
+      out << "{\"id\":" << id << ",\"peer\":\"" << support::json_escape(follower.peer)
           << "\",\"acked_epoch\":" << follower.acked.epoch
           << ",\"acked_seq\":" << follower.acked.seq << ",\"lag_frames\":";
       if (same_epoch && seq >= follower.acked.seq) {

@@ -8,7 +8,6 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -26,6 +25,7 @@
 #include "storage/fsck.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace herc::sim {
 
@@ -908,36 +908,6 @@ class FollowerFleet {
   std::vector<std::unique_ptr<Follower>> fleet_;
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---- SwarmReport ------------------------------------------------------------
@@ -993,7 +963,7 @@ std::string SwarmReport::render_text() const {
 std::string SwarmReport::render_json() const {
   std::ostringstream out;
   out << "{\n";
-  out << "  \"profile\": \"" << json_escape(profile) << "\",\n";
+  out << "  \"profile\": \"" << support::json_escape(profile) << "\",\n";
   out << "  \"clients\": " << clients << ",\n";
   out << "  \"rounds\": " << rounds << ",\n";
   out << "  \"seed\": " << seed << ",\n";
@@ -1022,7 +992,7 @@ std::string SwarmReport::render_json() const {
   out << (events.empty() ? "" : "\n  ") << "],\n";
   out << "  \"violations\": [";
   for (std::size_t i = 0; i < violations.size(); ++i) {
-    out << (i == 0 ? "" : ",") << "\n    \"" << json_escape(violations[i])
+    out << (i == 0 ? "" : ",") << "\n    \"" << support::json_escape(violations[i])
         << "\"";
   }
   out << (violations.empty() ? "" : "\n  ") << "],\n";

@@ -25,34 +25,6 @@ using support::HistoryError;
 
 namespace {
 
-/// Minimal JSON string escaping (findings carry free-text details).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 const char* severity_label(FsckSeverity s) {
   return s == FsckSeverity::kCorruption ? "corruption"
          : s == FsckSeverity::kWarning  ? "warning"
@@ -104,7 +76,7 @@ std::string FsckReport::render() const {
 
 std::string FsckReport::render_json() const {
   std::ostringstream out;
-  out << "{\"dir\":\"" << json_escape(dir) << "\",\"stats\":{\"epoch\":"
+  out << "{\"dir\":\"" << support::json_escape(dir) << "\",\"stats\":{\"epoch\":"
       << stats.epoch << ",\"snapshot_records\":" << stats.snapshot_records
       << ",\"journal_records\":" << stats.journal_records
       << ",\"instances\":" << stats.instances << ",\"blobs\":" << stats.blobs
@@ -115,15 +87,15 @@ std::string FsckReport::render_json() const {
     if (!first) out << ",";
     first = false;
     out << "{\"severity\":\"" << severity_label(f.severity)
-        << "\",\"code\":\"" << json_escape(f.code) << "\",\"detail\":\""
-        << json_escape(f.detail) << "\"}";
+        << "\",\"code\":\"" << support::json_escape(f.code) << "\",\"detail\":\""
+        << support::json_escape(f.detail) << "\"}";
   }
   out << "],\"repairs\":[";
   first = true;
   for (const std::string& action : repairs) {
     if (!first) out << ",";
     first = false;
-    out << "\"" << json_escape(action) << "\"";
+    out << "\"" << support::json_escape(action) << "\"";
   }
   const FsckSeverity worst = severity();
   out << "],\"verdict\":\""
@@ -142,58 +114,24 @@ std::string read_file(const std::string& path) {
   return std::move(*bytes);
 }
 
-/// Leniently parsed mirror of a history instance: everything needed to
-/// audit references and to re-serialize a repaired image.
-struct AuditInstance {
-  std::uint32_t id = 0;
-  std::string type;
-  std::string name;
-  std::string user;
-  std::int64_t created = 0;
-  std::string comment;
-  std::string blob;
-  std::uint32_t version = 1;
-  std::uint32_t status = 0;
-  std::string task;
-  std::int64_t tool = -1;
-  std::vector<std::pair<std::int64_t, std::string>> inputs;
-  /// Repair verdicts filled by the audit passes.
+/// The store as ingested: every decoded record folded the way recovery
+/// folds it, but leniently, so one defect never hides the rest.
+struct Audit {
+  /// Blobs in first-seen order (the order `HistoryDb::save` writes them).
+  std::vector<history::BlobRecord> blobs;
+  std::unordered_map<std::string, std::size_t> blob_index;
+  std::vector<history::InstanceRecord> instances;
+  std::vector<history::RunRecord> runs;
+  /// Records that failed to decode or were refused outright, dropped from
+  /// any repair image.
+  std::size_t dropped_records = 0;
+};
+
+/// Repair verdicts for one instance, filled by the audit passes.
+struct Verdict {
   bool tombstone = false;
   std::string tombstone_reason;
   bool quarantine = false;
-};
-
-struct AuditTask {
-  std::string key;
-  bool finished = false;
-  std::string status;
-};
-
-struct AuditRun {
-  std::uint64_t id = 0;
-  std::string flow_name;
-  std::string goal;
-  std::int64_t goal_node = -1;
-  std::string user;
-  std::string options;
-  std::int64_t seed = 0;
-  std::uint32_t db_size = 0;
-  std::string flow_text;
-  std::string outcome;
-  std::vector<AuditTask> tasks;
-  std::vector<std::int64_t> covered;
-  /// Partial-product sweep window end (recovery's seal); -1 = unsealed.
-  std::int64_t sweep_end = -1;
-};
-
-struct Audit {
-  /// Blobs in first-seen order (the order `BlobStore::save` preserves).
-  std::vector<std::pair<std::string, std::string>> blobs;
-  std::unordered_map<std::string, std::size_t> blob_index;
-  std::vector<AuditInstance> instances;
-  std::vector<AuditRun> runs;
-  /// Lines that failed to parse at all, dropped from any repair image.
-  std::size_t dropped_records = 0;
 };
 
 void warn(FsckReport& report, std::string code, std::string detail) {
@@ -213,184 +151,89 @@ void note(FsckReport& report, std::string code, std::string detail) {
                                         std::move(code), std::move(detail)});
 }
 
-AuditRun* find_audit_run(Audit& audit, std::uint64_t id) {
-  for (AuditRun& run : audit.runs) {
-    if (run.id == id) return &run;
-  }
-  return nullptr;
-}
+/// Folds one decoded record into the audit.  An annotation or quarantine
+/// of an unknown instance becomes a finding, a run-log record replay
+/// refuses throws `HistoryError`; reference checks are deferred to the
+/// audit passes so one defect never hides the rest.
+class Ingest {
+ public:
+  Ingest(Audit& audit, FsckReport& report, const std::string& origin)
+      : audit_(audit), report_(report), origin_(origin) {}
 
-/// Ingests one record line.  Structural parse failures become "bad-record"
-/// corruption findings; reference checks are deferred to the audit passes
-/// so one defect never hides the rest.
-void ingest_line(Audit& audit, FsckReport& report, std::string_view line,
-                 const std::string& origin) {
-  try {
-    support::RecordReader rec(line);
-    if (rec.kind() == "blob") {
-      const std::string key = rec.next_string();
-      std::string payload = rec.next_string();
-      if (!audit.blob_index.contains(key)) {
-        audit.blob_index.emplace(key, audit.blobs.size());
-        audit.blobs.emplace_back(key, std::move(payload));
-      }
-    } else if (rec.kind() == "inst") {
-      AuditInstance inst;
-      inst.id = rec.next_uint32();
-      inst.type = rec.next_string();
-      inst.name = rec.next_string();
-      inst.user = rec.next_string();
-      inst.created = rec.next_int64();
-      inst.comment = rec.next_string();
-      inst.blob = rec.next_string();
-      inst.version = rec.next_uint32();
-      inst.status = rec.next_uint32();
-      inst.task = rec.next_string();
-      inst.tool = rec.next_int64();
-      const std::uint32_t n_inputs = rec.next_uint32();
-      for (std::uint32_t i = 0; i < n_inputs; ++i) {
-        const std::int64_t in = rec.next_int64();
-        inst.inputs.emplace_back(in, rec.next_string());
-      }
-      if (inst.status > 3) {
-        corrupt(report, "bad-record",
-                origin + ": instance i" + std::to_string(inst.id) +
-                    " has unknown status " + std::to_string(inst.status));
-        ++audit.dropped_records;
-        return;
-      }
-      audit.instances.push_back(std::move(inst));
-    } else if (rec.kind() == "annot") {
-      const std::uint32_t id = rec.next_uint32();
-      std::string name = rec.next_string();
-      std::string comment = rec.next_string();
-      if (id >= audit.instances.size()) {
-        corrupt(report, "dangling-reference",
-                origin + ": annotation targets unknown instance i" +
-                    std::to_string(id));
-        return;
-      }
-      audit.instances[id].name = std::move(name);
-      audit.instances[id].comment = std::move(comment);
-    } else if (rec.kind() == "runb") {
-      AuditRun run;
-      run.id = static_cast<std::uint64_t>(rec.next_int64());
-      run.flow_name = rec.next_string();
-      run.goal = rec.next_string();
-      run.goal_node = rec.next_int64();
-      run.user = rec.next_string();
-      run.options = rec.next_string();
-      run.seed = rec.next_int64();
-      run.db_size = rec.next_uint32();
-      run.flow_text = rec.next_string();
-      if (run.id != audit.runs.size()) {
-        corrupt(report, "bad-record",
-                origin + ": run records out of order (run #" +
-                    std::to_string(run.id) + ")");
-        ++audit.dropped_records;
-        return;
-      }
-      audit.runs.push_back(std::move(run));
-    } else if (rec.kind() == "tstart" || rec.kind() == "tcover" ||
-               rec.kind() == "tfin" || rec.kind() == "runseal" ||
-               rec.kind() == "rune") {
-      const std::string kind(rec.kind());
-      const auto id = static_cast<std::uint64_t>(rec.next_int64());
-      AuditRun* run = find_audit_run(audit, id);
-      if (run == nullptr) {
-        corrupt(report, "dangling-reference",
-                origin + ": '" + kind + "' frame targets unknown run #" +
-                    std::to_string(id));
-        return;
-      }
-      if (kind == "tstart") {
-        run->tasks.push_back(AuditTask{rec.next_string(), false, ""});
-      } else if (kind == "tcover") {
-        const std::uint32_t count = rec.next_uint32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          run->covered.push_back(rec.next_int64());
-        }
-      } else if (kind == "tfin") {
-        const std::string key = rec.next_string();
-        std::string status = rec.next_string();
-        bool found = false;
-        for (AuditTask& task : run->tasks) {
-          if (!task.finished && task.key == key) {
-            task.finished = true;
-            task.status = std::move(status);
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          corrupt(report, "bad-record",
-                  origin + ": run #" + std::to_string(id) + " task '" + key +
-                      "' finished without starting");
-        }
-      } else if (kind == "runseal") {
-        run->sweep_end = rec.next_int64();
-      } else {  // rune
-        std::string outcome = rec.next_string();
-        if (!run->outcome.empty()) {
-          corrupt(report, "bad-record",
-                  origin + ": run #" + std::to_string(id) + " ended twice");
-          return;
-        }
-        run->outcome = std::move(outcome);
-        run->flow_text.clear();
-      }
-    } else if (rec.kind() == "quar") {
-      const std::uint32_t id = rec.next_uint32();
-      const std::string reason = rec.next_string();
-      if (id >= audit.instances.size()) {
-        corrupt(report, "dangling-reference",
-                origin + ": quarantine targets unknown instance i" +
-                    std::to_string(id));
-        return;
-      }
-      AuditInstance& inst = audit.instances[id];
-      if (inst.status != 0) {
-        corrupt(report, "bad-record",
-                origin + ": quarantine of non-OK instance i" +
-                    std::to_string(id));
-        return;
-      }
-      inst.status = 3;
-      if (!inst.comment.empty()) inst.comment += ' ';
-      inst.comment += "[quarantined: " + reason + "]";
-    } else {
-      corrupt(report, "bad-record",
-              origin + ": unknown record kind '" + std::string(rec.kind()) +
-                  "'");
-      ++audit.dropped_records;
+  void operator()(history::BlobRecord&& blob) {
+    if (audit_.blob_index.contains(blob.key)) return;
+    audit_.blob_index.emplace(blob.key, audit_.blobs.size());
+    audit_.blobs.push_back(std::move(blob));
+  }
+  void operator()(history::InstanceRecord&& inst) {
+    audit_.instances.push_back(std::move(inst));
+  }
+  void operator()(history::AnnotateRecord&& annot) {
+    history::InstanceRecord* inst = instance(annot.id, "annotation");
+    if (inst == nullptr) return;
+    inst->name = std::move(annot.name);
+    inst->comment = std::move(annot.comment);
+  }
+  void operator()(history::QuarantineRecord&& quar) {
+    history::InstanceRecord* inst = instance(quar.id, "quarantine");
+    if (inst == nullptr) return;
+    if (inst->status != history::InstanceStatus::kOk) {
+      corrupt(report_, "bad-record",
+              origin_ + ": quarantine of non-OK instance i" +
+                  std::to_string(quar.id.value()));
+      return;
     }
-  } catch (const std::exception& e) {
-    corrupt(report, "bad-record", origin + ": " + e.what());
-    ++audit.dropped_records;
+    inst->status = history::InstanceStatus::kQuarantined;
+    if (!inst->comment.empty()) inst->comment += ' ';
+    inst->comment += "[quarantined: " + quar.reason + "]";
   }
-}
+  /// The run log folds by the rules replay applies, so a run-log record
+  /// replay refuses throws here too.
+  template <class R>
+  void operator()(R&& r) {
+    history::fold(audit_.runs, std::forward<R>(r));
+  }
 
-/// The reference/coverage audit passes over the ingested state.
-void audit_store(Audit& audit, FsckReport& report,
-                 const schema::TaskSchema* schema, bool replica) {
+ private:
+  history::InstanceRecord* instance(data::InstanceId id, const char* what) {
+    if (id.index() < audit_.instances.size()) {
+      return &audit_.instances[id.index()];
+    }
+    corrupt(report_, "dangling-reference",
+            origin_ + ": " + what + " targets unknown instance i" +
+                std::to_string(id.value()));
+    return nullptr;
+  }
+  Audit& audit_;
+  FsckReport& report_;
+  const std::string& origin_;
+};
+
+/// The reference/coverage audit passes over the ingested state; returns
+/// each instance's repair verdict.
+std::vector<Verdict> audit_store(const Audit& audit, FsckReport& report,
+                                 const schema::TaskSchema* schema,
+                                 bool replica) {
+  std::vector<Verdict> verdicts(audit.instances.size());
   // Blob content hashes: a mismatched payload would be rejected by
   // `BlobStore::restore` on the next recovery, making the store unopenable.
   std::unordered_set<std::string> bad_blobs;
-  for (const auto& [key, payload] : audit.blobs) {
-    if (data::BlobStore::key_for(payload) != key) {
+  for (const history::BlobRecord& blob : audit.blobs) {
+    const data::BlobKey actual = data::BlobStore::key_for(blob.payload);
+    if (actual != blob.key) {
       corrupt(report, "blob-hash-mismatch",
-              "blob '" + key + "' payload hashes to '" +
-                  data::BlobStore::key_for(payload) + "'");
-      bad_blobs.insert(key);
+              "blob '" + blob.key + "' payload hashes to '" + actual + "'");
+      bad_blobs.insert(blob.key);
     }
   }
 
   // Instance table: dense ids, known entities, valid blob and derivation
   // references (a reference must point at an *earlier* instance).
   for (std::size_t i = 0; i < audit.instances.size(); ++i) {
-    AuditInstance& inst = audit.instances[i];
-    const std::string label = "instance i" + std::to_string(inst.id);
-    if (inst.id != i) {
+    const history::InstanceRecord& inst = audit.instances[i];
+    Verdict& verdict = verdicts[i];
+    const std::string label = "instance i" + std::to_string(inst.id.value());
+    if (inst.id.index() != i) {
       corrupt(report, "out-of-order-instance",
               label + " sits at table position " + std::to_string(i));
     }
@@ -401,29 +244,28 @@ void audit_store(Audit& audit, FsckReport& report,
     if (!audit.blob_index.contains(inst.blob)) {
       corrupt(report, "missing-blob",
               label + " references missing blob '" + inst.blob + "'");
-      inst.tombstone = true;
-      inst.tombstone_reason = "missing blob";
+      verdict.tombstone = true;
+      verdict.tombstone_reason = "missing blob";
     } else if (bad_blobs.contains(inst.blob)) {
-      inst.tombstone = true;
-      inst.tombstone_reason = "blob hash mismatch";
+      verdict.tombstone = true;
+      verdict.tombstone_reason = "blob hash mismatch";
     }
-    const auto check_ref = [&](std::int64_t ref, const char* what) {
-      if (ref < 0) return;
-      if (static_cast<std::size_t>(ref) >= i || ref > inst.id) {
-        corrupt(report, "dangling-reference",
-                label + " " + what + " references " +
-                    (static_cast<std::size_t>(ref) >= audit.instances.size()
-                         ? "unknown"
-                         : "a later") +
-                    " instance i" + std::to_string(ref));
-        inst.tombstone = true;
-        if (inst.tombstone_reason.empty()) {
-          inst.tombstone_reason = "dangling derivation reference";
-        }
+    const auto check_ref = [&](data::InstanceId ref, const char* what) {
+      if (ref.index() < i && ref.value() <= inst.id.value()) return;
+      corrupt(report, "dangling-reference",
+              label + " " + what + " references " +
+                  (ref.index() >= audit.instances.size() ? "unknown"
+                                                         : "a later") +
+                  " instance i" + std::to_string(ref.value()));
+      verdict.tombstone = true;
+      if (verdict.tombstone_reason.empty()) {
+        verdict.tombstone_reason = "dangling derivation reference";
       }
     };
-    check_ref(inst.tool, "derivation tool");
-    for (const auto& [in, role] : inst.inputs) {
+    if (inst.derivation.tool.valid()) {
+      check_ref(inst.derivation.tool, "derivation tool");
+    }
+    for (const data::InstanceId in : inst.derivation.inputs) {
       check_ref(in, "derivation input");
     }
   }
@@ -431,69 +273,61 @@ void audit_store(Audit& audit, FsckReport& report,
   // Orphan blobs: referenced by no instance.  Survivable (recovery loads
   // them fine) but dead weight a checkpoint never sheds on its own.
   std::unordered_set<std::string> referenced;
-  for (const AuditInstance& inst : audit.instances) {
+  for (const history::InstanceRecord& inst : audit.instances) {
     referenced.insert(inst.blob);
   }
-  for (const auto& [key, payload] : audit.blobs) {
-    if (!referenced.contains(key)) {
+  for (const history::BlobRecord& blob : audit.blobs) {
+    if (!referenced.contains(blob.key)) {
       warn(report, "orphan-blob",
-           "blob '" + key + "' (" + std::to_string(payload.size()) +
+           "blob '" + blob.key + "' (" + std::to_string(blob.payload.size()) +
                " bytes) is referenced by no instance");
     }
   }
 
   // Run log: interrupted runs and their uncovered (partial) products.
   // Coverage unions over ALL runs (closed runs keep their lists), and the
-  // sweep is confined to each open run's own window — mirroring
-  // `HistoryDb::partial_products`, so repair never quarantines valid work
-  // recorded after the crash.
-  std::unordered_set<std::int64_t> covered;
-  for (const AuditRun& run : audit.runs) {
-    for (const std::int64_t id : run.covered) {
-      if (id < 0 || static_cast<std::size_t>(id) >= audit.instances.size()) {
+  // sweep is confined to each open run's own window — the rule
+  // `HistoryDb::partial_products` applies, so repair never quarantines
+  // valid work recorded after the crash.
+  std::unordered_set<std::uint32_t> covered;
+  for (const history::RunRecord& run : audit.runs) {
+    for (const data::InstanceId id : run.covered) {
+      if (id.index() >= audit.instances.size()) {
         corrupt(report, "dangling-reference",
                 "run #" + std::to_string(run.id) +
-                    " covers unknown instance i" + std::to_string(id));
+                    " covers unknown instance i" + std::to_string(id.value()));
       }
-      covered.insert(id);
+      covered.insert(id.value());
     }
   }
   // The partial sweep runs first: an open run's verdict depends on whether
   // its window still holds unquarantined partials.
   std::unordered_set<std::uint64_t> dirty_runs;
   for (std::size_t r = 0; r < audit.runs.size(); ++r) {
-    const AuditRun& run = audit.runs[r];
-    if (!run.outcome.empty()) continue;
-    std::size_t end = run.sweep_end >= 0
-                          ? static_cast<std::size_t>(run.sweep_end)
-                          : audit.instances.size();
-    if (r + 1 < audit.runs.size()) {
-      end = std::min<std::size_t>(end, audit.runs[r + 1].db_size);
-    }
-    end = std::min(end, audit.instances.size());
-    for (std::size_t i = run.db_size; i < end; ++i) {
-      AuditInstance& inst = audit.instances[i];
-      const bool is_import = inst.tool < 0 && inst.inputs.empty();
-      if (inst.status != 0 || is_import || inst.quarantine) continue;
-      if (!covered.contains(static_cast<std::int64_t>(inst.id))) {
+    if (!audit.runs[r].open()) continue;
+    const history::SweepWindow window =
+        history::sweep_window(audit.runs, r, audit.instances.size());
+    for (std::size_t i = window.begin; i < window.end; ++i) {
+      const history::InstanceRecord& inst = audit.instances[i];
+      if (inst.status != history::InstanceStatus::kOk ||
+          inst.derivation.is_import() || verdicts[i].quarantine) {
+        continue;
+      }
+      if (!covered.contains(inst.id.value())) {
         warn(report, "unquarantined-partial",
-             "instance i" + std::to_string(inst.id) +
+             "instance i" + std::to_string(inst.id.value()) +
                  " was produced by an unfinished task of an interrupted "
                  "run but is not quarantined");
-        inst.quarantine = true;
-        dirty_runs.insert(run.id);
+        verdicts[i].quarantine = true;
+        dirty_runs.insert(audit.runs[r].id);
       }
     }
   }
-  for (const AuditRun& run : audit.runs) {
-    if (!run.outcome.empty()) continue;
-    std::size_t finished = 0;
-    for (const AuditTask& task : run.tasks) {
-      if (task.finished) ++finished;
-    }
+  for (const history::RunRecord& run : audit.runs) {
+    if (!run.open()) continue;
     const std::string progress =
         "run #" + std::to_string(run.id) + " (flow '" + run.flow_name +
-        "') never ended: " + std::to_string(finished) + "/" +
+        "') never ended: " + std::to_string(run.tasks_finished()) + "/" +
         std::to_string(run.tasks.size()) + " started tasks finished";
     // On a replica, an open run is the *leader's* live run streaming in —
     // expected mid-flight state, not an interruption.  Promotion is what
@@ -508,27 +342,24 @@ void audit_store(Audit& audit, FsckReport& report,
     // shutdown) deliberately leaves behind: consistent and resumable, not
     // a defect.  Unsealed, or sealed with unswept partials, the store
     // still needs recovery — that stays a warning.
-    if (run.sweep_end >= 0 && !dirty_runs.contains(run.id)) {
+    if (run.sealed() && !dirty_runs.contains(run.id)) {
       note(report, "resumable-run",
            progress + "; sealed and swept, resumable as-is");
     } else {
       warn(report, "interrupted-run", progress + "; resumable");
     }
   }
+  return verdicts;
 }
 
 /// The index a rebuild over `instances` would produce — the *minimal*
 /// contents any valid index file must contain for that table.
 index::IndexImage index_from_instances(
-    const std::vector<AuditInstance>& instances) {
+    const std::vector<history::InstanceRecord>& instances) {
   index::IndexImage img;
-  for (const AuditInstance& inst : instances) {
-    std::vector<std::uint32_t> inputs;
-    for (const auto& [in, role] : inst.inputs) {
-      if (in >= 0) inputs.push_back(static_cast<std::uint32_t>(in));
-    }
-    img.add_instance(inst.id, inst.type, inst.name, inst.user, inst.created,
-                     inst.comment, inst.tool, inputs);
+  for (const history::InstanceRecord& inst : instances) {
+    img.add_instance(inst.id.value(), inst.type, inst.name, inst.user,
+                     inst.created.micros(), inst.comment, inst.derivation);
   }
   return img;
 }
@@ -543,7 +374,7 @@ index::IndexImage index_from_instances(
 /// annotation replacement intentionally leaves once-valid postings behind
 /// (the planner re-verifies candidates, so supersets are correct).
 void audit_index(const index::IndexImage& file, const index::IndexImage& all,
-                 const std::vector<AuditInstance>& at_seq,
+                 const std::vector<history::InstanceRecord>& at_seq,
                  FsckReport& report) {
   const index::IndexImage minimal = index_from_instances(at_seq);
   constexpr std::size_t kMaxDetails = 5;
@@ -643,156 +474,112 @@ void audit_index(const index::IndexImage& file, const index::IndexImage& all,
   }
 }
 
-/// Serializes the (possibly repaired) audit state back into a
-/// `HistoryDb::save`-compatible image.
+/// The (possibly repaired) audit state as a `HistoryDb::save` image.
 std::string serialize_image(const Audit& audit,
                             const std::unordered_set<std::string>& keep_blobs) {
   std::string out;
-  for (const auto& [key, payload] : audit.blobs) {
-    if (!keep_blobs.contains(key)) continue;
-    out += support::RecordWriter("blob").field(key).field(payload).str();
-    out += '\n';
+  for (const history::BlobRecord& blob : audit.blobs) {
+    if (keep_blobs.contains(blob.key)) history::encode(blob, out);
   }
-  for (const AuditInstance& inst : audit.instances) {
-    support::RecordWriter w("inst");
-    w.field(inst.id);
-    w.field(inst.type);
-    w.field(inst.name);
-    w.field(inst.user);
-    w.field(inst.created);
-    w.field(inst.comment);
-    w.field(inst.blob);
-    w.field(inst.version);
-    w.field(inst.status);
-    w.field(inst.task);
-    w.field(inst.tool);
-    w.field(static_cast<std::uint32_t>(inst.inputs.size()));
-    for (const auto& [in, role] : inst.inputs) {
-      w.field(in);
-      w.field(role);
-    }
-    out += w.str();
-    out += '\n';
+  for (const history::InstanceRecord& inst : audit.instances) {
+    history::encode(inst, out);
   }
-  for (const AuditRun& run : audit.runs) {
-    support::RecordWriter b("runb");
-    b.field(static_cast<std::int64_t>(run.id));
-    b.field(run.flow_name);
-    b.field(run.goal);
-    b.field(run.goal_node);
-    b.field(run.user);
-    b.field(run.options);
-    b.field(run.seed);
-    b.field(run.db_size);
-    b.field(run.flow_text);
-    out += b.str();
-    out += '\n';
-    for (const AuditTask& task : run.tasks) {
-      out += support::RecordWriter("tstart")
-                 .field(static_cast<std::int64_t>(run.id))
-                 .field(task.key)
-                 .str();
-      out += '\n';
-    }
-    if (!run.covered.empty()) {
-      support::RecordWriter w("tcover");
-      w.field(static_cast<std::int64_t>(run.id));
-      w.field(static_cast<std::uint32_t>(run.covered.size()));
-      for (const std::int64_t id : run.covered) w.field(id);
-      out += w.str();
-      out += '\n';
-    }
-    for (const AuditTask& task : run.tasks) {
-      if (!task.finished) continue;
-      out += support::RecordWriter("tfin")
-                 .field(static_cast<std::int64_t>(run.id))
-                 .field(task.key)
-                 .field(task.status)
-                 .str();
-      out += '\n';
-    }
-    if (run.sweep_end >= 0) {
-      out += support::RecordWriter("runseal")
-                 .field(static_cast<std::int64_t>(run.id))
-                 .field(static_cast<std::uint32_t>(run.sweep_end))
-                 .str();
-      out += '\n';
-    }
-    if (!run.outcome.empty()) {
-      out += support::RecordWriter("rune")
-                 .field(static_cast<std::int64_t>(run.id))
-                 .field(run.outcome)
-                 .str();
-      out += '\n';
-    }
-  }
+  for (const history::RunRecord& run : audit.runs) run.save_to(out);
   return out;
 }
 
 /// Applies the repair verdicts and checkpoints the cleaned image under the
-/// next epoch with a fresh journal.
-void repair_store(Audit& audit, FsckReport& report,
-                  const StorePaths& paths) {
+/// next epoch with a fresh journal — unless the image does not load over
+/// `schema`, in which case nothing is written and a "repair-refused"
+/// finding names the error.  Returns true when the checkpoint was written.
+bool repair_store(Audit& audit, const std::vector<Verdict>& verdicts,
+                  FsckReport& report, const StorePaths& paths,
+                  const schema::TaskSchema* schema) {
+  std::vector<std::string> actions;
   const std::string empty_key = data::BlobStore::key_for("");
   bool need_empty_blob = false;
-  for (AuditInstance& inst : audit.instances) {
-    if (inst.tombstone) {
+  for (std::size_t i = 0; i < audit.instances.size(); ++i) {
+    history::InstanceRecord& inst = audit.instances[i];
+    const std::string id = std::to_string(inst.id.value());
+    if (verdicts[i].tombstone) {
       // Keep the id slot (later references stay valid) but drop everything
       // untrustworthy: payload, derivation, OK status.
-      if (inst.status == 0) inst.status = 3;
+      if (inst.status == history::InstanceStatus::kOk) {
+        inst.status = history::InstanceStatus::kQuarantined;
+      }
       inst.blob = empty_key;
-      inst.tool = -1;
-      inst.inputs.clear();
+      inst.derivation.tool = data::InstanceId();
+      inst.derivation.inputs.clear();
+      inst.derivation.input_roles.clear();
       need_empty_blob = true;
       if (!inst.comment.empty()) inst.comment += ' ';
-      inst.comment += "[fsck: tombstoned — " + inst.tombstone_reason + "]";
-      report.repairs.push_back("tombstoned i" + std::to_string(inst.id) +
-                               " (" + inst.tombstone_reason + ")");
-    } else if (inst.quarantine && inst.status == 0) {
-      inst.status = 3;
+      inst.comment +=
+          "[fsck: tombstoned — " + verdicts[i].tombstone_reason + "]";
+      actions.push_back("tombstoned i" + id + " (" +
+                        verdicts[i].tombstone_reason + ")");
+    } else if (verdicts[i].quarantine &&
+               inst.status == history::InstanceStatus::kOk) {
+      inst.status = history::InstanceStatus::kQuarantined;
       if (!inst.comment.empty()) inst.comment += ' ';
       inst.comment += "[quarantined: fsck repair — producing task of an "
                       "interrupted run never finished]";
-      report.repairs.push_back("quarantined partial product i" +
-                               std::to_string(inst.id));
+      actions.push_back("quarantined partial product i" + id);
     }
   }
   if (need_empty_blob && !audit.blob_index.contains(empty_key)) {
     audit.blob_index.emplace(empty_key, audit.blobs.size());
-    audit.blobs.emplace_back(empty_key, "");
+    audit.blobs.push_back(history::BlobRecord{empty_key, ""});
   }
 
   // Drop covered ids that point outside the table (their frames were
   // corrupt); the instances they would have covered no longer exist.
-  for (AuditRun& run : audit.runs) {
-    std::erase_if(run.covered, [&](std::int64_t id) {
-      return id < 0 || static_cast<std::size_t>(id) >= audit.instances.size();
+  for (history::RunRecord& run : audit.runs) {
+    std::erase_if(run.covered, [&](data::InstanceId id) {
+      return id.index() >= audit.instances.size();
     });
   }
 
   // Orphan sweep over the post-tombstone reference set.
   std::unordered_set<std::string> keep;
-  for (const AuditInstance& inst : audit.instances) keep.insert(inst.blob);
+  for (const history::InstanceRecord& inst : audit.instances) {
+    keep.insert(inst.blob);
+  }
   std::size_t swept = 0;
-  for (const auto& [key, payload] : audit.blobs) {
-    if (!keep.contains(key)) ++swept;
+  for (const history::BlobRecord& blob : audit.blobs) {
+    if (!keep.contains(blob.key)) ++swept;
   }
   if (swept > 0) {
-    report.repairs.push_back("swept " + std::to_string(swept) +
-                             " orphan blob(s)");
+    actions.push_back("swept " + std::to_string(swept) + " orphan blob(s)");
   }
   if (audit.dropped_records > 0) {
-    report.repairs.push_back("dropped " +
-                             std::to_string(audit.dropped_records) +
-                             " unreadable record(s)");
+    actions.push_back("dropped " + std::to_string(audit.dropped_records) +
+                      " unreadable record(s)");
+  }
+
+  // The image replaces the only snapshot, so it must open: load it the
+  // way recovery would before writing anything.
+  const std::string image = serialize_image(audit, keep);
+  try {
+    if (schema == nullptr) {
+      throw HistoryError("schema.herc does not parse");
+    }
+    support::ManualClock clock;
+    (void)history::HistoryDb::load(*schema, clock, image);
+  } catch (const std::exception& e) {
+    corrupt(report, "repair-refused",
+            std::string("the repaired image would not open (") + e.what() +
+                "); nothing was written");
+    return false;
   }
 
   const std::uint64_t next_epoch = report.stats.epoch + 1;
   std::optional<Journal> journal;
-  write_checkpoint(paths, next_epoch, audit.instances.size(),
-                   serialize_image(audit, keep), JournalOptions{}, journal);
+  write_checkpoint(paths, next_epoch, audit.instances.size(), image,
+                   JournalOptions{}, journal);
+  report.repairs.insert(report.repairs.end(), actions.begin(), actions.end());
   report.repairs.push_back("checkpointed repaired image at epoch " +
                            std::to_string(next_epoch));
+  return true;
 }
 
 }  // namespace
@@ -851,13 +638,18 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
     }
   }
   index::IndexImage index_all;  // every posting ever legitimate
-  std::vector<AuditInstance> at_index_seq;
+  std::vector<history::InstanceRecord> at_index_seq;
   bool at_index_seq_valid = false;
-  const auto fold_index_line = [&](std::string_view line) {
+  // Every line goes through the store's own decoder: a line recovery
+  // would refuse is a "bad-record" here, dropped from any repair image.
+  const auto ingest = [&](std::string_view line, const std::string& origin) {
     try {
-      index_all.apply_line(line);
-    } catch (const std::exception&) {
-      // Unparseable lines are already "bad-record" findings.
+      history::Record record = history::decode(line);
+      index_all.fold(record);
+      std::visit(Ingest(audit, report, origin), std::move(record));
+    } catch (const std::exception& e) {
+      corrupt(report, "bad-record", origin + ": " + e.what());
+      ++audit.dropped_records;
     }
   };
 
@@ -887,8 +679,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
           continue;
         }
       }
-      ingest_line(audit, report, line, "snapshot");
-      fold_index_line(line);
+      ingest(line, "snapshot");
       ++report.stats.snapshot_records;
     }
     if (!seen_meta) {
@@ -933,8 +724,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
       for (const std::string& record : scan.records) {
         for (const std::string_view line : support::Lines(record)) {
           if (support::trim(line).empty()) continue;
-          ingest_line(audit, report, line, "journal");
-          fold_index_line(line);
+          ingest(line, "journal");
         }
         ++applied;
         if (index_epoch_ok && index_file.seq == applied) {
@@ -950,7 +740,8 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
     }
   }
 
-  audit_store(audit, report, schema_ptr, replica);
+  const std::vector<Verdict> verdicts =
+      audit_store(audit, report, schema_ptr, replica);
 
   if (index_usable) {
     if (!index_epoch_ok) {
@@ -975,8 +766,8 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   report.stats.instances = audit.instances.size();
   report.stats.blobs = audit.blobs.size();
   report.stats.runs = audit.runs.size();
-  for (const AuditRun& run : audit.runs) {
-    if (run.outcome.empty()) ++report.stats.open_runs;
+  for (const history::RunRecord& run : audit.runs) {
+    if (run.open()) ++report.stats.open_runs;
   }
 
   // Clean-severity notes (a sealed resumable run) need no repair; rewriting
@@ -987,8 +778,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
            "refusing --repair on a replica store: a repair checkpoint would"
            " bump the epoch out from under the replication stream; resync"
            " the replica or promote it first");
-    } else {
-      repair_store(audit, report, paths);
+    } else if (repair_store(audit, verdicts, report, paths, schema_ptr)) {
       // The repair checkpoint bumped the epoch; rewrite the index from the
       // repaired image so the next open loads warm instead of detecting
       // skew and rebuilding cold.

@@ -5,7 +5,10 @@
 // audit: `fsck_store` cross-checks the on-disk snapshot and journal
 // against each other and against the blob store's content hashes without
 // going through `HistoryDb` (whose replay throws at the first defect and
-// hides the rest).  It classifies every defect by severity:
+// hides the rest).  It reads every line with the store's own decoder
+// (`history::decode`) and folds the run log by replay's rules
+// (`history::fold`), so any record recovery refuses is a finding here.
+// It classifies every defect by severity:
 //
 //   kClean      (exit 0)  nothing to report, or informational *notes*:
 //                         clean-severity findings ("replica-store" on a
@@ -25,7 +28,9 @@
 //                         silently lose data: unparseable records,
 //                         dangling derivation references, missing blobs,
 //                         blob hash mismatches, out-of-order instance ids,
-//                         a journal epoch ahead of the snapshot
+//                         a journal epoch ahead of the snapshot, and a
+//                         repair refused ("repair-refused") because its
+//                         image would not open
 //
 // With `repair` set, the repairable defects are fixed in place: corrupt
 // instances are tombstoned (quarantined, payload dropped, derivation
@@ -33,6 +38,9 @@
 // partial products are quarantined, orphan blobs are swept, the cleaned
 // image is checkpointed under the next epoch with a fresh journal, and the
 // secondary indexes are rebuilt from the repaired image at that epoch.
+// The image is first loaded over the store's schema as recovery would
+// load it; when that fails (or the schema does not parse), nothing is
+// written.
 // Repair refuses replica stores ("replica-no-repair"): a repair checkpoint
 // would bump the epoch out from under the replication stream.
 #pragma once

@@ -79,6 +79,11 @@ class Lines {
 /// Inverse of `escape_field`.
 [[nodiscard]] std::string unescape_field(std::string_view s);
 
+/// `text` escaped for the inside of a JSON string: `"` and `\` get a
+/// backslash, newline and tab their short escapes, and every other byte
+/// below 0x20 a `\u00XX` escape, so any text yields valid JSON.
+[[nodiscard]] std::string json_escape(std::string_view text);
+
 /// Parses all of `text` as a decimal `T`, or nullopt.  Unlike `std::stoul`
 /// and friends it takes no leading space or `+`, no `-` unless `T` is
 /// signed, no trailing characters, and no value outside `T`'s range, so a

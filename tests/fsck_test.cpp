@@ -18,6 +18,7 @@
 #include "storage/journal.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/record.hpp"
 
 namespace herc::storage {
@@ -592,6 +593,124 @@ TEST(FsckTest, RealExecutedStoreAuditsCleanEndToEnd) {
   EXPECT_EQ(report.exit_code(), 0) << report.render();
   EXPECT_EQ(report.stats.runs, 1u);
   EXPECT_EQ(report.stats.open_runs, 0u);
+}
+
+/// What opening `f`'s store through recovery throws ("" when it opens).
+std::string open_error(const Forge& f) {
+  support::ManualClock clock(0, 1);
+  try {
+    DurableHistory store(f.schema, clock, f.dir, {});
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A closed one-task run over the forged table, as `runb` and `rune`.
+std::string run_begin_line(std::uint32_t db_size) {
+  return RecordWriter("runb")
+      .field(std::int64_t{0})
+      .field(std::string_view("flow"))
+      .field(std::string_view(""))
+      .field(std::int64_t{-1})
+      .field(std::string_view("tester"))
+      .field(std::string_view(""))
+      .field(std::int64_t{0})
+      .field(db_size)
+      .field(std::string_view("flowtext"))
+      .str();
+}
+
+TEST(FsckTest, NegativeDerivationInputIsABadRecordAsTheStoreRefusesIt) {
+  Forge f("herc_fsck_negative_input");
+  f.blob("tool");
+  f.blob("out");
+  f.inst(0, "T", "tool");
+  f.inst(1, "D", "out", 0, 0, {0});
+  std::string& line = f.lines.back();
+  ASSERT_EQ(line.substr(line.size() - 5), "|1|0|");
+  line = line.substr(0, line.size() - 5) + "|1|-1|";
+  f.commit();
+  EXPECT_NE(open_error(f).find("record 'inst': field out of uint32 range"),
+            std::string::npos)
+      << open_error(f);
+  const FsckReport report = fsck_store(f.dir);
+  EXPECT_TRUE(report.has("bad-record")) << report.render();
+  EXPECT_EQ(report.exit_code(), 2);
+}
+
+TEST(FsckTest, NegativeSealEndIsABadRecordAsTheStoreRefusesIt) {
+  Forge f("herc_fsck_negative_seal");
+  f.blob("seed");
+  f.inst(0, "S", "seed");
+  f.raw(run_begin_line(1));
+  f.raw(RecordWriter("runseal")
+            .field(std::int64_t{0})
+            .field(std::int64_t{-3})
+            .str());
+  f.raw(RecordWriter("rune")
+            .field(std::int64_t{0})
+            .field(std::string_view("complete"))
+            .str());
+  f.commit();
+  EXPECT_NE(
+      open_error(f).find("record 'runseal': field out of uint32 range"),
+      std::string::npos)
+      << open_error(f);
+  const FsckReport report = fsck_store(f.dir);
+  EXPECT_TRUE(report.has("bad-record")) << report.render();
+  EXPECT_EQ(report.exit_code(), 2);
+}
+
+TEST(FsckTest, RepairRefusesAnImageThatWouldNotOpen) {
+  // Dropping the unreadable middle record would leave ids 0 and 2: an
+  // image recovery refuses ("instance records out of order").  Repair
+  // must leave the only snapshot alone and say why.
+  Forge f("herc_fsck_repair_refused");
+  f.blob("a");
+  f.blob("b");
+  f.blob("c");
+  f.inst(0, "S", "a");
+  f.inst(1, "S", "b", /*status=*/7);
+  f.inst(2, "S", "c");
+  f.commit();
+  const std::string snapshot = (fs::path(f.dir) / "snapshot.herc").string();
+  const std::optional<std::string> before = support::read_file(snapshot);
+  ASSERT_TRUE(before.has_value());
+
+  FsckOptions repair;
+  repair.repair = true;
+  const FsckReport report = fsck_store(f.dir, repair);
+  EXPECT_TRUE(report.has("bad-record")) << report.render();
+  ASSERT_TRUE(report.has("repair-refused")) << report.render();
+  for (const FsckFinding& finding : report.findings) {
+    if (finding.code != "repair-refused") continue;
+    EXPECT_EQ(finding.severity, FsckSeverity::kCorruption);
+    EXPECT_NE(finding.detail.find("instance records out of order"),
+              std::string::npos)
+        << finding.detail;
+  }
+  EXPECT_TRUE(report.repairs.empty()) << report.render();
+  EXPECT_EQ(report.exit_code(), 2);
+  EXPECT_EQ(support::read_file(snapshot), before);
+  EXPECT_FALSE(fs::exists(fs::path(f.dir) / "journal.wal"));
+}
+
+TEST(FsckTest, JsonEscapesControlBytesInFindings) {
+  Forge f("herc_fsck_json_control");
+  f.blob("seed");
+  f.inst(0, "S\x01", "seed");  // an unknown entity whose name holds 0x01
+  f.commit();
+  const FsckReport report = fsck_store(f.dir);
+  ASSERT_TRUE(report.has("unknown-entity")) << report.render();
+  const std::string json = report.render_json();
+  EXPECT_NE(json.find("'S\\u0001'"), std::string::npos) << json;
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.back(), '\n');
+  for (std::size_t i = 0; i + 1 < json.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(json[i]), 0x20)
+        << "raw control byte at offset " << i << " of " << json;
+  }
 }
 
 }  // namespace
