@@ -144,7 +144,6 @@ int main() {
   index::HistoryIndexes indexes(db);
   indexes.rebuild();
   const double rss_after = rss_mb();
-  indexes.attach();
   const double rebuild_ms = ms_since(start);
   const double index_rss_mb =
       rss_before < 0 || rss_after < 0 ? -1 : rss_after - rss_before;

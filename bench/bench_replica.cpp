@@ -105,7 +105,7 @@ std::unique_ptr<FollowerNode> make_follower(const server::Endpoint& leader,
   }
   node->session =
       std::make_unique<core::DesignSession>(node->applier->schema());
-  node->session->attach_replica(&node->applier->db());
+  node->session->attach_replica(&node->applier->store());
   server::ServeOptions serve_options;
   serve_options.read_only = true;
   node->server =

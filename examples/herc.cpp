@@ -183,7 +183,7 @@ int serve_follower(const std::string& dir, const std::string& leader_spec,
   // database — every mutation path throws, so history changes only
   // through replicated frames.
   herc::core::DesignSession session(applier.schema());
-  session.attach_replica(&applier.db());
+  session.attach_replica(&applier.store());
   herc::server::ServeOptions serve_options;
   serve_options.read_only = true;
   herc::server::Server server(session, serve_options);

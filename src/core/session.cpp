@@ -24,7 +24,7 @@ constexpr double kSeededFaultProbability = 0.25;
 }  // namespace
 
 void DesignSession::require_writable(std::string_view what) const {
-  if (replica_db_ != nullptr) {
+  if (replica_ != nullptr) {
     throw support::HistoryError("read-only replica: '" + std::string(what) +
                                 "' mutates the design history; run it on "
                                 "the leader");
@@ -125,7 +125,7 @@ history::HistoryDb::SealSweep DesignSession::seal_open_runs(
     std::string_view reason) {
   // A replica's open runs mirror the leader's live runs; sealing them
   // locally would diverge the replicated history.
-  if (replica_db_ != nullptr) return {};
+  if (replica_ != nullptr) return {};
   const history::HistoryDb::SealSweep sweep = db().seal_open_runs(reason);
   if (storage_) storage_->sync();
   return sweep;
@@ -141,6 +141,13 @@ DesignSession::~DesignSession() {
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
   }
+  drop_indexes();
+}
+
+void DesignSession::drop_indexes() {
+  storage::DurableHistory* store = replica_ ? replica_ : storage_.get();
+  if (indexes_ && store != nullptr) store->unsubscribe(*indexes_);
+  indexes_.reset();
 }
 
 InstanceBrowser DesignSession::browse(std::string_view entity) const {
@@ -217,7 +224,7 @@ storage::RecoveryReport DesignSession::open_storage(
         "store '" + dir + "' is a replica store; run `herc promote " + dir +
         "` before leading from it, or serve it with --replicate-from");
   }
-  indexes_.reset();  // detach from the database we are about to replace
+  drop_indexes();  // they follow the store we are about to replace
   // The index image reads no database, so it is parsed while the store
   // replays its snapshot; the checks against the store come after.
   std::future<index::HistoryIndexes::LoadedImage> image =
@@ -240,7 +247,7 @@ storage::RecoveryReport DesignSession::open_storage(
   indexes_ = std::make_unique<index::HistoryIndexes>(storage_->db());
   index_open_ = indexes_->open(image.get(), storage_->epoch(),
                                storage_->take_journal_records());
-  indexes_->attach();
+  storage_->subscribe(*indexes_);
   return storage_->recovery();
 }
 
@@ -266,21 +273,20 @@ void DesignSession::close_storage() {
       // Closing must not fail for an unsaveable index; next open rebuilds.
     }
   }
-  // `release` hands back the same HistoryDb object the store owned, so the
-  // indexes' observer registration stays valid across the detach.
+  drop_indexes();
   db_ = storage_->release();
   storage_.reset();
   executor_ = std::make_unique<exec::Executor>(*db_, *registry_);
   executor_->set_cancel_flag(cancel_);
 }
 
-void DesignSession::attach_replica(history::HistoryDb* db) {
-  indexes_.reset();
-  replica_db_ = db;
-  if (db != nullptr) {
-    indexes_ = std::make_unique<index::HistoryIndexes>(*db);
+void DesignSession::attach_replica(storage::DurableHistory* store) {
+  drop_indexes();
+  replica_ = store;
+  if (store != nullptr) {
+    indexes_ = std::make_unique<index::HistoryIndexes>(store->db());
     indexes_->rebuild();
-    indexes_->attach();
+    store->subscribe(*indexes_);
   }
 }
 

@@ -44,11 +44,11 @@ class DesignSession {
   [[nodiscard]] schema::TaskSchema& schema() { return schema_; }
   [[nodiscard]] const schema::TaskSchema& schema() const { return schema_; }
   [[nodiscard]] history::HistoryDb& db() {
-    if (replica_db_ != nullptr) return *replica_db_;
+    if (replica_ != nullptr) return replica_->db();
     return storage_ ? storage_->db() : *db_;
   }
   [[nodiscard]] const history::HistoryDb& db() const {
-    if (replica_db_ != nullptr) return *replica_db_;
+    if (replica_ != nullptr) return replica_->db();
     return storage_ ? storage_->db() : *db_;
   }
   [[nodiscard]] tools::ToolRegistry& tools() { return *registry_; }
@@ -142,8 +142,8 @@ class DesignSession {
   /// Snapshot compaction of the attached store.  Throws when none is open.
   void checkpoint_storage();
 
-  /// Detaches the store (flushing the journal); the history stays
-  /// in-memory.  No-op when none is open.
+  /// Detaches the store (flushing the journal) and drops the indexes: the
+  /// history stays in memory and browses by scan.  No-op when none is open.
   void close_storage();
 
   /// The attached store, or nullptr.
@@ -151,9 +151,9 @@ class DesignSession {
 
   // ---- secondary indexes (src/index) -----------------------------------------
 
-  /// The secondary indexes maintained alongside the attached store or
-  /// replica view, or nullptr for a plain in-memory session (whose
-  /// listings stay verified table scans).
+  /// The secondary indexes, subscribed to the change feed of the attached
+  /// store or replica store, or nullptr for a plain in-memory session
+  /// (whose listings stay verified table scans).
   [[nodiscard]] index::HistoryIndexes* indexes() { return indexes_.get(); }
   [[nodiscard]] const index::HistoryIndexes* indexes() const {
     return indexes_.get();
@@ -167,22 +167,23 @@ class DesignSession {
 
   // ---- replication (src/replica) ---------------------------------------------
 
-  /// Turns this session into a read-only replica view over `db` (owned by
-  /// a `ReplicaApplier`, which must outlive the session and keep the
-  /// address stable across resyncs).  Queries read `db`; every mutating
-  /// operation throws `HistoryError` — the follower's history changes only
-  /// through replicated journal frames.  `seal_open_runs` becomes a no-op:
-  /// open runs on a replica are the leader's live runs, not crashes.
-  /// Also builds and attaches in-memory secondary indexes over `db`: they
-  /// follow the applied frame stream, and a resync's move-assignment fires
-  /// their rebuild.  Followers never persist indexes — the leader owns the
-  /// store directory.
-  void attach_replica(history::HistoryDb* db);
-  [[nodiscard]] bool read_only() const { return replica_db_ != nullptr; }
+  /// Turns this session into a read-only replica view over `store` (owned
+  /// by a `ReplicaApplier`, which must outlive the session and keeps the
+  /// store across resyncs).  Queries read its database; every mutating
+  /// operation throws `HistoryError` — the follower's history changes
+  /// only through replicated journal frames.  `seal_open_runs` becomes a
+  /// no-op: open runs on a replica are the leader's live runs, not
+  /// crashes.  Also builds in-memory secondary indexes subscribed to the
+  /// store's change feed, which a resync's install rebuilds.  Followers
+  /// never persist indexes — the leader owns the store directory.
+  void attach_replica(storage::DurableHistory* store);
+  [[nodiscard]] bool read_only() const { return replica_ != nullptr; }
 
  private:
   /// Throws `HistoryError` when this session is a read-only replica.
   void require_writable(std::string_view what) const;
+  /// Unsubscribes the indexes from the store they follow, then drops them.
+  void drop_indexes();
   /// Runs `body` on the session's executor or, when `seed` arms fault
   /// injection, on one over a seeded `tools::FaultInjectingRegistry` that
   /// shares the cancel flag.
@@ -201,9 +202,8 @@ class DesignSession {
   /// Re-applied whenever the executor is rebuilt (storage open/close).
   const std::atomic<bool>* cancel_ = nullptr;
   /// Non-null when this session is a read-only replica view.
-  history::HistoryDb* replica_db_ = nullptr;
-  /// Declared last: destroyed first, so it detaches from the database
-  /// while the database (storage_/db_/replica view) is still alive.
+  storage::DurableHistory* replica_ = nullptr;
+  /// Subscribed to `storage_` or `replica_` until `drop_indexes`.
   std::unique_ptr<index::HistoryIndexes> indexes_;
   index::HistoryIndexes::OpenReport index_open_;
 };

@@ -117,47 +117,19 @@ HistoryDb& HistoryDb::operator=(HistoryDb&& other) noexcept {
   instances_ = std::move(other.instances_);
   used_by_ = std::move(other.used_by_);
   runs_ = std::move(other.runs_);
-  // listener_ and observers_ deliberately kept: the assignment swaps the
-  // image out from under whoever is watching this object (a store's
-  // in-place install).  The store stays attached, and observers need to
-  // know their derived state is now stale.
-  for (HistoryObserver* obs : observers_) obs->on_reset();
+  // listener_ deliberately kept: the assignment swaps the image out from
+  // under the store journaling this object (its in-place install), and
+  // the store stays attached.
   return *this;
 }
 
-void HistoryDb::add_observer(HistoryObserver* observer) {
-  if (observer == nullptr) {
-    throw HistoryError("add_observer: null observer");
-  }
-  if (std::find(observers_.begin(), observers_.end(), observer) !=
-      observers_.end()) {
-    throw HistoryError("add_observer: observer already attached");
-  }
-  observers_.push_back(observer);
-}
-
-void HistoryDb::remove_observer(HistoryObserver* observer) {
-  observers_.erase(
-      std::remove(observers_.begin(), observers_.end(), observer),
-      observers_.end());
-}
-
-void HistoryDb::emit(std::span<const Record> records) {
-  if (listener_ != nullptr) {
-    std::string lines;
-    for (const Record& record : records) encode(record, lines);
-    listener_->on_mutation(lines);
-  }
-  for (HistoryObserver* obs : observers_) obs->on_records(records);
-}
-
 void HistoryDb::commit(Record record) {
-  if (!observed()) {
+  if (listener_ == nullptr) {
     apply(std::move(record));
     return;
   }
   apply(Record(record));
-  emit(std::span<const Record>(&record, 1));
+  listener_->on_mutation(std::span<const Record>(&record, 1));
 }
 
 void HistoryDb::check_id(InstanceId id) const {
@@ -231,7 +203,7 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
   const InstanceId id = inst.id;
   instances_.push_back(std::move(inst));
   link_newest();
-  if (observed()) {
+  if (listener_ != nullptr) {
     // One mutation = one journal entry: the (possibly new) blob plus the
     // instance, applied atomically on recovery.
     const Instance& added = instances_.back();
@@ -239,7 +211,8 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
     if (new_blob) {
       records[0] = BlobRecord{blobs_.key(added.blob), request.payload};
     }
-    emit(std::span<const Record>(records).subspan(new_blob ? 0 : 1));
+    listener_->on_mutation(
+        std::span<const Record>(records).subspan(new_blob ? 0 : 1));
   }
   return id;
 }
@@ -557,18 +530,7 @@ std::string HistoryDb::save() const {
 
 void HistoryDb::apply_saved_line(std::string_view line) {
   if (support::trim(line).empty()) return;
-  Record record = decode(line);
-  // Observers see replayed records too (a throw skips them, so only
-  // applied records are observed).  The listener is never notified here:
-  // it owns the journal these lines came from.
-  if (observers_.empty()) {
-    apply(std::move(record));
-    return;
-  }
-  apply(Record(record));
-  for (HistoryObserver* obs : observers_) {
-    obs->on_records(std::span<const Record>(&record, 1));
-  }
+  apply(decode(line));
 }
 
 void HistoryDb::apply(Record&& record) {

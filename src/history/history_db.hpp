@@ -112,33 +112,36 @@ struct SweepWindow {
 [[nodiscard]] SweepWindow sweep_window(const std::vector<RunRecord>& runs,
                                        std::size_t r, std::size_t table_size);
 
-/// Observer of history mutations — the hook durable storage (src/storage)
-/// attaches to.  `lines` holds one or more '\n'-terminated record lines
-/// (`encode`d records); feeding them to `apply_saved_line` in order
-/// reproduces the mutation on another database.
+/// The database's one hook, the slot its durable store (src/storage)
+/// fills: each local mutation's records, once it is applied, which the
+/// store journals as one frame.
 class MutationListener {
  public:
   virtual ~MutationListener() = default;
-  virtual void on_mutation(std::string_view lines) = 0;
+  virtual void on_mutation(std::span<const Record> records) = 0;
 };
 
-/// Secondary observer of the record stream.  Unlike `MutationListener`
-/// (the single durable-storage slot, which sees only locally originated
-/// mutations and therefore *defines* the journal), observers also see
-/// records arriving through `apply_saved_line` — the path journal recovery
-/// and replica streaming feed — so derived structures (the secondary
-/// indexes of src/index) stay current no matter how the database is fed.
-/// A record is never observed twice: the public mutators fire observers
-/// directly and never route through `apply_saved_line`.
-class HistoryObserver {
+/// Frame `seq` of `epoch`'s journal: its records and the bytes journaled.
+struct Change {
+  std::uint64_t epoch = 0;
+  std::uint64_t seq = 0;
+  std::span<const Record> records;
+  std::string_view bytes;
+};
+
+/// A subscriber of a store's change feed (`storage::DurableHistory`), the
+/// one stream derived state follows (the indexes, the shipper): every
+/// frame the store journals, local or replicated, once, in `seq` order,
+/// after it is journaled and applied.  Calls come from the mutation path,
+/// under the lock that serializes mutations: be quick, never re-enter.
+class ChangeSubscriber {
  public:
-  virtual ~HistoryObserver() = default;
-  /// One mutation's records, already decoded, fired after the state
-  /// change has been applied.
-  virtual void on_records(std::span<const Record> records) = 0;
-  /// The database's contents were replaced wholesale (a replica resync's
-  /// move-assignment); derived state must be rebuilt from the new image.
-  virtual void on_reset() = 0;
+  virtual ~ChangeSubscriber() = default;
+  virtual void on_change(const Change& change) = 0;
+  /// The journal restarted at seq 0 of `epoch` on a new snapshot; when
+  /// `replaced` (an install, an adoption, not a checkpoint) the contents
+  /// changed and state derived from them must be rebuilt.
+  virtual void on_rebase(std::uint64_t epoch, bool replaced) = 0;
 };
 
 class HistoryDb {
@@ -148,10 +151,9 @@ class HistoryDb {
 
   HistoryDb(HistoryDb&&) noexcept = default;
   /// Move-assignment replaces the *contents* but keeps the target's
-  /// listener and observers attached, firing `on_reset` on each observer:
-  /// a store installs a fresh image underneath its own journal and the
-  /// secondary indexes without any re-registration.  The source's listener
-  /// and observers are dropped with it.
+  /// listener attached: a store installs a fresh image underneath its own
+  /// journal without re-registering.  The source's listener is dropped
+  /// with it.
   HistoryDb& operator=(HistoryDb&& other) noexcept;
 
   [[nodiscard]] const schema::TaskSchema& schema() const { return *schema_; }
@@ -330,26 +332,19 @@ class HistoryDb {
                                       support::Clock& clock,
                                       std::string_view text);
 
-  /// Applies one saved record line: `decode`s it, then resolves its entity
-  /// name and blob key, verifying content hashes, id ordering and
-  /// references.  `load` is a loop over this; journal recovery
-  /// (src/storage) replays incremental mutations through the same path.
-  /// Never notifies the attached listener; observers *are* notified, with
-  /// the decoded record, after it has been applied.
+  /// Applies one saved record line: `decode` plus `apply_record`.  `load`
+  /// is a loop over this; journal recovery (src/storage) replays
+  /// incremental mutations through the same path.
   void apply_saved_line(std::string_view line);
+  /// Applies one decoded saved record, resolving its entity name and blob
+  /// key and verifying content hashes, id ordering and references.  Never
+  /// notifies the listener: it owns the journal saved records come from.
+  void apply_record(Record record) { apply(std::move(record)); }
 
-  /// Attaches (or detaches, with nullptr) a mutation observer.  Every
-  /// mutation is reported after it has been applied, as its `encode`d
-  /// record lines.  The listener must outlive the attachment.
+  /// Attaches (or detaches, with nullptr) the mutation listener, which
+  /// must outlive the attachment.
   void attach_listener(MutationListener* listener) { listener_ = listener; }
   [[nodiscard]] MutationListener* listener() const { return listener_; }
-
-  /// Registers a secondary observer (see `HistoryObserver`).  Unlike the
-  /// listener slot, any number may be attached, and they also see records
-  /// applied through `apply_saved_line`.  The observer must stay alive
-  /// until removed.  Adding an observer twice is an error.
-  void add_observer(HistoryObserver* observer);
-  void remove_observer(HistoryObserver* observer);
 
  private:
   void check_id(data::InstanceId id) const;
@@ -369,15 +364,8 @@ class HistoryDb {
   void apply(AnnotateRecord&& r);
   void apply(QuarantineRecord&& r);
 
-  /// A locally originated one-record mutation: applies, then emits it.
+  /// A locally originated one-record mutation: applies, then reports it.
   void commit(Record record);
-  /// True when some consumer wants mutation records at all.
-  [[nodiscard]] bool observed() const {
-    return listener_ != nullptr || !observers_.empty();
-  }
-  /// Sends one mutation's `records` to the listener as encoded lines
-  /// (journal first — WAL discipline), then to every observer.
-  void emit(std::span<const Record> records);
 
   const schema::TaskSchema* schema_;
   support::Clock* clock_;
@@ -387,7 +375,6 @@ class HistoryDb {
   std::vector<std::vector<data::InstanceId>> used_by_;
   std::vector<RunRecord> runs_;
   MutationListener* listener_ = nullptr;
-  std::vector<HistoryObserver*> observers_;
 };
 
 }  // namespace herc::history

@@ -45,15 +45,21 @@ std::int64_t run_field(std::uint64_t run) {
   return static_cast<std::int64_t>(run);
 }
 
+/// Each kind's spelling, in `RecordKind` order.
+constexpr std::string_view kKinds[std::variant_size_v<Record>] = {
+    "blob",   "inst",   "annot", "quar",    "runb",
+    "tstart", "tcover", "tfin",  "runseal", "rune"};
+
 /// Decodes `rec`'s fields into `record`, built in place.
 void decode_fields(RecordReader& rec, Record& record) {
-  if (rec.kind() == "blob") {
+  const RecordKind kind = kind_of(rec.kind());
+  if (kind == RecordKind::kBlob) {
     auto& r = record.emplace<BlobRecord>();
     r.key = rec.next_string();
     r.payload = rec.next_string();
     return;
   }
-  if (rec.kind() == "inst") {
+  if (kind == RecordKind::kInstance) {
     auto& r = record.emplace<InstanceRecord>();
     r.id = next_id(rec);
     r.type = rec.next_string();
@@ -78,20 +84,20 @@ void decode_fields(RecordReader& rec, Record& record) {
     }
     return;
   }
-  if (rec.kind() == "annot") {
+  if (kind == RecordKind::kAnnotate) {
     auto& r = record.emplace<AnnotateRecord>();
     r.id = next_id(rec);
     r.name = rec.next_string();
     r.comment = rec.next_string();
     return;
   }
-  if (rec.kind() == "quar") {
+  if (kind == RecordKind::kQuarantine) {
     auto& r = record.emplace<QuarantineRecord>();
     r.id = next_id(rec);
     r.reason = rec.next_string();
     return;
   }
-  if (rec.kind() == "runb") {
+  if (kind == RecordKind::kRunBegin) {
     auto& r = record.emplace<RunBeginRecord>();
     r.id = next_run(rec);
     r.flow_name = rec.next_string();
@@ -105,13 +111,13 @@ void decode_fields(RecordReader& rec, Record& record) {
     r.flow_text = rec.next_string();
     return;
   }
-  if (rec.kind() == "tstart") {
+  if (kind == RecordKind::kTaskStart) {
     auto& r = record.emplace<TaskStartRecord>();
     r.run = next_run(rec);
     r.key = rec.next_string();
     return;
   }
-  if (rec.kind() == "tcover") {
+  if (kind == RecordKind::kTaskCover) {
     auto& r = record.emplace<TaskCoverRecord>();
     r.run = next_run(rec);
     const std::uint32_t count = rec.next_uint32();
@@ -120,27 +126,24 @@ void decode_fields(RecordReader& rec, Record& record) {
     }
     return;
   }
-  if (rec.kind() == "tfin") {
+  if (kind == RecordKind::kTaskFinish) {
     auto& r = record.emplace<TaskFinishRecord>();
     r.run = next_run(rec);
     r.key = rec.next_string();
     r.status = rec.next_string();
     return;
   }
-  if (rec.kind() == "runseal") {
+  if (kind == RecordKind::kRunSeal) {
     auto& r = record.emplace<RunSealRecord>();
     r.run = next_run(rec);
     r.sweep_end = rec.next_uint32();
     return;
   }
-  if (rec.kind() == "rune") {
+  if (kind == RecordKind::kRunEnd) {
     auto& r = record.emplace<RunEndRecord>();
     r.run = next_run(rec);
     r.outcome = rec.next_string();
-    return;
   }
-  throw HistoryError("history file: unknown record '" +
-                     std::string(rec.kind()) + "'");
 }
 
 struct Encoder {
@@ -228,6 +231,16 @@ struct Encoder {
 void encode(const Record& record, std::string& out) {
   out += std::visit(Encoder{}, record);
   out += '\n';
+}
+
+RecordKind kind_of(std::string_view line) {
+  // An unescaped '|' ends the kind, as `RecordReader` reads it.
+  const std::string_view kind = line.substr(0, line.find('|'));
+  for (std::size_t k = 0; k < std::size(kKinds); ++k) {
+    if (kind == kKinds[k]) return static_cast<RecordKind>(k);
+  }
+  throw HistoryError("history file: unknown record '" + std::string(kind) +
+                     "'");
 }
 
 Record decode(std::string_view line) {

@@ -134,8 +134,27 @@ using Record =
                  RunBeginRecord, TaskStartRecord, TaskCoverRecord,
                  TaskFinishRecord, RunSealRecord, RunEndRecord>;
 
+/// The kinds of record, in `Record`'s alternative order: a record's
+/// `index()` is its kind.
+enum class RecordKind : std::uint8_t {
+  kBlob,
+  kInstance,
+  kAnnotate,
+  kQuarantine,
+  kRunBegin,
+  kTaskStart,
+  kTaskCover,
+  kTaskFinish,
+  kRunSeal,
+  kRunEnd
+};
+
 /// Appends `record`'s line and a '\n' to `out`.
 void encode(const Record& record, std::string& out);
+
+/// The kind of one line, read without checking its fields.  Throws
+/// `HistoryError` on an empty line or an unknown kind.
+[[nodiscard]] RecordKind kind_of(std::string_view line);
 
 /// Parses one line (no '\n').  Throws `HistoryError` naming the kind on an
 /// unknown kind, a missing, malformed, out-of-range or surplus field, or

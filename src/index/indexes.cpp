@@ -235,22 +235,8 @@ bool IndexImage::parse(std::string_view text, IndexImage& out,
 
 HistoryIndexes::HistoryIndexes(history::HistoryDb& db) : db_(&db) {}
 
-HistoryIndexes::~HistoryIndexes() { detach(); }
-
 std::string HistoryIndexes::file_path(const std::string& dir) {
   return (fs::path(dir) / std::string(kIndexFileName)).string();
-}
-
-void HistoryIndexes::attach() {
-  if (attached_) return;
-  db_->add_observer(this);
-  attached_ = true;
-}
-
-void HistoryIndexes::detach() {
-  if (!attached_) return;
-  db_->remove_observer(this);
-  attached_ = false;
 }
 
 void HistoryIndexes::rebuild() {
@@ -370,17 +356,24 @@ void HistoryIndexes::save(const std::string& dir, std::uint64_t epoch,
 void HistoryIndexes::on_lines(std::string_view lines) {
   for (const std::string_view line : support::Lines(lines)) {
     if (support::trim(line).empty()) continue;
-    img_.fold(history::decode(line));
+    using history::RecordKind;
+    const RecordKind kind = history::kind_of(line);
+    if (kind == RecordKind::kInstance || kind == RecordKind::kAnnotate ||
+        kind == RecordKind::kQuarantine) {
+      img_.fold(history::decode(line));
+    }
   }
   trigrams_.extend(img_.tokens);
 }
 
-void HistoryIndexes::on_records(std::span<const history::Record> records) {
-  for (const history::Record& record : records) img_.fold(record);
+void HistoryIndexes::on_change(const history::Change& change) {
+  for (const history::Record& record : change.records) img_.fold(record);
   trigrams_.extend(img_.tokens);
 }
 
-void HistoryIndexes::on_reset() { rebuild(); }
+void HistoryIndexes::on_rebase(std::uint64_t /*epoch*/, bool replaced) {
+  if (replaced) rebuild();
+}
 
 std::uint32_t TrigramMap::key(std::string_view trigram) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(trigram[0]))

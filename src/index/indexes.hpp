@@ -13,13 +13,12 @@
 //             to `HistoryDb::used_by`, which is already the forward index;
 //             persisting the edges again would double the store in memory)
 //
-// Maintenance is incremental: the structure registers as a `HistoryObserver`
-// on the database, so it sees the same record stream the HERCWAL1 journal
-// carries — locally originated mutations and replica-applied frames alike —
-// as the decoded records (history/record_codec.hpp) the database already
-// holds, never re-parsing text; a replica resync's `on_reset` triggers a
-// full rebuild.  Journal text (open's catch-up) goes through the same
-// `decode` the database replays with.
+// Maintenance is incremental: the structure subscribes to its store's
+// change feed, so it sees exactly the frames the HERCWAL1 journal persists,
+// local and replicated alike, as decoded records (history/record_codec.hpp)
+// it never re-parses; a rebase that replaced the contents (a replica
+// resync) triggers a full rebuild.  Journal text (open's catch-up) goes
+// through the same codec, decoding only the kinds the index folds.
 //
 // Persistence (`indexes.herc` next to the snapshot/journal) is epoch- and
 // sequence-stamped: a file written at (epoch E, seq S) plus the journal
@@ -134,16 +133,16 @@ struct TrigramMap {
 };
 
 /// The live secondary indexes of one database: a `SecondaryIndex` the query
-/// planner consults and a `HistoryObserver` keeping itself current.  Not
-/// internally synchronized — reads and mutations follow the same locking
-/// the `HistoryDb` itself requires.
+/// planner consults and a `ChangeSubscriber` of its store's feed keeping
+/// itself current.  Not internally synchronized — reads and mutations
+/// follow the same locking the `HistoryDb` itself requires.
 class HistoryIndexes final : public history::SecondaryIndex,
-                             public history::HistoryObserver {
+                             public history::ChangeSubscriber {
  public:
   /// `db` must outlive this object.  The constructor does not read `db`;
-  /// call `open` or `rebuild`, then `attach`.
+  /// call `open` or `rebuild`, then subscribe it to the store that
+  /// journals `db`.
   explicit HistoryIndexes(history::HistoryDb& db);
-  ~HistoryIndexes() override;
 
   HistoryIndexes(const HistoryIndexes&) = delete;
   HistoryIndexes& operator=(const HistoryIndexes&) = delete;
@@ -197,11 +196,6 @@ class HistoryIndexes final : public history::SecondaryIndex,
 
   [[nodiscard]] static std::string file_path(const std::string& dir);
 
-  /// Registers / deregisters this object as an observer of the database.
-  /// The destructor detaches automatically.
-  void attach();
-  void detach();
-
   [[nodiscard]] const IndexImage& image() const { return img_; }
 
   // SecondaryIndex
@@ -214,13 +208,14 @@ class HistoryIndexes final : public history::SecondaryIndex,
   [[nodiscard]] std::optional<std::vector<data::InstanceId>> name_candidates(
       std::string_view name) const override;
 
-  /// Decodes '\n'-separated record lines (a journal frame) and folds them
-  /// in: `open`'s catch-up, for records that exist only as text.
+  /// Folds '\n'-separated record lines (a journal frame) in, decoding only
+  /// the kinds `IndexImage::fold` reads: `open`'s catch-up, over lines the
+  /// store has already decoded and checked while replaying them.
   void on_lines(std::string_view lines);
 
-  // HistoryObserver
-  void on_records(std::span<const history::Record> records) override;
-  void on_reset() override;
+  // ChangeSubscriber
+  void on_change(const history::Change& change) override;
+  void on_rebase(std::uint64_t epoch, bool replaced) override;
 
  private:
   /// Token ids whose text contains `keyword` (already lowercased,
@@ -231,7 +226,6 @@ class HistoryIndexes final : public history::SecondaryIndex,
   history::HistoryDb* db_;
   IndexImage img_;
   TrigramMap trigrams_;
-  bool attached_ = false;
 };
 
 }  // namespace herc::index

@@ -36,10 +36,6 @@ ReplicaApplier::ReplicaApplier(server::Endpoint leader, std::string dir,
 
 ReplicaApplier::~ReplicaApplier() { stop(); }
 
-bool ReplicaApplier::is_replica_store(const std::string& dir) {
-  return storage::is_replica_store(dir);
-}
-
 std::string ReplicaApplier::last_error() const {
   std::scoped_lock lock(error_mutex_);
   return last_error_;

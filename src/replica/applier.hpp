@@ -101,8 +101,8 @@ class ReplicaApplier {
 
   /// Makes the database available: local recovery from the store first,
   /// then up to `attempts` snapshot fetches from the leader.  Must succeed
-  /// before `schema()`/`db()` are used (attach to the serving session) and
-  /// before `start()`.  Synchronous; returns false when the leader stayed
+  /// before `schema()`/`db()`/`store()` are used (attach to the serving
+  /// session) and before `start()`.  Synchronous; returns false when the leader stayed
   /// unreachable (or refused us as fenced).
   [[nodiscard]] bool bootstrap(int attempts = 5);
 
@@ -130,6 +130,8 @@ class ReplicaApplier {
   [[nodiscard]] bool bootstrapped() const { return store_ != nullptr; }
   [[nodiscard]] schema::TaskSchema& schema() { return schema_; }
   [[nodiscard]] history::HistoryDb& db() { return store_->db(); }
+  /// The replica store, the same object across resyncs.
+  [[nodiscard]] storage::DurableHistory& store() { return *store_; }
   [[nodiscard]] const std::string& dir() const { return dir_; }
   [[nodiscard]] const server::Endpoint& leader() const { return leader_; }
 
@@ -159,9 +161,6 @@ class ReplicaApplier {
     return state_.load(std::memory_order_relaxed);
   }
 
-  /// True when `dir` carries the replica marker.
-  [[nodiscard]] static bool is_replica_store(const std::string& dir);
-
  private:
   /// Opens the replica store in the directory.  Returns false (after
   /// recording why) when the directory holds nothing consistently usable —
@@ -188,7 +187,7 @@ class ReplicaApplier {
   support::SystemClock clock_;
 
   /// Replaced in place on resync: the store and its database point at
-  /// `schema_`, and the serving session holds `&db()` across resyncs.
+  /// `schema_`, and the serving session holds `store()` across resyncs.
   schema::TaskSchema schema_;
   std::unique_ptr<storage::DurableHistory> store_;
   /// When true the next subscribe asks for a full snapshot (the local

@@ -49,10 +49,6 @@ std::string encode_subscribe(const std::optional<StreamPosition>& position,
   return out;
 }
 
-std::optional<StreamPosition> decode_subscribe(std::string_view payload) {
-  return decode_subscribe_info(payload).position;
-}
-
 SubscribeInfo decode_subscribe_info(std::string_view payload) {
   SubscribeInfo info;
   if (support::trim(payload).empty()) return info;

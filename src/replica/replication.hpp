@@ -44,9 +44,6 @@ struct StreamPosition {
 [[nodiscard]] std::string encode_subscribe(
     const std::optional<StreamPosition>& position,
     std::optional<std::uint64_t> tail_checksum = std::nullopt);
-/// Throws `support::NetError` on a malformed payload.
-[[nodiscard]] std::optional<StreamPosition> decode_subscribe(
-    std::string_view payload);
 
 /// A fully parsed kSubscribe payload (position + optional tail checksum).
 struct SubscribeInfo {

@@ -21,13 +21,13 @@ JournalShipper::JournalShipper(core::DesignSession& session,
   if (store != nullptr) {
     leader_epoch_.store(store->epoch(), std::memory_order_relaxed);
     leader_seq_.store(store->journal_seq(), std::memory_order_relaxed);
-    store->attach_tap(this);
+    store->subscribe(*this);
   }
 }
 
 JournalShipper::~JournalShipper() {
   storage::DurableHistory* store = session_.storage();
-  if (store != nullptr) store->attach_tap(nullptr);
+  if (store != nullptr) store->unsubscribe(*this);
 }
 
 bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
@@ -165,13 +165,14 @@ void JournalShipper::unsubscribe(std::uint64_t conn_id) {
   cv_.notify_all();
 }
 
-void JournalShipper::on_frame(std::uint64_t epoch, std::uint64_t seq,
-                              std::string_view payload) {
+template <class MakeFrame>
+void JournalShipper::fan_out(std::uint64_t epoch, std::uint64_t seq,
+                             MakeFrame make) {
   leader_epoch_.store(epoch, std::memory_order_relaxed);
-  leader_seq_.store(seq + 1, std::memory_order_relaxed);
+  leader_seq_.store(seq, std::memory_order_relaxed);
   std::scoped_lock lock(mutex_);
   if (followers_.empty()) return;
-  const Frame frame{FrameType::kJournal, encode_journal(epoch, seq, payload)};
+  const Frame frame = make();
   for (auto& [id, follower] : followers_) {
     if (follower.closed) continue;
     if (follower.queue.size() >= options_.max_queued_frames) {
@@ -186,22 +187,21 @@ void JournalShipper::on_frame(std::uint64_t epoch, std::uint64_t seq,
   cv_.notify_all();
 }
 
-void JournalShipper::on_checkpoint(std::uint64_t new_epoch) {
-  leader_epoch_.store(new_epoch, std::memory_order_relaxed);
-  leader_seq_.store(0, std::memory_order_relaxed);
-  std::scoped_lock lock(mutex_);
-  if (followers_.empty()) return;
-  const Frame frame{FrameType::kCheckpoint, encode_checkpoint(new_epoch)};
-  for (auto& [id, follower] : followers_) {
-    if (follower.closed) continue;
-    if (follower.queue.size() >= options_.max_queued_frames) {
-      follower.closed = true;
-      overflows_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    follower.queue.push_back(frame);
-  }
-  cv_.notify_all();
+void JournalShipper::on_frame(std::uint64_t epoch, std::uint64_t seq,
+                              std::string_view payload) {
+  fan_out(epoch, seq + 1, [&] {
+    return Frame{FrameType::kJournal, encode_journal(epoch, seq, payload)};
+  });
+}
+
+void JournalShipper::on_change(const history::Change& change) {
+  on_frame(change.epoch, change.seq, change.bytes);
+}
+
+void JournalShipper::on_rebase(std::uint64_t epoch, bool /*replaced*/) {
+  fan_out(epoch, 0, [epoch] {
+    return Frame{FrameType::kCheckpoint, encode_checkpoint(epoch)};
+  });
 }
 
 std::string JournalShipper::render_followers(bool json) const {

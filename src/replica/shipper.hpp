@@ -3,10 +3,11 @@
 //
 // `JournalShipper` sits at the junction of two interfaces:
 //
-//   - `storage::JournalTap`: the store calls `on_frame`/`on_checkpoint`
+//   - `history::ChangeSubscriber`: it subscribes to the store's change
+//     feed, which hands it each journaled frame and each rebase
 //     synchronously from the mutation path (under the server's exclusive
-//     session lock), and the shipper fans each frame out to per-follower
-//     bounded queues — the mutation never blocks on a slow follower.
+//     session lock), and fans each out to per-follower bounded queues —
+//     the mutation never blocks on a slow follower.
 //   - `server::ReplicationHub`: the server calls `subscribe` under the
 //     exclusive lock (so the bootstrap is position-atomic with the live
 //     stream) and then pumps `next_frame` to the follower's socket from
@@ -43,9 +44,9 @@ struct ShipperOptions {
 };
 
 class JournalShipper final : public server::ReplicationHub,
-                             public storage::JournalTap {
+                             public history::ChangeSubscriber {
  public:
-  /// Attaches to `session`'s open store as its journal tap.  The session
+  /// Subscribes to the change feed of `session`'s open store.  The session
   /// (and its store) must outlive the shipper; a session without an open
   /// store is served too (subscriptions are refused until one is open at
   /// construction time).
@@ -68,11 +69,14 @@ class JournalShipper final : public server::ReplicationHub,
   [[nodiscard]] std::string render_followers(bool json) const override;
   void close_all() override;
 
-  // ---- storage::JournalTap (under the exclusive session lock) ----------------
+  // ---- the store's change feed (under the exclusive session lock) -----------
 
+  void on_change(const history::Change& change) override;
+  /// Every rebase ships as a checkpoint: the follower compacts with it.
+  void on_rebase(std::uint64_t epoch, bool replaced) override;
+  /// Queues journal frame `seq` of `epoch` for every follower.
   void on_frame(std::uint64_t epoch, std::uint64_t seq,
-                std::string_view payload) override;
-  void on_checkpoint(std::uint64_t new_epoch) override;
+                std::string_view payload);
 
   [[nodiscard]] std::size_t follower_count() const;
   /// Followers dropped because their queue overflowed.
@@ -94,6 +98,11 @@ class JournalShipper final : public server::ReplicationHub,
     StreamPosition acked;
     bool closed = false;
   };
+
+  /// Records the leader's position, then queues the frame `make` builds
+  /// (only if anyone follows) for every follower, closing any that is full.
+  template <class MakeFrame>
+  void fan_out(std::uint64_t epoch, std::uint64_t seq, MakeFrame make);
 
   core::DesignSession& session_;
   ShipperOptions options_;

@@ -9,9 +9,9 @@
 //     execute concurrently under a shared lock (queries, browsing, flow
 //     building in the connection's own workspace, and any line that
 //     matches no row, which fails as a usage error); mutating commands
-//     serialize under an exclusive lock and flow through the session's
-//     MutationListener into the write-ahead journal exactly as they would
-//     in a local shell.
+//     serialize under an exclusive lock and reach the session's store,
+//     which journals each one and publishes it on its change feed to the
+//     indexes and the replication shipper, exactly as in a local shell.
 //   - One thread per connection: it reads a frame, runs the command under
 //     the lock its table row names, and sends the reply with one write
 //     before it reads the next frame.  Pipelined frames wait in the

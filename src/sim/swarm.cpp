@@ -718,7 +718,7 @@ class FollowerFleet {
         }
         f->session =
             std::make_unique<core::DesignSession>(f->applier->schema());
-        f->session->attach_replica(&f->applier->db());
+        f->session->attach_replica(&f->applier->store());
         server::ServeOptions serve_options;
         serve_options.read_only = true;
         f->server =

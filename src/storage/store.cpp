@@ -1,5 +1,6 @@
 #include "storage/store.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -249,18 +250,46 @@ DurableHistory::~DurableHistory() {
   // `journal_`'s destructor flushes (and fsyncs unless kNone).
 }
 
-void DurableHistory::on_mutation(std::string_view lines) {
-  journal_->append(lines);
-  if (opening_) journal_records_.emplace_back(lines);
-  const std::uint64_t seq = journal_seq_++;
+void DurableHistory::subscribe(history::ChangeSubscriber& subscriber) {
+  if (std::ranges::find(subscribers_, &subscriber) != subscribers_.end()) {
+    throw HistoryError("store '" + dir_ + "': subscriber already subscribed");
+  }
+  subscribers_.push_back(&subscriber);
+}
+
+void DurableHistory::journal(std::string_view bytes,
+                             std::span<const history::Record> records,
+                             bool apply) {
+  journal_->append(bytes);
   ++records_;
-  bytes_ += lines.size();
+  bytes_ += bytes.size();
   ++since_checkpoint_;
-  if (tap_ != nullptr) tap_->on_frame(epoch_, seq, lines);
+  const history::Change change{epoch_, journal_seq_++, records, bytes};
+  if (apply) {
+    for (const history::Record& record : records) db_->apply_record(record);
+  }
+  for (history::ChangeSubscriber* subscriber : subscribers_) {
+    subscriber->on_change(change);
+  }
+}
+
+void DurableHistory::on_mutation(std::span<const history::Record> records) {
+  std::string bytes;
+  for (const history::Record& record : records) history::encode(record, bytes);
+  journal(bytes, records, false);
+  if (opening_) journal_records_.push_back(std::move(bytes));
   if (options_.checkpoint_every > 0 &&
       since_checkpoint_ >= options_.checkpoint_every) {
     checkpoint();
   }
+}
+
+void DurableHistory::apply_frame(std::string_view lines) {
+  std::vector<history::Record> records;
+  for (const std::string_view line : support::Lines(lines)) {
+    if (!support::trim(line).empty()) records.push_back(history::decode(line));
+  }
+  journal(lines, records, true);
 }
 
 void DurableHistory::checkpoint(std::uint64_t epoch) {
@@ -268,29 +297,26 @@ void DurableHistory::checkpoint(std::uint64_t epoch) {
 }
 
 void DurableHistory::install(std::uint64_t epoch, std::string_view image) {
-  *db_ = history::HistoryDb::load(*schema_, *clock_, image);
+  history::HistoryDb loaded =
+      history::HistoryDb::load(*schema_, *clock_, image);
   fs::create_directories(dir_);
   write_file_atomic(paths_.schema, schema::write_schema(*schema_));
-  rebase(epoch, image);
+  rebase(epoch, image, &loaded);
 }
 
-void DurableHistory::rebase(std::uint64_t epoch, std::string_view image) {
-  write_checkpoint(paths_, epoch, db_->size(), image, options_.journal,
-                   journal_);
+void DurableHistory::rebase(std::uint64_t epoch, std::string_view image,
+                            history::HistoryDb* replacement) {
+  const bool replaced = replacement != nullptr;
+  write_checkpoint(paths_, epoch, (replaced ? *replacement : *db_).size(),
+                   image, options_.journal, journal_);
+  // The move keeps this store as the listener.
+  if (replaced) *db_ = std::move(*replacement);
   epoch_ = epoch;
   since_checkpoint_ = 0;
   journal_seq_ = 0;
   journal_records_.clear();
-  if (tap_ != nullptr) tap_->on_checkpoint(epoch);
-}
-
-void DurableHistory::apply_frame(std::string_view lines) {
-  journal_->append(lines);
-  ++journal_seq_;
-  ++records_;
-  bytes_ += lines.size();
-  for (const std::string_view line : support::Lines(lines)) {
-    db_->apply_saved_line(line);
+  for (history::ChangeSubscriber* subscriber : subscribers_) {
+    subscriber->on_rebase(epoch, replaced);
   }
 }
 
@@ -312,8 +338,7 @@ void DurableHistory::adopt(history::HistoryDb&& seed) {
     throw HistoryError("store '" + dir_ +
                        "': refusing to adopt over a non-empty store");
   }
-  *db_ = std::move(seed);  // keeps this store as the listener
-  checkpoint();
+  rebase(epoch_ + 1, seed.save(), &seed);
 }
 
 std::unique_ptr<history::HistoryDb> DurableHistory::release() {

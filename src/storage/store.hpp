@@ -9,24 +9,29 @@
 //   replica.herc   present only in a follower's store (src/replica)
 //
 // Every mutation (import, task product, failure record, annotation — and
-// any blob it introduces) is serialized by the history database itself and
-// appended as one journal frame, so a commit is O(delta) while `save()` is
-// O(database).  `checkpoint()` compacts: it atomically replaces the
-// snapshot (write temp + rename) and then resets the journal under a new
-// epoch.  Recovery replays snapshot + journal tail; a torn final frame is
-// truncated away, and a journal whose epoch does not match the snapshot's
-// (a crash between the checkpoint's two steps) is discarded — its records
-// are already inside the snapshot.
+// any blob it introduces) reaches the store through the database's one
+// listener slot and is appended as one journal frame, so a commit is
+// O(delta) while `save()` is O(database).  `checkpoint()` compacts: it
+// atomically replaces the snapshot (write temp + rename) and then resets
+// the journal under a new epoch.  Recovery replays snapshot + journal
+// tail; a torn final frame is truncated away, and a journal whose epoch
+// does not match the snapshot's (a crash between the checkpoint's two
+// steps) is discarded — its records are already inside the snapshot.
 //
 // A follower's replica is the same store, fed by `apply_frame` and
 // `install`.  Its marker makes the one difference on open: no crash sweep,
 // as its open runs are its leader's live runs.  Only src/storage touches
 // a store's files.
+//
+// The store publishes the history's one change feed: each frame it
+// journals goes to every `history::ChangeSubscriber` (the indexes, the
+// shipper), and each checkpoint, install and adoption as a rebase.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -104,23 +109,6 @@ void write_checkpoint(const StorePaths& paths, std::uint64_t epoch,
                       std::size_t instances, std::string_view image,
                       JournalOptions options, std::optional<Journal>& journal);
 
-/// Observer of the journal frame stream — the replication shipping hook.
-/// Called synchronously from the mutation path, under whatever lock the
-/// caller already uses to serialize mutations; implementations must be
-/// fast (hand off, don't block) and must not re-enter the store.
-class JournalTap {
- public:
-  virtual ~JournalTap() = default;
-  /// One frame was appended: `seq` is its 0-based position within the
-  /// current epoch's journal (replayed records count, so seq is stable
-  /// across reopen), `payload` the save-format mutation lines.
-  virtual void on_frame(std::uint64_t epoch, std::uint64_t seq,
-                        std::string_view payload) = 0;
-  /// The store checkpointed: the snapshot now carries `new_epoch` and the
-  /// journal restarted empty (the next frame is seq 0 of `new_epoch`).
-  virtual void on_checkpoint(std::uint64_t new_epoch) = 0;
-};
-
 /// A `HistoryDb` bound to a store directory.  Owns the database; attach it
 /// to a session (or use `db()` directly) and every mutation is journaled.
 /// Not internally synchronized — callers serialize mutations exactly as
@@ -159,15 +147,17 @@ class DurableHistory final : public history::MutationListener {
   void checkpoint(std::uint64_t epoch);
 
   /// Replaces the contents with `image`, a `HistoryDb::save` image at
-  /// `epoch`, then writes the schema, `image` itself as the snapshot and a
-  /// fresh journal.  The database is replaced in place: whoever holds
-  /// `db()` keeps it, this store stays its listener and its observers get
-  /// `on_reset`.  Nothing the directory held before is read.
+  /// `epoch`: checks that it loads, writes the schema, `image` itself as
+  /// the snapshot and a fresh journal, then swaps the database's contents
+  /// in place (whoever holds `db()` keeps it, and this store stays its
+  /// listener) and publishes a replacing rebase.  Nothing the directory
+  /// held before is read.
   void install(std::uint64_t epoch, std::string_view image);
 
-  /// Applies a frame its leader journaled: appends `lines` to the journal
-  /// as one frame, then applies them to `db()`.  Write-ahead, so a crash
-  /// mid-apply recovers to a consistent prefix.
+  /// Applies a frame its leader journaled: decodes `lines`, appends them to
+  /// the journal as one frame, applies them to `db()`, then publishes the
+  /// frame.  Write-ahead, so a crash mid-apply recovers to a consistent
+  /// prefix.
   void apply_frame(std::string_view lines);
 
   /// Forces journaled records to stable storage now (regardless of policy).
@@ -192,9 +182,14 @@ class DurableHistory final : public history::MutationListener {
   /// file cannot be read or no longer holds this epoch's journal.
   [[nodiscard]] std::vector<std::string> read_journal_records();
 
-  /// Streams every journaled frame (and checkpoint) to `tap`; pass
-  /// `nullptr` to detach.  One tap at a time.
-  void attach_tap(JournalTap* tap) { tap_ = tap; }
+  /// Adds `subscriber` to the change feed, after those already on it; it
+  /// must leave (or the store go) before it is destroyed.  Throws
+  /// `HistoryError` when it is already subscribed.
+  void subscribe(history::ChangeSubscriber& subscriber);
+  /// Removes `subscriber` from the feed; a no-op when it is not on it.
+  void unsubscribe(history::ChangeSubscriber& subscriber) {
+    std::erase(subscribers_, &subscriber);
+  }
 
   [[nodiscard]] const RecoveryReport& recovery() const { return report_; }
   [[nodiscard]] const std::string& dir() const { return dir_; }
@@ -211,11 +206,19 @@ class DurableHistory final : public history::MutationListener {
     return journal_.has_value() ? journal_->bytes() : 0;
   }
 
-  void on_mutation(std::string_view lines) override;
+  void on_mutation(std::span<const history::Record> records) override;
 
  private:
-  /// Writes `image` as the snapshot at `epoch` and restarts the journal.
-  void rebase(std::uint64_t epoch, std::string_view image);
+  /// Appends `bytes`, the encoded `records`, to the journal as one frame,
+  /// applies the records to the database when `apply` (a replicated
+  /// frame; a local one is applied already), then publishes the frame.
+  void journal(std::string_view bytes,
+               std::span<const history::Record> records, bool apply);
+  /// Writes `image` as the snapshot at `epoch`, restarts the journal,
+  /// moves in `replacement` (whose save `image` is) when given, and
+  /// publishes the rebase.
+  void rebase(std::uint64_t epoch, std::string_view image,
+              history::HistoryDb* replacement = nullptr);
 
   const schema::TaskSchema* schema_;
   support::Clock* clock_;
@@ -225,7 +228,7 @@ class DurableHistory final : public history::MutationListener {
   std::unique_ptr<history::HistoryDb> db_;
   std::optional<Journal> journal_;
   RecoveryReport report_;
-  JournalTap* tap_ = nullptr;
+  std::vector<history::ChangeSubscriber*> subscribers_;
   std::uint64_t epoch_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;

@@ -425,8 +425,8 @@ TEST_F(ExecutorTest, CancelRaisedInsideTheFirstGroupIsResumable) {
 /// Fails every task-started journal write, as a full disk would.
 class FailingTaskStarts : public history::MutationListener {
  public:
-  void on_mutation(std::string_view lines) override {
-    if (lines.starts_with("tstart")) {
+  void on_mutation(std::span<const history::Record> records) override {
+    if (std::holds_alternative<history::TaskStartRecord>(records.front())) {
       throw std::runtime_error("journal: write failed");
     }
   }

@@ -355,11 +355,13 @@ TEST_F(HistoryTest, AnnotationsSurviveRoundTrip) {
 }
 
 TEST_F(HistoryTest, MutationListenerStreamReproducesDatabase) {
-  // The journal contract: concatenating every on_mutation payload and
-  // re-applying it line by line rebuilds an identical database.
+  // The journal contract: encoding every on_mutation record and
+  // re-applying the lines one by one rebuilds an identical database.
   class Capture : public MutationListener {
    public:
-    void on_mutation(std::string_view lines) override { log_ += lines; }
+    void on_mutation(std::span<const Record> records) override {
+      for (const Record& record : records) encode(record, log_);
+    }
     std::string log_;
   };
   Capture capture;
@@ -392,10 +394,10 @@ TEST_F(HistoryTest, MutationListenerStreamReproducesDatabase) {
 TEST_F(HistoryTest, MoveAssignmentKeepsTheTargetsListener) {
   // A store that installs a new image into its own database in place must
   // stay attached to it: move-assignment replaces the contents and keeps
-  // the target's listener, the rule it already applies to observers.
+  // the target's listener.
   class Count : public MutationListener {
    public:
-    void on_mutation(std::string_view) override { ++calls_; }
+    void on_mutation(std::span<const Record>) override { ++calls_; }
     int calls_ = 0;
   };
   Count target_listener;
@@ -419,8 +421,9 @@ TEST_F(HistoryTest, MoveAssignmentKeepsTheTargetsListener) {
 TEST_F(HistoryTest, ARepeatedPayloadJournalsNoSecondBlobLine) {
   class Capture : public MutationListener {
    public:
-    void on_mutation(std::string_view lines) override {
-      mutations_.emplace_back(lines);
+    void on_mutation(std::span<const Record> records) override {
+      std::string& lines = mutations_.emplace_back();
+      for (const Record& record : records) encode(record, lines);
     }
     std::vector<std::string> mutations_;
   };

@@ -21,6 +21,7 @@
 #include "index/indexes.hpp"
 #include "property_seed.hpp"
 #include "schema/standard_schemas.hpp"
+#include "storage/store.hpp"
 #include "support/clock.hpp"
 #include "support/hash.hpp"
 #include "support/record.hpp"
@@ -306,9 +307,13 @@ constexpr std::string_view kRebuiltImage =
 TEST(IndexLayoutTest, ImageBytesAreTheFormatsOwn) {
   const schema::TaskSchema schema = schema::make_fig1_schema();
   support::ManualClock clock(1000, 10);
-  HistoryDb db(schema, clock);
+  const std::string dir =
+      (fs::temp_directory_path() / "herc_index_layout_live").string();
+  fs::remove_all(dir);
+  storage::DurableHistory store(schema, clock, dir);
+  HistoryDb& db = store.db();
   HistoryIndexes live(db);
-  live.attach();
+  store.subscribe(live);
   populate_fixed(db, schema);
   EXPECT_EQ(live.image().serialize(), kLiveImage);
 

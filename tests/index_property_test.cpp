@@ -4,7 +4,7 @@
 //      recovery yields some k-frame prefix (the per-byte frame mapping is
 //      proved in storage_property_test); here, at every distinct k, three
 //      independently derived indexes — incrementally maintained through
-//      the observer hook, loaded-from-file + caught up from the journal
+//      a store's change feed, loaded-from-file + caught up from the journal
 //      tail, and rebuilt cold from the recovered database — must answer
 //      every predicate class identically to the verified table scan.
 //   2. INDEX FILE truncated at every byte offset: `IndexImage::parse`
@@ -209,12 +209,19 @@ TEST(IndexPropertyTest, EveryJournalTruncationConvergesAllThreeWays) {
     writer.save(save_dir, epoch, kSavedAt);
   }
 
-  // The incrementally maintained index lives on one growing database.
+  // The incrementally maintained index follows the change feed of one
+  // growing store, fed frame by frame as a follower is.
   support::ManualClock grow_clock(0, 1);
-  HistoryDb grow(schema, grow_clock);
+  const std::string grow_dir = dir + "_grow";
+  fs::remove_all(grow_dir);
+  storage::StoreOptions grow_options;
+  grow_options.journal.sync = storage::SyncPolicy::kNone;
+  storage::DurableHistory grow_store(schema, grow_clock, grow_dir,
+                                     grow_options);
+  HistoryDb& grow = grow_store.db();
   HistoryIndexes live(grow);
   live.rebuild();
-  live.attach();
+  grow_store.subscribe(live);
 
   // Sweep every byte offset; the recovered frame count changes only at
   // frame boundaries, so the (expensive) three-way convergence check runs
@@ -233,12 +240,7 @@ TEST(IndexPropertyTest, EveryJournalTruncationConvergesAllThreeWays) {
     ++checked;
 
     // (a) incremental: feed the newly completed frame to the live index.
-    if (k > 0) {
-      for (const std::string& line :
-           support::split(scan.records[k - 1], '\n')) {
-        grow.apply_saved_line(line);
-      }
-    }
+    if (k > 0) grow_store.apply_frame(scan.records[k - 1]);
     expect_scan_exact(schema, grow, &live,
                       "incremental @" + std::to_string(k));
 
@@ -268,6 +270,7 @@ TEST(IndexPropertyTest, EveryJournalTruncationConvergesAllThreeWays) {
 
   fs::remove_all(dir);
   fs::remove_all(save_dir);
+  fs::remove_all(grow_dir);
 }
 
 TEST(IndexPropertyTest, EveryIndexFileTruncationIsRejectedThenRebuilt) {

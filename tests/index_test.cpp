@@ -2,7 +2,7 @@
 // tokenization, planner path choice, index/scan parity, cursor pagination,
 // annotation staleness (candidate supersets stay exact through
 // verification), persistence round trips, skew-triggered rebuilds, and the
-// observer hook that keeps replicas' indexes current.
+// store's change feed that keeps replicas' indexes current.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "history/query_planner.hpp"
 #include "index/indexes.hpp"
 #include "schema/standard_schemas.hpp"
+#include "storage/store.hpp"
 #include "support/clock.hpp"
 #include "support/text.hpp"
 
@@ -201,10 +202,11 @@ TEST(IndexTest, CursorPaginationWalksEveryRowOnce) {
 TEST(IndexTest, AnnotationLeavesStalePostingsButQueriesStayExact) {
   const schema::TaskSchema schema = schema::make_fig1_schema();
   support::ManualClock clock(1000, 10);
-  HistoryDb db(schema, clock);
+  storage::DurableHistory store(schema, clock, scratch("herc_index_annot"));
+  HistoryDb& db = store.db();
   HistoryIndexes idx(db);
   idx.rebuild();
-  idx.attach();
+  store.subscribe(idx);
   const InstanceId id = db.import_instance(schema.require("EditedNetlist"),
                                            "alpha widget", "p", "u");
   db.annotate(id, "beta gadget", "renamed");
@@ -225,10 +227,11 @@ TEST(IndexTest, AnnotationLeavesStalePostingsButQueriesStayExact) {
 TEST(IndexTest, NameCandidatesCoverCurrentNames) {
   const schema::TaskSchema schema = schema::make_fig1_schema();
   support::ManualClock clock(1000, 10);
-  HistoryDb db(schema, clock);
+  storage::DurableHistory store(schema, clock, scratch("herc_index_names"));
+  HistoryDb& db = store.db();
   HistoryIndexes idx(db);
   idx.rebuild();
-  idx.attach();
+  store.subscribe(idx);
   const InstanceId id = db.import_instance(schema.require("EditedNetlist"),
                                            "low pass filter", "p", "u");
   const auto hits = idx.name_candidates("low pass filter");
@@ -354,15 +357,18 @@ TEST(IndexTest, ObserverMaintainsIndexThroughReplicaStyleApply) {
   HistoryDb leader(schema, clock_a);
   populate(leader, schema);
 
-  // A follower applies the leader's save()-format records, exactly as the
-  // replica applier feeds frames; its attached index must converge.
+  // A follower store applies the leader's save()-format records as
+  // frames, exactly as the replica applier feeds them; the index
+  // subscribed to its change feed must converge.
   support::ManualClock clock_b(0, 1);
-  HistoryDb follower(schema, clock_b);
+  storage::DurableHistory follower_store(schema, clock_b,
+                                         scratch("herc_index_follower"));
+  HistoryDb& follower = follower_store.db();
   HistoryIndexes live(follower);
   live.rebuild();
-  live.attach();
+  follower_store.subscribe(live);
   for (const std::string& line : support::split(leader.save(), '\n')) {
-    if (!line.empty()) follower.apply_saved_line(line);
+    if (!line.empty()) follower_store.apply_frame(line);
   }
   ASSERT_EQ(follower.size(), leader.size());
 
@@ -381,19 +387,20 @@ TEST(IndexTest, ObserverMaintainsIndexThroughReplicaStyleApply) {
 TEST(IndexTest, MoveAssignResyncTriggersRebuildViaOnReset) {
   const schema::TaskSchema schema = schema::make_fig1_schema();
   support::ManualClock clock(1000, 10);
-  HistoryDb db(schema, clock);
+  storage::DurableHistory store(schema, clock, scratch("herc_index_resync"));
+  HistoryDb& db = store.db();
   db.import_instance(schema.require("Stimuli"), "old contents", "p", "u");
   HistoryIndexes idx(db);
   idx.rebuild();
-  idx.attach();
+  store.subscribe(idx);
 
-  // The replica resync path: a freshly recovered database is move-assigned
-  // over the live one.  The target keeps its observers and fires on_reset,
-  // so the index re-derives itself from the new contents.
+  // The replica resync path: a freshly recovered image is installed over
+  // the live database, in place.  The store publishes a rebase that
+  // replaced the contents, so the index re-derives itself from them.
   support::ManualClock clock2(5000, 10);
   HistoryDb fresh(schema, clock2);
   populate(fresh, schema);
-  db = std::move(fresh);
+  store.install(1, fresh.save());
 
   QueryFilter gone;
   gone.keyword = "contents";

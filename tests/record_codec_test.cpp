@@ -1,9 +1,10 @@
 // The history record codec: the on-disk format pinned by literal lines,
 // decode/encode round trips, the field-range refusals every reader now
-// shares, and a seeded property test that any truncated or bit-flipped
-// line either decodes or throws.
+// shares, the kind read that skips a line's fields, and a seeded property
+// test that any truncated or bit-flipped line either decodes or throws.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -95,7 +96,9 @@ std::string line_of(const Record& record) {
 /// Records every mutation's lines in order.
 class Capture : public MutationListener {
  public:
-  void on_mutation(std::string_view lines) override { text += lines; }
+  void on_mutation(std::span<const Record> records) override {
+    for (const Record& record : records) encode(record, text);
+  }
   std::string text;
 };
 
@@ -248,6 +251,47 @@ TEST(RecordCodecTest, OutOfRangeAndMalformedFieldsAreRefused) {
   for (const std::string& line : refused) {
     SCOPED_TRACE(line);
     EXPECT_THROW((void)decode(line), HistoryError);
+  }
+}
+
+TEST(RecordCodecTest, KindOfReadsEveryKindAsDecodeDoes) {
+  // Every kind appears among the literals; each line's kind, read without
+  // its fields, is the alternative `decode` builds.
+  std::vector<bool> seen(std::variant_size_v<Record>, false);
+  for (const std::string& line : kLiterals) {
+    SCOPED_TRACE(line);
+    const auto kind = static_cast<std::size_t>(kind_of(line));
+    EXPECT_EQ(kind, decode(line).index());
+    seen.at(kind) = true;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+            static_cast<std::ptrdiff_t>(seen.size()));
+}
+
+TEST(RecordCodecTest, KindOfSkipsFieldsButRefusesATruncatedKind) {
+  // Cut inside its fields, a line still has its kind, though it no longer
+  // decodes; cut inside the kind, or to nothing, it has none.
+  const std::string line = kLiterals[3];  // an `inst` line
+  for (std::size_t cut = 4; cut <= line.size(); ++cut) {
+    EXPECT_EQ(kind_of(line.substr(0, cut)), RecordKind::kInstance) << cut;
+  }
+  EXPECT_THROW((void)decode(line.substr(0, 12)), HistoryError);
+  for (std::size_t cut = 0; cut < 4; ++cut) {
+    EXPECT_THROW((void)kind_of(line.substr(0, cut)), HistoryError) << cut;
+  }
+}
+
+TEST(RecordCodecTest, KindOfRefusesAnUnknownKind) {
+  for (const std::string line : {"mystery|field", "Inst|0", "run|0", "blobs"}) {
+    SCOPED_TRACE(line);
+    try {
+      (void)kind_of(line);
+      ADD_FAILURE() << "expected an unknown-kind error";
+    } catch (const HistoryError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown record"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

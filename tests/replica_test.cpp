@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/session.hpp"
@@ -40,6 +41,7 @@
 #include "storage/store.hpp"
 #include "support/error.hpp"
 #include "support/record.hpp"
+#include "support/text.hpp"
 
 namespace herc::replica {
 namespace {
@@ -69,14 +71,58 @@ struct TempDir {
 
 /// Captures the leader's raw journal frames — the ground truth the
 /// apply-path tests feed to a follower by hand.
-struct CaptureTap final : storage::JournalTap {
+struct CaptureTap final : history::ChangeSubscriber {
   std::vector<JournalShipment> frames;
-  void on_frame(std::uint64_t epoch, std::uint64_t seq,
-                std::string_view payload) override {
-    frames.push_back({epoch, seq, std::string(payload)});
+  void on_change(const history::Change& change) override {
+    frames.push_back({change.epoch, change.seq, std::string(change.bytes)});
   }
-  void on_checkpoint(std::uint64_t) override {}
+  void on_rebase(std::uint64_t, bool) override {}
 };
+
+/// Records everything a store's change feed publishes, in order: each
+/// frame with its records re-encoded, and each rebase.
+struct FeedRecorder final : history::ChangeSubscriber {
+  std::vector<JournalShipment> frames;
+  std::vector<std::string> records;
+  std::vector<std::pair<std::uint64_t, bool>> rebases;
+  /// One letter per event: 'f' a frame, 'r' a rebase.
+  std::string events;
+
+  void on_change(const history::Change& change) override {
+    frames.push_back({change.epoch, change.seq, std::string(change.bytes)});
+    std::string& encoded = records.emplace_back();
+    for (const history::Record& record : change.records) {
+      history::encode(record, encoded);
+    }
+    events += 'f';
+  }
+  void on_rebase(std::uint64_t epoch, bool replaced) override {
+    rebases.emplace_back(epoch, replaced);
+    events += 'r';
+  }
+};
+
+/// The feed's frame contract against `store`'s current journal: the
+/// recorded frames from `from` on are its frames `first`, `first + 1`, ...
+/// each once, with the bytes journaled and the records they decode to.
+void expect_feed_is_the_journal(storage::DurableHistory& store,
+                                const FeedRecorder& feed, std::size_t from,
+                                std::size_t first) {
+  const std::vector<std::string> journal = store.read_journal_records();
+  ASSERT_EQ(feed.frames.size() - from, journal.size() - first);
+  for (std::size_t i = from; i < feed.frames.size(); ++i) {
+    const std::size_t seq = first + (i - from);
+    SCOPED_TRACE("seq " + std::to_string(seq));
+    EXPECT_EQ(feed.frames[i].epoch, store.epoch());
+    EXPECT_EQ(feed.frames[i].seq, seq);
+    EXPECT_EQ(feed.frames[i].lines, journal[seq]);
+    std::string decoded;
+    for (const std::string_view line : support::Lines(journal[seq])) {
+      if (!line.empty()) history::encode(history::decode(line), decoded);
+    }
+    EXPECT_EQ(feed.records[i], decoded);
+  }
+}
 
 /// A leader's snapshot and the `frames` mutation frames it journaled after
 /// it: what the hand-fed tests install into a follower store directly.
@@ -94,12 +140,12 @@ Captured capture_leader(const std::string& leader_dir, int frames) {
   out.snapshot = {session.storage()->epoch(), session.storage()->journal_seq(),
                   schema::write_schema(session.schema()),
                   session.db().save()};
-  session.storage()->attach_tap(&tap);
+  session.storage()->subscribe(tap);
   for (int i = 0; i < frames; ++i) {
     (void)session.import_data("Stimuli", "frame_" + std::to_string(i),
                               kWaveBody);
   }
-  session.storage()->attach_tap(nullptr);
+  session.storage()->unsubscribe(tap);
   session.close_storage();
   out.frames = std::move(tap.frames);
   return out;
@@ -164,7 +210,7 @@ TEST(ReplicaTest, EndToEndStreamingAndReadOnlyServe) {
     // A read-only server over the replica, gated exactly as `herc serve
     // --replicate-from` wires it.
     core::DesignSession replica_session(applier.schema());
-    replica_session.attach_replica(&applier.db());
+    replica_session.attach_replica(&applier.store());
     server::ServeOptions read_only;
     read_only.read_only = true;
     server::Server replica_server(replica_session, read_only);
@@ -213,8 +259,8 @@ TEST(ReplicaTest, EndToEndStreamingAndReadOnlyServe) {
 
   EXPECT_EQ(storage::fsck_store(leader_dir).exit_code(), 0);
   EXPECT_EQ(storage::fsck_store(follower_dir).exit_code(), 0);
-  EXPECT_TRUE(ReplicaApplier::is_replica_store(follower_dir));
-  EXPECT_FALSE(ReplicaApplier::is_replica_store(leader_dir));
+  EXPECT_TRUE(storage::is_replica_store(follower_dir));
+  EXPECT_FALSE(storage::is_replica_store(leader_dir));
 }
 
 TEST(ReplicaTest, RestartCatchUpReceivesExactlyTheMissedFrames) {
@@ -281,11 +327,11 @@ TEST(ReplicaTest, ApplyOutcomesDuplicateGapAndFence) {
                               schema::write_schema(session.schema()),
                               session.db().save()};
   // Tap attaches after the snapshot: every captured frame post-dates it.
-  session.storage()->attach_tap(&tap);
+  session.storage()->subscribe(tap);
   (void)session.import_data("Stimuli", "cap_1", kWaveBody);
   (void)session.import_data("Stimuli", "cap_2", kWaveBody);
   (void)session.import_data("Stimuli", "cap_3", kWaveBody);
-  session.storage()->attach_tap(nullptr);
+  session.storage()->unsubscribe(tap);
   session.close_storage();
   ASSERT_GE(tap.frames.size(), 3u);
   const std::uint64_t base = snap.seq;
@@ -323,6 +369,79 @@ TEST(ReplicaTest, ApplyOutcomesDuplicateGapAndFence) {
   EXPECT_EQ(applier.fenced_frames(), 1u);
   EXPECT_EQ(applier.position(), (StreamPosition{snap.epoch + 1, 0}));
 
+  EXPECT_EQ(storage::fsck_store(follower_dir).exit_code(), 0);
+}
+
+TEST(ReplicaTest, ChangeFeedCarriesLeaderAndFollowerFramesInOrder) {
+  TempDir tmp;
+  const std::string leader_dir = tmp.sub("leader");
+  const std::string follower_dir = tmp.sub("follower");
+
+  // The leader's store publishes every local frame once, in seq order,
+  // then a checkpoint as a rebase, after which frames start at seq 0.
+  FeedRecorder leader_feed;
+  core::DesignSession session(schema::make_full_schema());
+  (void)session.open_storage(leader_dir);
+  (void)session.import_data("Stimuli", "feed_base", kWaveBody);
+  const SnapshotShipment snap{session.storage()->epoch(),
+                              session.storage()->journal_seq(),
+                              schema::write_schema(session.schema()),
+                              session.db().save()};
+  session.storage()->subscribe(leader_feed);
+  for (int i = 0; i < 3; ++i) {
+    (void)session.import_data("Stimuli", "feed_" + std::to_string(i),
+                              kWaveBody);
+  }
+  expect_feed_is_the_journal(*session.storage(), leader_feed, 0, snap.seq);
+  session.checkpoint_storage();
+  (void)session.import_data("Stimuli", "feed_after", kWaveBody);
+  EXPECT_EQ(leader_feed.events, "fffrf");
+  ASSERT_EQ(leader_feed.rebases.size(), 1u);
+  EXPECT_EQ(leader_feed.rebases[0],
+            (std::pair<std::uint64_t, bool>{snap.epoch + 1, false}));
+  expect_feed_is_the_journal(*session.storage(), leader_feed, 3, 0);
+  session.storage()->unsubscribe(leader_feed);
+  (void)session.import_data("Stimuli", "feed_unseen", kWaveBody);
+  session.close_storage();
+  EXPECT_EQ(leader_feed.events, "fffrf");
+
+  // The follower's store publishes each applied frame, under its own
+  // journal's seq; a duplicate applies and publishes nothing.
+  ReplicaApplier applier(server::Endpoint::parse("127.0.0.1:1"),
+                         follower_dir);
+  applier.install_snapshot(snap);
+  FeedRecorder follower_feed;
+  applier.store().subscribe(follower_feed);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(applier.apply_frame(leader_feed.frames[i]),
+              ApplyOutcome::kApplied);
+  }
+  EXPECT_EQ(applier.apply_frame(leader_feed.frames[0]),
+            ApplyOutcome::kDuplicate);
+  expect_feed_is_the_journal(applier.store(), follower_feed, 0, 0);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(follower_feed.records[i], leader_feed.records[i]);
+  }
+
+  // The mirrored checkpoint keeps the contents; the next frame is seq 0.
+  applier.apply_checkpoint(snap.epoch + 1);
+  ASSERT_EQ(applier.apply_frame(leader_feed.frames[3]),
+            ApplyOutcome::kApplied);
+  expect_feed_is_the_journal(applier.store(), follower_feed, 3, 0);
+
+  // A resync's install replaces them.
+  applier.install_snapshot(snap);
+  EXPECT_EQ(follower_feed.events, "fffrfr");
+  ASSERT_EQ(follower_feed.rebases.size(), 2u);
+  EXPECT_EQ(follower_feed.rebases[0],
+            (std::pair<std::uint64_t, bool>{snap.epoch + 1, false}));
+  EXPECT_EQ(follower_feed.rebases[1],
+            (std::pair<std::uint64_t, bool>{snap.epoch, true}));
+
+  applier.store().unsubscribe(follower_feed);
+  ASSERT_EQ(applier.apply_frame(leader_feed.frames[0]),
+            ApplyOutcome::kApplied);
+  EXPECT_EQ(follower_feed.events, "fffrfr");
   EXPECT_EQ(storage::fsck_store(follower_dir).exit_code(), 0);
 }
 
@@ -409,9 +528,9 @@ TEST(ReplicaTest, PromoteBumpsTheEpochAndRemovesTheMarker) {
                               session.storage()->journal_seq(),
                               schema::write_schema(session.schema()),
                               session.db().save()};
-  session.storage()->attach_tap(&tap);
+  session.storage()->subscribe(tap);
   (void)session.import_data("Stimuli", "p1", kWaveBody);
-  session.storage()->attach_tap(nullptr);
+  session.storage()->unsubscribe(tap);
   const std::size_t leader_size = session.db().size();
   session.close_storage();
 
@@ -423,11 +542,11 @@ TEST(ReplicaTest, PromoteBumpsTheEpochAndRemovesTheMarker) {
       ASSERT_EQ(applier.apply_frame(frame), ApplyOutcome::kApplied);
     }
   }
-  ASSERT_TRUE(ReplicaApplier::is_replica_store(replica_dir));
+  ASSERT_TRUE(storage::is_replica_store(replica_dir));
 
   const PromoteReport report = promote_store(replica_dir);
   EXPECT_EQ(report.epoch, snap.epoch + 1);
-  EXPECT_FALSE(ReplicaApplier::is_replica_store(replica_dir));
+  EXPECT_FALSE(storage::is_replica_store(replica_dir));
   EXPECT_EQ(storage::fsck_store(replica_dir).exit_code(), 0);
 
   // The promoted store is a leader store: it opens and serves the full
@@ -476,10 +595,12 @@ TEST(ReplicaTest, FailoverDrillPromotedFollowerLeadsAndFencesTheOldEpoch) {
       size_before_failover = session_a.db().size();
       EXPECT_EQ(applier_b.db().size(), size_before_failover);
 
-      // Capture one old-epoch frame for the fence assertion below.
-      session_a.storage()->attach_tap(&old_epoch_tap);
+      // Capture one old-epoch frame for the fence assertion below; the
+      // shipper leaves the feed first, so B never sees it.
+      session_a.storage()->unsubscribe(shipper_a);
+      session_a.storage()->subscribe(old_epoch_tap);
       (void)session_a.import_data("Stimuli", "straggler", kWaveBody);
-      session_a.storage()->attach_tap(nullptr);
+      session_a.storage()->unsubscribe(old_epoch_tap);
 
       // A "dies" (hard stop; its store keeps the straggler frame B never
       // saw — exactly the divergence failover must fence off).
@@ -739,7 +860,7 @@ TEST(ReplicaTest, LeaderOpenRefusesAReplicaStore) {
     }
   }
   EXPECT_EQ(slurp(journal_path), journal);
-  EXPECT_TRUE(ReplicaApplier::is_replica_store(follower_dir));
+  EXPECT_TRUE(storage::is_replica_store(follower_dir));
 }
 
 }  // namespace

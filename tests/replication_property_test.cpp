@@ -66,13 +66,12 @@ struct TempDir {
   }
 };
 
-struct CaptureTap final : storage::JournalTap {
+struct CaptureTap final : history::ChangeSubscriber {
   std::vector<JournalShipment> frames;
-  void on_frame(std::uint64_t epoch, std::uint64_t seq,
-                std::string_view payload) override {
-    frames.push_back({epoch, seq, std::string(payload)});
+  void on_change(const history::Change& change) override {
+    frames.push_back({change.epoch, change.seq, std::string(change.bytes)});
   }
-  void on_checkpoint(std::uint64_t) override {}
+  void on_rebase(std::uint64_t, bool) override {}
 };
 
 /// A leader's worth of shipped bytes: the bootstrap snapshot plus every
@@ -96,12 +95,12 @@ Shipment make_shipment(const std::string& leader_dir, std::uint64_t seed) {
                    schema::write_schema(session.schema()),
                    session.db().save()};
   CaptureTap tap;
-  session.storage()->attach_tap(&tap);
+  session.storage()->subscribe(tap);
   for (int i = 0; i < 5; ++i) {
     (void)session.import_data("Stimuli", "live_" + std::to_string(i),
                               wave_body(rng));
   }
-  session.storage()->attach_tap(nullptr);
+  session.storage()->unsubscribe(tap);
   ship.leader_size = session.db().size();
   session.close_storage();
 

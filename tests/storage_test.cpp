@@ -15,6 +15,7 @@
 #include "storage/journal.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace herc::storage {
 namespace {
@@ -36,6 +37,65 @@ std::string slurp(const std::string& path) {
 void spill(const std::string& path, std::string_view bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Records everything a store's change feed publishes, in order.
+struct Recorder final : history::ChangeSubscriber {
+  struct Frame {
+    std::uint64_t epoch = 0;
+    std::uint64_t seq = 0;
+    std::vector<history::Record> records;
+    std::string bytes;
+  };
+  struct Rebase {
+    std::uint64_t epoch = 0;
+    bool replaced = false;
+  };
+  std::vector<Frame> frames;
+  std::vector<Rebase> rebases;
+  /// One letter per event: 'f' a frame, 'r' a rebase.
+  std::string events;
+
+  void on_change(const history::Change& change) override {
+    frames.push_back({change.epoch, change.seq,
+                      {change.records.begin(), change.records.end()},
+                      std::string(change.bytes)});
+    events += 'f';
+  }
+  void on_rebase(std::uint64_t epoch, bool replaced) override {
+    rebases.push_back({epoch, replaced});
+    events += 'r';
+  }
+};
+
+/// The feed's frame contract against `store`'s own journal: `frames` are
+/// the current epoch's journal frames `first`, `first + 1`, ... each once,
+/// with the bytes journaled and the records those bytes decode to.
+void expect_frames_are_the_journal(DurableHistory& store,
+                                   const std::vector<Recorder::Frame>& frames,
+                                   std::size_t first = 0) {
+  const std::vector<std::string> journal = store.read_journal_records();
+  ASSERT_EQ(first + frames.size(), journal.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const Recorder::Frame& frame = frames[i];
+    SCOPED_TRACE("frame " + std::to_string(first + i));
+    EXPECT_EQ(frame.epoch, store.epoch());
+    EXPECT_EQ(frame.seq, first + i);
+    EXPECT_EQ(frame.bytes, journal[first + i]);
+    std::string decoded;
+    std::size_t lines = 0;
+    for (const std::string_view line : support::Lines(frame.bytes)) {
+      if (line.empty()) continue;
+      history::encode(history::decode(line), decoded);
+      ++lines;
+    }
+    std::string published;
+    for (const history::Record& record : frame.records) {
+      history::encode(record, published);
+    }
+    EXPECT_EQ(frame.records.size(), lines);
+    EXPECT_EQ(published, decoded);
+  }
 }
 
 class StorageTest : public ::testing::Test {
@@ -465,6 +525,107 @@ TEST_F(StorageTest, SyncPoliciesRoundTrip) {
   }
 }
 
+// ---- the change feed ---------------------------------------------------------
+
+TEST_F(StorageTest, FeedPublishesEveryLeaderFrameOnceInSeqOrder) {
+  DurableHistory store(schema_, clock_, dir_);
+  Recorder recorder;
+  store.subscribe(recorder);
+  EXPECT_THROW(store.subscribe(recorder), HistoryError);
+  populate(store.db());
+  history::RunRecord run;
+  run.flow_name = "f";
+  run.user = "u";
+  const std::uint64_t id = store.db().begin_run(run);
+  store.db().run_task_started(id, "0:Stimuli");
+  store.db().end_run(id, "failed");
+  EXPECT_EQ(recorder.events, std::string(8, 'f'));
+  expect_frames_are_the_journal(store, recorder.frames);
+
+  // A checkpoint is one rebase to the new epoch; the next frame is seq 0.
+  const std::uint64_t epoch = store.epoch();
+  store.checkpoint();
+  ASSERT_EQ(recorder.rebases.size(), 1u);
+  EXPECT_EQ(recorder.rebases[0].epoch, epoch + 1);
+  EXPECT_FALSE(recorder.rebases[0].replaced);
+  recorder.frames.clear();
+  store.db().import_instance(schema_.require("Stimuli"), "after", "w", "u");
+  EXPECT_EQ(recorder.events, std::string(8, 'f') + "rf");
+  expect_frames_are_the_journal(store, recorder.frames);
+
+  // Nothing reaches a subscriber once it has left the feed.
+  store.unsubscribe(recorder);
+  store.unsubscribe(recorder);  // a no-op the second time
+  store.db().import_instance(schema_.require("Stimuli"), "unseen", "w", "u");
+  store.checkpoint();
+  EXPECT_EQ(recorder.events, std::string(8, 'f') + "rf");
+}
+
+TEST_F(StorageTest, FeedPublishesEveryFollowerFrameAndAReplacingInstall) {
+  // A leader's frames and image, as a follower store receives them.
+  const std::string leader_dir = dir_ + "_leader";
+  fs::remove_all(leader_dir);
+  Recorder leader_frames;
+  std::string image;
+  std::string image_after;
+  {
+    support::ManualClock leader_clock(0, 1);
+    DurableHistory leader(schema_, leader_clock, leader_dir);
+    leader.db().import_instance(schema_.require("Stimuli"), "base", "w", "u");
+    image = leader.db().save();
+    leader.subscribe(leader_frames);
+    populate(leader.db());
+    image_after = leader.db().save();
+  }
+  fs::remove_all(leader_dir);
+
+  support::ManualClock clock2(0, 1);
+  DurableHistory follower(schema_, clock2, dir_, {}, 3, image);
+  Recorder recorder;
+  follower.subscribe(recorder);
+  for (const Recorder::Frame& frame : leader_frames.frames) {
+    follower.apply_frame(frame.bytes);
+  }
+  EXPECT_EQ(recorder.events, std::string(leader_frames.frames.size(), 'f'));
+  expect_frames_are_the_journal(follower, recorder.frames);
+  EXPECT_EQ(follower.db().save(), image_after);
+
+  // An install replaces the contents: one replacing rebase, then seq 0.
+  follower.install(7, image);
+  ASSERT_EQ(recorder.rebases.size(), 1u);
+  EXPECT_EQ(recorder.rebases[0].epoch, 7u);
+  EXPECT_TRUE(recorder.rebases[0].replaced);
+  recorder.frames.clear();
+  follower.apply_frame(leader_frames.frames.front().bytes);
+  expect_frames_are_the_journal(follower, recorder.frames);
+
+  // A mirrored checkpoint keeps the contents.
+  follower.checkpoint(8);
+  ASSERT_EQ(recorder.rebases.size(), 2u);
+  EXPECT_EQ(recorder.rebases[1].epoch, 8u);
+  EXPECT_FALSE(recorder.rebases[1].replaced);
+
+  const std::string seen = recorder.events;
+  follower.unsubscribe(recorder);
+  follower.apply_frame(leader_frames.frames[1].bytes);
+  follower.install(9, image);
+  EXPECT_EQ(recorder.events, seen);
+}
+
+TEST_F(StorageTest, AdoptingAHistoryIsAReplacingRebase) {
+  support::ManualClock seed_clock(0, 1);
+  HistoryDb seed(schema_, seed_clock);
+  populate(seed);
+  DurableHistory store(schema_, clock_, dir_);
+  Recorder recorder;
+  store.subscribe(recorder);
+  store.adopt(std::move(seed));
+  ASSERT_EQ(recorder.rebases.size(), 1u);
+  EXPECT_EQ(recorder.rebases[0].epoch, store.epoch());
+  EXPECT_TRUE(recorder.rebases[0].replaced);
+  EXPECT_EQ(recorder.events, "r");
+}
+
 // ---- session and CLI wiring --------------------------------------------------
 
 TEST_F(StorageTest, SessionAdoptsExistingHistoryAndRecovers) {
@@ -581,6 +742,41 @@ class IndexedStorageTest : public StorageTest {
   static constexpr int kTail = 6;
   std::string image_at_checkpoint_;
 };
+
+TEST_F(IndexedStorageTest, CloseStorageLeavesTheFeedAndScansTheSamePages) {
+  build();
+  core::DesignSession session(schema::make_fig1_schema());
+  session.open_storage(dir_);
+  Recorder recorder;
+  session.storage()->subscribe(recorder);
+  session.import_data("Stimuli", "wave closing", "w");
+  EXPECT_EQ(recorder.events, "f");
+
+  std::vector<history::QueryFilter> filters(4);
+  filters[0].keyword = "wave";
+  filters[1].user = "bob";
+  filters[2].type = session.schema().require("Stimuli");
+  filters[3].keyword = "late";
+  std::vector<history::QueryPage> indexed;
+  for (const history::QueryFilter& filter : filters) {
+    indexed.push_back(
+        history::run_page(session.db(), filter, session.indexes(), 50));
+  }
+
+  // Closing drops the indexes with the store: the in-memory session
+  // browses by scan, page for page the same, and publishes nothing more.
+  session.close_storage();
+  EXPECT_EQ(session.indexes(), nullptr);
+  for (std::size_t i = 0; i < filters.size(); ++i) {
+    const history::QueryPage scanned =
+        history::run_page(session.db(), filters[i], session.indexes(), 50);
+    EXPECT_EQ(scanned.plan.path, history::AccessPath::kScan);
+    EXPECT_FALSE(scanned.ids.empty());
+    EXPECT_EQ(scanned.ids, indexed[i].ids) << indexed[i].plan.describe();
+  }
+  session.import_data("Stimuli", "wave in memory", "w");
+  EXPECT_EQ(recorder.events, "f");
+}
 
 TEST_F(IndexedStorageTest, LoadsTheImageAndCatchesUpFromTheJournal) {
   build();
