@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -61,12 +60,6 @@ std::string read_file(const std::string& path) {
   std::optional<std::string> text = support::read_file(path);
   if (!text) throw UsageError("cannot read file '" + path + "'");
   return std::move(*text);
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw UsageError("cannot write file '" + path + "'");
-  out << content;
 }
 
 /// Prints a lint report.  Error severity fails the command, like fsck's
@@ -233,7 +226,7 @@ struct Interpreter::Call {
 
   void session_save() {
     if (c.args.size() != 3) usage();
-    write_file(c.args[2], in.session_->save());
+    support::write_file_atomic(c.args[2], {in.session_->save()});
     out << "session saved to " << c.args[2] << "\n";
   }
 

@@ -273,8 +273,9 @@ void DesignSession::close_storage() {
       // Closing must not fail for an unsaveable index; next open rebuilds.
     }
   }
-  drop_indexes();
+  // First, so that a final sync that fails leaves the session as it was.
   db_ = storage_->release();
+  drop_indexes();
   storage_.reset();
   executor_ = std::make_unique<exec::Executor>(*db_, *registry_);
   executor_->set_cancel_flag(cancel_);

@@ -13,6 +13,7 @@
 #include <queue>
 #include <system_error>
 #include <thread>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/record.hpp"
@@ -745,7 +746,8 @@ class Scheduler {
       lock.lock();
       --busy_;
       if (thrown) {
-        if (!error_) error_ = thrown;
+        if (!failed_) error_ = thrown;
+        failed_ = true;
       } else {
         complete(g, outcome);
       }
@@ -758,7 +760,8 @@ class Scheduler {
   ExecResult finish() {
     std::unique_lock lock(mutex_);
     cv_.wait(lock, [&] { return busy_ == 0; });
-    if (error_) std::rethrow_exception(error_);
+    // Taken out: a helper may release the scheduler while the caller reads it.
+    if (failed_) std::rethrow_exception(std::exchange(error_, nullptr));
     if (aborted_) throw_aggregated(failures_);
     if (cancelled_) {
       throw RunCancelled("flow '" + state_->flow->name() +
@@ -773,7 +776,7 @@ class Scheduler {
  private:
   /// Once true, stays true: nothing is dequeued any more.
   [[nodiscard]] bool stopped() const {
-    return error_ || aborted_ || cancelled_ || completed_ == total_;
+    return failed_ || aborted_ || cancelled_ || completed_ == total_;
   }
 
   /// Records `g`'s verdict and releases its successors.  Holds `mutex_`.
@@ -815,7 +818,8 @@ class Scheduler {
   /// Workers inside `run_group`.
   std::size_t busy_ = 0;
   std::vector<std::string> failures_;
-  std::exception_ptr error_;
+  std::exception_ptr error_;  // the first a group threw; `finish` takes it
+  bool failed_ = false;       // a group threw
   bool aborted_ = false;    // fail-fast failure
   bool cancelled_ = false;  // cooperative cancel: the run stays open
 };

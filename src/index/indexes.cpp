@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <queue>
 #include <span>
@@ -18,7 +17,6 @@ namespace herc::index {
 
 namespace fs = std::filesystem;
 using data::InstanceId;
-using support::HistoryError;
 
 namespace {
 
@@ -328,29 +326,7 @@ void HistoryIndexes::save(const std::string& dir, std::uint64_t epoch,
                           std::uint64_t seq) {
   img_.epoch = epoch;
   img_.seq = seq;
-  // Plain write-temp-and-rename (no fsync): unlike the journal, the index
-  // is reconstructible, and any torn result fails the checksum and turns
-  // into a rebuild on the next open.
-  const std::string path = file_path(dir);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw HistoryError("index: cannot write '" + tmp + "'");
-    }
-    const std::string text = img_.serialize();
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.flush();
-    if (!out) {
-      throw HistoryError("index: short write to '" + tmp + "'");
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw HistoryError("index: cannot rename '" + tmp + "' over '" + path +
-                       "': " + ec.message());
-  }
+  support::write_file_atomic(file_path(dir), {img_.serialize()});
 }
 
 void HistoryIndexes::on_lines(std::string_view lines) {

@@ -191,7 +191,8 @@ class HistoryIndexes final : public history::SecondaryIndex,
   void rebuild();
 
   /// Writes `dir`'s index file stamped (`epoch`, `seq`) — the store's
-  /// current epoch and journal sequence, which together date the image.
+  /// current epoch and journal sequence, which together date the image —
+  /// through `support::write_file_atomic`.
   void save(const std::string& dir, std::uint64_t epoch, std::uint64_t seq);
 
   [[nodiscard]] static std::string file_path(const std::string& dir);

@@ -65,10 +65,10 @@ void ReplicaApplier::publish_position(std::uint64_t epoch, std::uint64_t seq) {
 
 void ReplicaApplier::write_marker(std::uint64_t epoch,
                                   std::uint64_t base_seq) {
-  storage::write_file_atomic(storage::StorePaths(dir_).marker,
-                             "replica base " + std::to_string(epoch) + " " +
-                                 std::to_string(base_seq) + " leader " +
-                                 leader_.describe() + "\n");
+  support::write_file_atomic(storage::StorePaths(dir_).marker,
+                             {"replica base " + std::to_string(epoch) + " " +
+                              std::to_string(base_seq) + " leader " +
+                              leader_.describe() + "\n"});
 }
 
 // ---- local recovery ----------------------------------------------------------
@@ -212,9 +212,7 @@ bool ReplicaApplier::fetch_snapshot() {
       return true;
     }
     if (frame.type == server::FrameType::kResult) {
-      const server::ResultInfo info = server::decode_result(frame.payload);
-      refused_.fetch_add(1, std::memory_order_relaxed);
-      set_error(info.error);
+      set_error(server::decode_result(frame.payload).error);
       return false;
     }
     // kJournal before the snapshot cannot happen (the leader bootstraps
@@ -381,9 +379,7 @@ void ReplicaApplier::stream_once() {
         break;
       }
       case server::FrameType::kResult: {
-        const server::ResultInfo info = server::decode_result(frame.payload);
-        refused_.fetch_add(1, std::memory_order_relaxed);
-        set_error(info.error);
+        set_error(server::decode_result(frame.payload).error);
         return;
       }
       default:
@@ -422,12 +418,7 @@ PromoteReport promote_store(const std::string& dir,
     store.checkpoint();
     report.epoch = store.epoch();
   }
-  std::error_code ec;
-  fs::remove(storage::StorePaths(dir).marker, ec);
-  if (ec) {
-    throw HistoryError("promote: cannot remove the replica marker: " +
-                       ec.message());
-  }
+  support::remove_file(storage::StorePaths(dir).marker);
   return report;
 }
 

@@ -150,8 +150,6 @@ class ReplicaApplier {
   [[nodiscard]] std::uint64_t frames_applied() const { return applied_; }
   /// Frames rejected for carrying a stale epoch (fenced ex-leader).
   [[nodiscard]] std::uint64_t fenced_frames() const { return fenced_; }
-  /// Subscriptions the leader refused (kResult instead of a stream).
-  [[nodiscard]] std::uint64_t refused_subscribes() const { return refused_; }
   /// Times the stream fell out of sync and reconnected for a resync.
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
   [[nodiscard]] std::string last_error() const;
@@ -206,7 +204,6 @@ class ReplicaApplier {
   std::atomic<std::uint64_t> journal_bytes_{0};
   std::atomic<std::uint64_t> applied_{0};
   std::atomic<std::uint64_t> fenced_{0};
-  std::atomic<std::uint64_t> refused_{0};
   std::atomic<std::uint64_t> resyncs_{0};
 
   std::thread thread_;

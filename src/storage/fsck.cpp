@@ -573,9 +573,8 @@ bool repair_store(Audit& audit, const std::vector<Verdict>& verdicts,
   }
 
   const std::uint64_t next_epoch = report.stats.epoch + 1;
-  std::optional<Journal> journal;
-  write_checkpoint(paths, next_epoch, audit.instances.size(), image,
-                   JournalOptions{}, journal);
+  (void)write_checkpoint(paths, next_epoch, audit.instances.size(), image,
+                         JournalOptions{});
   report.repairs.insert(report.repairs.end(), actions.begin(), actions.end());
   report.repairs.push_back("checkpointed repaired image at epoch " +
                            std::to_string(next_epoch));
@@ -785,7 +784,7 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
       index::IndexImage fresh = index_from_instances(audit.instances);
       fresh.epoch = report.stats.epoch + 1;
       fresh.seq = 0;
-      write_file_atomic(index_path, fresh.serialize());
+      support::write_file_atomic(index_path, {fresh.serialize()});
       report.repairs.push_back("rebuilt secondary indexes at epoch " +
                                std::to_string(report.stats.epoch + 1));
     }

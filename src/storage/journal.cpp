@@ -1,16 +1,11 @@
 #include "storage/journal.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "support/error.hpp"
 #include "support/hash.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define HERC_HAVE_FSYNC 1
-#endif
 
 namespace herc::storage {
 
@@ -43,14 +38,6 @@ std::uint32_t read_u32(std::string_view bytes, std::size_t at) {
 std::uint64_t read_u64(std::string_view bytes, std::size_t at) {
   return static_cast<std::uint64_t>(read_u32(bytes, at)) |
          (static_cast<std::uint64_t>(read_u32(bytes, at + 4)) << 32);
-}
-
-void fsync_file(std::FILE* file) {
-#ifdef HERC_HAVE_FSYNC
-  ::fsync(::fileno(file));
-#else
-  (void)file;
-#endif
 }
 
 }  // namespace
@@ -88,103 +75,44 @@ ScanResult scan_journal(std::string_view bytes) {
   return result;
 }
 
-Journal::Journal(std::FILE* file, std::string path, std::uint64_t epoch,
+Journal::Journal(const std::string& path, std::uint64_t epoch,
                  std::uint64_t bytes, JournalOptions options)
-    : file_(file),
-      path_(std::move(path)),
-      epoch_(epoch),
-      bytes_(bytes),
-      options_(options) {}
+    : file_(path, bytes), epoch_(epoch), bytes_(bytes), options_(options) {}
 
 Journal Journal::create(const std::string& path, std::uint64_t epoch,
                         JournalOptions options) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw HistoryError("journal: cannot create '" + path +
-                       "': " + std::strerror(errno));
-  }
   std::string header(kJournalMagic);
   put_u64(header, epoch);
-  if (std::fwrite(header.data(), 1, header.size(), file) != header.size()) {
-    std::fclose(file);
-    throw HistoryError("journal: cannot write header to '" + path + "'");
-  }
-  std::fflush(file);
-  if (options.sync != SyncPolicy::kNone) fsync_file(file);
-  return Journal(file, path, epoch, header.size(), options);
+  support::write_file_atomic(path, {header});
+  return Journal(path, epoch, header.size(), options);
 }
 
 Journal Journal::open(const std::string& path, std::uint64_t epoch,
                       std::uint64_t size, JournalOptions options) {
   // Appending under the wrong epoch would splice records into a journal
   // that extends a different snapshot, so verify the on-disk header first.
-  {
-    std::FILE* head = std::fopen(path.c_str(), "rb");
-    if (head == nullptr) {
-      throw HistoryError("journal: cannot open '" + path +
-                         "': " + std::strerror(errno));
-    }
-    char buffer[kJournalHeaderBytes];
-    const std::size_t got = std::fread(buffer, 1, sizeof buffer, head);
-    std::fclose(head);
-    const std::string_view bytes(buffer, got);
-    if (got < kJournalHeaderBytes ||
-        bytes.substr(0, kJournalMagic.size()) != kJournalMagic) {
-      throw HistoryError("journal: '" + path +
-                         "' has no valid HERCWAL1 header");
-    }
-    const std::uint64_t disk_epoch = read_u64(bytes, kJournalMagic.size());
-    if (disk_epoch != epoch) {
-      throw HistoryError(
-          "journal: '" + path + "' is at epoch " +
-          std::to_string(disk_epoch) + " but the snapshot expects epoch " +
-          std::to_string(epoch) + "; it extends a different snapshot");
-    }
-  }
-  // "ab" appends at the end of file on every write; the caller has already
-  // truncated the file to `size` valid bytes.
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
+  std::FILE* head = std::fopen(path.c_str(), "rb");
+  if (head == nullptr) {
     throw HistoryError("journal: cannot open '" + path +
                        "': " + std::strerror(errno));
   }
-  return Journal(file, path, epoch, size, options);
-}
-
-Journal::Journal(Journal&& other) noexcept
-    : file_(other.file_),
-      path_(std::move(other.path_)),
-      epoch_(other.epoch_),
-      bytes_(other.bytes_),
-      appended_(other.appended_),
-      since_sync_(other.since_sync_),
-      options_(other.options_) {
-  other.file_ = nullptr;
-}
-
-Journal& Journal::operator=(Journal&& other) noexcept {
-  if (this != &other) {
-    close();
-    file_ = other.file_;
-    path_ = std::move(other.path_);
-    epoch_ = other.epoch_;
-    bytes_ = other.bytes_;
-    appended_ = other.appended_;
-    since_sync_ = other.since_sync_;
-    options_ = other.options_;
-    other.file_ = nullptr;
+  char buffer[kJournalHeaderBytes];
+  const std::size_t got = std::fread(buffer, 1, sizeof buffer, head);
+  std::fclose(head);
+  const std::string_view bytes(buffer, got);
+  if (got < kJournalHeaderBytes ||
+      bytes.substr(0, kJournalMagic.size()) != kJournalMagic) {
+    throw HistoryError("journal: '" + path +
+                       "' has no valid HERCWAL1 header");
   }
-  return *this;
-}
-
-Journal::~Journal() { close(); }
-
-void Journal::close() {
-  if (file_ == nullptr) return;
-  std::fflush(file_);
-  if (options_.sync != SyncPolicy::kNone) fsync_file(file_);
-  std::fclose(file_);
-  file_ = nullptr;
+  const std::uint64_t disk_epoch = read_u64(bytes, kJournalMagic.size());
+  if (disk_epoch != epoch) {
+    throw HistoryError(
+        "journal: '" + path + "' is at epoch " +
+        std::to_string(disk_epoch) + " but the snapshot expects epoch " +
+        std::to_string(epoch) + "; it extends a different snapshot");
+  }
+  return Journal(path, epoch, size, options);
 }
 
 void Journal::append(std::string_view payload) {
@@ -193,10 +121,7 @@ void Journal::append(std::string_view payload) {
   put_u32(frame, static_cast<std::uint32_t>(payload.size()));
   put_u32(frame, frame_checksum(payload));
   frame += payload;
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    throw HistoryError("journal: write failed on '" + path_ +
-                       "': " + std::strerror(errno));
-  }
+  file_.append(frame);
   bytes_ += frame.size();
   ++appended_;
   switch (options_.sync) {
@@ -212,8 +137,7 @@ void Journal::append(std::string_view payload) {
 }
 
 void Journal::sync() {
-  std::fflush(file_);
-  fsync_file(file_);
+  file_.sync();
   since_sync_ = 0;
 }
 

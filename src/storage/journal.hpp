@@ -19,13 +19,15 @@
 // epoch ties a journal to the snapshot it extends: snapshot compaction
 // bumps the epoch, and a journal whose epoch does not match the snapshot's
 // (a crash between the two renames) is discarded as already-compacted.
+// `Journal` is the framing and sync policy over a `support::AppendFile`.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/file.hpp"
 
 namespace herc::storage {
 
@@ -71,27 +73,23 @@ struct ScanResult {
 
 /// An open journal file, append side.  Not internally synchronized: callers
 /// serialize appends exactly as they already serialize history mutations.
+/// A failed write, flush or fsync sticks (`support::AppendFile`); closing
+/// does not fsync.
 class Journal {
  public:
-  /// Creates (or truncates) the journal with a fresh header for `epoch`.
+  /// Replaces `path` with a fresh journal for `epoch` (its header alone,
+  /// through `support::write_file_atomic`) and opens it.
   static Journal create(const std::string& path, std::uint64_t epoch,
                         JournalOptions options);
 
-  /// Opens an existing journal for appending at `size` bytes.  The caller
-  /// has already scanned the file and truncated any torn tail.  Verifies
+  /// Opens an existing journal for appending at `size` bytes, the valid
+  /// prefix the caller scanned, cutting any torn tail.  Verifies
   /// the on-disk header before appending and throws `HistoryError` — naming
   /// both the journal's epoch and the expected (snapshot's) epoch — when
   /// they differ: appending under the wrong epoch would silently splice
   /// records into a journal that extends a different snapshot.
   static Journal open(const std::string& path, std::uint64_t epoch,
                       std::uint64_t size, JournalOptions options);
-
-  Journal(Journal&& other) noexcept;
-  Journal& operator=(Journal&& other) noexcept;
-  Journal(const Journal&) = delete;
-  Journal& operator=(const Journal&) = delete;
-  /// Flushes (and, unless `kNone`, fsyncs) before closing.
-  ~Journal();
 
   /// Appends one frame and applies the sync policy.
   void append(std::string_view payload);
@@ -102,15 +100,12 @@ class Journal {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
   [[nodiscard]] std::uint64_t records_appended() const { return appended_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  Journal(std::FILE* file, std::string path, std::uint64_t epoch,
-          std::uint64_t bytes, JournalOptions options);
-  void close();
+  Journal(const std::string& path, std::uint64_t epoch, std::uint64_t bytes,
+          JournalOptions options);
 
-  std::FILE* file_ = nullptr;
-  std::string path_;
+  support::AppendFile file_;
   std::uint64_t epoch_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t appended_ = 0;

@@ -1,24 +1,13 @@
 #include "storage/store.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <initializer_list>
 
 #include "schema/schema_io.hpp"
 #include "support/error.hpp"
 #include "support/file.hpp"
 #include "support/record.hpp"
 #include "support/text.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define HERC_HAVE_FSYNC 1
-#endif
 
 namespace herc::storage {
 
@@ -31,18 +20,6 @@ std::string read_file(const std::string& path) {
   std::optional<std::string> bytes = support::read_file(path);
   if (!bytes) throw HistoryError("store: cannot read '" + path + "'");
   return std::move(*bytes);
-}
-
-void fsync_path(const std::string& path) {
-#ifdef HERC_HAVE_FSYNC
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)path;
-#endif
 }
 
 /// Replays a "snap" header and image into the empty `db`; returns the
@@ -75,31 +52,19 @@ std::uint64_t replay_snapshot(std::string_view text, history::HistoryDb& db,
   return *epoch;
 }
 
-/// `write_file_atomic` of `pieces` in turn, never joined in memory.
-void write_pieces_atomic(const std::string& path,
-                         std::initializer_list<std::string_view> pieces) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw HistoryError("store: cannot write '" + tmp + "'");
-    }
-    for (const std::string_view piece : pieces) {
-      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
-    }
-    out.flush();
-    if (!out) {
-      throw HistoryError("store: short write to '" + tmp + "'");
-    }
+/// Runs `write`, a write to the store's files, unless `failure` holds an
+/// earlier one, which it throws instead; a failure of `write` becomes
+/// `failure`.
+template <typename Write>
+void write_unless_failed(std::optional<HistoryError>& failure,
+                         Write&& write) {
+  if (failure) throw *failure;
+  try {
+    write();
+  } catch (const HistoryError& e) {
+    failure = e;
+    throw;
   }
-  fsync_path(tmp);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    throw HistoryError("store: cannot rename '" + tmp + "' over '" + path +
-                       "': " + ec.message());
-  }
-  fsync_path(fs::path(path).parent_path().string());
 }
 
 }  // namespace
@@ -120,19 +85,14 @@ std::optional<schema::TaskSchema> recorded_schema(const std::string& dir) {
   return schema::parse_schema(read_file(path));
 }
 
-void write_file_atomic(const std::string& path, std::string_view content) {
-  write_pieces_atomic(path, {content});
-}
-
-void write_checkpoint(const StorePaths& paths, std::uint64_t epoch,
-                      std::size_t instances, std::string_view image,
-                      JournalOptions options, std::optional<Journal>& journal) {
+Journal write_checkpoint(const StorePaths& paths, std::uint64_t epoch,
+                         std::size_t instances, std::string_view image,
+                         JournalOptions options) {
   support::RecordWriter meta("snap");
   meta.field(static_cast<std::int64_t>(epoch));
   meta.field(static_cast<std::uint32_t>(instances));
-  write_pieces_atomic(paths.snapshot, {meta.str(), "\n", image});
-  journal.reset();
-  journal = Journal::create(paths.journal, epoch, options);
+  support::write_file_atomic(paths.snapshot, {meta.str(), "\n", image});
+  return Journal::create(paths.journal, epoch, options);
 }
 
 DurableHistory::DurableHistory(const schema::TaskSchema& schema,
@@ -152,7 +112,7 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
                          "open it from a session over the same schema");
     }
   } else {
-    write_file_atomic(paths_.schema, schema_text);
+    support::write_file_atomic(paths_.schema, {schema_text});
     report_.created = true;
   }
 
@@ -176,15 +136,6 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
       }
       report_.journal_records_applied = scan.records.size();
       report_.torn_tail = scan.torn;
-      if (scan.torn) {
-        std::error_code ec;
-        fs::resize_file(paths_.journal, scan.valid_bytes, ec);
-        if (ec) {
-          throw HistoryError("store '" + dir_ +
-                             "': cannot truncate torn journal tail: " +
-                             ec.message());
-        }
-      }
       journal_ = Journal::open(paths_.journal, epoch_, scan.valid_bytes,
                                options_.journal);
       journal_seq_ = scan.records.size();
@@ -246,8 +197,16 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
 }
 
 DurableHistory::~DurableHistory() {
-  if (db_ != nullptr) db_->attach_listener(nullptr);
-  // `journal_`'s destructor flushes (and fsyncs unless kNone).
+  if (db_ == nullptr) return;  // released, and synced then
+  db_->attach_listener(nullptr);
+  // Best effort, as closing never throws: `release` and `sync` are the
+  // calls that report a failed sync to a caller.
+  if (options_.journal.sync != SyncPolicy::kNone && !failure_) {
+    try {
+      journal_->sync();
+    } catch (const HistoryError&) {  // NOLINT(bugprone-empty-catch)
+    }
+  }
 }
 
 void DurableHistory::subscribe(history::ChangeSubscriber& subscriber) {
@@ -260,7 +219,7 @@ void DurableHistory::subscribe(history::ChangeSubscriber& subscriber) {
 void DurableHistory::journal(std::string_view bytes,
                              std::span<const history::Record> records,
                              bool apply) {
-  journal_->append(bytes);
+  write_unless_failed(failure_, [&] { journal_->append(bytes); });
   ++records_;
   bytes_ += bytes.size();
   ++since_checkpoint_;
@@ -300,15 +259,20 @@ void DurableHistory::install(std::uint64_t epoch, std::string_view image) {
   history::HistoryDb loaded =
       history::HistoryDb::load(*schema_, *clock_, image);
   fs::create_directories(dir_);
-  write_file_atomic(paths_.schema, schema::write_schema(*schema_));
+  support::write_file_atomic(paths_.schema, {schema::write_schema(*schema_)});
   rebase(epoch, image, &loaded);
 }
 
 void DurableHistory::rebase(std::uint64_t epoch, std::string_view image,
                             history::HistoryDb* replacement) {
   const bool replaced = replacement != nullptr;
-  write_checkpoint(paths_, epoch, (replaced ? *replacement : *db_).size(),
-                   image, options_.journal, journal_);
+  // New contents supersede whatever failed to reach the old ones.
+  if (replaced) failure_.reset();
+  write_unless_failed(failure_, [&] {
+    journal_ = write_checkpoint(paths_, epoch,
+                                (replaced ? *replacement : *db_).size(),
+                                image, options_.journal);
+  });
   // The move keeps this store as the listener.
   if (replaced) *db_ = std::move(*replacement);
   epoch_ = epoch;
@@ -321,7 +285,7 @@ void DurableHistory::rebase(std::uint64_t epoch, std::string_view image,
 }
 
 std::vector<std::string> DurableHistory::read_journal_records() {
-  journal_->sync();
+  sync();
   ScanResult scan = scan_journal(read_file(paths_.journal));
   if (!scan.header_valid || scan.epoch != epoch_) {
     throw HistoryError("store '" + dir_ +
@@ -331,7 +295,9 @@ std::vector<std::string> DurableHistory::read_journal_records() {
   return std::move(scan.records);
 }
 
-void DurableHistory::sync() { journal_->sync(); }
+void DurableHistory::sync() {
+  write_unless_failed(failure_, [&] { journal_->sync(); });
+}
 
 void DurableHistory::adopt(history::HistoryDb&& seed) {
   if (db_->size() != 0) {
@@ -342,7 +308,8 @@ void DurableHistory::adopt(history::HistoryDb&& seed) {
 }
 
 std::unique_ptr<history::HistoryDb> DurableHistory::release() {
-  journal_->sync();
+  // A failed store can make nothing more durable, and closes quietly.
+  if (!failure_) sync();
   db_->attach_listener(nullptr);
   return std::move(db_);
 }

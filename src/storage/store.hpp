@@ -18,6 +18,12 @@
 // does not match the snapshot's (a crash between the checkpoint's two
 // steps) is discarded — its records are already inside the snapshot.
 //
+// Files are written through `support/file`, which checks every result.  A
+// failed journal write or checkpoint sticks: later mutations, `sync` and
+// `checkpoint` throw it until the store is reopened, since the failed
+// mutation is applied in memory but unseen by subscribers, and a checkpoint
+// would make it durable.  `install` clears it; closing does not throw.
+//
 // A follower's replica is the same store, fed by `apply_frame` and
 // `install`.  Its marker makes the one difference on open: no crash sweep,
 // as its open runs are its leader's live runs.  Only src/storage touches
@@ -40,6 +46,7 @@
 #include "history/history_db.hpp"
 #include "schema/task_schema.hpp"
 #include "storage/journal.hpp"
+#include "support/error.hpp"
 
 namespace herc::storage {
 
@@ -96,18 +103,14 @@ struct StorePaths {
 inline constexpr std::string_view kCrashSweepReason =
     "crash recovery: the producing task never finished";
 
-/// Durable file replacement: write `path`.tmp, flush + fsync, rename over
-/// `path`, fsync the directory so the rename itself is durable.
-void write_file_atomic(const std::string& path, std::string_view content);
-
 /// The one checkpoint writer (store checkpoint and install, fsck repair):
 /// a "snap" header (`epoch`, `instances`) and `image` replace the
-/// snapshot, then the journal restarts under `epoch`.  A crash between
-/// the two leaves a stale-epoch journal, which recovery discards.  The old
-/// `journal` handle is closed only then, and holds the fresh one after.
-void write_checkpoint(const StorePaths& paths, std::uint64_t epoch,
-                      std::size_t instances, std::string_view image,
-                      JournalOptions options, std::optional<Journal>& journal);
+/// snapshot, then the journal restarts under `epoch`; returns the fresh
+/// journal.  A crash between the two leaves a stale-epoch journal, which
+/// recovery discards.
+Journal write_checkpoint(const StorePaths& paths, std::uint64_t epoch,
+                         std::size_t instances, std::string_view image,
+                         JournalOptions options);
 
 /// A `HistoryDb` bound to a store directory.  Owns the database; attach it
 /// to a session (or use `db()` directly) and every mutation is journaled.
@@ -151,7 +154,7 @@ class DurableHistory final : public history::MutationListener {
   /// the snapshot and a fresh journal, then swaps the database's contents
   /// in place (whoever holds `db()` keeps it, and this store stays its
   /// listener) and publishes a replacing rebase.  Nothing the directory
-  /// held before is read.
+  /// held before is read, and an earlier failure is cleared.
   void install(std::uint64_t epoch, std::string_view image);
 
   /// Applies a frame its leader journaled: decodes `lines`, appends them to
@@ -164,7 +167,8 @@ class DurableHistory final : public history::MutationListener {
   void sync();
 
   /// Detaches and returns the database (the store stops journaling; any
-  /// buffered frames are flushed).  The `DurableHistory` is dead after.
+  /// buffered frames are synced, unless the store has failed).  The
+  /// `DurableHistory` is dead after.
   std::unique_ptr<history::HistoryDb> release();
 
   /// The current journal's frames as opening found them, plus any the
@@ -227,6 +231,7 @@ class DurableHistory final : public history::MutationListener {
   StoreOptions options_;
   std::unique_ptr<history::HistoryDb> db_;
   std::optional<Journal> journal_;
+  std::optional<support::HistoryError> failure_;  // see the top comment
   RecoveryReport report_;
   std::vector<history::ChangeSubscriber*> subscribers_;
   std::uint64_t epoch_ = 0;

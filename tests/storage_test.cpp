@@ -2,6 +2,8 @@
 // crash recovery, and the session/CLI wiring.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +18,7 @@
 #include "storage/store.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
+#include "file_size_cap.hpp"
 
 namespace herc::storage {
 namespace {
@@ -26,6 +29,7 @@ using history::HistoryDb;
 using history::InstanceStatus;
 using history::RecordRequest;
 using support::HistoryError;
+using testfile::failure_of;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -152,6 +156,44 @@ class StorageTest : public ::testing::Test {
     ids.push_back(db.record(failed));
     db.annotate(ids[1], "n1-renamed", "kept for posterity");
     return ids;
+  }
+
+  /// A death-test child's checks of a kCommit append that cannot reach
+  /// the disk: the import throws an error naming the journal, and every
+  /// later mutation and `sync` throws that same error.  With
+  /// `then_checkpoint`, the cap is lifted and a checkpoint must still
+  /// throw it and leave the snapshot as it was.  Returns 0 when every
+  /// check held, else the number of the first that failed.
+  int failed_append_verdict(bool then_checkpoint) {
+    StoreOptions options;
+    options.journal.sync = SyncPolicy::kCommit;
+    DurableHistory store(schema_, clock_, dir_, options);
+    populate(store.db());
+    store.checkpoint();
+    const std::string snapshot = slurp(snapshot_path());
+    // Room for a frame header only: the next frame is torn.
+    testfile::cap_file_size(fs::file_size(journal_path()) +
+                            kFrameHeaderBytes);
+    const auto import = [&](const char* name) {
+      return failure_of([&] {
+        store.db().import_instance(schema_.require("Stimuli"), name, "wave",
+                                   "u");
+      });
+    };
+    const std::string first = import("lost");
+    if (first.find("journal.wal") == std::string::npos ||
+        first.find(std::strerror(EFBIG)) == std::string::npos) {
+      return 1;
+    }
+    for (const char* name : {"late1", "late2", "late3"}) {
+      if (import(name) != first) return 2;
+    }
+    if (failure_of([&] { store.sync(); }) != first) return 3;
+    if (!then_checkpoint) return 0;
+    testfile::lift_file_size_cap();
+    if (failure_of([&] { store.checkpoint(); }) != first) return 4;
+    if (slurp(snapshot_path()) != snapshot) return 5;
+    return 0;
   }
 
   schema::TaskSchema schema_;
@@ -523,6 +565,41 @@ TEST_F(StorageTest, SyncPoliciesRoundTrip) {
     EXPECT_EQ(store.db().size(), 4u)
         << "sync policy " << static_cast<int>(sync);
   }
+}
+
+// ---- write failures ----------------------------------------------------------
+
+TEST_F(StorageTest, FailedCommitAppendSticksToEveryLaterMutation) {
+  testfile::expect_verdict_zero([&] { return failed_append_verdict(false); },
+                                dir_);
+}
+
+TEST_F(StorageTest, CheckpointAfterAFailedAppendThrowsTheFirstError) {
+  // The failed mutation is applied in memory: a checkpoint would make it
+  // durable although its client was told it failed.
+  testfile::expect_verdict_zero([&] { return failed_append_verdict(true); },
+                                dir_);
+}
+
+TEST_F(StorageTest, CheckpointWhoseFsyncFailsThrowsAndKeepsTheSnapshot) {
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    store.db().import_instance(schema_.require("Stimuli"), "kept", "w", "u");
+    store.checkpoint();
+    store.db().import_instance(schema_.require("Stimuli"), "tail", "w", "u");
+    const std::string snapshot = slurp(snapshot_path());
+    // /dev/null takes the image but refuses fsync (EINVAL); only a symlink
+    // in the store points at it.
+    fs::create_symlink("/dev/null", snapshot_path() + ".tmp");
+    const std::string error = failure_of([&] { store.checkpoint(); });
+    EXPECT_NE(error.find(std::strerror(EINVAL)), std::string::npos) << error;
+    EXPECT_FALSE(fs::is_symlink(snapshot_path()));
+    EXPECT_EQ(slurp(snapshot_path()), snapshot);
+  }
+  support::ManualClock clock2(0, 1);
+  DurableHistory store(schema_, clock2, dir_);
+  EXPECT_EQ(store.recovery().epoch, 1u);
+  EXPECT_EQ(store.db().size(), 2u);
 }
 
 // ---- the change feed ---------------------------------------------------------
@@ -905,6 +982,36 @@ TEST_F(StorageTest, InterpreterOpenCheckpointStore) {
   // `checkpoint` without a store is a reported error, not a crash.
   EXPECT_EQ(interp.execute("store close"), cli::CommandStatus::kOk);
   EXPECT_EQ(interp.execute("checkpoint"), cli::CommandStatus::kError);
+}
+
+TEST_F(StorageTest, InterpreterReportsEveryWriteAfterAFailedAppend) {
+  // The call `herc serve` makes for each command.
+  testfile::expect_verdict_zero(
+      [&] {
+        std::ostringstream out;
+        cli::Interpreter interp(out);
+        if (interp.execute("session new fig1 ada") != cli::CommandStatus::kOk ||
+            interp.execute("open " + dir_ + " sync=commit") !=
+                cli::CommandStatus::kOk ||
+            interp.execute("import Stimuli before \"\"") !=
+                cli::CommandStatus::kOk) {
+          return 1;
+        }
+        testfile::cap_file_size(fs::file_size(journal_path()));
+        if (interp.execute("import Stimuli lost \"\"") !=
+            cli::CommandStatus::kError) {
+          return 2;
+        }
+        const std::string first = interp.last_error();
+        if (first.find(std::strerror(EFBIG)) == std::string::npos) return 3;
+        if (interp.execute("import Stimuli late \"\"") !=
+                cli::CommandStatus::kError ||
+            interp.last_error() != first) {
+          return 4;
+        }
+        return 0;
+      },
+      dir_);
 }
 
 }  // namespace

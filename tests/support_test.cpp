@@ -1,7 +1,11 @@
-// Foundation utilities: text, records, hashing, clock, DOT, ids, blobs.
+// Foundation utilities: text, records, files, hashing, clock, DOT, ids, blobs.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <random>
@@ -15,6 +19,7 @@
 #include "support/ids.hpp"
 #include "support/record.hpp"
 #include "support/text.hpp"
+#include "file_size_cap.hpp"
 #include "property_seed.hpp"
 
 namespace herc::support {
@@ -113,6 +118,101 @@ TEST(File, ReadFileReturnsTheBytesOrNothing) {
   EXPECT_EQ(read_file(path), bytes);
   std::remove(path.c_str());
   EXPECT_EQ(read_file(path), std::nullopt);
+}
+
+// ---- the durable-write seam -------------------------------------------------
+
+/// A fresh directory for one test of the seam, removed when it ends.
+class FileSeam : public ::testing::Test {
+ protected:
+  FileSeam()
+      : dir_(std::filesystem::path(::testing::TempDir()) /
+             ("herc_file_seam_" +
+              std::string(::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name()))) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~FileSeam() override { std::filesystem::remove_all(dir_); }
+
+  [[nodiscard]] std::string at(std::string_view name) const {
+    return (dir_ / name).string();
+  }
+
+  std::filesystem::path dir_;
+};
+
+using testfile::failure_of;
+
+TEST_F(FileSeam, WriteFileAtomicWritesThePiecesInOrder) {
+  const std::string path = at("snapshot");
+  write_file_atomic(path, {"snap|1|2", "\n", "", "inst|a\n", "inst|b\n"});
+  EXPECT_EQ(read_file(path), "snap|1|2\ninst|a\ninst|b\n");
+  write_file_atomic(path, {"replaced"});
+  EXPECT_EQ(read_file(path), "replaced");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST_F(FileSeam, AFailedFsyncIsReportedAndLeavesTheFile) {
+  // /dev/null takes the writes but refuses fsync (EINVAL).  Only a symlink
+  // in the test's directory points at it: no path under /dev is ever a
+  // write target, since the rename would replace the device node.
+  const std::string path = at("snapshot");
+  write_file_atomic(path, {"old"});
+  std::filesystem::create_symlink("/dev/null", path + ".tmp");
+  const std::string error =
+      failure_of([&] { write_file_atomic(path, {"new"}); });
+  EXPECT_NE(error.find(path + ".tmp"), std::string::npos) << error;
+  EXPECT_NE(error.find(std::strerror(EINVAL)), std::string::npos) << error;
+  EXPECT_EQ(read_file(path), "old");
+  EXPECT_FALSE(std::filesystem::is_symlink(path));
+}
+
+TEST_F(FileSeam, AFailureSticksAfterItsCauseIsGone) {
+  const std::string path = at("journal");
+  testfile::expect_verdict_zero(
+      [&] {
+        testfile::cap_file_size(4);
+        AppendFile file(path, 0);
+        file.append("past the cap");  // buffered: nothing written yet
+        const std::string first = failure_of([&] { file.sync(); });
+        if (first.find(std::strerror(EFBIG)) == std::string::npos) return 1;
+        if (first.find(path) == std::string::npos) return 2;
+        testfile::lift_file_size_cap();
+        if (failure_of([&] { file.append("x"); }) != first) return 3;
+        if (failure_of([&] { file.sync(); }) != first) return 4;
+        return 0;
+      },
+      dir_);
+}
+
+TEST_F(FileSeam, OpeningCutsOnlyATornTail) {
+  namespace fs = std::filesystem;
+  const std::string path = at("journal");
+  write_file_atomic(path, {"header", "torn"});
+  const fs::file_time_type written =
+      fs::file_time_type::clock::now() - std::chrono::hours(1);
+  fs::last_write_time(path, written);
+  { AppendFile clean(path, 10); }
+  EXPECT_EQ(fs::last_write_time(path), written) << "a clean open wrote";
+  {
+    AppendFile torn(path, 6);
+    torn.append("more");
+    torn.sync();
+  }
+  EXPECT_EQ(read_file(path), "headermore");
+}
+
+TEST_F(FileSeam, RemoveFileRemovesAndReportsWhatItCannot) {
+  const std::string path = at("replica.herc");
+  write_file_atomic(path, {"replica base 1 0\n"});
+  remove_file(path);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_NO_THROW(remove_file(path));
+  // A directory that is not empty cannot go.
+  write_file_atomic(at("kept"), {"x"});
+  EXPECT_THROW(remove_file(dir_.string()), HistoryError);
 }
 
 TEST(Text, JsonEscapeCoversQuotesBackslashesAndEveryControlByte) {
