@@ -7,6 +7,7 @@
 #include <queue>
 #include <span>
 
+#include "support/envelope.hpp"
 #include "support/error.hpp"
 #include "support/file.hpp"
 #include "support/hash.hpp"
@@ -108,13 +109,17 @@ void IndexImage::fold(const history::Record& record) {
 }
 
 std::string IndexImage::serialize() const {
-  std::string body;
+  support::RecordWriter stamp("stamp");
+  stamp.field(static_cast<std::int64_t>(epoch));
+  stamp.field(static_cast<std::int64_t>(seq));
+  stamp.field(instances);
+  std::string payload = stamp.str() + "\n";
   for (std::uint32_t t = 0; t < tokens.size(); ++t) {
     support::RecordWriter w("tok");
     w.field(tokens.text(t));
     for (const std::uint32_t id : postings[t]) w.field(id);
-    body += w.str();
-    body += '\n';
+    payload += w.str();
+    payload += '\n';
   }
   // Map sections in sorted key order, so the same image always serializes
   // to the same bytes.
@@ -126,8 +131,8 @@ std::string IndexImage::serialize() const {
     support::RecordWriter w("usr");
     w.field(name);
     for (const std::uint32_t id : users.at(name)) w.field(id);
-    body += w.str();
-    body += '\n';
+    payload += w.str();
+    payload += '\n';
   }
   std::vector<std::string> type_names;
   type_names.reserve(by_type.size());
@@ -140,48 +145,46 @@ std::string IndexImage::serialize() const {
       w.field(created);
       w.field(id);
     }
-    body += w.str();
-    body += '\n';
+    payload += w.str();
+    payload += '\n';
   }
   {
     support::RecordWriter w("adj");
     w.field(static_cast<std::int64_t>(edges));
     w.field(static_cast<std::int64_t>(adjacency_digest));
-    body += w.str();
-    body += '\n';
+    payload += w.str();
+    payload += '\n';
   }
-  support::RecordWriter header(kIndexMagic);
-  header.field(static_cast<std::int64_t>(epoch));
-  header.field(static_cast<std::int64_t>(seq));
-  header.field(instances);
-  header.field(static_cast<std::int64_t>(support::fnv1a(body)));
-  return header.str() + "\n" + body;
+  std::string out(kIndexMagic);
+  support::seal(out, payload);
+  return out;
 }
 
 bool IndexImage::parse(std::string_view text, IndexImage& out,
                        std::string& error) {
   IndexImage img;
-  const std::size_t nl = text.find('\n');
-  if (nl == std::string_view::npos) {
-    error = "missing header line";
+  const std::string_view magic = text.substr(0, kIndexMagic.size());
+  if (magic != kIndexMagic) {
+    error = "bad magic '" + std::string(magic) + "'";
     return false;
   }
-  const std::string_view header = text.substr(0, nl);
-  const std::string_view body = text.substr(nl + 1);
+  const std::optional<std::string_view> content =
+      support::unseal_exact(text.substr(kIndexMagic.size()));
+  if (!content) {
+    error = "body checksum mismatch";
+    return false;
+  }
+  const std::size_t nl = content->find('\n');
+  if (nl == std::string_view::npos) {
+    error = "missing stamp line";
+    return false;
+  }
+  const std::string_view body = content->substr(nl + 1);
   try {
-    support::RecordReader rec(header);
-    if (rec.kind() != kIndexMagic) {
-      error = "bad magic '" + std::string(rec.kind()) + "'";
-      return false;
-    }
-    img.epoch = static_cast<std::uint64_t>(rec.next_int64());
-    img.seq = static_cast<std::uint64_t>(rec.next_int64());
-    img.instances = rec.next_uint32();
-    const auto checksum = static_cast<std::uint64_t>(rec.next_int64());
-    if (support::fnv1a(body) != checksum) {
-      error = "body checksum mismatch";
-      return false;
-    }
+    support::RecordReader stamp(content->substr(0, nl));
+    img.epoch = static_cast<std::uint64_t>(stamp.next_int64());
+    img.seq = static_cast<std::uint64_t>(stamp.next_int64());
+    img.instances = stamp.next_uint32();
     // Nearly every line is a token: size the dictionary once, up front.
     const auto lines =
         static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n'));

@@ -20,15 +20,16 @@
 // resync) triggers a full rebuild.  Journal text (open's catch-up) goes
 // through the same codec, decoding only the kinds the index folds.
 //
-// Persistence (`indexes.herc` next to the snapshot/journal) is epoch- and
-// sequence-stamped: a file written at (epoch E, seq S) plus the journal
-// records from S onward reproduces the live index exactly.  Any skew —
-// wrong epoch, bad checksum, a seq the journal never reached, a torn or
-// tampered file — falls back to a rebuild from the recovered database, so
-// the index can never be *wrong*, only cold.  Postings are candidate
-// supersets by contract (the planner re-verifies every candidate); stale
-// entries from annotation replacement are therefore harmless and are kept
-// rather than tombstoned.
+// Persistence (`indexes.herc` next to the snapshot/journal) is `HERCIDX2`
+// and one `support::seal` envelope around an epoch/seq stamp line and the
+// sections: a file written at (epoch E, seq S) plus the journal records
+// from S onward reproduces the live index exactly.  Any skew — wrong
+// epoch, bad checksum, a seq the journal never reached, a torn, tampered
+// or older-format file — falls back to a rebuild from the recovered
+// database, so the index can never be *wrong*, only cold.  Postings are
+// candidate supersets by contract (the planner re-verifies every
+// candidate); stale entries from annotation replacement are therefore
+// harmless and are kept rather than tombstoned.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,7 @@ namespace herc::index {
 /// token dictionary can answer the substring query.
 [[nodiscard]] bool indexable_keyword(std::string_view keyword);
 
-inline constexpr std::string_view kIndexMagic = "HERCIDX1";
+inline constexpr std::string_view kIndexMagic = "HERCIDX2";
 inline constexpr std::string_view kIndexFileName = "indexes.herc";
 
 /// The pure index data — everything `indexes.herc` persists — plus the
@@ -103,8 +104,9 @@ struct IndexImage {
   /// records are ignored.
   void fold(const history::Record& record);
 
-  /// Serializes header + sections; `parse` inverts it.  The header carries
-  /// a checksum over the body, so torn or tampered files are detected.
+  /// Serializes magic + envelope(stamp + sections); `parse` inverts it.
+  /// The checksum covers the stamp too, so torn or tampered files are
+  /// detected.
   [[nodiscard]] std::string serialize() const;
   /// Returns false (with `error` set) on any structural defect; `out` is
   /// untouched in that case.

@@ -8,6 +8,7 @@
 #include "schema/schema_io.hpp"
 #include "server/protocol.hpp"
 #include "support/backoff.hpp"
+#include "support/envelope.hpp"
 #include "support/error.hpp"
 #include "support/file.hpp"
 #include "support/hash.hpp"
@@ -108,7 +109,7 @@ bool ReplicaApplier::recover_local() {
   }
   const std::vector<std::string> records = store->take_journal_records();
   has_tail_ = !records.empty();
-  if (has_tail_) tail_checksum_ = storage::frame_checksum(records.back());
+  tail_checksum_ = has_tail_ ? support::envelope_checksum(records.back()) : 0;
   store_ = std::move(store);
   need_snapshot_ = false;
   publish_position(*marker_epoch, *marker_base + store_->journal_seq());
@@ -149,7 +150,7 @@ ApplyOutcome ReplicaApplier::apply_frame(const JournalShipment& shipment) {
   // Release: a reader that sees the new count also sees the frame's
   // mutations (`frames_applied` is what callers wait on).
   applied_.fetch_add(1, std::memory_order_release);
-  tail_checksum_ = storage::frame_checksum(shipment.lines);
+  tail_checksum_ = support::envelope_checksum(shipment.lines);
   has_tail_ = true;
   publish_position(epoch, seq + 1);
   return ApplyOutcome::kApplied;
@@ -189,17 +190,9 @@ bool ReplicaApplier::bootstrap(int attempts) {
 }
 
 bool ReplicaApplier::fetch_snapshot() {
-  server::Socket sock =
-      server::connect_to(leader_, options_.connect_timeout_ms);
+  server::Socket sock;
+  if (!subscribe(sock, encode_subscribe({}))) return false;
   server::Frame frame;
-  if (read_hello(sock.fd(), frame) != server::ReadOutcome::kFrame ||
-      frame.type != server::FrameType::kHello ||
-      frame.payload.rfind(server::kMagic, 0) != 0) {
-    throw NetError("replica: '" + leader_.describe() +
-                   "' is not a herc server");
-  }
-  server::write_frame(sock.fd(),
-                      {server::FrameType::kSubscribe, encode_subscribe({})});
   // Idle-bounded only: the snapshot may be large, so once its first byte
   // arrives the transfer is given unlimited time — but a leader that goes
   // silent before sending anything is shed.
@@ -266,36 +259,37 @@ void ReplicaApplier::stream_loop() {
   state_.store("stopped", std::memory_order_relaxed);
 }
 
-server::ReadOutcome ReplicaApplier::read_hello(int fd, server::Frame& frame) {
+bool ReplicaApplier::subscribe(server::Socket& sock,
+                               const std::string& position) {
+  server::Socket dialed =
+      server::connect_to(leader_, options_.connect_timeout_ms);
+  {
+    std::scoped_lock lock(sock_mutex_);
+    if (stopping_.load()) return false;
+    sock = std::move(dialed);
+  }
+  server::Frame hello;
   const server::ReadDeadline deadline{options_.hello_timeout_ms,
                                       options_.hello_timeout_ms};
-  const server::ReadOutcome outcome = server::read_frame(fd, frame, deadline);
+  const server::ReadOutcome outcome =
+      server::read_frame(sock.fd(), hello, deadline);
   if (outcome == server::ReadOutcome::kIdle) {
     throw NetError("replica: '" + leader_.describe() +
                    "' accepted the connection but sent no hello within " +
                    std::to_string(options_.hello_timeout_ms) + "ms");
   }
-  return outcome;
+  if (outcome != server::ReadOutcome::kFrame ||
+      hello.type != server::FrameType::kHello ||
+      hello.payload.rfind(server::kMagic, 0) != 0) {
+    throw NetError("replica: '" + leader_.describe() +
+                   "' is not a herc server");
+  }
+  server::write_frame(sock.fd(), {server::FrameType::kSubscribe, position});
+  return true;
 }
 
 void ReplicaApplier::stream_once() {
   state_.store("connecting", std::memory_order_relaxed);
-  {
-    server::Socket sock =
-        server::connect_to(leader_, options_.connect_timeout_ms);
-    std::scoped_lock lock(sock_mutex_);
-    if (stopping_.load()) return;
-    sock_ = std::move(sock);
-  }
-  const int fd = sock_.fd();
-  server::Frame frame;
-  state_.store("awaiting-hello", std::memory_order_relaxed);
-  if (read_hello(fd, frame) != server::ReadOutcome::kFrame ||
-      frame.type != server::FrameType::kHello ||
-      frame.payload.rfind(server::kMagic, 0) != 0) {
-    throw NetError("replica: '" + leader_.describe() +
-                   "' is not a herc server");
-  }
   const std::string position =
       need_snapshot_
           ? encode_subscribe({})
@@ -304,7 +298,9 @@ void ReplicaApplier::stream_once() {
                                seq_.load(std::memory_order_relaxed)},
                 has_tail_ ? std::optional<std::uint64_t>(tail_checksum_)
                           : std::nullopt);
-  server::write_frame(fd, {server::FrameType::kSubscribe, position});
+  if (!subscribe(sock_, position)) return;
+  const int fd = sock_.fd();
+  server::Frame frame;
 
   state_.store("streaming", std::memory_order_relaxed);
   // Idle-bounded stream reads: a caught-up subscription is legitimately

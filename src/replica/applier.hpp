@@ -15,7 +15,8 @@
 //
 // Apply discipline is write-ahead, same as the leader: a shipped frame is
 // appended to the local journal before it touches the database, so the
-// replica store is fsck-clean after a crash at any byte.  The storage epoch
+// replica store is fsck-clean after a crash at any byte.  A shipment whose
+// envelope (replication.hpp) fails never gets that far.  The storage epoch
 // is the fencing token — `apply_frame` rejects frames from an epoch below
 // the replica's (`kFenced`: a demoted ex-leader is talking), and resyncs on
 // anything from the future (`kGap`: we missed a checkpoint).
@@ -153,8 +154,8 @@ class ReplicaApplier {
   /// Times the stream fell out of sync and reconnected for a resync.
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
   [[nodiscard]] std::string last_error() const;
-  /// Where the stream thread is right now ("connecting", "awaiting-hello",
-  /// "streaming", "backoff", ...) — names the wedge when a follower stalls.
+  /// Where the stream thread is right now ("connecting", "streaming",
+  /// "backoff", ...) — names the wedge when a follower stalls.
   [[nodiscard]] const char* stream_state() const {
     return state_.load(std::memory_order_relaxed);
   }
@@ -166,9 +167,11 @@ class ReplicaApplier {
   [[nodiscard]] bool recover_local();
   /// One connect + subscribe-from-nothing + snapshot install.
   [[nodiscard]] bool fetch_snapshot();
-  /// Reads the leader's hello under `hello_timeout_ms`; throws NetError
-  /// when the leader opens the connection but never speaks.
-  [[nodiscard]] server::ReadOutcome read_hello(int fd, server::Frame& frame);
+  /// Dials the leader into `sock` (under `sock_mutex_`, for `stop`), checks
+  /// its hello and sends kSubscribe with `position`; false once stopping.
+  /// Throws NetError when the peer is silent or is no herc server.
+  [[nodiscard]] bool subscribe(server::Socket& sock,
+                               const std::string& position);
   /// One connect + subscribe + apply-until-disconnect.
   void stream_once();
   void stream_loop();
@@ -191,7 +194,7 @@ class ReplicaApplier {
   /// When true the next subscribe asks for a full snapshot (the local
   /// database can no longer be trusted to extend).
   bool need_snapshot_ = true;
-  /// `storage::frame_checksum` of the last frame in the local journal
+  /// `support::envelope_checksum` of the last frame in the local journal
   /// (valid when `has_tail_`).  Sent with every subscribe so the leader
   /// can tell a caught-up follower from one whose history diverged at the
   /// same sequence number (a torn leader tail the follower streamed

@@ -3,7 +3,7 @@
 #include <optional>
 #include <vector>
 
-#include "storage/journal.hpp"
+#include "support/envelope.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
 
@@ -25,15 +25,24 @@ std::uint64_t u64_field(std::string_view token, std::string_view what) {
   return *value;
 }
 
-/// Splits the header line off a "<header>\n<body>" payload.
-std::pair<std::string_view, std::string_view> split_header(
-    std::string_view payload, std::string_view what) {
-  const std::size_t nl = payload.find('\n');
-  if (nl == std::string_view::npos) {
+/// Opens a kJournal/kSnapshot envelope: the `fields` words of its header
+/// line, and the body after that line.
+std::pair<std::vector<std::string>, std::string_view> open_payload(
+    std::string_view payload, std::string_view what, std::size_t fields) {
+  const std::optional<std::string_view> content =
+      support::unseal_exact(payload);
+  if (!content) {
     throw NetError("replication: " + std::string(what) +
-                   " payload has no header line");
+                   " failed its checksum (corrupted in flight)");
   }
-  return {payload.substr(0, nl), payload.substr(nl + 1)};
+  const std::size_t nl = content->find('\n');
+  const std::string_view header = content->substr(0, nl);
+  std::vector<std::string> parts = support::split_ws(support::trim(header));
+  if (nl == std::string_view::npos || parts.size() != fields) {
+    throw NetError("replication: malformed " + std::string(what) +
+                   " header '" + std::string(header) + "'");
+  }
+  return {std::move(parts), content->substr(nl + 1)};
 }
 
 }  // namespace
@@ -70,65 +79,45 @@ SubscribeInfo decode_subscribe_info(std::string_view payload) {
 
 std::string encode_journal(std::uint64_t epoch, std::uint64_t seq,
                            std::string_view lines) {
-  std::string out = std::to_string(epoch) + " " + std::to_string(seq) + " " +
-                    std::to_string(storage::frame_checksum(lines)) + "\n";
-  out += lines;
+  std::string content =
+      std::to_string(epoch) + " " + std::to_string(seq) + "\n";
+  content += lines;
+  std::string out;
+  support::seal(out, content);
   return out;
 }
 
 JournalShipment decode_journal(std::string_view payload) {
-  const auto [header, body] = split_header(payload, "journal");
-  const std::vector<std::string> parts =
-      support::split_ws(support::trim(header));
-  if (parts.size() != 3) {
-    throw NetError("replication: malformed journal header '" +
-                   std::string(header) + "'");
-  }
+  const auto [parts, body] = open_payload(payload, "journal", 2);
   JournalShipment shipment;
   shipment.epoch = u64_field(parts[0], "journal epoch");
   shipment.seq = u64_field(parts[1], "journal seq");
-  const std::uint64_t check = u64_field(parts[2], "journal checksum");
-  if (check != storage::frame_checksum(body)) {
-    throw NetError("replication: journal frame " + parts[0] + ":" +
-                   parts[1] + " failed its checksum (corrupted in flight)");
-  }
   shipment.lines.assign(body);
   return shipment;
 }
 
 std::string encode_snapshot(const SnapshotShipment& snapshot) {
-  std::string content = snapshot.schema_text;
+  std::string content = std::to_string(snapshot.epoch) + " " +
+                        std::to_string(snapshot.seq) + " " +
+                        std::to_string(snapshot.schema_text.size()) + "\n";
+  content += snapshot.schema_text;
   content += snapshot.image;
-  std::string out = std::to_string(snapshot.epoch) + " " +
-                    std::to_string(snapshot.seq) + " " +
-                    std::to_string(snapshot.schema_text.size()) + " " +
-                    std::to_string(storage::frame_checksum(content)) + "\n";
-  out += content;
+  std::string out;
+  support::seal(out, content);
   return out;
 }
 
 SnapshotShipment decode_snapshot(std::string_view payload) {
-  const auto [header, body] = split_header(payload, "snapshot");
-  const std::vector<std::string> parts =
-      support::split_ws(support::trim(header));
-  if (parts.size() != 4) {
-    throw NetError("replication: malformed snapshot header '" +
-                   std::string(header) + "'");
-  }
+  const auto [parts, body] = open_payload(payload, "snapshot", 3);
   SnapshotShipment snapshot;
   snapshot.epoch = u64_field(parts[0], "snapshot epoch");
   snapshot.seq = u64_field(parts[1], "snapshot seq");
   const std::uint64_t schema_bytes = u64_field(parts[2], "snapshot schema size");
-  const std::uint64_t check = u64_field(parts[3], "snapshot checksum");
   if (schema_bytes > body.size()) {
     throw NetError("replication: snapshot header announces " +
                    std::to_string(schema_bytes) +
                    " schema bytes but the body holds " +
                    std::to_string(body.size()));
-  }
-  if (check != storage::frame_checksum(body)) {
-    throw NetError(
-        "replication: snapshot failed its checksum (corrupted in flight)");
   }
   snapshot.schema_text.assign(body.substr(0, schema_bytes));
   snapshot.image.assign(body.substr(schema_bytes));

@@ -7,10 +7,11 @@
 // follower at `(e, s)` has applied exactly the snapshot of epoch `e` plus
 // journal frames `0..s-1`.
 //
-// Wire frames carry no checksum of their own, so each shipped journal
-// payload (and snapshot body) embeds a `storage::frame_checksum` — a
-// follower can tell a corrupted shipment from a desynchronized stream and
-// never applies a torn frame.
+// Wire frames carry no checksum of their own, so each kJournal and
+// kSnapshot payload is one `support::seal` envelope (support/envelope.hpp)
+// around its header line and body: the position is inside the checksum, so
+// a follower never applies a torn frame or one a flipped bit moved to
+// another epoch or seq.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,7 @@ struct StreamPosition {
 
 /// kSubscribe payload: "" to bootstrap from nothing, else
 /// "<epoch> <seq>[ <tail-checksum>]".  The optional third field is
-/// `storage::frame_checksum` of the follower's LAST applied frame
+/// `support::envelope_checksum` of the follower's LAST applied frame
 /// (`seq-1`): seq equality alone cannot prove the follower's history is a
 /// prefix of the leader's — after a crash tore the leader's journal tail,
 /// a follower that streamed the torn frame complete holds a different
@@ -62,12 +63,11 @@ struct JournalShipment {
   std::string lines;
 };
 
-/// kJournal payload: "<epoch> <seq> <checksum>\n" + lines, where checksum
-/// is `storage::frame_checksum(lines)`.
+/// kJournal payload: the envelope around "<epoch> <seq>\n" + lines.
 [[nodiscard]] std::string encode_journal(std::uint64_t epoch,
                                          std::uint64_t seq,
                                          std::string_view lines);
-/// Throws `support::NetError` on a malformed header or checksum mismatch.
+/// Throws `support::NetError` on a failed envelope or a malformed header.
 [[nodiscard]] JournalShipment decode_journal(std::string_view payload);
 
 /// A full store image (kSnapshot): bootstrap or resync.  Installing it
@@ -82,10 +82,10 @@ struct SnapshotShipment {
   std::string image;
 };
 
-/// kSnapshot payload: "<epoch> <seq> <schema-bytes> <checksum>\n" +
-/// schema text + image, checksum over schema text + image.
+/// kSnapshot payload: the envelope around
+/// "<epoch> <seq> <schema-bytes>\n" + schema text + image.
 [[nodiscard]] std::string encode_snapshot(const SnapshotShipment& snapshot);
-/// Throws `support::NetError` on a malformed header or checksum mismatch.
+/// Throws `support::NetError` on a failed envelope or a malformed header.
 [[nodiscard]] SnapshotShipment decode_snapshot(std::string_view payload);
 
 /// kCheckpoint payload: "<new-epoch>".

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "schema/schema_io.hpp"
-#include "storage/journal.hpp"
+#include "support/envelope.hpp"
 #include "support/text.hpp"
 
 namespace herc::replica {
@@ -80,7 +80,7 @@ bool JournalShipper::subscribe(std::uint64_t conn_id, const std::string& peer,
         if (info.tail_checksum.has_value() && pos->seq > 0) {
           tail_matches =
               pos->seq <= records.size() &&
-              storage::frame_checksum(records[pos->seq - 1]) ==
+              support::envelope_checksum(records[pos->seq - 1]) ==
                   *info.tail_checksum;
           if (!tail_matches) {
             divergent_.fetch_add(1, std::memory_order_relaxed);

@@ -10,17 +10,9 @@ Client Client::connect(const Endpoint& endpoint, int connect_timeout_ms) {
   Client client;
   client.sock_ = connect_to(endpoint, connect_timeout_ms);
   Frame hello;
-  bool got = false;
-  if (connect_timeout_ms > 0) {
-    ReadDeadline deadline;
-    deadline.idle_ms = connect_timeout_ms;
-    deadline.frame_ms = connect_timeout_ms;
-    got = read_frame(client.sock_.fd(), hello, deadline) ==
-          ReadOutcome::kFrame;
-  } else {
-    got = read_frame(client.sock_.fd(), hello);
-  }
-  if (!got || hello.type != FrameType::kHello) {
+  const ReadDeadline deadline{connect_timeout_ms, connect_timeout_ms};
+  if (read_frame(client.sock_.fd(), hello, deadline) != ReadOutcome::kFrame ||
+      hello.type != FrameType::kHello) {
     throw NetError("'" + endpoint.describe() +
                    "' did not answer with a herc server hello");
   }
@@ -68,22 +60,14 @@ CallResult Client::receive() {
   if (!sock_.valid()) throw NetError("receive: not connected");
   CallResult result;
   Frame frame;
+  const ReadDeadline deadline{read_timeout_ms_, read_timeout_ms_};
   while (true) {
-    bool got = false;
-    if (read_timeout_ms_ > 0) {
-      ReadDeadline deadline;
-      deadline.idle_ms = read_timeout_ms_;
-      deadline.frame_ms = read_timeout_ms_;
-      const ReadOutcome outcome = read_frame(sock_.fd(), frame, deadline);
-      if (outcome == ReadOutcome::kIdle) {
-        throw NetError("no reply within " + std::to_string(read_timeout_ms_) +
-                       "ms");
-      }
-      got = outcome == ReadOutcome::kFrame;
-    } else {
-      got = read_frame(sock_.fd(), frame);
+    const ReadOutcome outcome = read_frame(sock_.fd(), frame, deadline);
+    if (outcome == ReadOutcome::kIdle) {
+      throw NetError("no reply within " + std::to_string(read_timeout_ms_) +
+                     "ms");
     }
-    if (!got) {
+    if (outcome == ReadOutcome::kEof) {
       throw NetError("server closed the connection before the result");
     }
     if (frame.type == FrameType::kOutput) {

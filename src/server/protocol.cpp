@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 
+#include "support/envelope.hpp"
 #include "support/error.hpp"
 
 namespace herc::server {
@@ -23,20 +24,6 @@ constexpr int kSendFlags = 0;
 #endif
 
 constexpr std::size_t kHeaderBytes = 5;  // u32 length + u8 type
-
-void put_u32_le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t get_u32_le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
 
 bool known_type(unsigned char t) {
   return t == static_cast<unsigned char>(FrameType::kHello) ||
@@ -63,27 +50,6 @@ void send_all(int fd, const char* data, std::size_t size) {
   }
 }
 
-/// Fills `size` bytes.  Returns false when the stream ended before the
-/// first byte (clean EOF); throws when it ended in the middle.
-bool recv_exact(int fd, char* data, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, data + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw NetError(std::string("recv failed: ") + std::strerror(errno));
-    }
-    if (n == 0) {
-      if (got == 0) return false;
-      throw NetError("peer closed the connection mid-frame (" +
-                     std::to_string(got) + " of " + std::to_string(size) +
-                     " bytes)");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Remaining whole milliseconds until `deadline` (>= 0).
 int remaining_ms(std::chrono::steady_clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -100,7 +66,7 @@ void append_frame(std::string& out, const Frame& frame) {
                    " bytes exceeds the " +
                    std::to_string(kMaxFramePayload) + "-byte limit");
   }
-  put_u32_le(out, static_cast<std::uint32_t>(frame.payload.size()));
+  support::put_le32(out, static_cast<std::uint32_t>(frame.payload.size()));
   out.push_back(static_cast<char>(frame.type));
   out += frame.payload;
 }
@@ -128,26 +94,7 @@ void write_frames(int fd, std::span<const Frame> frames) {
 void write_frame(int fd, const Frame& frame) { write_frames(fd, {&frame, 1}); }
 
 bool read_frame(int fd, Frame& frame) {
-  unsigned char header[kHeaderBytes];
-  if (!recv_exact(fd, reinterpret_cast<char*>(header), kHeaderBytes)) {
-    return false;
-  }
-  const std::uint32_t length = get_u32_le(header);
-  if (length > kMaxFramePayload) {
-    throw NetError("frame header announces " + std::to_string(length) +
-                   " bytes (limit " + std::to_string(kMaxFramePayload) +
-                   "); the stream is desynchronized");
-  }
-  if (!known_type(header[4])) {
-    throw NetError("unknown frame type byte " +
-                   std::to_string(static_cast<int>(header[4])));
-  }
-  frame.type = static_cast<FrameType>(header[4]);
-  frame.payload.resize(length);
-  if (length > 0 && !recv_exact(fd, frame.payload.data(), length)) {
-    throw NetError("peer closed the connection before the frame payload");
-  }
-  return true;
+  return read_frame(fd, frame, ReadDeadline{}) == ReadOutcome::kFrame;
 }
 
 ReadOutcome read_frame(int fd, Frame& frame, const ReadDeadline& deadline) {
@@ -203,25 +150,25 @@ ReadOutcome read_frame(int fd, Frame& frame, const ReadDeadline& deadline) {
     return ReadOutcome::kFrame;
   };
 
-  unsigned char header[kHeaderBytes];
-  const ReadOutcome head = pull(reinterpret_cast<char*>(header), kHeaderBytes);
+  char header[kHeaderBytes];
+  const ReadOutcome head = pull(header, kHeaderBytes);
   if (head != ReadOutcome::kFrame) return head;
-  const std::uint32_t length = get_u32_le(header);
+  const std::uint32_t length =
+      support::get_le32(std::string_view(header, kHeaderBytes), 0);
   if (length > kMaxFramePayload) {
     throw NetError("frame header announces " + std::to_string(length) +
                    " bytes (limit " + std::to_string(kMaxFramePayload) +
                    "); the stream is desynchronized");
   }
-  if (!known_type(header[4])) {
+  const auto type = static_cast<unsigned char>(header[4]);
+  if (!known_type(type)) {
     throw NetError("unknown frame type byte " +
-                   std::to_string(static_cast<int>(header[4])));
+                   std::to_string(static_cast<int>(type)));
   }
-  frame.type = static_cast<FrameType>(header[4]);
+  frame.type = static_cast<FrameType>(type);
   frame.payload.resize(length);
-  if (length > 0 &&
-      pull(frame.payload.data(), length) != ReadOutcome::kFrame) {
-    throw NetError("peer closed the connection before the frame payload");
-  }
+  // The frame has started, so `pull` reads the payload or throws.
+  if (length > 0) (void)pull(frame.payload.data(), length);
   return ReadOutcome::kFrame;
 }
 

@@ -45,7 +45,8 @@
 //               bootstrap from scratch.  The connection then becomes a
 //               one-way journal stream; no further kCommand is accepted.
 //   kSnapshot   leader -> follower: full store image (bootstrap/resync).
-//   kJournal    leader -> follower: one checksummed journal frame.
+//   kJournal    leader -> follower: one journal frame and its position,
+//               sealed in one checksummed envelope (support/envelope.hpp).
 //   kCheckpoint leader -> follower: the leader compacted; epoch bumped.
 //   kAck        follower -> leader: highest contiguously applied position
 //               (feeds the per-follower lag numbers in `stats`).
@@ -102,9 +103,8 @@ void write_frames(int fd, std::span<const Frame> frames);
 /// `write_frames` for one frame.
 void write_frame(int fd, const Frame& frame);
 
-/// Reads one frame.  Returns false on a clean end-of-stream at a frame
-/// boundary; throws `support::NetError` on a mid-frame disconnect, an
-/// unknown type byte or an oversized length.
+/// The bounded read below with no deadline: false on a clean end-of-stream
+/// at a frame boundary.
 [[nodiscard]] bool read_frame(int fd, Frame& frame);
 
 /// Read deadlines for the bounded variant below.  Zero disables a limit.
@@ -135,9 +135,9 @@ class FrameStallError : public support::NetError {
   using support::NetError::NetError;
 };
 
-/// `read_frame` with deadlines.  Throws `support::NetError` on the same
-/// conditions as the unbounded form, plus a mid-frame stall past
-/// `frame_ms`.
+/// Reads one frame under `deadline`.  Throws `support::NetError` on a
+/// mid-frame disconnect, an unknown type byte, an oversized length or a
+/// mid-frame stall past `frame_ms`.
 [[nodiscard]] ReadOutcome read_frame(int fd, Frame& frame,
                                      const ReadDeadline& deadline);
 

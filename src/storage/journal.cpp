@@ -4,51 +4,12 @@
 #include <cstdio>
 #include <cstring>
 
+#include "support/envelope.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 
 namespace herc::storage {
 
 using support::HistoryError;
-
-namespace {
-
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t read_u32(std::string_view bytes, std::size_t at) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 1]))
-          << 8) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 2]))
-          << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 3]))
-          << 24);
-}
-
-std::uint64_t read_u64(std::string_view bytes, std::size_t at) {
-  return static_cast<std::uint64_t>(read_u32(bytes, at)) |
-         (static_cast<std::uint64_t>(read_u32(bytes, at + 4)) << 32);
-}
-
-}  // namespace
-
-std::uint32_t frame_checksum(std::string_view payload) {
-  std::string length;
-  put_u32(length, static_cast<std::uint32_t>(payload.size()));
-  const std::uint64_t h =
-      support::fnv1a_append(support::fnv1a(length), payload);
-  return static_cast<std::uint32_t>(h ^ (h >> 32));
-}
 
 ScanResult scan_journal(std::string_view bytes) {
   ScanResult result;
@@ -58,17 +19,12 @@ ScanResult scan_journal(std::string_view bytes) {
     return result;
   }
   result.header_valid = true;
-  result.epoch = read_u64(bytes, kJournalMagic.size());
+  result.epoch = support::get_le64(bytes, kJournalMagic.size());
   std::size_t at = kJournalHeaderBytes;
-  while (at + kFrameHeaderBytes <= bytes.size()) {
-    const std::uint32_t length = read_u32(bytes, at);
-    const std::uint32_t check = read_u32(bytes, at + 4);
-    if (at + kFrameHeaderBytes + length > bytes.size()) break;
-    const std::string_view payload =
-        bytes.substr(at + kFrameHeaderBytes, length);
-    if (frame_checksum(payload) != check) break;
-    result.records.emplace_back(payload);
-    at += kFrameHeaderBytes + length;
+  while (const std::optional<std::string_view> payload =
+             support::unseal(bytes.substr(at))) {
+    result.records.emplace_back(*payload);
+    at += kFrameHeaderBytes + payload->size();
   }
   result.valid_bytes = at;
   result.torn = at != bytes.size();
@@ -82,7 +38,7 @@ Journal::Journal(const std::string& path, std::uint64_t epoch,
 Journal Journal::create(const std::string& path, std::uint64_t epoch,
                         JournalOptions options) {
   std::string header(kJournalMagic);
-  put_u64(header, epoch);
+  support::put_le64(header, epoch);
   support::write_file_atomic(path, {header});
   return Journal(path, epoch, header.size(), options);
 }
@@ -105,7 +61,8 @@ Journal Journal::open(const std::string& path, std::uint64_t epoch,
     throw HistoryError("journal: '" + path +
                        "' has no valid HERCWAL1 header");
   }
-  const std::uint64_t disk_epoch = read_u64(bytes, kJournalMagic.size());
+  const std::uint64_t disk_epoch =
+      support::get_le64(bytes, kJournalMagic.size());
   if (disk_epoch != epoch) {
     throw HistoryError(
         "journal: '" + path + "' is at epoch " +
@@ -117,10 +74,7 @@ Journal Journal::open(const std::string& path, std::uint64_t epoch,
 
 void Journal::append(std::string_view payload) {
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, frame_checksum(payload));
-  frame += payload;
+  support::seal(frame, payload);
   file_.append(frame);
   bytes_ += frame.size();
   ++appended_;

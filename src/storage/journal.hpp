@@ -14,11 +14,12 @@
 //   frame    length (u32 LE)  +  checksum (u32 LE)  +  payload bytes
 //   frame    ...
 //
-// The checksum is a folded 64-bit FNV-1a over the length prefix and the
-// payload, so a torn or bit-flipped tail never surfaces as a record.  The
-// epoch ties a journal to the snapshot it extends: snapshot compaction
+// Each frame is a `support::seal` envelope, whose checksum covers the length
+// and the payload, so a torn or bit-flipped tail never surfaces as a record.
+// The epoch ties a journal to the snapshot it extends: snapshot compaction
 // bumps the epoch, and a journal whose epoch does not match the snapshot's
-// (a crash between the two renames) is discarded as already-compacted.
+// (a crash between the two renames) is discarded as already-compacted.  No
+// checksum covers the header: a flipped epoch bit reads the same way.
 // `Journal` is the framing and sync policy over a `support::AppendFile`.
 #pragma once
 
@@ -27,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "support/envelope.hpp"
 #include "support/file.hpp"
 
 namespace herc::storage {
@@ -46,10 +48,7 @@ struct JournalOptions {
 
 inline constexpr std::string_view kJournalMagic = "HERCWAL1";
 inline constexpr std::size_t kJournalHeaderBytes = 16;  // magic + epoch
-inline constexpr std::size_t kFrameHeaderBytes = 8;     // length + checksum
-
-/// Frame checksum: folded FNV-1a over the 4-byte LE length then the payload.
-[[nodiscard]] std::uint32_t frame_checksum(std::string_view payload);
+inline constexpr std::size_t kFrameHeaderBytes = support::kEnvelopeHeaderBytes;
 
 /// Result of frame-level recovery over journal bytes.
 struct ScanResult {

@@ -1,9 +1,10 @@
 // The flat layouts behind the keyword index (src/index/arena.hpp): the
 // token dictionary and the posting lists checked against standard
 // containers over seeded random operation sequences, and the bytes of
-// `indexes.herc` pinned to what the format has always been, so a server
-// that opens an image written before the flat layout loads it instead of
-// rebuilding it.
+// `indexes.herc` pinned: the section lines as the index has written them
+// since before the flat layout, inside the HERCIDX2 envelope.  An image in
+// the previous format is refused and rebuilt, and a flipped bit anywhere
+// in the stamp in front of the sections rebuilds too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,19 +18,21 @@
 #include <vector>
 
 #include "history/history_db.hpp"
+#include "history/query_planner.hpp"
 #include "index/arena.hpp"
 #include "index/indexes.hpp"
 #include "property_seed.hpp"
 #include "schema/standard_schemas.hpp"
 #include "storage/store.hpp"
 #include "support/clock.hpp"
-#include "support/hash.hpp"
-#include "support/record.hpp"
+#include "support/envelope.hpp"
+#include "support/file.hpp"
 
 namespace herc::index {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace std::string_view_literals;
 using data::InstanceId;
 using history::HistoryDb;
 using history::RecordRequest;
@@ -244,11 +247,73 @@ void populate_fixed(HistoryDb& db, const schema::TaskSchema& schema) {
   db.quarantine(perf, "crashed run");
 }
 
-// The bytes below were written by the index before its flat layout: the
-// image an observer kept current through the history above, and the image
-// a rebuild makes from the final table (tokens in a different first-seen
-// order, and no stale postings).
+// The image an observer kept current through the history above, and the
+// image a rebuild makes from the final table (tokens in a different
+// first-seen order, and no stale postings).  Their section lines are what
+// the index wrote before its flat layout; in front of them stand the magic,
+// the envelope's length and checksum (support/envelope.hpp) and the stamp
+// line (epoch, seq, instances) the checksum covers.
 constexpr std::string_view kLiveImage =
+    "HERCIDX2" "\x99\x01\x00\x00" "\x0a\xd6\xf5\x13"
+    "stamp|0|0|6\n"
+    "tok|spice|0\n"
+    "tok|ed|1\n"
+    "tok|low|2|4\n"
+    "tok|pass|2|4\n"
+    "tok|filter|2|4|5\n"
+    "tok|first|2\n"
+    "tok|cut|2\n"
+    "tok|square|3\n"
+    "tok|waves|3\n"
+    "tok|v2|2|4\n"
+    "tok|gain|2|5\n"
+    "tok|old|2\n"
+    "tok|superseded|2\n"
+    "tok|by|2\n"
+    "tok|quarantined|5\n"
+    "tok|crashed|5\n"
+    "tok|run|5\n"
+    "usr|alice|2|4\n"
+    "usr|bob|3|5\n"
+    "usr|ops|0|1\n"
+    "typ|CircuitEditor|1010|1\n"
+    "typ|EditedNetlist|1020|2|1040|4\n"
+    "typ|Performance|1050|5\n"
+    "typ|Simulator|1000|0\n"
+    "typ|Stimuli|1030|3\n"
+    "adj|5|-2450769804417912842\n"sv;
+
+constexpr std::string_view kRebuiltImage =
+    "HERCIDX2" "\x83\x01\x00\x00" "\x18\xab\xd9\xdf"
+    "stamp|0|0|6\n"
+    "tok|spice|0\n"
+    "tok|ed|1\n"
+    "tok|low|2|4\n"
+    "tok|pass|2|4\n"
+    "tok|filter|2|4|5\n"
+    "tok|old|2\n"
+    "tok|gain|2|5\n"
+    "tok|superseded|2\n"
+    "tok|by|2\n"
+    "tok|v2|2|4\n"
+    "tok|square|3\n"
+    "tok|waves|3\n"
+    "tok|quarantined|5\n"
+    "tok|crashed|5\n"
+    "tok|run|5\n"
+    "usr|alice|2|4\n"
+    "usr|bob|3|5\n"
+    "usr|ops|0|1\n"
+    "typ|CircuitEditor|1010|1\n"
+    "typ|EditedNetlist|1020|2|1040|4\n"
+    "typ|Performance|1050|5\n"
+    "typ|Simulator|1000|0\n"
+    "typ|Stimuli|1030|3\n"
+    "adj|5|-2450769804417912842\n"sv;
+
+// `kLiveImage` as the previous format, HERCIDX1, wrote it: a header line
+// whose checksum covered the sections but not the stamp in front of it.
+constexpr std::string_view kHercidx1LiveImage =
     "HERCIDX1|0|0|6|-5394556595817318870\n"
     "tok|spice|0\n"
     "tok|ed|1\n"
@@ -277,32 +342,23 @@ constexpr std::string_view kLiveImage =
     "typ|Stimuli|1030|3\n"
     "adj|5|-2450769804417912842\n";
 
-constexpr std::string_view kRebuiltImage =
-    "HERCIDX1|0|0|6|2945344551666481110\n"
-    "tok|spice|0\n"
-    "tok|ed|1\n"
-    "tok|low|2|4\n"
-    "tok|pass|2|4\n"
-    "tok|filter|2|4|5\n"
-    "tok|old|2\n"
-    "tok|gain|2|5\n"
-    "tok|superseded|2\n"
-    "tok|by|2\n"
-    "tok|v2|2|4\n"
-    "tok|square|3\n"
-    "tok|waves|3\n"
-    "tok|quarantined|5\n"
-    "tok|crashed|5\n"
-    "tok|run|5\n"
-    "usr|alice|2|4\n"
-    "usr|bob|3|5\n"
-    "usr|ops|0|1\n"
-    "typ|CircuitEditor|1010|1\n"
-    "typ|EditedNetlist|1020|2|1040|4\n"
-    "typ|Performance|1050|5\n"
-    "typ|Simulator|1000|0\n"
-    "typ|Stimuli|1030|3\n"
-    "adj|5|-2450769804417912842\n";
+/// Index pages equal bare scans for a filter of each class.
+void expect_pages_match_scan(const HistoryDb& db, const HistoryIndexes& idx,
+                             const schema::TaskSchema& schema,
+                             const std::string& note) {
+  std::vector<history::QueryFilter> filters(5);
+  filters[0].keyword = "filter";
+  filters[1].keyword = "zebra";
+  filters[2].user = "alice";
+  filters[3].type = schema.require("EditedNetlist");
+  filters[4].keyword = "wav";
+  for (const history::QueryFilter& filter : filters) {
+    EXPECT_EQ(history::run_page(db, filter, &idx, 50).ids,
+              history::run_page(db, filter, nullptr, 50).ids)
+        << note << ": keyword '" << filter.keyword << "' user '"
+        << filter.user << "'";
+  }
+}
 
 TEST(IndexLayoutTest, ImageBytesAreTheFormatsOwn) {
   const schema::TaskSchema schema = schema::make_fig1_schema();
@@ -353,16 +409,90 @@ TEST(IndexLayoutTest, AnImageInTheFormatLoadsWithoutARebuild) {
   fs::remove_all(dir);
 }
 
+TEST(IndexLayoutTest, AnImageInThePreviousFormatIsRefusedAndRebuilt) {
+  const schema::TaskSchema schema = schema::make_fig1_schema();
+  support::ManualClock clock(1000, 10);
+  HistoryDb db(schema, clock);
+  populate_fixed(db, schema);
+  const std::string dir =
+      (fs::temp_directory_path() / "herc_index_layout_hercidx1").string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream out(HistoryIndexes::file_path(dir), std::ios::binary);
+    out << kHercidx1LiveImage;
+  }
+  HistoryIndexes idx(db);
+  const HistoryIndexes::OpenReport report = idx.open(dir, 0, {});
+  EXPECT_FALSE(report.loaded);
+  EXPECT_TRUE(report.rebuilt);
+  EXPECT_EQ(report.reason, "bad magic 'HERCIDX1'");
+  EXPECT_EQ(idx.image().serialize(), kRebuiltImage);
+  expect_pages_match_scan(db, idx, schema, "rebuilt");
+  fs::remove_all(dir);
+}
+
+TEST(IndexLayoutTest, EveryBitOfTheStampIsChecked) {
+  const schema::TaskSchema schema = schema::make_fig1_schema();
+  support::ManualClock clock(1000, 10);
+  const std::string dir =
+      (fs::temp_directory_path() / "herc_index_layout_stamp").string();
+  fs::remove_all(dir);
+  storage::DurableHistory store(schema, clock, dir);
+  HistoryDb& db = store.db();
+  {
+    HistoryIndexes live(db);
+    store.subscribe(live);
+    populate_fixed(db, schema);
+    live.save(dir, store.epoch(), store.journal_seq());
+    store.unsubscribe(live);
+  }
+  // Two frames the image has not seen: a stamp whose seq read one higher
+  // would skip the first and lose its "zebra" posting.
+  db.annotate(InstanceId(3), "zebra waves", "");
+  db.annotate(InstanceId(1), "ed", "schematic editor");
+  const std::vector<std::string> records = store.read_journal_records();
+  const std::string path = HistoryIndexes::file_path(dir);
+  const std::string image = support::read_file(path).value();
+  {
+    HistoryIndexes idx(db);
+    const HistoryIndexes::OpenReport report =
+        idx.open(dir, store.epoch(), records);
+    ASSERT_TRUE(report.loaded) << report.reason;
+    EXPECT_EQ(report.caught_up, 2u);
+    expect_pages_match_scan(db, idx, schema, "unflipped");
+  }
+
+  // The magic, the envelope's length and checksum, and the stamp line: up
+  // to the first line break after them.
+  const std::size_t stamp_end = image.find('\n', 16) + 1;
+  for (std::size_t at = 0; at < stamp_end; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = image;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << flipped;
+      }
+      HistoryIndexes idx(db);
+      const HistoryIndexes::OpenReport report =
+          idx.open(dir, store.epoch(), records);
+      const std::string note =
+          "byte " + std::to_string(at) + " bit " + std::to_string(bit);
+      EXPECT_FALSE(report.loaded) << note;
+      EXPECT_TRUE(report.rebuilt) << note;
+      expect_pages_match_scan(db, idx, schema, note);
+    }
+  }
+  fs::remove_all(dir);
+}
+
 TEST(IndexLayoutTest, ParseRejectsARepeatedToken) {
-  const std::string body = "tok|low|2\ntok|pass|2\ntok|low|4\n";
-  support::RecordWriter header(kIndexMagic);
-  header.field(std::int64_t{0});
-  header.field(std::int64_t{0});
-  header.field(std::uint32_t{0});
-  header.field(static_cast<std::int64_t>(support::fnv1a(body)));
+  std::string text(kIndexMagic);
+  support::seal(text, "stamp|0|0|0\ntok|low|2\ntok|pass|2\ntok|low|4\n");
   IndexImage out;
   std::string error;
-  EXPECT_FALSE(IndexImage::parse(header.str() + "\n" + body, out, error));
+  EXPECT_FALSE(IndexImage::parse(text, out, error));
   EXPECT_EQ(error, "duplicate token 'low'");
 }
 

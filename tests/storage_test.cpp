@@ -16,7 +16,10 @@
 #include "storage/fsck.hpp"
 #include "storage/journal.hpp"
 #include "storage/store.hpp"
+#include "support/envelope.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
+#include "support/record.hpp"
 #include "support/text.hpp"
 #include "file_size_cap.hpp"
 
@@ -24,6 +27,7 @@ namespace herc::storage {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace std::string_view_literals;
 using data::InstanceId;
 using history::HistoryDb;
 using history::InstanceStatus;
@@ -264,6 +268,38 @@ TEST_F(StorageTest, ScanStopsAtCorruptFrame) {
   ASSERT_EQ(scan.records.size(), 1u);
   EXPECT_EQ(scan.records[0], "aaaa");
   EXPECT_TRUE(scan.torn);
+}
+
+// journal.wal as stores have always held it, so every existing store
+// opens: the header at epoch 258, then two frames of u32 LE length, u32 LE
+// checksum and payload.
+constexpr std::string_view kJournalBytes =
+    "HERCWAL1" "\x02\x01\x00\x00\x00\x00\x00\x00"
+    "\x60\x00\x00\x00" "\xff\x3f\x09\x2d"
+    "blob|9bac4e00c65baa05|aa\n"
+    "inst|0|Stimuli|square waves|bob|1000||9bac4e00c65baa05|1|0|import|-1|0\n"
+    "\x1c\x00\x00\x00" "\x00\xbf\x9f\x3b"
+    "annot|0|zebra waves|striped\n"sv;
+
+TEST_F(StorageTest, JournalBytesAreTheFormatsOwn) {
+  const std::vector<std::string> frames = {
+      "blob|9bac4e00c65baa05|aa\n"
+      "inst|0|Stimuli|square waves|bob|1000||9bac4e00c65baa05|1|0|import|-1|"
+      "0\n",
+      "annot|0|zebra waves|striped\n"};
+  fs::create_directories(dir_);
+  {
+    Journal journal = Journal::create(journal_path(), 258, {});
+    for (const std::string& frame : frames) journal.append(frame);
+    journal.sync();
+  }
+  EXPECT_EQ(slurp(journal_path()), kJournalBytes);
+  const ScanResult scan = scan_journal(kJournalBytes);
+  EXPECT_TRUE(scan.header_valid);
+  EXPECT_EQ(scan.epoch, 258u);
+  EXPECT_EQ(scan.records, frames);
+  EXPECT_EQ(scan.valid_bytes, kJournalBytes.size());
+  EXPECT_FALSE(scan.torn);
 }
 
 // ---- store recovery ----------------------------------------------------------
@@ -890,6 +926,43 @@ TEST_F(IndexedStorageTest, CorruptImageRebuilds) {
   EXPECT_FALSE(report.loaded);
   EXPECT_TRUE(report.rebuilt);
   EXPECT_EQ(report.reason, "body checksum mismatch");
+  expect_pages_match_scan(session);
+}
+
+TEST_F(IndexedStorageTest, PreviousFormatImageRebuildsOnceAndIsRewritten) {
+  build();
+  // The image as the previous format wrote it: a HERCIDX1 header line with
+  // the stamp and a checksum over the sections alone.
+  const std::string image = slurp(index_path());
+  const std::string_view sealed =
+      support::unseal_exact(std::string_view(image).substr(8)).value();
+  const std::string_view body = sealed.substr(sealed.find('\n') + 1);
+  index::IndexImage stamp;
+  std::string error;
+  ASSERT_TRUE(index::IndexImage::parse(image, stamp, error)) << error;
+  support::RecordWriter header("HERCIDX1");
+  header.field(static_cast<std::int64_t>(stamp.epoch));
+  header.field(static_cast<std::int64_t>(stamp.seq));
+  header.field(stamp.instances);
+  header.field(static_cast<std::int64_t>(support::fnv1a(body)));
+  spill(index_path(), header.str() + "\n" + std::string(body));
+  {
+    core::DesignSession session(schema::make_fig1_schema());
+    session.open_storage(dir_);
+    const auto& report = session.index_open_report();
+    EXPECT_FALSE(report.loaded);
+    EXPECT_TRUE(report.rebuilt);
+    EXPECT_EQ(report.reason, "bad magic 'HERCIDX1'");
+    expect_pages_match_scan(session);
+    EXPECT_TRUE(fsck_store(dir_).has("index-unreadable"));
+    session.close_storage();
+  }
+  EXPECT_EQ(slurp(index_path()).substr(0, 8), "HERCIDX2");
+  EXPECT_FALSE(fsck_store(dir_).has("index-unreadable"));
+  core::DesignSession session(schema::make_fig1_schema());
+  session.open_storage(dir_);
+  EXPECT_TRUE(session.index_open_report().loaded)
+      << session.index_open_report().reason;
   expect_pages_match_scan(session);
 }
 

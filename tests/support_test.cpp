@@ -13,6 +13,7 @@
 #include "data/blob_store.hpp"
 #include "support/clock.hpp"
 #include "support/dot.hpp"
+#include "support/envelope.hpp"
 #include "support/error.hpp"
 #include "support/file.hpp"
 #include "support/hash.hpp"
@@ -443,6 +444,74 @@ TEST(Hash, StableAndHexFormatted) {
   EXPECT_EQ(hash_hex(fnv1a("")).size(), 16u);
   // Incremental hashing agrees with one-shot.
   EXPECT_EQ(fnv1a_append(fnv1a("ab"), "cd"), fnv1a("abcd"));
+}
+
+TEST(Envelope, LittleEndianIntegersRoundTrip) {
+  std::string out;
+  put_le32(out, 0x04030201u);
+  put_le64(out, 0x0c0b0a0908070605ULL);
+  EXPECT_EQ(out, std::string("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c",
+                             12));
+  EXPECT_EQ(get_le32(out, 0), 0x04030201u);
+  EXPECT_EQ(get_le64(out, 4), 0x0c0b0a0908070605ULL);
+  out.clear();
+  put_le32(out, 0xffffffffu);
+  EXPECT_EQ(get_le32(out, 0), 0xffffffffu);
+}
+
+TEST(Envelope, SealIsLengthChecksumPayload) {
+  const std::string_view payload = "annot|0|zebra waves|striped\n";
+  // The checksum journal frames have always carried, and a follower's
+  // subscribe still sends for its last frame.
+  EXPECT_EQ(envelope_checksum(payload), 1000324864u);
+  const std::uint64_t h =
+      fnv1a_append(fnv1a(std::string("\x1c\x00\x00\x00", 4)), payload);
+  EXPECT_EQ(envelope_checksum(payload),
+            static_cast<std::uint32_t>(h ^ (h >> 32)));
+
+  std::string sealed = "prefix";
+  seal(sealed, payload);
+  std::string want = "prefix";
+  put_le32(want, static_cast<std::uint32_t>(payload.size()));
+  put_le32(want, envelope_checksum(payload));
+  want += payload;
+  EXPECT_EQ(sealed, want);
+
+  const std::string_view envelope = std::string_view(sealed).substr(6);
+  EXPECT_EQ(unseal(envelope), payload);
+  EXPECT_EQ(unseal_exact(envelope), payload);
+  EXPECT_EQ(unseal(std::string(envelope) + "next"), payload);
+  EXPECT_EQ(unseal_exact(std::string(envelope) + "next"), std::nullopt);
+  std::string empty;
+  seal(empty, "");
+  EXPECT_EQ(empty.size(), kEnvelopeHeaderBytes);
+  EXPECT_EQ(unseal_exact(empty), std::string_view());
+}
+
+TEST(Envelope, EveryCutAndEveryBitFlipIsRefused) {
+  const std::uint64_t seed = testprop::base_seed(0xe4e10be5ULL);
+  SCOPED_TRACE(testprop::seed_note(seed));
+  std::mt19937_64 rng(seed);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::string payload(rng() % 160, ' ');
+    for (char& c : payload) c = static_cast<char>(rng() % 256);
+    std::string sealed;
+    seal(sealed, payload);
+    SCOPED_TRACE("payload of " + std::to_string(payload.size()) + " bytes");
+    ASSERT_EQ(unseal_exact(sealed), payload);
+    for (std::size_t cut = 0; cut < sealed.size(); ++cut) {
+      EXPECT_EQ(unseal(std::string_view(sealed).substr(0, cut)), std::nullopt)
+          << "cut " << cut;
+    }
+    for (std::size_t at = 0; at < sealed.size(); ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = sealed;
+        flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+        EXPECT_EQ(unseal_exact(flipped), std::nullopt)
+            << "byte " << at << " bit " << bit;
+      }
+    }
+  }
 }
 
 TEST(Clock, TimestampFormatting) {
