@@ -190,7 +190,7 @@ int serve_follower(const std::string& dir, const std::string& leader_spec,
   server.set_position_source([&applier] {
     const herc::replica::StreamPosition pos = applier.position();
     return herc::server::JournalPosition{pos.epoch, pos.seq,
-                                         applier.journal_bytes()};
+                                         applier.journal_bytes(), {}};
   });
   applier.set_gate([&server](const std::function<void()>& fn) {
     server.with_exclusive_session(fn);

@@ -64,9 +64,7 @@ struct RunState {
   std::mutex mutex;
   std::unordered_map<std::uint32_t, std::vector<InstanceId>> env;
   ExecResult result;
-  /// Run-intent journaling (crash-resumable runs); `journal` is false when
-  /// `options.journal_run` is off.
-  bool journal = false;
+  /// The run record this run's intents are journaled under.
   std::uint64_t run_id = 0;
   /// Live node id -> the dense id `TaskGraph::save()` assigns, so task
   /// keys journaled now match the flow text a resume reloads.
@@ -521,9 +519,7 @@ TaskOutcome execute_group(RunState& state, const TaskGroup& group) {
         }
         // The coverage frame lands after the product frames: a crash in
         // between leaves uncovered instances, which recovery quarantines.
-        if (state.journal) {
-          state.db->run_task_covered(state.run_id, produced_ids);
-        }
+        state.db->run_task_covered(state.run_id, produced_ids);
         ++state.result.tasks_run;
       }
     };
@@ -587,16 +583,13 @@ void finalize_outcome(RunState& state, const TaskGroup& group,
   for (const NodeId out : group.outputs) {
     state.result.outcomes[out] = outcome;
   }
-  if (state.journal) {
-    state.db->run_task_finished(state.run_id, group_key(state, group),
-                                task_status_name(outcome.status));
-  }
+  state.db->run_task_finished(state.run_id, group_key(state, group),
+                              task_status_name(outcome.status));
 }
 
-/// Journals the task-started frame for `group` (no-op when run intents are
-/// off).  Caller must NOT hold `state.mutex`.
+/// Journals the task-started frame for `group`.  Caller must NOT hold
+/// `state.mutex`.
 void journal_task_started(RunState& state, const TaskGroup& group) {
-  if (!state.journal) return;
   std::scoped_lock lock(state.mutex);
   state.db->run_task_started(state.run_id, group_key(state, group));
 }
@@ -866,17 +859,13 @@ std::vector<TaskGroup> closure_groups(std::vector<TaskGroup> groups,
 }
 
 /// Opens the run record: journals the bound flow, options and seed so the
-/// run can be resumed after a crash.  No-op when `journal_run` is off.
-/// `replaces` names the interrupted run a resume supersedes: it is closed
-/// ("resumed") only *after* the replacement's run-begin frame is journaled,
-/// so a crash or throw anywhere before this point leaves it resumable.
+/// run can be resumed after a crash.  `replaces` names the interrupted run
+/// a resume supersedes: it is closed ("resumed") only *after* the
+/// replacement's run-begin frame is journaled, so a crash or throw anywhere
+/// before this point leaves it resumable.
 void begin_run_intents(RunState& state, const TaskGraph& flow,
                        const ExecOptions& options, NodeId goal,
                        std::optional<std::uint64_t> replaces) {
-  if (!options.journal_run) {
-    if (replaces) state.db->end_run(*replaces, "resumed");
-    return;
-  }
   std::uint32_t next = 0;
   for (const NodeId n : flow.nodes()) state.compact[n.value()] = next++;
   history::RunRecord run;
@@ -891,14 +880,12 @@ void begin_run_intents(RunState& state, const TaskGraph& flow,
   run.flow_text = flow.save();
   state.run_id = state.db->begin_run(std::move(run));
   if (replaces) state.db->end_run(*replaces, "resumed");
-  state.journal = true;
 }
 
 /// Runs the groups and closes the run record: "complete" when every task
 /// produced, "failed" on partial results or a thrown abort.
 ExecResult run_to_completion(RunState& state,
                              const std::vector<TaskGroup>& groups) {
-  if (!state.journal) return run_groups(state, groups);
   try {
     ExecResult result = run_groups(state, groups);
     state.db->end_run(state.run_id,

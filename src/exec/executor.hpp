@@ -91,13 +91,6 @@ struct ExecOptions {
   std::chrono::milliseconds task_latency{0};
   /// Failure semantics (retries, timeout, failure mode).
   FaultPolicy fault;
-  /// Journal execution intents (run-begin, task-started/-finished and
-  /// run-end frames) into the history database.  With a durable store
-  /// attached this makes the run crash-resumable: recovery quarantines
-  /// partial products and `Executor::resume` re-runs only unfinished
-  /// tasks.  Disable for throwaway executions that should leave no run
-  /// log.
-  bool journal_run = true;
 };
 
 /// Per-task execution verdict.

@@ -255,29 +255,9 @@ std::vector<const RunRecord*> HistoryDb::open_runs() const {
 }
 
 std::vector<InstanceId> HistoryDb::partial_products() const {
-  // Union coverage over ALL runs (closed runs keep their lists): a later
-  // completed run's products must never be mistaken for an earlier
-  // crashed run's partials.
-  bool any_open = false;
-  std::unordered_set<std::uint32_t> covered;
-  for (const RunRecord& run : runs_) {
-    if (run.open()) any_open = true;
-    for (const InstanceId id : run.covered) covered.insert(id.value());
-  }
   std::vector<InstanceId> out;
-  if (!any_open) return out;
-  std::unordered_set<std::uint32_t> reported;
-  for (std::size_t r = 0; r < runs_.size(); ++r) {
-    if (!runs_[r].open()) continue;
-    const SweepWindow window = sweep_window(runs_, r, instances_.size());
-    for (std::size_t i = window.begin; i < window.end; ++i) {
-      const Instance& inst = instances_[i];
-      // Imports are designer-supplied, not task products; failure records
-      // and already-quarantined instances are invisible anyway.
-      if (!inst.ok() || inst.derivation.is_import()) continue;
-      if (covered.contains(inst.id.value())) continue;
-      if (reported.insert(inst.id.value()).second) out.push_back(inst.id);
-    }
+  for (const PartialProduct& p : history::partial_products(runs_, instances_)) {
+    out.push_back(instances_[p.index].id);
   }
   return out;
 }

@@ -21,6 +21,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "data/blob_store.hpp"
@@ -108,9 +109,47 @@ struct SweepWindow {
 /// from its `db_size_at_begin` to its seal, the next run's begin or the
 /// table end, whichever comes first.  Runs execute one at a time, so the
 /// next run's begin bounds the window even when no seal was journaled.
-/// Crash recovery and fsck both sweep by this rule.
 [[nodiscard]] SweepWindow sweep_window(const std::vector<RunRecord>& runs,
                                        std::size_t r, std::size_t table_size);
+
+/// A partial product: the instance at position `index` of the table,
+/// found in the sweep window of open run `runs[run]`.
+struct PartialProduct {
+  std::size_t run = 0;
+  std::size_t index = 0;
+};
+
+/// The crash sweep's rule, which recovery (`HistoryDb::partial_products`)
+/// and fsck both apply, to `Instance`s and decoded `InstanceRecord`s: the
+/// OK, non-import instances inside an open run's `sweep_window` that no
+/// run covers (coverage unions over every run, open or closed, so a later
+/// run's products are never an earlier crashed run's partials), each
+/// reported once, under the first open run whose window holds it.
+template <class Table>
+[[nodiscard]] std::vector<PartialProduct> partial_products(
+    const std::vector<RunRecord>& runs, const Table& table) {
+  std::unordered_set<std::uint32_t> covered;
+  for (const RunRecord& run : runs) {
+    for (const data::InstanceId id : run.covered) covered.insert(id.value());
+  }
+  std::vector<PartialProduct> out;
+  std::vector<bool> reported(table.size());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (!runs[r].open()) continue;
+    const SweepWindow window = sweep_window(runs, r, table.size());
+    for (std::size_t i = window.begin; i < window.end; ++i) {
+      // Imports are designer-supplied, not task products; failure records
+      // and already-quarantined instances are invisible anyway.
+      if (table[i].status == InstanceStatus::kOk &&
+          !table[i].derivation.is_import() &&
+          !covered.contains(table[i].id.value()) && !reported[i]) {
+        reported[i] = true;
+        out.push_back({r, i});
+      }
+    }
+  }
+  return out;
+}
 
 /// The database's one hook, the slot its durable store (src/storage)
 /// fills: each local mutation's records, once it is applied, which the
@@ -238,12 +277,8 @@ class HistoryDb {
   /// Runs still open — after recovery these are the interrupted runs a
   /// crash left behind, resumable via `Executor::resume`.
   [[nodiscard]] std::vector<const RunRecord*> open_runs() const;
-  /// OK, non-import instances recorded inside an open run's sweep window
-  /// (from `db_size_at_begin` to its seal, the next run's begin, or the
-  /// table end, whichever comes first) whose producing combination never
-  /// completed (not in any run's `covered` list) — the candidates crash
-  /// recovery quarantines.  Instances outside every open run's window
-  /// (post-recovery work, later runs' products) are never reported.
+  /// The instances `history::partial_products` finds in this table: what
+  /// crash recovery quarantines.
   [[nodiscard]] std::vector<data::InstanceId> partial_products() const;
 
   // ---- reading -------------------------------------------------------------

@@ -20,20 +20,31 @@ namespace fs = std::filesystem;
 using support::HistoryError;
 using support::NetError;
 
-ReplicaApplier::ReplicaApplier(server::Endpoint leader, std::string dir,
-                               ApplierOptions options)
-    : leader_(std::move(leader)), dir_(std::move(dir)),
-      options_(std::move(options)) {
-  if (options_.reconnect_delay_ms < 1) options_.reconnect_delay_ms = 1;
-  if (options_.reconnect_cap_ms < options_.reconnect_delay_ms) {
-    options_.reconnect_cap_ms = options_.reconnect_delay_ms;
-  }
-  if (options_.backoff_seed == 0) {
-    options_.backoff_seed = support::fnv1a(dir_) | 1;
-  }
-  // No `checkpoint_every`: a follower checkpoints only when its leader does.
-  store_options_.journal = options_.journal;
+namespace {
+
+/// Reconnection backoff: exponential (jittered ±25%) from the delay up to
+/// the cap, reset whenever the stream makes progress, so a brief leader
+/// bounce retries fast while a long outage stops hammering the network.
+constexpr int kReconnectDelayMs = 200;
+constexpr int kReconnectCapMs = 5'000;
+/// Every dial is bounded, so a black-holed path cannot wedge a follower.
+constexpr int kConnectTimeoutMs = 5'000;
+/// A leader that accepts but sends no hello this long, or stalls inside a
+/// frame, is shed and re-dialed.
+constexpr int kHelloTimeoutMs = 5'000;
+/// A quiet subscription's liveness probe period (see `stream_once`).
+constexpr int kIdleProbeMs = 5'000;
+
+/// Jitter seed from the store directory, so a fleet of followers does not
+/// reconnect in lockstep after a leader restart.
+std::uint64_t backoff_seed(const std::string& dir) {
+  return support::fnv1a(dir) | 1;
 }
+
+}  // namespace
+
+ReplicaApplier::ReplicaApplier(server::Endpoint leader, std::string dir)
+    : leader_(std::move(leader)), dir_(std::move(dir)) {}
 
 ReplicaApplier::~ReplicaApplier() { stop(); }
 
@@ -48,8 +59,8 @@ void ReplicaApplier::set_error(std::string message) {
 }
 
 void ReplicaApplier::gated(const std::function<void()>& fn) {
-  if (options_.gate) {
-    options_.gate(fn);
+  if (gate_) {
+    gate_(fn);
   } else {
     fn();
   }
@@ -101,7 +112,7 @@ bool ReplicaApplier::recover_local() {
   // sees the marker.  A snapshot from a different epoch than the marker
   // means a crash landed between install steps; resync rather than guess.
   auto store = std::make_unique<storage::DurableHistory>(schema_, clock_,
-                                                         dir_, store_options_);
+                                                         dir_);
   if (store->epoch() != *marker_epoch) {
     set_error("replica store '" + dir_ +
               "': snapshot epoch differs from the replica marker");
@@ -121,8 +132,11 @@ bool ReplicaApplier::recover_local() {
 void ReplicaApplier::install_snapshot(const SnapshotShipment& snapshot) {
   schema_ = schema::parse_schema(snapshot.schema_text);
   if (store_ == nullptr) {
+    // Default options: the journal syncs by interval, and the replica
+    // checkpoints only when its leader does.
     store_ = std::make_unique<storage::DurableHistory>(
-        schema_, clock_, dir_, store_options_, snapshot.epoch, snapshot.image);
+        schema_, clock_, dir_, storage::StoreOptions{}, snapshot.epoch,
+        snapshot.image);
   } else {
     store_->install(snapshot.epoch, snapshot.image);
   }
@@ -175,8 +189,8 @@ bool ReplicaApplier::bootstrap(int attempts) {
   } catch (const std::exception& e) {
     set_error(e.what());
   }
-  support::Backoff backoff(options_.reconnect_delay_ms,
-                           options_.reconnect_cap_ms, options_.backoff_seed);
+  support::Backoff backoff(kReconnectDelayMs, kReconnectCapMs,
+                           backoff_seed(dir_));
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (stopping_.load()) return false;
     if (attempt > 0) backoff.sleep(&stopping_);
@@ -196,7 +210,7 @@ bool ReplicaApplier::fetch_snapshot() {
   // Idle-bounded only: the snapshot may be large, so once its first byte
   // arrives the transfer is given unlimited time — but a leader that goes
   // silent before sending anything is shed.
-  const server::ReadDeadline snapshot_deadline{options_.hello_timeout_ms, 0};
+  const server::ReadDeadline snapshot_deadline{kHelloTimeoutMs, 0};
   while (server::read_frame(sock.fd(), frame, snapshot_deadline) ==
          server::ReadOutcome::kFrame) {
     if (frame.type == server::FrameType::kSnapshot) {
@@ -230,9 +244,8 @@ void ReplicaApplier::stop() {
 }
 
 void ReplicaApplier::stream_loop() {
-  support::Backoff backoff(options_.reconnect_delay_ms,
-                           options_.reconnect_cap_ms,
-                           options_.backoff_seed ^ 0x5cddULL);
+  support::Backoff backoff(kReconnectDelayMs, kReconnectCapMs,
+                           backoff_seed(dir_) ^ 0x5cddULL);
   while (!stopping_.load()) {
     const std::uint64_t applied_before = applied_;
     const StreamPosition before = position();
@@ -262,21 +275,20 @@ void ReplicaApplier::stream_loop() {
 bool ReplicaApplier::subscribe(server::Socket& sock,
                                const std::string& position) {
   server::Socket dialed =
-      server::connect_to(leader_, options_.connect_timeout_ms);
+      server::connect_to(leader_, kConnectTimeoutMs);
   {
     std::scoped_lock lock(sock_mutex_);
     if (stopping_.load()) return false;
     sock = std::move(dialed);
   }
   server::Frame hello;
-  const server::ReadDeadline deadline{options_.hello_timeout_ms,
-                                      options_.hello_timeout_ms};
+  const server::ReadDeadline deadline{kHelloTimeoutMs, kHelloTimeoutMs};
   const server::ReadOutcome outcome =
       server::read_frame(sock.fd(), hello, deadline);
   if (outcome == server::ReadOutcome::kIdle) {
     throw NetError("replica: '" + leader_.describe() +
                    "' accepted the connection but sent no hello within " +
-                   std::to_string(options_.hello_timeout_ms) + "ms");
+                   std::to_string(kHelloTimeoutMs) + "ms");
   }
   if (outcome != server::ReadOutcome::kFrame ||
       hello.type != server::FrameType::kHello ||
@@ -309,8 +321,7 @@ void ReplicaApplier::stream_once() {
   // means even that provoked nothing — the socket may be silently dead
   // (black-holed route, wedged proxy), so re-dial.  `frame_ms` bounds a
   // peer that stalls mid-frame.
-  const server::ReadDeadline deadline{options_.idle_probe_ms,
-                                      options_.hello_timeout_ms};
+  const server::ReadDeadline deadline{kIdleProbeMs, kHelloTimeoutMs};
   int quiet_periods = 0;
   while (true) {
     const server::ReadOutcome outcome =
@@ -390,8 +401,7 @@ void ReplicaApplier::stream_once() {
 
 // ---- promotion ---------------------------------------------------------------
 
-PromoteReport promote_store(const std::string& dir,
-                            storage::StoreOptions options) {
+PromoteReport promote_store(const std::string& dir) {
   if (!storage::is_replica_store(dir)) {
     throw HistoryError("promote: '" + dir +
                        "' is not a replica store (no replica marker)");
@@ -400,15 +410,12 @@ PromoteReport promote_store(const std::string& dir,
   support::SystemClock clock;
   PromoteReport report;
   {
-    storage::DurableHistory store(schema, clock, dir, options);
+    storage::DurableHistory store(schema, clock, dir);
     // Leader-style recovery, which the store skips while the marker is
     // there: the ex-leader's interrupted runs seal, their partial products
     // quarantine — exactly a crashed leader restarting.
+    store.sweep_interrupted_runs();
     report.recovery = store.recovery();
-    const history::HistoryDb::SealSweep sweep =
-        store.db().seal_open_runs(storage::kCrashSweepReason);
-    report.recovery.interrupted_runs = sweep.open;
-    report.recovery.quarantined = sweep.quarantined;
     // The fence.  Checkpointing bumps the epoch above anything the old
     // leader ever journaled, so its frames can never apply here again.
     store.checkpoint();

@@ -42,44 +42,10 @@
 #include "schema/task_schema.hpp"
 #include "server/protocol.hpp"
 #include "server/socket.hpp"
-#include "storage/journal.hpp"
 #include "storage/store.hpp"
 #include "support/clock.hpp"
 
 namespace herc::replica {
-
-struct ApplierOptions {
-  storage::JournalOptions journal;
-  /// Base pause between reconnection attempts to the leader.  Attempts
-  /// back off exponentially (jittered ±25%) up to `reconnect_cap_ms`,
-  /// resetting whenever the stream makes progress — so a brief leader
-  /// bounce retries fast while a long outage stops hammering the network.
-  int reconnect_delay_ms = 200;
-  int reconnect_cap_ms = 5'000;
-  /// Jitter seed (0 = derived from the store directory) so a fleet of
-  /// followers does not reconnect in lockstep after a leader restart.
-  std::uint64_t backoff_seed = 0;
-  /// Dial timeout for every connection to the leader.  Unbounded connects
-  /// are how a follower wedges forever behind a black-holed network path;
-  /// expiring just reconnects through the normal backoff.
-  int connect_timeout_ms = 5'000;
-  /// Max ms to wait for the leader's hello (and for the rest of any frame
-  /// once its first byte arrived).  A connection that opens but never
-  /// speaks is dead-but-open: shed it and re-dial.
-  int hello_timeout_ms = 5'000;
-  /// Liveness probe period on an idle subscription.  A caught-up follower
-  /// legitimately hears nothing for long stretches, so the first quiet
-  /// period sends a keepalive ack; a second consecutive quiet period means
-  /// even the probe provoked nothing — re-dial rather than trust a socket
-  /// that may be silently dead (a proxy wedge, a vanished peer, a dropped
-  /// route).  Re-subscribing when caught up is one empty bootstrap.
-  int idle_probe_ms = 5'000;
-  /// Wraps every database mutation (snapshot install, frame apply,
-  /// checkpoint).  The server installs its exclusive-session-lock taker
-  /// here so replication applies never race live reads; when empty the
-  /// mutation runs directly (single-threaded tests).
-  std::function<void(const std::function<void()>&)> gate;
-};
 
 /// What `apply_frame` did with a shipped frame.
 enum class ApplyOutcome {
@@ -93,8 +59,7 @@ class ReplicaApplier {
  public:
   /// Binds to the replica store in `dir` (created on first bootstrap),
   /// following the leader at `leader`.
-  ReplicaApplier(server::Endpoint leader, std::string dir,
-                 ApplierOptions options = {});
+  ReplicaApplier(server::Endpoint leader, std::string dir);
   ~ReplicaApplier();
 
   ReplicaApplier(const ReplicaApplier&) = delete;
@@ -112,11 +77,12 @@ class ReplicaApplier {
   void start();
   void stop();
 
-  /// Installs the apply gate (see `ApplierOptions::gate`) — typically the
-  /// serving server's exclusive-lock taker, which exists only after the
-  /// session is built from this applier's bootstrap.  Call before `start`.
+  /// Installs the gate every database mutation (snapshot install, frame
+  /// apply, checkpoint) runs through: the serving server's exclusive-lock
+  /// taker, which exists only once the session is built from this
+  /// applier's bootstrap.  Call before `start`; without one, they run bare.
   void set_gate(std::function<void(const std::function<void()>&)> gate) {
-    options_.gate = std::move(gate);
+    gate_ = std::move(gate);
   }
 
   // ---- the apply path (the stream thread wraps these in the gate; tests
@@ -183,8 +149,7 @@ class ReplicaApplier {
 
   server::Endpoint leader_;
   std::string dir_;
-  ApplierOptions options_;
-  storage::StoreOptions store_options_;
+  std::function<void(const std::function<void()>&)> gate_;
   support::SystemClock clock_;
 
   /// Replaced in place on resync: the store and its database point at
@@ -234,7 +199,6 @@ struct PromoteReport {
 /// products), a checkpoint under the next epoch, and removal of the
 /// replica marker.  Throws `HistoryError` when `dir` is not a replica
 /// store.  Safe to re-run after a mid-promote crash.
-[[nodiscard]] PromoteReport promote_store(const std::string& dir,
-                                          storage::StoreOptions options = {});
+[[nodiscard]] PromoteReport promote_store(const std::string& dir);
 
 }  // namespace herc::replica

@@ -15,6 +15,7 @@
 #include "cli/interpreter.hpp"
 #include "server/protocol.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace herc::server {
 
@@ -24,6 +25,7 @@ using support::Severity;
 namespace {
 
 constexpr std::size_t kFrameOverhead = 5;  // wire header per frame
+constexpr std::size_t kDedupClients = 1024;  // windows kept; LRU evicted
 
 /// What every open run is tagged with when the server winds down.
 constexpr std::string_view kShutdownSealReason =
@@ -69,7 +71,6 @@ struct Server::ClientWindow {
 Server::Server(core::DesignSession& session, ServeOptions options)
     : session_(session), options_(options) {
   if (options_.dedup_window == 0) options_.dedup_window = 1;
-  if (options_.dedup_clients == 0) options_.dedup_clients = 1;
   boot_id_ =
       (static_cast<std::uint64_t>(::getpid()) << 48) ^
       (g_boot_counter.fetch_add(1, std::memory_order_relaxed) + 1) ^
@@ -367,7 +368,7 @@ std::string Server::execute_command(Connection& conn,
 Server::ClientWindow& Server::touch_window(const std::string& client_id) {
   auto it = dedup_.find(client_id);
   if (it == dedup_.end()) {
-    if (dedup_.size() >= options_.dedup_clients) {
+    if (dedup_.size() >= kDedupClients) {
       // Evict the least recently active client that has nothing
       // executing (a window with in-flight tokens is referenced by a
       // worker and by any waiters).
@@ -489,6 +490,7 @@ JournalPosition Server::journal_position() const {
   pos.epoch = store->epoch();
   pos.seq = store->journal_seq();
   pos.bytes = store->journal_file_bytes();
+  if (store->failure() != nullptr) pos.failure = store->failure()->what();
   return pos;
 }
 
@@ -527,7 +529,8 @@ std::string Server::render_stats(const Connection& conn, bool json) const {
     if (hub_ != nullptr) {
       out << ",\"followers\":" << hub_->render_followers(/*json=*/true);
     }
-    out << "}\n";
+    out << ",\"journal_failure\":\"" << support::json_escape(pos.failure)
+        << "\"}\n";
     return out.str();
   }
   out << "server: " << load(stats_.connections_active)
@@ -545,6 +548,8 @@ std::string Server::render_stats(const Connection& conn, bool json) const {
       << load(stats_.connections_reaped) << " connection(s) reaped\n"
       << "journal: epoch " << pos.epoch << ", seq " << pos.seq << ", "
       << pos.bytes << " bytes\n"
+      << "journal failure: " << (pos.failure.empty() ? "none" : pos.failure)
+      << "\n"
       << "latency: p50 " << stats_.command_latency.percentile(0.50)
       << "us, p95 " << stats_.command_latency.percentile(0.95)
       << "us, p99 " << stats_.command_latency.percentile(0.99) << "us ("
@@ -621,11 +626,16 @@ void Server::stop() {
   //    `herc fsck` reports the store clean and `herc resume` finishes the
   //    interrupted work.  A read-only replica skips the seal: its open
   //    runs are the leader's live runs, and its history may only change
-  //    through replicated frames.
+  //    through replicated frames.  A store that cannot journal the seal
+  //    keeps that failure (`stats` shows it) and leaves the seal to the
+  //    next open's crash sweep: `stop` runs from the destructor too.
   {
     std::unique_lock lock(session_mutex_);
     session_.set_cancel_flag(nullptr);
-    if (!options_.read_only) session_.seal_open_runs(kShutdownSealReason);
+    try {
+      if (!options_.read_only) session_.seal_open_runs(kShutdownSealReason);
+    } catch (const support::HistoryError&) {  // NOLINT(bugprone-empty-catch)
+    }
   }
   cancel_.store(false);
   running_.store(false);

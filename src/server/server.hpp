@@ -70,8 +70,6 @@ struct ServeOptions {
   /// window).  A replayed token older than the window gets a structured
   /// "outside the dedup window" error instead of a cached reply.
   std::size_t dedup_window = 128;
-  /// Client ids tracked at once; the least recently active is evicted.
-  std::size_t dedup_clients = 1024;
 };
 
 /// Leader-side replication service plugged into the server (implemented by
@@ -115,6 +113,9 @@ struct JournalPosition {
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;
   std::uint64_t bytes = 0;
+  /// Why the store refuses writes: its first failed journal write or
+  /// checkpoint (`DurableHistory::failure`); empty while it is healthy.
+  std::string failure;
 };
 
 /// Aggregate counters, readable while the server runs (`stats` command).
@@ -162,7 +163,7 @@ class Server {
   /// Graceful shutdown: stop accepting, cancel in-flight runs
   /// cooperatively, answer commands still buffered on a connection with
   /// an error, join every connection, then seal open runs and sync the
-  /// journal.  Idempotent.
+  /// journal, unless the store's writes failed.  Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const { return running_.load(); }

@@ -727,7 +727,7 @@ class FollowerFleet {
         f->server->set_position_source([&applier] {
           const replica::StreamPosition pos = applier.position();
           return server::JournalPosition{pos.epoch, pos.seq,
-                                         applier.journal_bytes()};
+                                         applier.journal_bytes(), {}};
         });
         server::Server& server = *f->server;
         f->applier->set_gate([&server](const std::function<void()>& fn) {

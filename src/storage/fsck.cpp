@@ -11,11 +11,9 @@
 #include "index/indexes.hpp"
 #include "schema/schema_io.hpp"
 #include "schema/task_schema.hpp"
-#include "storage/journal.hpp"
 #include "storage/store.hpp"
 #include "support/error.hpp"
 #include "support/file.hpp"
-#include "support/record.hpp"
 #include "support/text.hpp"
 
 namespace herc::storage {
@@ -285,11 +283,6 @@ std::vector<Verdict> audit_store(const Audit& audit, FsckReport& report,
   }
 
   // Run log: interrupted runs and their uncovered (partial) products.
-  // Coverage unions over ALL runs (closed runs keep their lists), and the
-  // sweep is confined to each open run's own window — the rule
-  // `HistoryDb::partial_products` applies, so repair never quarantines
-  // valid work recorded after the crash.
-  std::unordered_set<std::uint32_t> covered;
   for (const history::RunRecord& run : audit.runs) {
     for (const data::InstanceId id : run.covered) {
       if (id.index() >= audit.instances.size()) {
@@ -297,31 +290,22 @@ std::vector<Verdict> audit_store(const Audit& audit, FsckReport& report,
                 "run #" + std::to_string(run.id) +
                     " covers unknown instance i" + std::to_string(id.value()));
       }
-      covered.insert(id.value());
     }
   }
-  // The partial sweep runs first: an open run's verdict depends on whether
-  // its window still holds unquarantined partials.
+  // The partial sweep is recovery's own rule, so repair quarantines what
+  // the next open would, and never valid work recorded after the crash.
+  // It runs first: an open run's verdict depends on whether its window
+  // still holds unquarantined partials.
   std::unordered_set<std::uint64_t> dirty_runs;
-  for (std::size_t r = 0; r < audit.runs.size(); ++r) {
-    if (!audit.runs[r].open()) continue;
-    const history::SweepWindow window =
-        history::sweep_window(audit.runs, r, audit.instances.size());
-    for (std::size_t i = window.begin; i < window.end; ++i) {
-      const history::InstanceRecord& inst = audit.instances[i];
-      if (inst.status != history::InstanceStatus::kOk ||
-          inst.derivation.is_import() || verdicts[i].quarantine) {
-        continue;
-      }
-      if (!covered.contains(inst.id.value())) {
-        warn(report, "unquarantined-partial",
-             "instance i" + std::to_string(inst.id.value()) +
-                 " was produced by an unfinished task of an interrupted "
-                 "run but is not quarantined");
-        verdicts[i].quarantine = true;
-        dirty_runs.insert(audit.runs[r].id);
-      }
-    }
+  for (const history::PartialProduct& partial :
+       history::partial_products(audit.runs, audit.instances)) {
+    warn(report, "unquarantined-partial",
+         "instance i" +
+             std::to_string(audit.instances[partial.index].id.value()) +
+             " was produced by an unfinished task of an interrupted "
+             "run but is not quarantined");
+    verdicts[partial.index].quarantine = true;
+    dirty_runs.insert(audit.runs[partial.run].id);
   }
   for (const history::RunRecord& run : audit.runs) {
     if (!run.open()) continue;
@@ -652,45 +636,14 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
     }
   };
 
-  // Snapshot: "snap" meta line, then a full save() image.
-  if (fs::exists(paths.snapshot)) {
-    const std::string text = read_file(paths.snapshot);
-    bool seen_meta = false;
-    std::int64_t declared_count = -1;
-    for (const std::string_view line : support::Lines(text)) {
-      if (support::trim(line).empty()) continue;
-      if (!seen_meta) {
-        seen_meta = true;
-        try {
-          support::RecordReader rec(line);
-          if (rec.kind() != "snap") {
-            throw HistoryError("first record is '" +
-                               std::string(rec.kind()) + "'");
-          }
-          report.stats.epoch = static_cast<std::uint64_t>(rec.next_int64());
-          if (!rec.exhausted()) declared_count = rec.next_int64();
-          continue;
-        } catch (const std::exception& e) {
-          corrupt(report, "bad-snapshot-header",
-                  std::string("snapshot does not start with a valid snap "
-                              "record: ") +
-                      e.what());
-          continue;
-        }
-      }
-      ingest(line, "snapshot");
-      ++report.stats.snapshot_records;
-    }
-    if (!seen_meta) {
-      corrupt(report, "bad-snapshot-header", "snapshot holds no snap record");
-    }
-    if (declared_count >= 0 &&
-        static_cast<std::size_t>(declared_count) != audit.instances.size()) {
-      corrupt(report, "snapshot-count-mismatch",
-              "snapshot declares " + std::to_string(declared_count) +
-                  " instances but holds " +
-                  std::to_string(audit.instances.size()));
-    }
+  // Snapshot and journal, judged by the store's own reader: each finding
+  // is what the next open refuses or acts on.
+  StoreReader reader(paths);
+  report.stats.epoch = reader.epoch();
+  for (const std::string_view line : support::Lines(reader.image())) {
+    if (support::trim(line).empty()) continue;
+    ingest(line, "snapshot");
+    ++report.stats.snapshot_records;
   }
 
   const bool index_epoch_ok =
@@ -700,44 +653,22 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
     at_index_seq_valid = true;
   }
 
-  // Journal: epoch-matched frames on top of the snapshot.
-  if (fs::exists(paths.journal)) {
-    const ScanResult scan = scan_journal(read_file(paths.journal));
-    if (!scan.header_valid) {
-      corrupt(report, "bad-record", "journal header is invalid");
-    } else if (scan.epoch < report.stats.epoch) {
-      warn(report, "stale-journal-epoch",
-           "journal epoch " + std::to_string(scan.epoch) +
-               " predates snapshot epoch " +
-               std::to_string(report.stats.epoch) + "; " +
-               std::to_string(scan.records.size()) +
-               " records already absorbed by the snapshot");
-    } else if (scan.epoch > report.stats.epoch) {
-      corrupt(report, "future-journal-epoch",
-              "journal epoch " + std::to_string(scan.epoch) +
-                  " is ahead of snapshot epoch " +
-                  std::to_string(report.stats.epoch) +
-                  "; the snapshot those records extend is gone");
-    } else {
-      std::size_t applied = 0;
-      for (const std::string& record : scan.records) {
-        for (const std::string_view line : support::Lines(record)) {
-          if (support::trim(line).empty()) continue;
-          ingest(line, "journal");
-        }
-        ++applied;
-        if (index_epoch_ok && index_file.seq == applied) {
-          at_index_seq = audit.instances;
-          at_index_seq_valid = true;
-        }
-      }
-      report.stats.journal_records = scan.records.size();
-      if (scan.torn) {
-        warn(report, "torn-journal-tail",
-             "journal ends in a torn frame (recovery truncates it)");
-      }
+  // Journal: the frames that extend the snapshot.
+  reader.read_journal(audit.instances.size());
+  report.findings.insert(report.findings.end(), reader.findings().begin(),
+                         reader.findings().end());
+  const std::vector<std::string>& records = reader.journal().records;
+  for (std::size_t seq = 0; seq < records.size(); ++seq) {
+    for (const std::string_view line : support::Lines(records[seq])) {
+      if (support::trim(line).empty()) continue;
+      ingest(line, "journal");
+    }
+    if (index_epoch_ok && index_file.seq == seq + 1) {
+      at_index_seq = audit.instances;
+      at_index_seq_valid = true;
     }
   }
+  report.stats.journal_records = records.size();
 
   const std::vector<Verdict> verdicts =
       audit_store(audit, report, schema_ptr, replica);

@@ -5,10 +5,12 @@
 // audit: `fsck_store` cross-checks the on-disk snapshot and journal
 // against each other and against the blob store's content hashes without
 // going through `HistoryDb` (whose replay throws at the first defect and
-// hides the rest).  It reads every line with the store's own decoder
-// (`history::decode`) and folds the run log by replay's rules
-// (`history::fold`), so any record recovery refuses is a finding here.
-// It classifies every defect by severity:
+// hides the rest).  It reads the snapshot and journal through the store's
+// own reader (`StoreReader`, store.hpp), every line with the store's own
+// decoder (`history::decode`), folds the run log by replay's rules
+// (`history::fold`) and finds partial products by recovery's rule
+// (`history::partial_products`), so whatever recovery refuses or acts on
+// is a finding here.  It classifies every defect by severity:
 //
 //   kClean      (exit 0)  nothing to report, or informational *notes*:
 //                         clean-severity findings ("replica-store" on a
@@ -18,7 +20,8 @@
 //   kWarning    (exit 1)  survivable states recovery handles or tolerates:
 //                         orphaned blobs, interrupted runs, unquarantined
 //                         partial products, a discarded pre-checkpoint
-//                         journal, a torn journal tail, and secondary-index
+//                         journal, a torn journal tail (or a journal
+//                         shorter than its header), and secondary-index
 //                         defects ("index-unreadable", "stale-index-epoch",
 //                         "missing-posting", "orphan-index",
 //                         "index-adjacency-mismatch" — the index is
@@ -28,9 +31,10 @@
 //                         silently lose data: unparseable records,
 //                         dangling derivation references, missing blobs,
 //                         blob hash mismatches, out-of-order instance ids,
-//                         a journal epoch ahead of the snapshot, and a
-//                         repair refused ("repair-refused") because its
-//                         image would not open
+//                         a journal header with a wrong magic or an epoch
+//                         ahead of the snapshot, and a repair refused
+//                         ("repair-refused") because its image would not
+//                         open
 //
 // With `repair` set, the repairable defects are fixed in place: corrupt
 // instances are tombstoned (quarantined, payload dropped, derivation

@@ -17,9 +17,11 @@
 // Each frame is a `support::seal` envelope, whose checksum covers the length
 // and the payload, so a torn or bit-flipped tail never surfaces as a record.
 // The epoch ties a journal to the snapshot it extends: snapshot compaction
-// bumps the epoch, and a journal whose epoch does not match the snapshot's
-// (a crash between the two renames) is discarded as already-compacted.  No
-// checksum covers the header: a flipped epoch bit reads the same way.
+// bumps the epoch.  What a header means is the store reader's rule
+// (`StoreReader`, store.hpp): a journal older than the snapshot (a crash
+// between the two renames) is discarded as already compacted, one ahead of
+// it is refused, and so is a header with a wrong magic.  No checksum covers
+// the header: a flipped epoch bit reads the same way.
 // `Journal` is the framing and sync policy over a `support::AppendFile`.
 #pragma once
 
@@ -52,8 +54,8 @@ inline constexpr std::size_t kFrameHeaderBytes = support::kEnvelopeHeaderBytes;
 
 /// Result of frame-level recovery over journal bytes.
 struct ScanResult {
-  /// False when the file is shorter than the header or the magic differs;
-  /// the journal is then treated as absent (no records, no valid bytes).
+  /// False when the bytes are shorter than the header or the magic
+  /// differs; there are then no records and no valid bytes.
   bool header_valid = false;
   std::uint64_t epoch = 0;
   /// Payloads of every complete, checksum-valid frame, in order.
@@ -82,13 +84,14 @@ class Journal {
                         JournalOptions options);
 
   /// Opens an existing journal for appending at `size` bytes, the valid
-  /// prefix the caller scanned, cutting any torn tail.  Verifies
-  /// the on-disk header before appending and throws `HistoryError` — naming
-  /// both the journal's epoch and the expected (snapshot's) epoch — when
-  /// they differ: appending under the wrong epoch would silently splice
-  /// records into a journal that extends a different snapshot.
-  static Journal open(const std::string& path, std::uint64_t epoch,
-                      std::uint64_t size, JournalOptions options);
+  /// prefix the caller scanned, cutting any torn tail.  The caller has
+  /// judged its header (`StoreReader`, store.hpp): appending under another
+  /// epoch would splice records into a journal that extends a different
+  /// snapshot.
+  static Journal open(const std::string& path, std::uint64_t size,
+                      JournalOptions options) {
+    return Journal(path, size, options);
+  }
 
   /// Appends one frame and applies the sync policy.
   void append(std::string_view payload);
@@ -96,16 +99,14 @@ class Journal {
   /// Forces everything appended so far to stable storage.
   void sync();
 
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
   [[nodiscard]] std::uint64_t records_appended() const { return appended_; }
 
  private:
-  Journal(const std::string& path, std::uint64_t epoch, std::uint64_t bytes,
+  Journal(const std::string& path, std::uint64_t bytes,
           JournalOptions options);
 
   support::AppendFile file_;
-  std::uint64_t epoch_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t since_sync_ = 0;

@@ -22,35 +22,9 @@ std::string read_file(const std::string& path) {
   return std::move(*bytes);
 }
 
-/// Replays a "snap" header and image into the empty `db`; returns the
-/// header's epoch.  Throws `HistoryError` naming `where` when the header is
-/// missing (an empty file included) or miscounts the image.
-std::uint64_t replay_snapshot(std::string_view text, history::HistoryDb& db,
-                              const std::string& where) {
-  std::optional<std::uint64_t> epoch;
-  std::uint32_t declared = 0;
-  for (const std::string_view line : support::Lines(text)) {
-    if (support::trim(line).empty()) continue;
-    if (epoch) {
-      db.apply_saved_line(line);
-      continue;
-    }
-    support::RecordReader rec(line);
-    if (rec.kind() != "snap") {
-      throw HistoryError(where +
-                         ": snapshot does not start with a snap record");
-    }
-    epoch = static_cast<std::uint64_t>(rec.next_int64());
-    declared = rec.next_uint32();
-  }
-  if (!epoch) throw HistoryError(where + ": snapshot holds no snap record");
-  if (db.size() != declared) {
-    throw HistoryError(where + ": snapshot declares " +
-                       std::to_string(declared) + " instances but holds " +
-                       std::to_string(db.size()));
-  }
-  return *epoch;
-}
+/// The quarantine comment the crash sweep gives a partial product.
+constexpr std::string_view kCrashSweepReason =
+    "crash recovery: the producing task never finished";
 
 /// Runs `write`, a write to the store's files, unless `failure` holds an
 /// earlier one, which it throws instead; a failure of `write` becomes
@@ -85,6 +59,106 @@ std::optional<schema::TaskSchema> recorded_schema(const std::string& dir) {
   return schema::parse_schema(read_file(path));
 }
 
+StoreReader::StoreReader(const StorePaths& paths)
+    : journal_path_(paths.journal) {
+  if (!fs::exists(paths.snapshot)) return;
+  snapshot_ = read_file(paths.snapshot);
+  for (const std::string_view line : support::Lines(snapshot_)) {
+    if (support::trim(line).empty()) continue;
+    image_at_ = static_cast<std::size_t>(line.data() - snapshot_.data()) +
+                line.size();
+    try {
+      support::RecordReader rec(line);
+      if (rec.kind() != "snap") {
+        throw HistoryError("first record is '" + std::string(rec.kind()) +
+                           "'");
+      }
+      epoch_ = static_cast<std::uint64_t>(rec.next_int64());
+      declared_ = rec.next_uint32();
+    } catch (const std::exception& e) {
+      findings_.push_back(
+          {FsckSeverity::kCorruption, "bad-snapshot-header",
+           std::string("snapshot does not start with a valid snap record: ") +
+               e.what()});
+    }
+    return;
+  }
+  // A checkpoint never writes a snapshot without its header: opening an
+  // empty file as an empty epoch-0 history would drop the whole image.
+  findings_.push_back({FsckSeverity::kCorruption, "bad-snapshot-header",
+                       "snapshot holds no snap record"});
+}
+
+StoreReader::StoreReader(const StorePaths& paths, std::uint64_t epoch)
+    : journal_path_(paths.journal), epoch_(epoch) {
+  read_journal(0);
+}
+
+void StoreReader::read_journal(std::size_t held) {
+  // Without the count check, a snapshot that lost its last lines would
+  // open short, and the next checkpoint would make the loss legitimate.
+  if (declared_ && *declared_ != held) {
+    findings_.push_back({FsckSeverity::kCorruption, "snapshot-count-mismatch",
+                         "snapshot declares " + std::to_string(*declared_) +
+                             " instances but holds " + std::to_string(held)});
+  }
+  std::string().swap(snapshot_);
+  image_at_ = 0;
+  if (!fs::exists(journal_path_)) return;
+  const std::string bytes = read_file(journal_path_);
+  if (bytes.size() < kJournalHeaderBytes) {
+    // The header is written whole (temp file and rename), so a short file
+    // never held a frame.
+    if (!bytes.empty()) {
+      findings_.push_back({FsckSeverity::kWarning, "torn-journal-tail",
+                           "journal holds " + std::to_string(bytes.size()) +
+                               " bytes, short of its header (recovery "
+                               "starts a fresh journal)"});
+    }
+    return;
+  }
+  journal_ = scan_journal(bytes);
+  if (!journal_.header_valid) {
+    // Discarding would lose every frame after a header this binary cannot
+    // read, so the file is left for an operator.
+    findings_.push_back({FsckSeverity::kCorruption, "bad-record",
+                         "journal header does not start with the magic '" +
+                             std::string(kJournalMagic) + "'"});
+  } else if (journal_.epoch < epoch_) {
+    findings_.push_back({FsckSeverity::kWarning, "stale-journal-epoch",
+                         "journal epoch " + std::to_string(journal_.epoch) +
+                             " predates snapshot epoch " +
+                             std::to_string(epoch_) + "; " +
+                             std::to_string(journal_.records.size()) +
+                             " records already absorbed by the snapshot"});
+    discarded_ = journal_.records.size();
+  } else if (journal_.epoch > epoch_) {
+    // A checkpoint orders snapshot-then-journal, so no crash leaves this:
+    // the snapshot was replaced or rolled back out from under it.
+    findings_.push_back({FsckSeverity::kCorruption, "future-journal-epoch",
+                         "journal epoch " + std::to_string(journal_.epoch) +
+                             " is ahead of snapshot epoch " +
+                             std::to_string(epoch_) +
+                             "; the snapshot those records extend is gone"});
+  } else {
+    extends_ = true;
+    if (journal_.torn) {
+      findings_.push_back(
+          {FsckSeverity::kWarning, "torn-journal-tail",
+           "journal ends in a torn frame (recovery truncates it)"});
+    }
+  }
+  if (!extends_) journal_.records.clear();
+}
+
+void StoreReader::refuse_corruption(const std::string& dir) const {
+  for (const FsckFinding& finding : findings_) {
+    if (finding.severity == FsckSeverity::kCorruption) {
+      throw HistoryError("store '" + dir + "': " + finding.detail);
+    }
+  }
+}
+
 Journal write_checkpoint(const StorePaths& paths, std::uint64_t epoch,
                          std::size_t instances, std::string_view image,
                          JournalOptions options) {
@@ -116,69 +190,56 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
     report_.created = true;
   }
 
+  // Snapshot, then the journal's tail on top of it, as the reader judges
+  // them: refused on a corruption before the journal is touched.
   db_ = std::make_unique<history::HistoryDb>(schema, clock);
-
-  if (fs::exists(paths_.snapshot)) {
-    epoch_ = replay_snapshot(read_file(paths_.snapshot), *db_,
-                             "store '" + dir_ + "'");
-    report_.snapshot_instances = db_->size();
+  StoreReader reader(paths_);
+  reader.refuse_corruption(dir_);
+  for (const std::string_view line : support::Lines(reader.image())) {
+    if (!support::trim(line).empty()) db_->apply_saved_line(line);
   }
-
-  // Journal: replay the tail on top of the snapshot.
-  bool need_fresh_journal = true;
-  if (fs::exists(paths_.journal)) {
-    ScanResult scan = scan_journal(read_file(paths_.journal));
-    if (scan.header_valid && scan.epoch == epoch_) {
-      for (const std::string& record : scan.records) {
-        for (const std::string_view line : support::Lines(record)) {
-          db_->apply_saved_line(line);
-        }
+  report_.snapshot_instances = db_->size();
+  reader.read_journal(db_->size());
+  reader.refuse_corruption(dir_);
+  epoch_ = reader.epoch();
+  ScanResult& scan = reader.journal();
+  if (reader.extends()) {
+    for (const std::string& record : scan.records) {
+      for (const std::string_view line : support::Lines(record)) {
+        db_->apply_saved_line(line);
       }
-      report_.journal_records_applied = scan.records.size();
-      report_.torn_tail = scan.torn;
-      journal_ = Journal::open(paths_.journal, epoch_, scan.valid_bytes,
-                               options_.journal);
-      journal_seq_ = scan.records.size();
-      journal_records_ = std::move(scan.records);
-      need_fresh_journal = false;
-    } else if (scan.header_valid && scan.epoch > epoch_) {
-      // A journal *ahead* of its snapshot cannot happen from a crash (the
-      // checkpoint orders snapshot-then-journal); the snapshot was replaced
-      // or rolled back out from under it.  Discarding would silently lose
-      // committed records, so refuse — naming both epochs.
-      throw HistoryError("store '" + dir_ + "': journal is at future epoch " +
-                         std::to_string(scan.epoch) +
-                         " but the snapshot is at epoch " +
-                         std::to_string(epoch_) +
-                         "; refusing to discard committed records");
-    } else {
-      // Wrong magic, or an epoch the snapshot has already absorbed.
-      report_.journal_records_discarded = scan.records.size();
     }
-  }
-  if (need_fresh_journal) {
+    report_.journal_records_applied = scan.records.size();
+    report_.torn_tail = scan.torn;
+    journal_ = Journal::open(paths_.journal, scan.valid_bytes,
+                             options_.journal);
+    journal_seq_ = scan.records.size();
+    journal_records_ = std::move(scan.records);
+  } else {
+    report_.journal_records_discarded = reader.discarded();
     journal_ = Journal::create(paths_.journal, epoch_, options_.journal);
   }
   report_.epoch = epoch_;
   db_->attach_listener(this);
 
-  // Crash-resumable runs: a run-begin frame without a matching run-end
-  // means the process died mid-flow.  Products of tasks that started but
-  // never completed a combination are quarantined (journaled through the
-  // listener, so the sweep itself is durable); the run stays open for
-  // `Executor::resume`.
-  // The sweep seals each interrupted run's window at the recovered table
-  // size: work recorded from here on (new runs, imports, decompose) is not
-  // the crashed run's doing, so a later reopen must not sweep it.
-  // A follower's store skips it: its open runs are its leader's live runs,
-  // and `herc promote` sweeps them once the follower leads.
-  if (!fs::exists(paths_.marker)) {
-    const history::HistoryDb::SealSweep sweep =
-        db_->seal_open_runs(kCrashSweepReason);
-    report_.interrupted_runs = sweep.open;
-    report_.quarantined = sweep.quarantined;
-  }
+  // A follower's store skips the sweep: its open runs are its leader's
+  // live runs, and `herc promote` sweeps them once the follower leads.
+  if (!fs::exists(paths_.marker)) sweep_interrupted_runs();
   opening_ = false;
+}
+
+void DurableHistory::sweep_interrupted_runs() {
+  // A run-begin frame without a matching run-end means the process died
+  // mid-flow.  Products of tasks that started but never completed a
+  // combination are quarantined (journaled through the listener, so the
+  // sweep itself is durable); the run stays open for `Executor::resume`.
+  // Each interrupted run's window is sealed at the recovered table size:
+  // work recorded from here on (new runs, imports, decompose) is not the
+  // crashed run's doing, so a later reopen must not sweep it.
+  const history::HistoryDb::SealSweep sweep =
+      db_->seal_open_runs(kCrashSweepReason);
+  report_.interrupted_runs = sweep.open;
+  report_.quarantined = sweep.quarantined;
 }
 
 DurableHistory::DurableHistory(const schema::TaskSchema& schema,
@@ -286,13 +347,9 @@ void DurableHistory::rebase(std::uint64_t epoch, std::string_view image,
 
 std::vector<std::string> DurableHistory::read_journal_records() {
   sync();
-  ScanResult scan = scan_journal(read_file(paths_.journal));
-  if (!scan.header_valid || scan.epoch != epoch_) {
-    throw HistoryError("store '" + dir_ +
-                       "': the journal file no longer holds epoch " +
-                       std::to_string(epoch_));
-  }
-  return std::move(scan.records);
+  StoreReader reader(paths_, epoch_);
+  reader.refuse_corruption(dir_);
+  return std::move(reader.journal().records);
 }
 
 void DurableHistory::sync() {

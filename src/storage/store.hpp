@@ -14,9 +14,11 @@
 // O(delta) while `save()` is O(database).  `checkpoint()` compacts: it
 // atomically replaces the snapshot (write temp + rename) and then resets
 // the journal under a new epoch.  Recovery replays snapshot + journal
-// tail; a torn final frame is truncated away, and a journal whose epoch
-// does not match the snapshot's (a crash between the checkpoint's two
-// steps) is discarded — its records are already inside the snapshot.
+// tail.  What the files mean is decided by one reader, `StoreReader`,
+// which open and fsck share: a torn final frame is truncated away, and a
+// journal older than the snapshot (a crash between the checkpoint's two
+// steps) is discarded, as its records are already inside the snapshot;
+// a journal ahead of the snapshot, or one with a wrong magic, is refused.
 //
 // Files are written through `support/file`, which checks every result.  A
 // failed journal write or checkpoint sticks: later mutations, `sync` and
@@ -26,8 +28,9 @@
 //
 // A follower's replica is the same store, fed by `apply_frame` and
 // `install`.  Its marker makes the one difference on open: no crash sweep,
-// as its open runs are its leader's live runs.  Only src/storage touches
-// a store's files.
+// as its open runs are its leader's live runs.  src/storage reads and
+// writes the schema, snapshot and journal; src/index keeps `indexes.herc`
+// in the same directory, and src/replica writes and removes the marker.
 //
 // The store publishes the history's one change feed: each frame it
 // journals goes to every `history::ChangeSubscriber` (the indexes, the
@@ -45,6 +48,7 @@
 
 #include "history/history_db.hpp"
 #include "schema/task_schema.hpp"
+#include "storage/fsck.hpp"
 #include "storage/journal.hpp"
 #include "support/error.hpp"
 
@@ -99,9 +103,58 @@ struct StorePaths {
 [[nodiscard]] std::optional<schema::TaskSchema> recorded_schema(
     const std::string& dir);
 
-/// The quarantine comment the crash sweep gives a partial product.
-inline constexpr std::string_view kCrashSweepReason =
-    "crash recovery: the producing task never finished";
+/// The one reader of a store's snapshot and journal: open (`DurableHistory`,
+/// `read_journal_records`) and `fsck_store` judge the files by it alone.
+/// It reports each problem once, as the finding fsck prints.  Open refuses
+/// a corruption and leaves the journal as it was: a first snapshot record
+/// that is not `snap|epoch|count` (bad-snapshot-header), a replay that
+/// holds another count (snapshot-count-mismatch), a journal magic
+/// (bad-record) or epoch (future-journal-epoch) it cannot extend.  It acts
+/// on a warning: it discards an older journal (stale-journal-epoch),
+/// replaces one shorter than its header and cuts a torn last frame
+/// (torn-journal-tail).
+class StoreReader {
+ public:
+  /// Reads the snapshot in `paths`, when there is one, and checks its
+  /// header; a store without one is an empty image at epoch 0.
+  explicit StoreReader(const StorePaths& paths);
+  /// Reads the journal in `paths` alone, against a snapshot at `epoch`.
+  StoreReader(const StorePaths& paths, std::uint64_t epoch);
+
+  /// The snapshot's lines after its header, to replay; empty once
+  /// `read_journal` has released the snapshot's bytes.
+  [[nodiscard]] std::string_view image() const {
+    return std::string_view(snapshot_).substr(image_at_);
+  }
+  /// Checks that replaying `image()` left `held` instances, releases the
+  /// snapshot's bytes and reads the journal.
+  void read_journal(std::size_t held);
+  /// Throws `HistoryError` naming store `dir` for the first corruption.
+  void refuse_corruption(const std::string& dir) const;
+
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+  [[nodiscard]] const std::vector<FsckFinding>& findings() const {
+    return findings_;
+  }
+  /// True when the journal is at the snapshot's epoch: `journal().records`
+  /// replay, and appends go after its `valid_bytes`.  Otherwise it holds no
+  /// records, and a fresh journal replaces the file.
+  [[nodiscard]] bool extends() const { return extends_; }
+  [[nodiscard]] ScanResult& journal() { return journal_; }
+  /// Frames of a stale journal: the ones a fresh journal discards.
+  [[nodiscard]] std::size_t discarded() const { return discarded_; }
+
+ private:
+  std::string journal_path_;
+  std::string snapshot_;
+  std::size_t image_at_ = 0;
+  std::uint64_t epoch_ = 0;
+  std::optional<std::uint32_t> declared_;
+  ScanResult journal_;
+  bool extends_ = false;
+  std::size_t discarded_ = 0;
+  std::vector<FsckFinding> findings_;
+};
 
 /// The one checkpoint writer (store checkpoint and install, fsck repair):
 /// a "snap" header (`epoch`, `instances`) and `image` replace the
@@ -166,6 +219,12 @@ class DurableHistory final : public history::MutationListener {
   /// Forces journaled records to stable storage now (regardless of policy).
   void sync();
 
+  /// The crash sweep: quarantines every open run's partial products, seals
+  /// each open run's sweep window (`HistoryDb::seal_open_runs`) and counts
+  /// both in `recovery()`.  Opening runs it unless the store is a
+  /// follower's; `promote_store` runs it once the follower leads.
+  void sweep_interrupted_runs();
+
   /// Detaches and returns the database (the store stops journaling; any
   /// buffered frames are synced, unless the store has failed).  The
   /// `DurableHistory` is dead after.
@@ -183,7 +242,8 @@ class DurableHistory final : public history::MutationListener {
   /// The current epoch's journal frames, read back from the file once
   /// everything appended is on it: the backlog a shipper sends a follower
   /// that subscribes from inside the epoch.  Throws `HistoryError` when the
-  /// file cannot be read or no longer holds this epoch's journal.
+  /// file cannot be read or `StoreReader` finds it corrupt; none when it
+  /// no longer extends this epoch.
   [[nodiscard]] std::vector<std::string> read_journal_records();
 
   /// Adds `subscriber` to the change feed, after those already on it; it
@@ -208,6 +268,10 @@ class DurableHistory final : public history::MutationListener {
   /// Size of the journal file itself (header + frames), in bytes.
   [[nodiscard]] std::uint64_t journal_file_bytes() const {
     return journal_.has_value() ? journal_->bytes() : 0;
+  }
+  /// The first failed write (see the top comment); null while healthy.
+  [[nodiscard]] const support::HistoryError* failure() const {
+    return failure_ ? &*failure_ : nullptr;
   }
 
   void on_mutation(std::span<const history::Record> records) override;

@@ -15,13 +15,18 @@
 //      otherwise the flow is re-run with memoization.  Either way the
 //      final active signature must equal the reference exactly (equality
 //      of the sorted multiset rules out both duplicates and losses).
-//   3. Sampled offsets additionally fsck the finished store: clean.
+//   3. Before each trial store is opened, fsck reports no corruption and
+//      names as unquarantined partials exactly the instances the open
+//      then quarantines.  Sampled offsets also fsck the finished store:
+//      clean.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -97,8 +102,28 @@ TEST(ResumePropertyTest, EveryByteCrashPointResumesToTheSameHistory) {
       out.write(journal.data(), static_cast<std::streamsize>(t));
     }
 
+    // The auditor judges the crash as recovery will: no corruption, and
+    // its unquarantined partials are exactly what the open quarantines
+    // (the uninterrupted run quarantined nothing).
+    const storage::FsckReport audit = storage::fsck_store(trial);
+    ASSERT_LT(audit.exit_code(), 2) << "offset " << t << "\n"
+                                    << audit.render();
+    std::set<std::string> named;
+    for (const storage::FsckFinding& finding : audit.findings) {
+      if (finding.code != "unquarantined-partial") continue;
+      named.insert(support::split_ws(finding.detail).at(1));
+    }
+
     support::ManualClock clock(1u << 20, 1);
     DurableHistory store(w.schema, clock, trial, options);
+    std::set<std::string> quarantined;
+    for (const data::InstanceId id : store.db().all()) {
+      if (store.db().instance(id).status ==
+          history::InstanceStatus::kQuarantined) {
+        quarantined.insert("i" + std::to_string(id.value()));
+      }
+    }
+    ASSERT_EQ(quarantined, named) << "offset " << t << "\n" << audit.render();
     Executor exec(store.db(), w.tools);
     ExecResult result;
     const auto open = store.db().open_runs();

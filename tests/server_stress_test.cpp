@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -345,6 +347,56 @@ class HoldingHub : public ReplicationHub {
   std::map<std::uint64_t, int> pending_;  ///< frames left to send
   bool closed_ = false;
 };
+
+TEST(ServerStressTest, StatsNamesTheFailureThatStopsEveryWrite) {
+  const std::string dir =
+      (fs::temp_directory_path() / "herc_server_stats_failure").string();
+  fs::remove_all(dir);
+  {
+    core::DesignSession session(schema::make_full_schema());
+    session.open_storage(dir);
+    Server server(session);
+    const Endpoint bound = server.add_listener(Endpoint::parse("127.0.0.1:0"));
+    server.start();
+    Client client = Client::connect(bound);
+    ASSERT_TRUE(client.call("import Stimuli kept", "stimuli s\n").ok());
+    const CallResult healthy = client.call("stats --json");
+    EXPECT_NE(healthy.output.find("\"journal_failure\":\"\"}"),
+              std::string::npos)
+        << healthy.output;
+    EXPECT_NE(client.call("stats").output.find("journal failure: none\n"),
+              std::string::npos);
+
+    // /dev/null takes the image but refuses fsync (EINVAL); only a symlink
+    // in the store points at it.
+    fs::create_symlink("/dev/null",
+                       (fs::path(dir) / "snapshot.herc.tmp").string());
+    const CallResult checkpoint = client.call("checkpoint");
+    EXPECT_FALSE(checkpoint.ok());
+    const std::string reason = std::strerror(EINVAL);
+    EXPECT_NE(checkpoint.error.find(reason), std::string::npos)
+        << checkpoint.error;
+    // Every later write is refused with that first failure, and `stats`
+    // says why.
+    const CallResult refused = client.call("import Stimuli lost", "s\n");
+    EXPECT_FALSE(refused.ok());
+    EXPECT_NE(refused.error.find(reason), std::string::npos) << refused.error;
+    const CallResult json = client.call("stats --json");
+    const std::size_t key = json.output.find("\"journal_failure\":\"cannot");
+    ASSERT_NE(key, std::string::npos) << json.output;
+    EXPECT_NE(json.output.find("snapshot.herc.tmp", key), std::string::npos)
+        << json.output;
+    EXPECT_NE(json.output.find(reason, key), std::string::npos)
+        << json.output;
+    const CallResult text = client.call("stats");
+    EXPECT_NE(text.output.find("journal failure: cannot fsync"),
+              std::string::npos)
+        << text.output;
+    client.close();
+    server.stop();
+  }
+  fs::remove_all(dir);
+}
 
 TEST(ServerStressTest, EachConnectionCostsOneServerThread) {
   core::DesignSession session(schema::make_full_schema());

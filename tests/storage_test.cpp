@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "cli/interpreter.hpp"
@@ -530,6 +531,92 @@ TEST_F(StorageTest, EmptySnapshotRefused) {
   const FsckReport report = fsck_store(dir_);
   EXPECT_TRUE(report.has("bad-snapshot-header")) << report.render();
   EXPECT_EQ(report.exit_code(), 2);
+}
+
+TEST_F(StorageTest, OpenAndFsckJudgeEveryDamagedStoreAlike) {
+  // One store: a checkpointed history, then three kCommit imports.
+  StoreOptions options;
+  options.journal.sync = SyncPolicy::kCommit;
+  std::string pre_checkpoint_journal;
+  {
+    DurableHistory store(schema_, clock_, dir_, options);
+    populate(store.db());
+    pre_checkpoint_journal = slurp(journal_path());
+    store.checkpoint();
+    for (const char* name : {"a", "b", "c"}) {
+      store.db().import_instance(schema_.require("Stimuli"), name,
+                                 std::string("wave-") + name, "u");
+    }
+  }
+  const std::string journal = slurp(journal_path());
+  const std::string snapshot = slurp(snapshot_path());
+  const std::string pristine = dir_ + "_pristine";
+  fs::remove_all(pristine);
+  fs::copy(dir_, pristine);
+
+  struct Damage {
+    std::string name;
+    std::string journal;
+    std::string snapshot;
+  };
+  std::vector<Damage> cases{{"undamaged", journal, snapshot}};
+  for (std::size_t cut = 0; cut < kJournalHeaderBytes; ++cut) {
+    cases.push_back({"journal cut to " + std::to_string(cut) + " bytes",
+                     journal.substr(0, cut), snapshot});
+  }
+  for (std::size_t bit = 0; bit < kJournalMagic.size() * 8; ++bit) {
+    std::string flipped = journal;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    cases.push_back({"magic bit " + std::to_string(bit) + " flipped",
+                     flipped, snapshot});
+  }
+  cases.push_back({"pre-checkpoint journal beside the new snapshot",
+                   pre_checkpoint_journal, snapshot});
+  std::string ahead(kJournalMagic);
+  support::put_le64(ahead, 2);
+  cases.push_back({"journal one epoch ahead",
+                   ahead + journal.substr(kJournalHeaderBytes), snapshot});
+  cases.push_back({"torn last frame", journal.substr(0, journal.size() - 1),
+                   snapshot});
+  const std::size_t header_end = snapshot.find('\n');
+  cases.push_back({"snap header without its count", journal,
+                   "snap|1" + snapshot.substr(header_end)});
+  cases.push_back({"empty snapshot", journal, ""});
+  std::string short_snapshot = snapshot;
+  const std::size_t last = short_snapshot.rfind("\ninst|");
+  ASSERT_NE(last, std::string::npos);
+  short_snapshot.erase(last + 1,
+                       short_snapshot.find('\n', last + 1) - last);
+  cases.push_back({"snapshot short of its declared count", journal,
+                   short_snapshot});
+
+  for (const Damage& damage : cases) {
+    SCOPED_TRACE(damage.name);
+    fs::remove_all(dir_);
+    fs::copy(pristine, dir_);
+    spill(journal_path(), damage.journal);
+    spill(snapshot_path(), damage.snapshot);
+    const FsckReport report = fsck_store(dir_);
+    support::ManualClock clock2(0, 1);
+    std::optional<RecoveryReport> recovery;
+    try {
+      recovery = DurableHistory(schema_, clock2, dir_).recovery();
+    } catch (const HistoryError& e) {
+      EXPECT_EQ(report.exit_code(), 2) << e.what() << "\n" << report.render();
+      EXPECT_EQ(slurp(journal_path()), damage.journal);
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "open threw no HistoryError: " << e.what();
+      continue;
+    }
+    EXPECT_NE(report.exit_code(), 2) << report.render();
+    EXPECT_EQ(recovery->journal_records_applied, report.stats.journal_records)
+        << report.render();
+    EXPECT_EQ(recovery->journal_records_discarded > 0,
+              report.has("stale-journal-epoch"))
+        << report.render();
+  }
+  fs::remove_all(pristine);
 }
 
 TEST_F(StorageTest, JournalRecordsHandedOverIncludeTheCrashSweep) {
