@@ -1,4 +1,5 @@
 #include "circuit/library.hpp"
+#include "support/text.hpp"
 
 namespace herc::circuit {
 
@@ -80,8 +81,8 @@ Netlist inverter_chain(std::size_t stages) {
   std::string prev = "in";
   for (std::size_t i = 0; i < stages; ++i) {
     const std::string next =
-        (i + 1 == stages) ? "out" : "n" + std::to_string(i);
-    nl.instantiate(inv, "s" + std::to_string(i),
+        (i + 1 == stages) ? "out" : support::numbered("n", i);
+    nl.instantiate(inv, support::numbered("s", i),
                    {{"in", prev}, {"out", next}});
     prev = next;
   }
@@ -177,11 +178,11 @@ Netlist ripple_adder_netlist(std::size_t bits) {
   nl.add_input("cin");
   std::string carry = "cin";
   for (std::size_t i = 0; i < bits; ++i) {
-    const std::string ai = "a" + std::to_string(i);
-    const std::string bi = "b" + std::to_string(i);
-    const std::string si = "s" + std::to_string(i);
+    const std::string ai = support::numbered("a", i);
+    const std::string bi = support::numbered("b", i);
+    const std::string si = support::numbered("s", i);
     const std::string co =
-        (i + 1 == bits) ? "cout" : "c" + std::to_string(i + 1);
+        (i + 1 == bits) ? "cout" : support::numbered("c", i + 1);
     nl.add_input(ai);
     nl.add_input(bi);
     nl.add_output(si);

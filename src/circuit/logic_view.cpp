@@ -102,7 +102,10 @@ std::string LogicView::to_text() const {
     for (const char* pin : {"a", "b", "y"}) {
       const auto it = g.pins.find(pin);
       if (it != g.pins.end()) {
-        out += " " + std::string(pin) + "=" + it->second;
+        out += ' ';
+        out += pin;
+        out += '=';
+        out += it->second;
       }
     }
     out += "\n";

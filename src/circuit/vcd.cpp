@@ -62,7 +62,9 @@ std::string to_vcd(const SimResult& result, const VcdOptions& options) {
   out += "$end\n";
   for (const auto& [time, changes] : by_time) {
     if (time == 0) continue;  // covered by $dumpvars
-    out += "#" + std::to_string(time) + "\n";
+    out += '#';
+    out += std::to_string(time);
+    out += '\n';
     for (const auto& [index, level] : changes) {
       out += vcd_value(level);
       out += codes[index];

@@ -1,4 +1,5 @@
 #include "core/browser.hpp"
+#include "support/text.hpp"
 
 #include <limits>
 
@@ -79,9 +80,12 @@ std::string InstanceBrowser::render_rows(
     line += user;
     line += row.created.to_string();
     line += "  ";
-    line += row.name.empty() ? "i" + std::to_string(row.id.value())
+    line += row.name.empty() ? support::numbered("i", row.id.value())
                              : row.name;
-    if (row.version > 1) line += " (v" + std::to_string(row.version) + ")";
+    if (row.version > 1) {
+      line += support::numbered(" (v", row.version);
+      line += ')';
+    }
     if (row.superseded) line += " [superseded]";
     if (row.type_name != db_->schema().entity_name(type_)) {
       line += " <" + row.type_name + ">";

@@ -177,7 +177,7 @@ std::string DesignSession::render_task_window(const TaskGraph& flow) const {
         const std::string& name = db().contains(inst)
                                       ? db().instance(inst).name
                                       : std::string();
-        line += name.empty() ? "i" + std::to_string(inst.value()) : name;
+        line += name.empty() ? support::numbered("i", inst.value()) : name;
       }
       line += "}";
     }
@@ -187,7 +187,7 @@ std::string DesignSession::render_task_window(const TaskGraph& flow) const {
       for (const graph::DepEdge& e : deps) {
         line += " ";
         line += schema::to_string(e.kind);
-        line += ":" + std::to_string(e.target.value());
+        line += support::numbered(":", e.target.value());
         if (e.optional) line += "?";
       }
     } else if (node.bound.empty()) {

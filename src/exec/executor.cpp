@@ -18,6 +18,7 @@
 #include "support/error.hpp"
 #include "support/record.hpp"
 #include "tools/composite.hpp"
+#include "support/text.hpp"
 
 namespace herc::exec {
 
@@ -676,7 +677,9 @@ TaskOutcome run_group(RunState& state, const std::vector<TaskGroup>& groups,
       std::to_string(errors.size()) + " tasks failed: ";
   for (std::size_t i = 0; i < errors.size(); ++i) {
     if (i > 0) message += "; ";
-    message += "[" + std::to_string(i + 1) + "] " + errors[i];
+    message += support::numbered("[", i + 1);
+    message += "] ";
+    message += errors[i];
   }
   throw ExecError(message);
 }

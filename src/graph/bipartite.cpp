@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "support/dot.hpp"
+#include "support/text.hpp"
 
 namespace herc::graph {
 
@@ -53,16 +54,16 @@ std::string BipartiteDiagram::to_dot() const {
   support::DotBuilder dot("bipartite");
   dot.graph_attr("rankdir", "LR");
   for (std::size_t i = 0; i < data.size(); ++i) {
-    dot.node("d" + std::to_string(i), data[i].entity, {"shape=\"box\""});
+    dot.node(support::numbered("d", i), data[i].entity, {"shape=\"box\""});
   }
   for (std::size_t a = 0; a < activities.size(); ++a) {
-    const std::string id = "a" + std::to_string(a);
+    const std::string id = support::numbered("a", a);
     dot.node(id, activities[a].tool, {"shape=\"ellipse\""});
     for (const std::size_t in : activities[a].inputs) {
-      dot.edge("d" + std::to_string(in), id);
+      dot.edge(support::numbered("d", in), id);
     }
     for (const std::size_t outn : activities[a].outputs) {
-      dot.edge(id, "d" + std::to_string(outn));
+      dot.edge(id, support::numbered("d", outn));
     }
   }
   return dot.str();

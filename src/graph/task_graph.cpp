@@ -709,7 +709,7 @@ std::string TaskGraph::to_lisp(NodeId goal) const {
 std::string TaskGraph::to_dot() const {
   support::DotBuilder dot(name_);
   dot.graph_attr("rankdir", "BT");
-  auto node_id = [](NodeId n) { return "n" + std::to_string(n.value()); };
+  auto node_id = [](NodeId n) { return support::numbered("n", n.value()); };
   for (const NodeId n : nodes()) {
     const Node& node = nodes_[n.index()];
     std::string label = schema_->entity_name(node.type);

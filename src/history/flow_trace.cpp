@@ -7,6 +7,7 @@
 
 #include "support/dot.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace herc::history {
 
@@ -46,9 +47,9 @@ TaskGraph make_trace(const HistoryDb& db, std::vector<InstanceId> members,
     const Instance& inst = db.instance(id);
     const NodeId n = trace.add_node(inst.type);
     trace.bind(n, id);
-    std::string label = inst.name.empty() ? "i" + std::to_string(id.value())
-                                          : inst.name;
-    if (inst.version > 1) label += " v" + std::to_string(inst.version);
+    std::string label =
+        inst.name.empty() ? support::numbered("i", id.value()) : inst.name;
+    if (inst.version > 1) label += support::numbered(" v", inst.version);
     trace.set_label(n, label);
     node_of.emplace(id.value(), n);
   }
@@ -135,16 +136,16 @@ std::string VersionTree::to_dot(const HistoryDb& db) const {
   for (const Entry& e : entries) {
     const Instance& inst = db.instance(e.instance);
     std::string label = inst.name.empty()
-                            ? "i" + std::to_string(e.instance.value())
+                            ? support::numbered("i", e.instance.value())
                             : inst.name;
-    label += "\nv" + std::to_string(e.version);
-    dot.node("v" + std::to_string(e.instance.value()), label,
+    label += support::numbered("\nv", e.version);
+    dot.node(support::numbered("v", e.instance.value()), label,
              {"shape=\"box\""});
   }
   for (const Entry& e : entries) {
     if (e.parent.valid()) {
-      dot.edge("v" + std::to_string(e.parent.value()),
-               "v" + std::to_string(e.instance.value()));
+      dot.edge(support::numbered("v", e.parent.value()),
+               support::numbered("v", e.instance.value()));
     }
   }
   return dot.str();

@@ -28,6 +28,7 @@
 #include "history/instance.hpp"
 #include "history/record_codec.hpp"
 #include "schema/task_schema.hpp"
+#include "support/chunked.hpp"
 
 namespace herc::history {
 
@@ -405,9 +406,10 @@ class HistoryDb {
   const schema::TaskSchema* schema_;
   support::Clock* clock_;
   data::BlobStore blobs_;
-  std::vector<Instance> instances_;
+  /// Chunked, so that growing the table never moves an instance.
+  support::Chunked<Instance> instances_;
   /// Forward index: instance -> instances whose derivation used it.
-  std::vector<std::vector<data::InstanceId>> used_by_;
+  support::Chunked<std::vector<data::InstanceId>> used_by_;
   std::vector<RunRecord> runs_;
   MutationListener* listener_ = nullptr;
 };

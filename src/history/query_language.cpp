@@ -43,8 +43,9 @@ std::vector<std::string> tokenize(std::string_view text) {
       if (close == std::string_view::npos) {
         throw ParseError("query: unterminated string literal");
       }
-      out.emplace_back(std::string(1, '"') +
-                       std::string(text.substr(i + 1, close - i - 1)));
+      std::string literal(1, '"');
+      literal += text.substr(i + 1, close - i - 1);
+      out.push_back(std::move(literal));
       i = close + 1;
       continue;
     }

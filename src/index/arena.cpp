@@ -56,34 +56,35 @@ std::pair<std::uint32_t, bool> TokenDictionary::intern(
     if (slots_[slot] != 0) return {slots_[slot] - 1, false};
   }
   if (2 * (size() + 1) > slots_.size()) {
-    rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+    (void)rehash(std::max<std::size_t>(16, 2 * slots_.size()));
     slot = slot_of(token);
   }
-  // The table stores id + 1, so the new id + 1 must fit.
-  check_offset(size() + 1, "token dictionary");
-  check_offset(arena_.size() + token.size(), "token dictionary");
   const auto id = static_cast<std::uint32_t>(size());
-  arena_.append(token);
-  ends_.push_back(static_cast<std::uint32_t>(arena_.size()));
+  append(token);
   slots_[slot] = id + 1;
   return {id, true};
 }
 
-void TokenDictionary::reserve(std::size_t tokens) {
-  ends_.reserve(tokens);
-  const std::size_t capacity =
-      std::bit_ceil(std::max<std::size_t>(16, 2 * tokens));
-  if (capacity > slots_.size()) rehash(capacity);
+void TokenDictionary::append(std::string_view token) {
+  // The table stores id + 1, so the new id + 1 must fit.
+  check_offset(size() + 1, "token dictionary");
+  check_offset(arena_.size() + token.size(), "token dictionary");
+  arena_.append(token);
+  ends_.push_back(static_cast<std::uint32_t>(arena_.size()));
 }
 
-void TokenDictionary::rehash(std::size_t capacity) {
+std::optional<std::uint32_t> TokenDictionary::index() {
+  return rehash(std::bit_ceil(std::max<std::size_t>(16, 2 * size())));
+}
+
+std::optional<std::uint32_t> TokenDictionary::rehash(std::size_t capacity) {
   slots_.assign(capacity, 0);
-  const std::size_t mask = capacity - 1;
   for (std::uint32_t id = 0; id < size(); ++id) {
-    std::size_t slot = hash(text(id)) & mask;
-    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    const std::size_t slot = slot_of(text(id));
+    if (slots_[slot] != 0) return id;
     slots_[slot] = id + 1;
   }
+  return std::nullopt;
 }
 
 // ---- PostingLists ----------------------------------------------------------

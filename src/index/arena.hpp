@@ -48,8 +48,15 @@ class TokenDictionary {
   /// its 32-bit offsets.
   std::pair<std::uint32_t, bool> intern(std::string_view token);
 
-  /// Sizes the id table so that `tokens` tokens intern without growing it.
-  void reserve(std::size_t tokens);
+  /// Adds `token` under the next id without entering it in the id table,
+  /// for a loader that takes every token in turn and then calls `index`
+  /// once.  Throws as `intern` does.
+  void append(std::string_view token);
+
+  /// Builds the id table over every token, sized once for all of them.
+  /// Returns the first id whose text an earlier id already holds (the
+  /// dictionary is then unusable), or nullopt.
+  [[nodiscard]] std::optional<std::uint32_t> index();
 
   /// Slots in the id table: 0 before the first token, then a power of two
   /// at least twice `size()`.
@@ -62,7 +69,8 @@ class TokenDictionary {
  private:
   /// The slot holding `token`'s id, or the empty slot where it would go.
   [[nodiscard]] std::size_t slot_of(std::string_view token) const;
-  void rehash(std::size_t capacity);
+  /// Rebuilds the id table at `capacity` slots; returns as `index` does.
+  std::optional<std::uint32_t> rehash(std::size_t capacity);
 
   std::string arena_;
   /// One past the last byte of token `id`'s text; it starts where token

@@ -160,76 +160,145 @@ std::string IndexImage::serialize() const {
   return out;
 }
 
+namespace {
+
+/// The magic and the envelope's length and checksum: the bytes before the
+/// image's payload.
+constexpr std::size_t kImageHeadBytes =
+    kIndexMagic.size() + support::kEnvelopeHeaderBytes;
+
+/// The one reader of an index image, fed its bytes in order: the head,
+/// then the payload's lines, each with its '\n'.  Whether the bytes come
+/// from memory (`IndexImage::parse`) or stream from the file
+/// (`HistoryIndexes::load_image`), it checks in one order: the magic, then
+/// the envelope's length and checksum, then the structure, whose first
+/// defect in line order is the reason.  So a payload that fails its
+/// checksum says so even when one of its lines also fails to parse, and
+/// nothing is adopted before its length and checksum match.
+class ImageParser {
+ public:
+  explicit ImageParser(std::string_view head)
+      : magic_(head.substr(0, kIndexMagic.size())),
+        sealed_(magic_ == kIndexMagic && head.size() == kImageHeadBytes),
+        length_(sealed_ ? support::get_le32(head, kIndexMagic.size()) : 0),
+        checksum_(sealed_ ? support::get_le32(head, kIndexMagic.size() + 4)
+                          : 0),
+        hash_(length_) {}
+
+  /// False once more bytes cannot change the verdict: the magic is wrong,
+  /// the head is short, or the payload ran past its declared length.
+  [[nodiscard]] bool wants_more() const {
+    return sealed_ && seen_ <= length_;
+  }
+
+  /// Takes the payload's next line, with its '\n' unless it is the last.
+  void feed(std::string_view piece) {
+    seen_ += piece.size();
+    if (seen_ > length_) return;
+    hash_.add(piece);
+    if (!error_.empty()) return;  // only the checksum is still open
+    const bool ended = piece.back() == '\n';
+    if (ended) piece.remove_suffix(1);
+    try {
+      if (stamped_) {
+        if (!support::trim(piece).empty()) section(piece);
+      } else if (ended) {
+        stamped_ = true;
+        support::RecordReader stamp(piece);
+        img_.epoch = static_cast<std::uint64_t>(stamp.next_int64());
+        img_.seq = static_cast<std::uint64_t>(stamp.next_int64());
+        img_.instances = stamp.next_uint32();
+      }
+    } catch (const std::exception& e) {
+      error_ = e.what();
+    }
+  }
+
+  /// The verdict once every byte is in: `out` takes the image, or `error`
+  /// the reason and `out` is untouched.
+  [[nodiscard]] bool finish(IndexImage& out, std::string& error) {
+    if (magic_ != kIndexMagic) {
+      error = "bad magic '" + std::string(magic_) + "'";
+      return false;
+    }
+    if (!sealed_ || seen_ != length_ || hash_.value() != checksum_) {
+      error = "body checksum mismatch";
+      return false;
+    }
+    // Every token taken lies before any other defect, so a repeat among
+    // them is the first one.
+    if (const std::optional<std::uint32_t> repeat = img_.tokens.index()) {
+      error = "duplicate token '" + std::string(img_.tokens.text(*repeat)) +
+              "'";
+      return false;
+    }
+    if (!stamped_) error_ = "missing stamp line";
+    if (!error_.empty()) {
+      error = error_;
+      return false;
+    }
+    for (const auto& [name, list] : img_.by_type) {
+      img_.by_date.insert(img_.by_date.end(), list.begin(), list.end());
+    }
+    std::sort(img_.by_date.begin(), img_.by_date.end());
+    out = std::move(img_);
+    return true;
+  }
+
+ private:
+  /// One line of the sections after the stamp.
+  void section(std::string_view line) {
+    support::RecordReader r(line);
+    if (r.kind() == "tok") {
+      // The id table is built once, in `finish`.
+      img_.tokens.append(r.next_string());
+      ids_.clear();
+      while (!r.exhausted()) ids_.push_back(r.next_uint32());
+      img_.postings.add(ids_);
+    } else if (r.kind() == "usr") {
+      std::vector<std::uint32_t>& list = img_.users[r.next_string()];
+      while (!r.exhausted()) list.push_back(r.next_uint32());
+    } else if (r.kind() == "typ") {
+      auto& list = img_.by_type[r.next_string()];
+      while (!r.exhausted()) {
+        const std::int64_t created = r.next_int64();
+        list.emplace_back(created, r.next_uint32());
+      }
+    } else if (r.kind() == "adj") {
+      img_.edges = static_cast<std::uint64_t>(r.next_int64());
+      img_.adjacency_digest = static_cast<std::uint64_t>(r.next_int64());
+    } else {
+      error_ = "unknown section '" + std::string(r.kind()) + "'";
+    }
+  }
+
+  std::string magic_;
+  bool sealed_;
+  std::uint32_t length_;
+  std::uint32_t checksum_;
+  support::EnvelopeChecksum hash_;
+  /// Payload bytes fed so far.
+  std::uint64_t seen_ = 0;
+  bool stamped_ = false;
+  /// The first structural defect; later lines only feed the checksum.
+  std::string error_;
+  IndexImage img_;
+  std::vector<std::uint32_t> ids_;
+};
+
+}  // namespace
+
 bool IndexImage::parse(std::string_view text, IndexImage& out,
                        std::string& error) {
-  IndexImage img;
-  const std::string_view magic = text.substr(0, kIndexMagic.size());
-  if (magic != kIndexMagic) {
-    error = "bad magic '" + std::string(magic) + "'";
-    return false;
+  ImageParser parser(text.substr(0, kImageHeadBytes));
+  std::string_view rest = text.substr(std::min(text.size(), kImageHeadBytes));
+  while (parser.wants_more() && !rest.empty()) {
+    const std::size_t nl = rest.find('\n');
+    const std::size_t size = nl == std::string_view::npos ? rest.size() : nl + 1;
+    parser.feed(rest.substr(0, size));
+    rest.remove_prefix(size);
   }
-  const std::optional<std::string_view> content =
-      support::unseal_exact(text.substr(kIndexMagic.size()));
-  if (!content) {
-    error = "body checksum mismatch";
-    return false;
-  }
-  const std::size_t nl = content->find('\n');
-  if (nl == std::string_view::npos) {
-    error = "missing stamp line";
-    return false;
-  }
-  const std::string_view body = content->substr(nl + 1);
-  try {
-    support::RecordReader stamp(content->substr(0, nl));
-    img.epoch = static_cast<std::uint64_t>(stamp.next_int64());
-    img.seq = static_cast<std::uint64_t>(stamp.next_int64());
-    img.instances = stamp.next_uint32();
-    // Nearly every line is a token: size the dictionary once, up front.
-    const auto lines =
-        static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n'));
-    img.tokens.reserve(lines);
-    img.postings.reserve(lines);
-    std::vector<std::uint32_t> ids;
-    for (const std::string_view line : support::Lines(body)) {
-      if (support::trim(line).empty()) continue;
-      support::RecordReader r(line);
-      if (r.kind() == "tok") {
-        const std::string tok = r.next_string();
-        if (!img.tokens.intern(tok).second) {
-          error = "duplicate token '" + tok + "'";
-          return false;
-        }
-        ids.clear();
-        while (!r.exhausted()) ids.push_back(r.next_uint32());
-        img.postings.add(ids);
-      } else if (r.kind() == "usr") {
-        std::vector<std::uint32_t>& list = img.users[r.next_string()];
-        while (!r.exhausted()) list.push_back(r.next_uint32());
-      } else if (r.kind() == "typ") {
-        auto& list = img.by_type[r.next_string()];
-        while (!r.exhausted()) {
-          const std::int64_t created = r.next_int64();
-          list.emplace_back(created, r.next_uint32());
-        }
-      } else if (r.kind() == "adj") {
-        img.edges = static_cast<std::uint64_t>(r.next_int64());
-        img.adjacency_digest = static_cast<std::uint64_t>(r.next_int64());
-      } else {
-        error = "unknown section '" + std::string(r.kind()) + "'";
-        return false;
-      }
-    }
-  } catch (const std::exception& e) {
-    error = e.what();
-    return false;
-  }
-  for (const auto& [name, list] : img.by_type) {
-    img.by_date.insert(img.by_date.end(), list.begin(), list.end());
-  }
-  std::sort(img.by_date.begin(), img.by_date.end());
-  out = std::move(img);
-  return true;
+  return parser.finish(out, error);
 }
 
 // ---- HistoryIndexes --------------------------------------------------------
@@ -258,13 +327,20 @@ void HistoryIndexes::rebuild() {
 HistoryIndexes::LoadedImage HistoryIndexes::load_image(
     const std::string& dir) {
   LoadedImage loaded;
-  const std::optional<std::string> text = support::read_file(file_path(dir));
-  if (!text) {
+  IndexImage image;
+  try {
+    support::FileReader file(file_path(dir));
+    ImageParser parser(file.read(kImageHeadBytes));
+    while (parser.wants_more()) {
+      const std::optional<std::string_view> line = file.line();
+      if (!line) break;
+      parser.feed(*line);
+    }
+    if (!parser.finish(image, loaded.error)) return loaded;
+  } catch (const support::HistoryError&) {
     loaded.error = "no index file";
     return loaded;
   }
-  IndexImage image;
-  if (!IndexImage::parse(*text, image, loaded.error)) return loaded;
   loaded.trigrams.extend(image.tokens);
   loaded.image = std::move(image);
   return loaded;

@@ -108,8 +108,10 @@ struct IndexImage {
   /// The checksum covers the stamp too, so torn or tampered files are
   /// detected.
   [[nodiscard]] std::string serialize() const;
-  /// Returns false (with `error` set) on any structural defect; `out` is
-  /// untouched in that case.
+  /// Returns false (with `error` set) on a wrong magic, then on a length
+  /// or checksum mismatch, then on the first structural defect; `out` is
+  /// untouched in that case.  `HistoryIndexes::load_image` streams a file
+  /// through the same parser, to the same verdict.
   [[nodiscard]] static bool parse(std::string_view text, IndexImage& out,
                                   std::string& error);
 
@@ -171,10 +173,11 @@ class HistoryIndexes final : public history::SecondaryIndex,
     TrigramMap trigrams;
   };
 
-  /// Reads and parses `dir`'s index file and builds its trigram map.  The
-  /// first half of opening, and pure: it reads no database, so it can run
-  /// on another thread while the store replays its snapshot.  Never throws
-  /// on a bad file.
+  /// Parses `dir`'s index file as it streams through one bounded window
+  /// (`support::FileReader`), so the file is never resident whole, and
+  /// builds its trigram map.  The first half of opening, and pure: it
+  /// reads no database, so it can run on another thread while the store
+  /// replays its snapshot.  Never throws on a bad file.
   [[nodiscard]] static LoadedImage load_image(const std::string& dir);
 
   /// The second half of opening: checks `loaded` against a store recovered

@@ -50,10 +50,10 @@ std::pair<std::vector<std::string>, std::string_view> open_payload(
 std::string encode_subscribe(const std::optional<StreamPosition>& position,
                              std::optional<std::uint64_t> tail_checksum) {
   if (!position.has_value()) return {};
-  std::string out =
-      std::to_string(position->epoch) + " " + std::to_string(position->seq);
+  std::string out = std::to_string(position->epoch);
+  out += support::numbered(" ", position->seq);
   if (tail_checksum.has_value()) {
-    out += " " + std::to_string(*tail_checksum);
+    out += support::numbered(" ", *tail_checksum);
   }
   return out;
 }

@@ -1,4 +1,5 @@
 #include "sim/trace.hpp"
+#include "support/text.hpp"
 
 #include <cctype>
 #include <stdexcept>
@@ -359,9 +360,9 @@ Trace make_trace(const std::string& profile, std::size_t clients,
     for (std::size_t ri = 0; ri < rounds; ++ri) {
       const RoundKind kind = pick_kind(mix, rng);
       const std::string stem =
-          "sw_c" + std::to_string(ci) + "_r" + std::to_string(ri);
+          support::numbered("sw_c", ci) + support::numbered("_r", ri);
       const std::string flow =
-          "f" + std::to_string(ci) + "_" + std::to_string(ri);
+          support::numbered("f", ci) + support::numbered("_", ri);
       switch (kind) {
         case RoundKind::kDesign:
           client.rounds.push_back(design_round(stem, flow, client.user, rng));

@@ -640,9 +640,8 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
   // is what the next open refuses or acts on.
   StoreReader reader(paths);
   report.stats.epoch = reader.epoch();
-  for (const std::string_view line : support::Lines(reader.image())) {
-    if (support::trim(line).empty()) continue;
-    ingest(line, "snapshot");
+  while (const std::optional<std::string_view> line = reader.next_line()) {
+    ingest(*line, "snapshot");
     ++report.stats.snapshot_records;
   }
 
@@ -708,6 +707,10 @@ FsckReport fsck_store(const std::string& dir, const FsckOptions& options) {
            "refusing --repair on a replica store: a repair checkpoint would"
            " bump the epoch out from under the replication stream; resync"
            " the replica or promote it first");
+    } else if (reader.frames_unread()) {
+      corrupt(report, "repair-refused",
+              "the journal may hold frames this audit could not read, and a "
+              "repair checkpoint would replace it; nothing was written");
     } else if (repair_store(audit, verdicts, report, paths, schema_ptr)) {
       // The repair checkpoint bumped the epoch; rewrite the index from the
       // repaired image so the next open loads warm instead of detecting

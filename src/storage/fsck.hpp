@@ -34,7 +34,8 @@
 //                         a journal header with a wrong magic or an epoch
 //                         ahead of the snapshot, and a repair refused
 //                         ("repair-refused") because its image would not
-//                         open
+//                         open or the journal holds frames the audit could
+//                         not read
 //
 // With `repair` set, the repairable defects are fixed in place: corrupt
 // instances are tombstoned (quarantined, payload dropped, derivation
@@ -44,7 +45,10 @@
 // secondary indexes are rebuilt from the repaired image at that epoch.
 // The image is first loaded over the store's schema as recovery would
 // load it; when that fails (or the schema does not parse), nothing is
-// written.
+// written.  Nor is anything written when the store reader could not read
+// the journal's frames (a bad snapshot header, a journal magic it cannot
+// read, a journal epoch ahead of the snapshot's): the repair checkpoint
+// would replace the journal, and those frames with it.
 // Repair refuses replica stores ("replica-no-repair"): a repair checkpoint
 // would bump the epoch out from under the replication stream.
 #pragma once

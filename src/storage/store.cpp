@@ -62,13 +62,10 @@ std::optional<schema::TaskSchema> recorded_schema(const std::string& dir) {
 StoreReader::StoreReader(const StorePaths& paths)
     : journal_path_(paths.journal) {
   if (!fs::exists(paths.snapshot)) return;
-  snapshot_ = read_file(paths.snapshot);
-  for (const std::string_view line : support::Lines(snapshot_)) {
-    if (support::trim(line).empty()) continue;
-    image_at_ = static_cast<std::size_t>(line.data() - snapshot_.data()) +
-                line.size();
+  snapshot_.emplace(paths.snapshot);
+  if (const std::optional<std::string_view> line = next_line()) {
     try {
-      support::RecordReader rec(line);
+      support::RecordReader rec(*line);
       if (rec.kind() != "snap") {
         throw HistoryError("first record is '" + std::string(rec.kind()) +
                            "'");
@@ -81,12 +78,23 @@ StoreReader::StoreReader(const StorePaths& paths)
            std::string("snapshot does not start with a valid snap record: ") +
                e.what()});
     }
-    return;
+  } else {
+    // A checkpoint never writes a snapshot without its header: opening an
+    // empty file as an empty epoch-0 history would drop the whole image.
+    findings_.push_back({FsckSeverity::kCorruption, "bad-snapshot-header",
+                         "snapshot holds no snap record"});
   }
-  // A checkpoint never writes a snapshot without its header: opening an
-  // empty file as an empty epoch-0 history would drop the whole image.
-  findings_.push_back({FsckSeverity::kCorruption, "bad-snapshot-header",
-                       "snapshot holds no snap record"});
+  // Without its header, no journal can be judged against the snapshot.
+  frames_unread_ = !declared_;
+}
+
+std::optional<std::string_view> StoreReader::next_line() {
+  if (!snapshot_) return std::nullopt;
+  while (std::optional<std::string_view> line = snapshot_->line()) {
+    if (line->back() == '\n') line->remove_suffix(1);
+    if (!support::trim(*line).empty()) return line;
+  }
+  return std::nullopt;
 }
 
 StoreReader::StoreReader(const StorePaths& paths, std::uint64_t epoch)
@@ -102,8 +110,7 @@ void StoreReader::read_journal(std::size_t held) {
                          "snapshot declares " + std::to_string(*declared_) +
                              " instances but holds " + std::to_string(held)});
   }
-  std::string().swap(snapshot_);
-  image_at_ = 0;
+  snapshot_.reset();
   if (!fs::exists(journal_path_)) return;
   const std::string bytes = read_file(journal_path_);
   if (bytes.size() < kJournalHeaderBytes) {
@@ -121,6 +128,7 @@ void StoreReader::read_journal(std::size_t held) {
   if (!journal_.header_valid) {
     // Discarding would lose every frame after a header this binary cannot
     // read, so the file is left for an operator.
+    frames_unread_ = true;
     findings_.push_back({FsckSeverity::kCorruption, "bad-record",
                          "journal header does not start with the magic '" +
                              std::string(kJournalMagic) + "'"});
@@ -135,6 +143,7 @@ void StoreReader::read_journal(std::size_t held) {
   } else if (journal_.epoch > epoch_) {
     // A checkpoint orders snapshot-then-journal, so no crash leaves this:
     // the snapshot was replaced or rolled back out from under it.
+    frames_unread_ = true;
     findings_.push_back({FsckSeverity::kCorruption, "future-journal-epoch",
                          "journal epoch " + std::to_string(journal_.epoch) +
                              " is ahead of snapshot epoch " +
@@ -195,8 +204,8 @@ DurableHistory::DurableHistory(const schema::TaskSchema& schema,
   db_ = std::make_unique<history::HistoryDb>(schema, clock);
   StoreReader reader(paths_);
   reader.refuse_corruption(dir_);
-  for (const std::string_view line : support::Lines(reader.image())) {
-    if (!support::trim(line).empty()) db_->apply_saved_line(line);
+  while (const std::optional<std::string_view> line = reader.next_line()) {
+    db_->apply_saved_line(*line);
   }
   report_.snapshot_instances = db_->size();
   reader.read_journal(db_->size());

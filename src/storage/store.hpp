@@ -51,6 +51,7 @@
 #include "storage/fsck.hpp"
 #include "storage/journal.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 
 namespace herc::storage {
 
@@ -115,19 +116,20 @@ struct StorePaths {
 /// (torn-journal-tail).
 class StoreReader {
  public:
-  /// Reads the snapshot in `paths`, when there is one, and checks its
+  /// Opens the snapshot in `paths`, when there is one, and checks its
   /// header; a store without one is an empty image at epoch 0.
   explicit StoreReader(const StorePaths& paths);
   /// Reads the journal in `paths` alone, against a snapshot at `epoch`.
   StoreReader(const StorePaths& paths, std::uint64_t epoch);
 
-  /// The snapshot's lines after its header, to replay; empty once
-  /// `read_journal` has released the snapshot's bytes.
-  [[nodiscard]] std::string_view image() const {
-    return std::string_view(snapshot_).substr(image_at_);
-  }
-  /// Checks that replaying `image()` left `held` instances, releases the
-  /// snapshot's bytes and reads the journal.
+  /// The snapshot's next line after its header that is not blank, to
+  /// replay, without its '\n': a view valid until the next call, read
+  /// through one bounded window (`support::FileReader`), so the snapshot
+  /// is never resident whole.  Nullopt once it ends or `read_journal`
+  /// has closed it.
+  [[nodiscard]] std::optional<std::string_view> next_line();
+  /// Checks that replaying the snapshot's lines left `held` instances,
+  /// closes the snapshot and reads the journal.
   void read_journal(std::size_t held);
   /// Throws `HistoryError` naming store `dir` for the first corruption.
   void refuse_corruption(const std::string& dir) const;
@@ -143,15 +145,20 @@ class StoreReader {
   [[nodiscard]] ScanResult& journal() { return journal_; }
   /// Frames of a stale journal: the ones a fresh journal discards.
   [[nodiscard]] std::size_t discarded() const { return discarded_; }
+  /// True when the journal may hold frames this reader could not read: the
+  /// snapshot's header is bad, or the journal's magic, or its epoch is
+  /// ahead of the snapshot's.  Replacing such a journal would lose them,
+  /// so fsck's repair refuses it as open does.
+  [[nodiscard]] bool frames_unread() const { return frames_unread_; }
 
  private:
   std::string journal_path_;
-  std::string snapshot_;
-  std::size_t image_at_ = 0;
+  std::optional<support::FileReader> snapshot_;
   std::uint64_t epoch_ = 0;
   std::optional<std::uint32_t> declared_;
   ScanResult journal_;
   bool extends_ = false;
+  bool frames_unread_ = false;
   std::size_t discarded_ = 0;
   std::vector<FsckFinding> findings_;
 };

@@ -31,11 +31,24 @@ std::uint64_t get_le64(std::string_view bytes, std::size_t at) {
          (static_cast<std::uint64_t>(get_le32(bytes, at + 4)) << 32);
 }
 
+EnvelopeChecksum::EnvelopeChecksum(std::uint32_t length) {
+  std::string bytes;
+  put_le32(bytes, length);
+  state_ = fnv1a(bytes);
+}
+
+void EnvelopeChecksum::add(std::string_view piece) {
+  state_ = fnv1a_append(state_, piece);
+}
+
+std::uint32_t EnvelopeChecksum::value() const {
+  return static_cast<std::uint32_t>(state_ ^ (state_ >> 32));
+}
+
 std::uint32_t envelope_checksum(std::string_view payload) {
-  std::string length;
-  put_le32(length, static_cast<std::uint32_t>(payload.size()));
-  const std::uint64_t h = fnv1a_append(fnv1a(length), payload);
-  return static_cast<std::uint32_t>(h ^ (h >> 32));
+  EnvelopeChecksum checksum(static_cast<std::uint32_t>(payload.size()));
+  checksum.add(payload);
+  return checksum.value();
 }
 
 void seal(std::string& out, std::string_view payload) {

@@ -27,6 +27,19 @@ void put_le64(std::string& out, std::uint64_t v);
 /// The checksum of an envelope around `payload`.
 [[nodiscard]] std::uint32_t envelope_checksum(std::string_view payload);
 
+/// The same checksum over a payload of `length` bytes taken in pieces, for
+/// a reader that never holds the payload whole; `envelope_checksum` (and so
+/// `seal` and `unseal`) is one piece of it.
+class EnvelopeChecksum {
+ public:
+  explicit EnvelopeChecksum(std::uint32_t length);
+  void add(std::string_view piece);
+  [[nodiscard]] std::uint32_t value() const;
+
+ private:
+  std::uint64_t state_;
+};
+
 /// Appends the envelope around `payload` to `out`.  Throws `HistoryError`
 /// when the payload does not fit a 32-bit length.
 void seal(std::string& out, std::string_view payload);

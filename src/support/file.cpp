@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -48,6 +49,68 @@ std::optional<std::string> read_file(const std::string& path) {
   // was there.
   bytes.resize(static_cast<std::size_t>(in.gcount()));
   return bytes;
+}
+
+FileReader::FileReader(std::string path)
+    : path_(std::move(path)),
+      fd_(::open(path_.c_str(), O_RDONLY | O_CLOEXEC)),
+      window_(std::make_unique_for_overwrite<char[]>(kWindowBytes)) {
+  if (fd_ < 0) throw file_error("cannot open", path_);
+}
+
+FileReader::~FileReader() { ::close(fd_); }
+
+std::string_view FileReader::read(std::size_t n) {
+  while (end_ - at_ < n && fill()) {
+  }
+  const std::string_view bytes(window_.get() + at_,
+                               std::min(n, end_ - at_));
+  at_ += bytes.size();
+  return bytes;
+}
+
+std::optional<std::string_view> FileReader::line() {
+  std::size_t searched = 0;  // unread bytes known to hold no '\n'
+  for (;;) {
+    const char* const from = window_.get() + at_ + searched;
+    const void* const nl = std::memchr(from, '\n', end_ - at_ - searched);
+    if (nl != nullptr) {
+      const std::size_t size =
+          static_cast<std::size_t>(static_cast<const char*>(nl) - from) +
+          searched + 1;
+      const std::string_view text(window_.get() + at_, size);
+      at_ += size;
+      return text;
+    }
+    searched = end_ - at_;
+    if (!fill()) break;
+  }
+  if (at_ == end_) return std::nullopt;
+  const std::string_view last(window_.get() + at_, end_ - at_);
+  at_ = end_;
+  return last;
+}
+
+bool FileReader::fill() {
+  const std::size_t unread = end_ - at_;
+  if (unread == capacity_) {
+    std::unique_ptr<char[]> wider =
+        std::make_unique_for_overwrite<char[]>(2 * capacity_);
+    std::memcpy(wider.get(), window_.get(), unread);
+    window_ = std::move(wider);
+    capacity_ *= 2;
+  } else if (at_ > 0) {
+    std::memmove(window_.get(), window_.get() + at_, unread);
+  }
+  at_ = 0;
+  end_ = unread;
+  ssize_t got = 0;
+  do {
+    got = ::read(fd_, window_.get() + end_, capacity_ - end_);
+  } while (got < 0 && errno == EINTR);
+  if (got < 0) throw file_error("cannot read", path_);
+  end_ += static_cast<std::size_t>(got);
+  return got > 0;
 }
 
 void write_file_atomic(const std::string& path,

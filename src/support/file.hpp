@@ -1,8 +1,9 @@
-// The one file seam: whole-file reads, and every durable write in src/
-// (journal, snapshot, schema, replica marker, index image, `session save`).
-// Each write, flush, fsync, cut, rename and removal is checked, and a
-// failure throws `HistoryError` naming the file and the system's reason.
-// Nothing else in src/ syncs, renames or cuts a file (CI greps for it).
+// The one file seam: every read in src/ (whole files, or front to back
+// through one bounded window) and every durable write (journal, snapshot,
+// schema, replica marker, index image, `session save`).  Each read, write,
+// flush, fsync, cut, rename and removal is checked, and a failure throws
+// `HistoryError` naming the file and the system's reason.  Nothing else in
+// src/ opens, syncs, renames or cuts a file (CI greps for it).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,40 @@ namespace herc::support {
 /// from the file, or nullopt when it cannot be opened or read.  Callers
 /// raise their own error, naming what they were reading.
 [[nodiscard]] std::optional<std::string> read_file(const std::string& path);
+
+/// Reads a file front to back through one window of `kWindowBytes`, so a
+/// file of any size is never resident whole: the window grows only to hold
+/// a line longer than it.  A view handed out stays valid until the next
+/// call.  A failed open or read throws `HistoryError` naming the file.
+class FileReader {
+ public:
+  static constexpr std::size_t kWindowBytes = std::size_t{1} << 20;
+
+  explicit FileReader(std::string path);
+  ~FileReader();
+  FileReader(const FileReader&) = delete;
+  FileReader& operator=(const FileReader&) = delete;
+
+  /// The next `n` bytes as they are, or fewer where the file ends first.
+  [[nodiscard]] std::string_view read(std::size_t n);
+  /// The next line with its '\n' (the last line may lack one), or nullopt
+  /// at the end of the file: the lines concatenate to the file's bytes.
+  [[nodiscard]] std::optional<std::string_view> line();
+
+ private:
+  /// Moves the unread bytes to the window's front, doubling the window
+  /// when they fill it, and reads more after them; false at the end of
+  /// the file.
+  bool fill();
+
+  std::string path_;
+  int fd_ = -1;
+  std::unique_ptr<char[]> window_;
+  std::size_t capacity_ = kWindowBytes;
+  /// The unread bytes are `window_[at_, end_)`.
+  std::size_t at_ = 0;
+  std::size_t end_ = 0;
+};
 
 /// Durably replaces the file at `path` with `pieces`, written in turn:
 /// writes `path`.tmp, fsyncs it, renames it over `path` and fsyncs the

@@ -47,6 +47,12 @@ std::vector<std::string> split_ws(std::string_view s) {
   return out;
 }
 
+std::string numbered(std::string_view prefix, std::uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

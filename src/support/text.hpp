@@ -2,6 +2,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -63,6 +64,11 @@ class Lines {
 
 /// Splits on runs of whitespace, dropping empty fields.
 [[nodiscard]] std::vector<std::string> split_ws(std::string_view s);
+
+/// `prefix` then `n` in decimal: "i" and 42 give "i42", as instance, node
+/// and net names are spelled.  It appends, where `"i" + std::to_string(n)`
+/// trips GCC 12's -Wrestrict in optimized builds.
+[[nodiscard]] std::string numbered(std::string_view prefix, std::uint64_t n);
 
 /// Joins with `sep` between elements.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,

@@ -14,7 +14,8 @@ constexpr std::string_view kPart = "@part ";
 
 std::string join_composite(const std::vector<std::string>& parts) {
   std::string out(kHeader);
-  out += " " + std::to_string(parts.size()) + "\n";
+  out += support::numbered(" ", parts.size());
+  out += '\n';
   for (const std::string& part : parts) {
     // Length-prefixed so part contents never collide with the markers.
     out += kPart;

@@ -696,6 +696,59 @@ TEST(FsckTest, RepairRefusesAnImageThatWouldNotOpen) {
   EXPECT_FALSE(fs::exists(fs::path(f.dir) / "journal.wal"));
 }
 
+/// A store with one checkpointed import and two journaled ones; returns
+/// its directory.
+std::string store_with_a_journal(const std::string& name,
+                                 const schema::TaskSchema& schema) {
+  const std::string dir = scratch(name);
+  support::ManualClock clock(100, 10);
+  StoreOptions options;
+  options.journal.sync = SyncPolicy::kCommit;
+  DurableHistory store(schema, clock, dir, options);
+  store.db().import_instance(schema.require("Stimuli"), "kept", "a", "u");
+  store.checkpoint();
+  store.db().import_instance(schema.require("Stimuli"), "late", "b", "u");
+  store.db().import_instance(schema.require("Stimuli"), "later", "c", "u");
+  return dir;
+}
+
+/// Repairs `dir` and checks that the repair was refused and wrote nothing.
+void expect_repair_refused(const std::string& dir, const std::string& code) {
+  const std::string snapshot = (fs::path(dir) / "snapshot.herc").string();
+  const std::string journal = (fs::path(dir) / "journal.wal").string();
+  const std::optional<std::string> snapshot_before =
+      support::read_file(snapshot);
+  const std::optional<std::string> journal_before = support::read_file(journal);
+  FsckOptions repair;
+  repair.repair = true;
+  const FsckReport report = fsck_store(dir, repair);
+  EXPECT_TRUE(report.has(code)) << report.render();
+  EXPECT_TRUE(report.has("repair-refused")) << report.render();
+  EXPECT_TRUE(report.repairs.empty()) << report.render();
+  EXPECT_EQ(report.exit_code(), 2);
+  EXPECT_EQ(support::read_file(snapshot), snapshot_before);
+  EXPECT_EQ(support::read_file(journal), journal_before);
+  // The next audit still sees the damage: nothing made it look clean.
+  EXPECT_EQ(fsck_store(dir).exit_code(), 2);
+}
+
+TEST(FsckTest, RepairLeavesTheJournalOfAStoreWhoseSnapshotLostItsHeader) {
+  const schema::TaskSchema schema = schema::make_fig1_schema();
+  const std::string dir = store_with_a_journal("herc_fsck_no_header", schema);
+  put(dir, "snapshot.herc", "");
+  expect_repair_refused(dir, "bad-snapshot-header");
+}
+
+TEST(FsckTest, RepairLeavesAJournalWhoseMagicItCannotRead) {
+  const schema::TaskSchema schema = schema::make_fig1_schema();
+  const std::string dir = store_with_a_journal("herc_fsck_bad_magic", schema);
+  const std::string journal = (fs::path(dir) / "journal.wal").string();
+  std::string bytes = support::read_file(journal).value();
+  bytes[0] = static_cast<char>(bytes[0] ^ 1);
+  put(dir, "journal.wal", bytes);
+  expect_repair_refused(dir, "bad-record");
+}
+
 TEST(FsckTest, JsonEscapesControlBytesInFindings) {
   Forge f("herc_fsck_json_control");
   f.blob("seed");

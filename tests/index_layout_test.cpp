@@ -496,5 +496,164 @@ TEST(IndexLayoutTest, ParseRejectsARepeatedToken) {
   EXPECT_EQ(error, "duplicate token 'low'");
 }
 
+/// What a loader made of some bytes: the reason it refused them, or ""
+/// and the image it adopted, serialized.
+struct Verdict {
+  std::string reason;
+  std::string image;
+  bool operator==(const Verdict&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const Verdict& verdict) {
+  return out << (verdict.reason.empty() ? "adopted" : verdict.reason);
+}
+
+Verdict parsed(std::string_view bytes) {
+  IndexImage image;
+  std::string error;
+  if (!IndexImage::parse(bytes, image, error)) return {error, ""};
+  return {"", image.serialize()};
+}
+
+/// `bytes` written as `dir`'s index file and streamed in by `load_image`.
+Verdict loaded(const std::string& dir, std::string_view bytes) {
+  {
+    std::ofstream out(HistoryIndexes::file_path(dir),
+                      std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const HistoryIndexes::LoadedImage image = HistoryIndexes::load_image(dir);
+  if (!image.image) return {image.error, ""};
+  return {"", image.image->serialize()};
+}
+
+/// A scratch directory for one test, wiped on entry.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = (fs::temp_directory_path() / name).string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+TEST(IndexLayoutTest, TheStreamedLoadAndParseAgreeOnEveryCutAndFlip) {
+  const std::string dir = fresh_dir("herc_index_layout_streamed");
+  const std::string_view image = kLiveImage;
+  EXPECT_EQ(loaded(dir, image), (Verdict{"", std::string(image)}));
+  EXPECT_EQ(parsed(image), (Verdict{"", std::string(image)}));
+
+  for (std::size_t cut = 0; cut < image.size(); ++cut) {
+    const std::string_view prefix = image.substr(0, cut);
+    const Verdict verdict = parsed(prefix);
+    EXPECT_FALSE(verdict.reason.empty()) << "cut " << cut;
+    EXPECT_EQ(loaded(dir, prefix), verdict) << "cut " << cut;
+  }
+
+  // One region per part of the file: its bytes, and the reason a flipped
+  // bit in them must give.
+  const std::size_t stamp_end = image.find('\n', 16) + 1;
+  const std::size_t tok_at = image.find("tok|low|");
+  const std::size_t tok_end = image.find('\n', tok_at) + 1;
+  const std::size_t adj_at = image.find("adj|");
+  struct Region {
+    std::string name;
+    std::size_t begin;
+    std::size_t end;
+  };
+  for (const Region& region :
+       {Region{"magic", 0, 8}, Region{"length", 8, 12},
+        Region{"checksum", 12, 16}, Region{"stamp", 16, stamp_end},
+        Region{"tok line", tok_at, tok_end},
+        Region{"adj line", adj_at, image.size()}}) {
+    for (std::size_t at = region.begin; at < region.end; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped(image);
+        flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+        const std::string note = region.name + ": byte " +
+                                 std::to_string(at) + " bit " +
+                                 std::to_string(bit);
+        const Verdict verdict = parsed(flipped);
+        EXPECT_EQ(loaded(dir, flipped), verdict) << note;
+        if (region.name == "magic") {
+          EXPECT_EQ(verdict.reason,
+                    "bad magic '" + flipped.substr(0, 8) + "'")
+              << note;
+        } else {
+          EXPECT_EQ(verdict.reason, "body checksum mismatch") << note;
+        }
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(IndexLayoutTest, TheChecksumOutranksADefectAndTheFirstDefectWins) {
+  const std::string dir = fresh_dir("herc_index_layout_reasons");
+  const auto sealed = [](std::string_view payload) {
+    std::string text(kIndexMagic);
+    support::seal(text, payload);
+    return text;
+  };
+  struct Case {
+    std::string bytes;
+    std::string reason;
+  };
+  std::string bad_checksum = sealed("stamp|0|0|0\nbogus|1\n");
+  bad_checksum[12] = static_cast<char>(bad_checksum[12] ^ 1);
+  const std::vector<Case> cases{
+      {"", "bad magic ''"},
+      {"HERCIDX1 rest", "bad magic 'HERCIDX1'"},
+      {"HERCIDX2", "body checksum mismatch"},
+      {bad_checksum, "body checksum mismatch"},
+      {sealed("stamp|0|0|0\nbogus|1\n") + "x", "body checksum mismatch"},
+      {sealed(""), "missing stamp line"},
+      {sealed("stamp|0|0|0"), "missing stamp line"},
+      {sealed("stamp|0|0|0\nbogus|1\n"), "unknown section 'bogus'"},
+      {sealed("stamp|0|0|0\ntok|low|2\ntok|low|4\nbogus|1\n"),
+       "duplicate token 'low'"},
+      {sealed("stamp|0|0|0\ntok|low|2\nbogus|1\ntok|low|4\n"),
+       "unknown section 'bogus'"},
+      {sealed("stamp|0|0|0\ntok|a|1\ntok|b|1\ntok|a|x\ntok|b|2\n"),
+       "duplicate token 'a'"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.reason);
+    EXPECT_EQ(parsed(c.bytes), (Verdict{c.reason, ""}));
+    EXPECT_EQ(loaded(dir, c.bytes), (Verdict{c.reason, ""}));
+  }
+  // Structural reasons from the record reader come out the same way too.
+  for (const std::string_view payload :
+       {"stamp|x|0|0\n"sv, "stamp|0|0|0\ntok|a|-1\n"sv,
+        "stamp|0|0|0\nusr|bob|1|z\n"sv, "stamp|0|0|0\ntyp|S|5\n"sv}) {
+    const std::string bytes = sealed(payload);
+    const Verdict verdict = parsed(bytes);
+    EXPECT_FALSE(verdict.reason.empty()) << payload;
+    EXPECT_EQ(loaded(dir, bytes), verdict) << payload;
+  }
+  fs::remove(HistoryIndexes::file_path(dir));
+  EXPECT_EQ(HistoryIndexes::load_image(dir).error, "no index file");
+  fs::remove_all(dir);
+}
+
+TEST(IndexLayoutTest, AnImageLargerThanTheReadWindowStreamsIn) {
+  IndexImage image;
+  for (std::uint32_t id = 0; id < 150'000; ++id) {
+    image.add_instance(id, "Stimuli", "wave" + std::to_string(id),
+                       id % 3 == 0 ? "bob" : "ada", 100 + id, "",
+                       history::Derivation{});
+  }
+  const std::string bytes = image.serialize();
+  ASSERT_GT(bytes.size(), 2 * support::FileReader::kWindowBytes);
+  const std::string dir = fresh_dir("herc_index_layout_large");
+  const HistoryIndexes::LoadedImage back = [&] {
+    std::ofstream(HistoryIndexes::file_path(dir), std::ios::binary) << bytes;
+    return HistoryIndexes::load_image(dir);
+  }();
+  ASSERT_TRUE(back.image.has_value()) << back.error;
+  EXPECT_EQ(back.image->serialize(), bytes);
+  EXPECT_EQ(back.image->tokens.find("wave149999"), 149'999u);
+  EXPECT_EQ(back.image->by_date.size(), 150'000u);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace herc::index

@@ -533,6 +533,33 @@ TEST_F(StorageTest, EmptySnapshotRefused) {
   EXPECT_EQ(report.exit_code(), 2);
 }
 
+TEST_F(StorageTest, ASnapshotLargerThanTheReadWindowReplaysWhole) {
+  // Many lines, so that some straddle the reader's window boundaries, and
+  // blob lines longer than the window itself.
+  std::string saved;
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    const std::string huge(support::FileReader::kWindowBytes + 4321, 'p');
+    for (int i = 0; i < 20000; ++i) {
+      const std::string payload =
+          i % 7000 == 0 ? huge + std::to_string(i) : "w" + std::to_string(i);
+      store.db().import_instance(schema_.require("Stimuli"),
+                                 "wave " + std::to_string(i), payload, "u");
+    }
+    store.checkpoint();
+    saved = store.db().save();
+  }
+  ASSERT_GT(fs::file_size(snapshot_path()),
+            3 * support::FileReader::kWindowBytes);
+  support::ManualClock clock2(0, 1);
+  DurableHistory reopened(schema_, clock2, dir_);
+  EXPECT_EQ(reopened.recovery().snapshot_instances, 20000u);
+  EXPECT_EQ(reopened.db().save(), saved);
+  const FsckReport report = fsck_store(dir_);
+  EXPECT_EQ(report.exit_code(), 0) << report.render();
+  EXPECT_EQ(report.stats.instances, 20000u);
+}
+
 TEST_F(StorageTest, OpenAndFsckJudgeEveryDamagedStoreAlike) {
   // One store: a checkpointed history, then three kCommit imports.
   StoreOptions options;

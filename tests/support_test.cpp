@@ -9,6 +9,8 @@
 #include <fstream>
 #include <optional>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "data/blob_store.hpp"
 #include "support/clock.hpp"
@@ -119,6 +121,136 @@ TEST(File, ReadFileReturnsTheBytesOrNothing) {
   EXPECT_EQ(read_file(path), bytes);
   std::remove(path.c_str());
   EXPECT_EQ(read_file(path), std::nullopt);
+}
+
+// ---- the bounded-window reader ----------------------------------------------
+
+/// A file of `bytes` in the test's temp directory; removed when it dies.
+class TempFile {
+ public:
+  explicit TempFile(std::string_view bytes)
+      : path_(::testing::TempDir() + "herc_file_reader_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ~TempFile() { std::remove(path_.c_str()); }
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Every line `FileReader` hands out for `path`, copied.
+std::vector<std::string> lines_of(const std::string& path) {
+  FileReader reader(path);
+  std::vector<std::string> lines;
+  while (const std::optional<std::string_view> line = reader.line()) {
+    lines.emplace_back(*line);
+  }
+  return lines;
+}
+
+/// The lines of `bytes` as `FileReader` must hand them out: each with its
+/// '\n', the last one without when the bytes do not end in one.
+std::vector<std::string> expected_lines(std::string_view bytes) {
+  std::vector<std::string> lines;
+  while (!bytes.empty()) {
+    const std::size_t nl = bytes.find('\n');
+    const std::size_t size = nl == std::string_view::npos ? bytes.size() : nl + 1;
+    lines.emplace_back(bytes.substr(0, size));
+    bytes.remove_prefix(size);
+  }
+  return lines;
+}
+
+TEST(FileReader, LinesThatStraddleTheWindowComeOutWhole) {
+  std::mt19937_64 rng(testprop::base_seed(0x5eedf11eULL));
+  std::string bytes;
+  while (bytes.size() < 3 * FileReader::kWindowBytes + 17) {
+    std::string line(rng() % 2000, 'x');
+    for (char& c : line) c = static_cast<char>('a' + rng() % 26);
+    bytes += line;
+    bytes += '\n';
+  }
+  const TempFile file(bytes);
+  const std::vector<std::string> lines = lines_of(file.path());
+  EXPECT_EQ(lines, expected_lines(bytes));
+  // Some line really does cross each window boundary.
+  std::size_t at = 0;
+  std::size_t straddling = 0;
+  for (const std::string& line : lines) {
+    if (at / FileReader::kWindowBytes !=
+        (at + line.size() - 1) / FileReader::kWindowBytes) {
+      ++straddling;
+    }
+    at += line.size();
+  }
+  EXPECT_GE(straddling, 2u);
+}
+
+TEST(FileReader, ALineLongerThanTheWindowGrowsIt) {
+  const std::string huge(2 * FileReader::kWindowBytes + 123, 'h');
+  const std::string bytes = "first\n" + huge + "\nlast\n";
+  const TempFile file(bytes);
+  EXPECT_EQ(lines_of(file.path()),
+            (std::vector<std::string>{"first\n", huge + "\n", "last\n"}));
+}
+
+TEST(FileReader, TheLastLineMayLackItsNewline) {
+  const TempFile file("a\nbc");
+  EXPECT_EQ(lines_of(file.path()), (std::vector<std::string>{"a\n", "bc"}));
+}
+
+TEST(FileReader, AnEmptyFileHasNoLinesAndNoBytes) {
+  const TempFile file("");
+  FileReader reader(file.path());
+  EXPECT_EQ(reader.read(16), "");
+  EXPECT_EQ(reader.line(), std::nullopt);
+  EXPECT_EQ(reader.line(), std::nullopt);
+}
+
+TEST(FileReader, BlankLinesAreLinesToo) {
+  const TempFile file("\n\n\n");
+  EXPECT_EQ(lines_of(file.path()),
+            (std::vector<std::string>{"\n", "\n", "\n"}));
+}
+
+TEST(FileReader, ARawPrefixThenTheLinesAfterIt) {
+  const std::string head("HERC\0\n\xff\x01", 8);
+  const TempFile file(head + "one\ntwo");
+  FileReader reader(file.path());
+  EXPECT_EQ(reader.read(8), head);
+  EXPECT_EQ(reader.line(), "one\n");
+  EXPECT_EQ(reader.read(16), "two");
+  EXPECT_EQ(reader.read(16), "");
+  EXPECT_EQ(reader.line(), std::nullopt);
+}
+
+TEST(FileReader, AnUnreadablePathThrowsNamingIt) {
+  const std::string missing = ::testing::TempDir() + "herc_no_such_file";
+  std::remove(missing.c_str());
+  try {
+    FileReader reader(missing);
+    ADD_FAILURE() << "opened a missing file";
+  } catch (const HistoryError& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+        << e.what();
+  }
+  // A directory opens, and its first read fails.
+  const std::string dir = ::testing::TempDir() + "herc_file_reader_dir";
+  std::filesystem::create_directories(dir);
+  FileReader reader(dir);
+  try {
+    (void)reader.line();
+    ADD_FAILURE() << "read lines from a directory";
+  } catch (const HistoryError& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(std::strerror(EISDIR)),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---- the durable-write seam -------------------------------------------------
@@ -486,6 +618,16 @@ TEST(Envelope, SealIsLengthChecksumPayload) {
   seal(empty, "");
   EXPECT_EQ(empty.size(), kEnvelopeHeaderBytes);
   EXPECT_EQ(unseal_exact(empty), std::string_view());
+}
+
+TEST(Envelope, TheChecksumTakenInPiecesIsTheOneChecksum) {
+  const std::string_view payload = "annot|0|zebra waves|striped\n";
+  for (std::size_t cut = 0; cut <= payload.size(); ++cut) {
+    EnvelopeChecksum pieces(static_cast<std::uint32_t>(payload.size()));
+    pieces.add(payload.substr(0, cut));
+    pieces.add(payload.substr(cut));
+    EXPECT_EQ(pieces.value(), envelope_checksum(payload)) << "cut " << cut;
+  }
 }
 
 TEST(Envelope, EveryCutAndEveryBitFlipIsRefused) {
