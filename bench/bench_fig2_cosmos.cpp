@@ -11,6 +11,7 @@
 #include "circuit/models.hpp"
 #include "circuit/sim.hpp"
 #include "circuit/stimuli.hpp"
+#include "support/text.hpp"
 
 namespace {
 
@@ -19,8 +20,8 @@ using namespace herc::circuit;
 std::vector<std::string> adder_inputs(std::size_t bits) {
   std::vector<std::string> nets;
   for (std::size_t i = 0; i < bits; ++i) {
-    nets.push_back("a" + std::to_string(i));
-    nets.push_back("b" + std::to_string(i));
+    nets.push_back(herc::support::numbered("a", i));
+    nets.push_back(herc::support::numbered("b", i));
   }
   nets.push_back("cin");
   return nets;

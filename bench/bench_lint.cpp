@@ -18,6 +18,7 @@
 #include "history/history_db.hpp"
 #include "schema/standard_schemas.hpp"
 #include "support/clock.hpp"
+#include "support/text.hpp"
 #include "tools/registry.hpp"
 
 namespace {
@@ -71,7 +72,7 @@ int main() {
                           "Performance", "PlacedLayout", "Simulator"};
   for (std::size_t i = 0; i < kInstances; ++i) {
     db.import_instance(schema.require(kTypes[i % 6]),
-                       "b" + std::to_string(i), "p", "bench");
+                       support::numbered("b", i), "p", "bench");
   }
 
   tools::ToolRegistry registry(schema);

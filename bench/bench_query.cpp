@@ -33,6 +33,7 @@
 #include "index/indexes.hpp"
 #include "schema/standard_schemas.hpp"
 #include "support/clock.hpp"
+#include "support/text.hpp"
 
 namespace {
 
@@ -128,7 +129,7 @@ int main() {
       perfs.push_back(db.record(req));
       continue;
     }
-    std::string name = "n" + std::to_string(i);
+    std::string name = support::numbered("n", i);
     if (i % kKeywordEvery == 1) name += "_hotspot";
     const char* user = i % kUserEvery == 2 ? "rare_user" : "bench";
     if (i % kStimuliEvery == 3) {

@@ -20,6 +20,7 @@
 #include "storage/journal.hpp"
 #include "storage/store.hpp"
 #include "support/clock.hpp"
+#include "support/text.hpp"
 #include "tools/registry.hpp"
 
 namespace {
@@ -48,8 +49,8 @@ schema::TaskSchema make_chain_schema() {
   schema::TaskSchema s("resume-bench");
   schema::EntityTypeId prev = s.add_data("Src");
   for (std::size_t i = 1; i <= kTasks; ++i) {
-    const schema::EntityTypeId tool = s.add_tool("T" + std::to_string(i));
-    const schema::EntityTypeId d = s.add_data("D" + std::to_string(i));
+    const schema::EntityTypeId tool = s.add_tool(support::numbered("T", i));
+    const schema::EntityTypeId d = s.add_data(support::numbered("D", i));
     s.set_functional_dependency(d, tool);
     s.add_data_dependency(d, prev);
     prev = d;
@@ -62,9 +63,9 @@ void register_tools(tools::ToolRegistry& registry,
                     const schema::TaskSchema& schema) {
   for (std::size_t i = 1; i <= kTasks; ++i) {
     tools::Encapsulation enc;
-    enc.name = "T" + std::to_string(i) + ".enc";
-    enc.tool_type = schema.require("T" + std::to_string(i));
-    const std::string out_entity = "D" + std::to_string(i);
+    enc.name = support::numbered("T", i) + ".enc";
+    enc.tool_type = schema.require(support::numbered("T", i));
+    const std::string out_entity = support::numbered("D", i);
     enc.fn = [out_entity](const tools::ToolContext&) {
       std::this_thread::sleep_for(kTaskCost);
       tools::ToolOutput out;
@@ -78,7 +79,7 @@ void register_tools(tools::ToolRegistry& registry,
 graph::TaskGraph make_chain_flow(const schema::TaskSchema& schema,
                                  history::HistoryDb& db) {
   graph::TaskGraph flow(schema, "chain");
-  flow.add_node(schema.require("D" + std::to_string(kTasks)));
+  flow.add_node(schema.require(support::numbered("D", kTasks)));
   bool again = true;
   while (again) {
     again = false;
@@ -230,7 +231,7 @@ int main() {
     storage::DurableHistory store(schema, clock, audit_dir, options);
     const schema::EntityTypeId src = schema.require("Src");
     for (std::size_t i = 0; i < kFsckInstances; ++i) {
-      store.db().import_instance(src, "s" + std::to_string(i),
+      store.db().import_instance(src, support::numbered("s", i),
                                  "payload" + std::to_string(i % 257),
                                  "bench");
     }

@@ -17,6 +17,7 @@
 #include "schema/standard_schemas.hpp"
 #include "storage/store.hpp"
 #include "support/clock.hpp"
+#include "support/text.hpp"
 
 namespace {
 
@@ -35,9 +36,9 @@ void populate(history::HistoryDb& db, const schema::TaskSchema& schema,
               std::size_t count, std::size_t tag) {
   const schema::EntityTypeId netlist = schema.require("EditedNetlist");
   for (std::size_t i = 0; i < count; ++i) {
-    db.import_instance(netlist, "n" + std::to_string(tag) + "_" +
-                                    std::to_string(i),
-                       "payload" + std::to_string(i % 97), "bench");
+    db.import_instance(netlist,
+                       support::numbered(support::numbered("n", tag) + "_", i),
+                       support::numbered("payload", i % 97), "bench");
   }
 }
 

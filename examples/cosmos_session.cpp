@@ -12,6 +12,7 @@
 #include "core/session.hpp"
 #include "history/flow_trace.hpp"
 #include "schema/standard_schemas.hpp"
+#include "support/text.hpp"
 
 using namespace herc;
 
@@ -42,8 +43,8 @@ int main() {
   // compiled only once.
   std::vector<std::string> nets;
   for (int i = 0; i < 4; ++i) {
-    nets.push_back("a" + std::to_string(i));
-    nets.push_back("b" + std::to_string(i));
+    nets.push_back(support::numbered("a", i));
+    nets.push_back(support::numbered("b", i));
   }
   nets.push_back("cin");
   const auto st1 = session.import_data(

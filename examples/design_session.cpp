@@ -10,6 +10,7 @@
 #include "exec/consistency.hpp"
 #include "history/flow_trace.hpp"
 #include "schema/standard_schemas.hpp"
+#include "support/text.hpp"
 
 using namespace herc;
 
@@ -88,7 +89,7 @@ int main() {
     std::printf("  i%u v%u (parent %s)\n", entry.instance.value(),
                 entry.version,
                 entry.parent.valid()
-                    ? ("i" + std::to_string(entry.parent.value())).c_str()
+                    ? support::numbered("i", entry.parent.value()).c_str()
                     : "-");
   }
   // ...and Fig. 11b: the flow trace, a superset showing the tools.

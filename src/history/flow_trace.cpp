@@ -62,12 +62,12 @@ TaskGraph make_trace(const HistoryDb& db, std::vector<InstanceId> members,
                            node_of.at(inst.derivation.tool.value()),
                            schema::DepKind::kFunctional, "");
     }
+    const std::vector<std::string>& roles = inst.derivation.input_roles;
     for (std::size_t i = 0; i < inst.derivation.inputs.size(); ++i) {
       const InstanceId in = inst.derivation.inputs[i];
       if (in_set.contains(in.value())) {
         trace.add_trace_edge(from, node_of.at(in.value()),
-                             schema::DepKind::kData,
-                             inst.derivation.input_roles[i]);
+                             schema::DepKind::kData, roles[i]);
       }
     }
   }
@@ -206,11 +206,13 @@ struct PendingEdge {
 /// inputs; an edge only matches inputs recorded under the same role.
 bool assign_inputs(const HistoryDb& db, const TaskGraph& pattern,
                    const std::vector<PendingEdge>& edges, std::size_t next,
-                   const Derivation& derivation, std::vector<char>& used) {
+                   const PooledDerivation& derivation,
+                   std::vector<char>& used) {
   if (next == edges.size()) return true;
+  const std::vector<std::string>& roles = derivation.input_roles;
   for (std::size_t j = 0; j < derivation.inputs.size(); ++j) {
     if (used[j]) continue;
-    if (derivation.input_roles[j] != *edges[next].role) continue;
+    if (roles[j] != *edges[next].role) continue;
     if (match_node(db, pattern, edges[next].target, derivation.inputs[j])) {
       used[j] = 1;
       if (assign_inputs(db, pattern, edges, next + 1, derivation, used)) {

@@ -114,6 +114,7 @@ HistoryDb& HistoryDb::operator=(HistoryDb&& other) noexcept {
   schema_ = other.schema_;
   clock_ = other.clock_;
   blobs_ = std::move(other.blobs_);
+  pool_ = std::move(other.pool_);
   instances_ = std::move(other.instances_);
   used_by_ = std::move(other.used_by_);
   runs_ = std::move(other.runs_);
@@ -177,14 +178,17 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
   inst.id = InstanceId(static_cast<std::uint32_t>(instances_.size()));
   inst.type = request.type;
   inst.name = request.name;
-  inst.user = request.user;
-  inst.comment = request.comment;
+  inst.user = pool_.text(request.user);
+  inst.comment = SparseText(request.comment);
   inst.created = clock_->now();
   const std::size_t blobs_before = blobs_.size();
   inst.blob = blobs_.put(request.payload);
   const bool new_blob = blobs_.size() > blobs_before;
   inst.status = request.status;
-  inst.derivation = request.derivation;
+  inst.derivation.tool = request.derivation.tool;
+  inst.derivation.inputs = request.derivation.inputs;
+  inst.derivation.input_roles = pool_.roles(request.derivation.input_roles);
+  inst.derivation.task = pool_.text(request.derivation.task);
 
   // Version numbering: an editing task (input of the same root entity type,
   // §4.2) continues its input's lineage.  A failed edit produced nothing,
@@ -384,7 +388,7 @@ std::vector<InstanceId> HistoryDb::derivation_closure(InstanceId id) const {
   return order;
 }
 
-std::vector<InstanceId> HistoryDb::used_by(InstanceId id) const {
+const std::vector<InstanceId>& HistoryDb::used_by(InstanceId id) const {
   check_id(id);
   return used_by_[id.index()];
 }
@@ -464,15 +468,8 @@ std::optional<InstanceId> HistoryDb::find_existing(
   std::sort(want.begin(), want.end());
   // Walk the forward index of the narrowest anchor (the tool when present,
   // else the first input) rather than the whole table.
-  std::vector<InstanceId> candidates;
-  if (tool.valid()) {
-    candidates = used_by(tool);
-  } else if (!inputs.empty()) {
-    candidates = used_by(inputs.front());
-  } else {
-    return std::nullopt;
-  }
-  for (const InstanceId cand : candidates) {
+  if (!tool.valid() && inputs.empty()) return std::nullopt;
+  for (const InstanceId cand : used_by(tool.valid() ? tool : inputs.front())) {
     const Instance& inst = instances_[cand.index()];
     // Memoization must treat failed outputs as absent: a recorded failure
     // never satisfies "has this task been performed yet?".
@@ -487,11 +484,17 @@ std::optional<InstanceId> HistoryDb::find_existing(
 }
 
 InstanceRecord HistoryDb::instance_record(const Instance& inst) const {
-  return InstanceRecord{inst.id,      schema_->entity_name(inst.type),
-                        inst.name,    inst.user,
-                        inst.created, inst.comment,
-                        blobs_.key(inst.blob), inst.version,
-                        inst.status,  inst.derivation};
+  const PooledDerivation& d = inst.derivation;
+  return InstanceRecord{inst.id,
+                        schema_->entity_name(inst.type),
+                        inst.name,
+                        inst.user,
+                        inst.created,
+                        inst.comment,
+                        blobs_.key(inst.blob),
+                        inst.version,
+                        inst.status,
+                        Derivation{d.tool, d.inputs, d.input_roles, d.task}};
 }
 
 std::string HistoryDb::save() const {
@@ -547,20 +550,23 @@ void HistoryDb::apply(InstanceRecord&& r) {
   inst.id = r.id;
   inst.type = type;
   inst.name = std::move(r.name);
-  inst.user = std::move(r.user);
+  inst.user = pool_.text(r.user);
   inst.created = r.created;
-  inst.comment = std::move(r.comment);
+  inst.comment = SparseText(std::move(r.comment));
   inst.blob = *blob;
   inst.version = r.version;
   inst.status = r.status;
-  inst.derivation = std::move(r.derivation);
+  inst.derivation.tool = r.derivation.tool;
+  inst.derivation.inputs = std::move(r.derivation.inputs);
+  inst.derivation.input_roles = pool_.roles(r.derivation.input_roles);
+  inst.derivation.task = pool_.text(r.derivation.task);
   link_newest();
 }
 
 void HistoryDb::apply(AnnotateRecord&& r) {
   check_id(r.id);
   instances_[r.id.index()].name = std::move(r.name);
-  instances_[r.id.index()].comment = std::move(r.comment);
+  instances_[r.id.index()].comment = SparseText(std::move(r.comment));
 }
 
 void HistoryDb::apply(QuarantineRecord&& r) {
@@ -572,8 +578,10 @@ void HistoryDb::apply(QuarantineRecord&& r) {
                        "quarantined");
   }
   inst.status = InstanceStatus::kQuarantined;
-  if (!inst.comment.empty()) inst.comment += ' ';
-  inst.comment += "[quarantined: " + r.reason + "]";
+  std::string comment = inst.comment;
+  if (!comment.empty()) comment += ' ';
+  comment += "[quarantined: " + r.reason + "]";
+  inst.comment = SparseText(std::move(comment));
 }
 
 HistoryDb HistoryDb::load(const schema::TaskSchema& schema,

@@ -27,6 +27,7 @@
 #include "data/blob_store.hpp"
 #include "history/instance.hpp"
 #include "history/record_codec.hpp"
+#include "history/text_pool.hpp"
 #include "schema/task_schema.hpp"
 #include "support/chunked.hpp"
 
@@ -190,10 +191,10 @@ class HistoryDb {
   HistoryDb(const schema::TaskSchema& schema, support::Clock& clock);
 
   HistoryDb(HistoryDb&&) noexcept = default;
-  /// Move-assignment replaces the *contents* but keeps the target's
-  /// listener attached: a store installs a fresh image underneath its own
-  /// journal without re-registering.  The source's listener is dropped
-  /// with it.
+  /// Move-assignment replaces the *contents*, text pool included, but
+  /// keeps the target's listener attached: a store installs a fresh image
+  /// underneath its own journal without re-registering.  The source's
+  /// listener is dropped with it.
   HistoryDb& operator=(HistoryDb&& other) noexcept;
 
   [[nodiscard]] const schema::TaskSchema& schema() const { return *schema_; }
@@ -316,9 +317,11 @@ class HistoryDb {
   [[nodiscard]] std::vector<data::InstanceId> derivation_closure(
       data::InstanceId id) const;
 
-  /// Instances whose derivation used `id` directly — one step of forward
-  /// chaining (the "Use dependencies" browser option of Fig. 9).
-  [[nodiscard]] std::vector<data::InstanceId> used_by(
+  /// Instances whose derivation used `id` directly, ascending — one step
+  /// of forward chaining (the "Use dependencies" browser option of
+  /// Fig. 9).  The list is the forward index itself: valid until the next
+  /// mutation.
+  [[nodiscard]] const std::vector<data::InstanceId>& used_by(
       data::InstanceId id) const;
 
   /// Transitive closure of `used_by`, excluding `id`, breadth-first.
@@ -385,7 +388,7 @@ class HistoryDb {
  private:
   void check_id(data::InstanceId id) const;
   [[nodiscard]] schema::EntityTypeId root_type(schema::EntityTypeId t) const;
-  /// `inst` as its `inst` record.
+  /// `inst` as its `inst` record, with owning texts.
   [[nodiscard]] InstanceRecord instance_record(const Instance& inst) const;
   /// Adds the last instance's derivation to the forward index.
   void link_newest();
@@ -406,6 +409,9 @@ class HistoryDb {
   const schema::TaskSchema* schema_;
   support::Clock* clock_;
   data::BlobStore blobs_;
+  /// The one copy of each user, task label and role list the instances
+  /// hold handles to; it lives and moves with `instances_`.
+  TextPool pool_;
   /// Chunked, so that growing the table never moves an instance.
   support::Chunked<Instance> instances_;
   /// Forward index: instance -> instances whose derivation used it.

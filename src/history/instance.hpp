@@ -12,6 +12,7 @@
 
 #include "data/blob_store.hpp"
 #include "data/instance_id.hpp"
+#include "history/text_pool.hpp"
 #include "schema/entity.hpp"
 #include "support/clock.hpp"
 
@@ -22,6 +23,9 @@ namespace herc::history {
 ///
 /// An imported instance (a source entity the designer supplied) has an
 /// empty derivation.  A composite instance has inputs but no tool.
+///
+/// This owning form is what a `RecordRequest` and an `InstanceRecord`
+/// carry; the instance table holds a `PooledDerivation`.
 struct Derivation {
   /// The tool instance executed; invalid for imports and compose tasks.
   data::InstanceId tool;
@@ -31,6 +35,20 @@ struct Derivation {
   /// Short description of the producing step ("Simulator", "compose",
   /// "import", ...) used in trace renderings.
   std::string task;
+
+  [[nodiscard]] bool is_import() const {
+    return !tool.valid() && inputs.empty();
+  }
+};
+
+/// A `Derivation` as the instance table holds it: the same tool and
+/// inputs, with the role list and task label held as handles into the
+/// database's `TextPool`.
+struct PooledDerivation {
+  data::InstanceId tool;
+  std::vector<data::InstanceId> inputs;
+  RoleList input_roles;
+  Text task;
 
   [[nodiscard]] bool is_import() const {
     return !tool.valid() && inputs.empty();
@@ -55,16 +73,21 @@ enum class InstanceStatus : std::uint8_t {
 };
 
 /// One design object: meta-data plus a reference to shared physical data.
+///
+/// A history keeps every instance in memory, so what one costs bounds the
+/// history a server can hold: the texts that repeat (user, task label,
+/// role list) are handles into the database's `TextPool`, and the comment
+/// that most instances lack is one null pointer.
 struct Instance {
   data::InstanceId id;
   schema::EntityTypeId type;
   /// User-visible name ("Low pass filter"); may be empty.
   std::string name;
   /// Who created it (Fig. 9 records user-id per instance).
-  std::string user;
+  Text user;
   support::Timestamp created;
   /// Free-text annotation (§4.1: designers document steps this way).
-  std::string comment;
+  SparseText comment;
   /// The physical payload in the database's blob store; several
   /// instances may share one blob (footnote 5's RCS analogy).
   data::BlobRef blob;
@@ -74,7 +97,7 @@ struct Instance {
   /// derivation meta-data; their payload is empty and `comment` holds the
   /// error message (or skip reason).
   InstanceStatus status = InstanceStatus::kOk;
-  Derivation derivation;
+  PooledDerivation derivation;
 
   [[nodiscard]] bool ok() const { return status == InstanceStatus::kOk; }
 };

@@ -72,7 +72,7 @@ bool matches(const HistoryDb& db, const QueryFilter& filter, InstanceId id) {
   if (filter.to && *filter.to < inst.created) return false;
   if (filter.uses) {
     if (!db.contains(*filter.uses)) return false;
-    const Derivation& d = inst.derivation;
+    const PooledDerivation& d = inst.derivation;
     if (d.tool != *filter.uses &&
         std::find(d.inputs.begin(), d.inputs.end(), *filter.uses) ==
             d.inputs.end()) {
@@ -141,7 +141,7 @@ std::vector<InstanceId> uses_candidates(const HistoryDb& db,
                                         const QueryFilter& filter,
                                         const PageCursor& cursor,
                                         std::size_t limit) {
-  const std::vector<InstanceId> deps = db.used_by(*filter.uses);  // ascending
+  const std::vector<InstanceId>& deps = db.used_by(*filter.uses);  // ascending
   std::vector<InstanceId> out;
   auto it = std::lower_bound(deps.begin(), deps.end(), InstanceId(cursor.id));
   while (it != deps.begin() && out.size() < limit) {

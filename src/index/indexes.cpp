@@ -74,7 +74,8 @@ void IndexImage::add_tokens(std::uint32_t id, std::string_view text) {
 void IndexImage::add_instance(std::uint32_t id, std::string_view type_name,
                               std::string_view name, std::string_view user,
                               std::int64_t created, std::string_view comment,
-                              const history::Derivation& derivation) {
+                              InstanceId tool,
+                              std::span<const InstanceId> inputs) {
   add_tokens(id, name);
   add_tokens(id, comment);
   users[std::string(user)].push_back(id);
@@ -86,15 +87,16 @@ void IndexImage::add_instance(std::uint32_t id, std::string_view type_name,
         std::to_string(src.value()) + ">" + std::to_string(id) + ";";
     adjacency_digest = support::fnv1a_append(adjacency_digest, edge);
   };
-  if (derivation.tool.valid()) fold_edge(derivation.tool);
-  for (const InstanceId in : derivation.inputs) fold_edge(in);
+  if (tool.valid()) fold_edge(tool);
+  for (const InstanceId in : inputs) fold_edge(in);
   ++instances;
 }
 
 void IndexImage::fold(const history::Record& record) {
   if (const auto* inst = std::get_if<history::InstanceRecord>(&record)) {
     add_instance(inst->id.value(), inst->type, inst->name, inst->user,
-                 inst->created.micros(), inst->comment, inst->derivation);
+                 inst->created.micros(), inst->comment, inst->derivation.tool,
+                 inst->derivation.inputs);
   } else if (const auto* annot =
                  std::get_if<history::AnnotateRecord>(&record)) {
     add_tokens(annot->id.value(), annot->name);
@@ -319,7 +321,8 @@ void HistoryIndexes::rebuild() {
         db_->instance(InstanceId(static_cast<std::uint32_t>(i)));
     img_.add_instance(static_cast<std::uint32_t>(i),
                       schema.entity_name(inst.type), inst.name, inst.user,
-                      inst.created.micros(), inst.comment, inst.derivation);
+                      inst.created.micros(), inst.comment,
+                      inst.derivation.tool, inst.derivation.inputs);
   }
   trigrams_.extend(img_.tokens);
 }

@@ -93,11 +93,13 @@ struct IndexImage {
   std::uint64_t edges = 0;
   std::uint64_t adjacency_digest = 0;
 
-  /// Folds one freshly recorded instance in.
+  /// Folds one freshly recorded instance in: its texts, and the tool (if
+  /// valid) and inputs of its derivation.
   void add_instance(std::uint32_t id, std::string_view type_name,
                     std::string_view name, std::string_view user,
                     std::int64_t created, std::string_view comment,
-                    const history::Derivation& derivation);
+                    data::InstanceId tool,
+                    std::span<const data::InstanceId> inputs);
   /// Folds one decoded record in: `inst`, `annot` (the new name/comment
   /// tokens are added; old postings stay, as supersets are fine and
   /// omissions are not) and `quar` carry index content; blob and run-log

@@ -343,7 +343,8 @@ index::IndexImage index_from_instances(
   index::IndexImage img;
   for (const history::InstanceRecord& inst : instances) {
     img.add_instance(inst.id.value(), inst.type, inst.name, inst.user,
-                     inst.created.micros(), inst.comment, inst.derivation);
+                     inst.created.micros(), inst.comment, inst.derivation.tool,
+                     inst.derivation.inputs);
   }
   return img;
 }

@@ -10,18 +10,23 @@
 //
 // On-disk layout:
 //
-//   header   "HERCWAL1" (8 bytes)  +  epoch (u64 little-endian)
+//   header   "HERCWAL2" (8 bytes)  +  envelope around the epoch (u64 LE)
 //   frame    length (u32 LE)  +  checksum (u32 LE)  +  payload bytes
 //   frame    ...
 //
 // Each frame is a `support::seal` envelope, whose checksum covers the length
-// and the payload, so a torn or bit-flipped tail never surfaces as a record.
-// The epoch ties a journal to the snapshot it extends: snapshot compaction
-// bumps the epoch.  What a header means is the store reader's rule
-// (`StoreReader`, store.hpp): a journal older than the snapshot (a crash
-// between the two renames) is discarded as already compacted, one ahead of
-// it is refused, and so is a header with a wrong magic.  No checksum covers
-// the header: a flipped epoch bit reads the same way.
+// and the payload, so a torn or bit-flipped tail never surfaces as a record;
+// the header's epoch sits in one too.  The epoch ties a journal to the
+// snapshot it extends: snapshot compaction bumps the epoch.  What a header
+// means is the store reader's rule (`StoreReader`, store.hpp): a journal
+// older than the snapshot (a crash between the two renames) is discarded as
+// already compacted, one ahead of it is refused, and so is a header with a
+// wrong magic or an epoch that fails its checksum.  A file shorter than its
+// header never held a frame.
+//
+// Journals written before the epoch had a checksum begin "HERCWAL1" and the
+// bare epoch (16 bytes); they are still read, with the epoch unchecked, and
+// appended to, and the store's next checkpoint writes a "HERCWAL2" journal.
 // `Journal` is the framing and sync policy over a `support::AppendFile`.
 #pragma once
 
@@ -48,14 +53,28 @@ struct JournalOptions {
   std::uint64_t sync_interval = 64;
 };
 
-inline constexpr std::string_view kJournalMagic = "HERCWAL1";
-inline constexpr std::size_t kJournalHeaderBytes = 16;  // magic + epoch
+inline constexpr std::string_view kJournalMagic = "HERCWAL2";
+/// magic + the envelope around the epoch
+inline constexpr std::size_t kJournalHeaderBytes =
+    kJournalMagic.size() + support::kEnvelopeHeaderBytes + 8;
+/// The first format's header: its magic and the epoch, outside any checksum.
+inline constexpr std::string_view kJournalMagicV1 = "HERCWAL1";
+inline constexpr std::size_t kJournalV1HeaderBytes = kJournalMagicV1.size() + 8;
 inline constexpr std::size_t kFrameHeaderBytes = support::kEnvelopeHeaderBytes;
+
+/// The header a journal for `epoch` begins with.
+[[nodiscard]] std::string journal_header(std::uint64_t epoch);
+
+/// The length of the header `bytes` begin with: a "HERCWAL2" header's, or
+/// else the first format's, the shortest there is.  Bytes short of it
+/// never held a frame.
+[[nodiscard]] std::size_t journal_header_bytes(std::string_view bytes);
 
 /// Result of frame-level recovery over journal bytes.
 struct ScanResult {
-  /// False when the bytes are shorter than the header or the magic
-  /// differs; there are then no records and no valid bytes.
+  /// False when the bytes are shorter than their header, the magic names
+  /// no format or the epoch fails its checksum; there are then no records
+  /// and no valid bytes.
   bool header_valid = false;
   std::uint64_t epoch = 0;
   /// Payloads of every complete, checksum-valid frame, in order.

@@ -113,7 +113,7 @@ void StoreReader::read_journal(std::size_t held) {
   snapshot_.reset();
   if (!fs::exists(journal_path_)) return;
   const std::string bytes = read_file(journal_path_);
-  if (bytes.size() < kJournalHeaderBytes) {
+  if (bytes.size() < journal_header_bytes(bytes)) {
     // The header is written whole (temp file and rename), so a short file
     // never held a frame.
     if (!bytes.empty()) {
@@ -129,9 +129,13 @@ void StoreReader::read_journal(std::size_t held) {
     // Discarding would lose every frame after a header this binary cannot
     // read, so the file is left for an operator.
     frames_unread_ = true;
-    findings_.push_back({FsckSeverity::kCorruption, "bad-record",
-                         "journal header does not start with the magic '" +
-                             std::string(kJournalMagic) + "'"});
+    findings_.push_back(
+        {FsckSeverity::kCorruption, "bad-record",
+         bytes.starts_with(kJournalMagic)
+             ? "journal header epoch fails its checksum"
+             : "journal header does not start with the magic '" +
+                   std::string(kJournalMagic) + "' or '" +
+                   std::string(kJournalMagicV1) + "'"});
   } else if (journal_.epoch < epoch_) {
     findings_.push_back({FsckSeverity::kWarning, "stale-journal-epoch",
                          "journal epoch " + std::to_string(journal_.epoch) +

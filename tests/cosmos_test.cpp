@@ -8,6 +8,7 @@
 #include "circuit/sim.hpp"
 #include "circuit/stimuli.hpp"
 #include "support/error.hpp"
+#include "support/text.hpp"
 
 namespace herc::circuit {
 namespace {
@@ -85,9 +86,9 @@ TEST(Cosmos, RefusesTooWideComponents) {
   Netlist wide("wide");
   wide.add_output("y");
   for (int i = 0; i < 16; ++i) {
-    const std::string g = "g" + std::to_string(i);
+    const std::string g = support::numbered("g", i);
     wide.add_input(g);
-    wide.add_nmos("m" + std::to_string(i), g, "y",
+    wide.add_nmos(support::numbered("m", i), g, "y",
                   i % 2 == 0 ? "VDD" : "GND");
   }
   EXPECT_THROW(compile_netlist(wide, models(), /*max_component_inputs=*/8),

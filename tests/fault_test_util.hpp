@@ -20,6 +20,7 @@
 #include "history/history_db.hpp"
 #include "schema/task_schema.hpp"
 #include "support/clock.hpp"
+#include "support/text.hpp"
 #include "tools/fault_injection.hpp"
 #include "tools/registry.hpp"
 
@@ -154,8 +155,8 @@ inline std::vector<std::string> history_signature(
     s += "|status=" +
          std::to_string(static_cast<unsigned>(inst.status));
     s += "|payload=" + db.payload(id);
-    s += "|task=" + inst.derivation.task;
-    s += "|comment=" + inst.comment;
+    s += "|task=" + inst.derivation.task.get();
+    s += "|comment=" + inst.comment.get();
     std::vector<std::string> ins;
     if (inst.derivation.tool.valid()) {
       ins.push_back("tool:" +
@@ -188,8 +189,8 @@ inline graph::TaskGraph make_random_dag(World& w, std::size_t n_tasks,
   std::vector<schema::EntityTypeId> tool_types;
   std::vector<std::vector<std::size_t>> inputs_of(n_tasks);
   for (std::size_t i = 0; i < n_tasks; ++i) {
-    const std::string tool_name = "T" + std::to_string(i);
-    const std::string data_name = "D" + std::to_string(i);
+    const std::string tool_name = support::numbered("T", i);
+    const std::string data_name = support::numbered("D", i);
     const schema::EntityTypeId tool = w.schema.add_tool(tool_name);
     const schema::EntityTypeId d = w.schema.add_data(data_name);
     w.schema.set_functional_dependency(d, tool);
@@ -236,7 +237,7 @@ inline std::vector<tools::FaultSpec> random_faults(std::size_t n_tasks,
     const tools::FaultKind kind =
         (rng() % 2 == 0) ? tools::FaultKind::kThrow : tools::FaultKind::kCorrupt;
     const bool kill_retry = rng() % 2 == 0;
-    const std::string enc = "T" + std::to_string(i) + ".enc";
+    const std::string enc = support::numbered("T", i) + ".enc";
     out.push_back({enc, 0, kind, std::chrono::milliseconds{0}});
     if (kill_retry) out.push_back({enc, 1, kind, std::chrono::milliseconds{0}});
   }
@@ -256,7 +257,7 @@ inline graph::TaskGraph make_fan(World& w, std::size_t n) {
   std::vector<schema::EntityTypeId> fan_tools;
   for (std::size_t i = 0; i < n; ++i) {
     const std::string tool_name = "FT" + std::to_string(i);
-    const std::string data_name = "F" + std::to_string(i);
+    const std::string data_name = support::numbered("F", i);
     const schema::EntityTypeId tool = w.schema.add_tool(tool_name);
     const schema::EntityTypeId d = w.schema.add_data(data_name);
     w.schema.set_functional_dependency(d, tool);

@@ -37,7 +37,7 @@ class TraceTest : public ::testing::Test {
     RecordRequest request;
     request.type = schema_.require(type);
     request.name = std::string(type) + payload;
-    request.user = "u";
+    request.user = std::string("u");
     request.payload = payload;
     request.derivation.tool = tool;
     for (auto& [id, role] : inputs) {

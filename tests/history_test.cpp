@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "history/history_db.hpp"
+#include "pooled_texts.hpp"
 #include "schema/standard_schemas.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -247,6 +249,68 @@ TEST_F(HistoryTest, PersistenceRoundTrip) {
   EXPECT_EQ(back.used_by(n1), std::vector<InstanceId>{n2});
   // Round trip is exact.
   EXPECT_EQ(back.save(), text);
+
+  // So it is with texts that repeat (pooled users, task labels and role
+  // lists) and texts that are empty (users, comments, role lists).
+  testpool::fill(db_);
+  (void)db_.import_instance(schema_.require("Stimuli"), "", "", "");
+  const std::string pooled = db_.save();
+  support::ManualClock clock3(0, 1);
+  const HistoryDb again = HistoryDb::load(schema_, clock3, pooled);
+  EXPECT_EQ(again.save(), pooled);
+  EXPECT_EQ(testpool::fields_of(again), testpool::fields_of(db_));
+}
+
+TEST_F(HistoryTest, AnInstanceTakesAtMost128Bytes) {
+  // A history holds every instance in memory, so this bounds the history
+  // one server can hold: repeated texts are 8-byte pool handles, and an
+  // empty comment is one null pointer.
+  EXPECT_LE(sizeof(Instance), 128u);
+}
+
+TEST_F(HistoryTest, InstancesWithTheSameTextShareOnePoolEntry) {
+  testpool::fill(db_);
+  const Instance& editor = db_.instance(InstanceId(0));  // by ada
+  const Instance& sim = db_.instance(InstanceId(1));     // by ada
+  const Instance& stimuli = db_.instance(InstanceId(2));  // by bob
+  EXPECT_EQ(editor.user, "ada");
+  EXPECT_EQ(&editor.user.get(), &sim.user.get());
+  EXPECT_EQ(&editor.derivation.task.get(), &sim.derivation.task.get());
+  EXPECT_NE(&editor.user.get(), &stimuli.user.get());
+  // Two edits under one task label and one role list.
+  const Instance& first_edit = db_.instance(InstanceId(4));
+  const Instance& last_edit = db_.instance(InstanceId(9));
+  EXPECT_EQ(first_edit.derivation.task, "CircuitEditor");
+  EXPECT_EQ(first_edit.derivation.input_roles,
+            std::vector<std::string>{"seed"});
+  EXPECT_EQ(&first_edit.derivation.task.get(),
+            &last_edit.derivation.task.get());
+  EXPECT_EQ(&first_edit.derivation.input_roles.get(),
+            &last_edit.derivation.input_roles.get());
+  // Empty texts read as empty.
+  EXPECT_TRUE(editor.comment.empty());
+  EXPECT_TRUE(editor.derivation.input_roles.get().empty());
+  EXPECT_EQ(stimuli.comment, "a kept wave");
+}
+
+TEST_F(HistoryTest, TheTextPoolMovesWithTheTable) {
+  // Move-assignment is how a store swaps in a new image: the handles of
+  // the moved instances must outlive the database they came from.
+  support::ManualClock clock2(0, 1);
+  auto source = std::make_unique<HistoryDb>(schema_, clock2);
+  testpool::fill(*source);
+  const std::vector<testpool::Fields> fields = testpool::fields_of(*source);
+  const std::string text = source->save();
+  (void)db_.import_instance(schema_.require("Stimuli"), "gone", "g", "zed");
+  db_ = std::move(*source);
+  source.reset();
+  EXPECT_EQ(testpool::fields_of(db_), fields);
+  EXPECT_EQ(db_.save(), text);
+  // A later record finds the moved pool's entries.
+  const InstanceId more =
+      db_.import_instance(schema_.require("Stimuli"), "more", "m", "ada");
+  EXPECT_EQ(&db_.instance(more).user.get(),
+            &db_.instance(InstanceId(0)).user.get());
 }
 
 TEST_F(HistoryTest, LoadRejectsCorruptInput) {

@@ -639,7 +639,7 @@ TEST(IndexLayoutTest, AnImageLargerThanTheReadWindowStreamsIn) {
   for (std::uint32_t id = 0; id < 150'000; ++id) {
     image.add_instance(id, "Stimuli", "wave" + std::to_string(id),
                        id % 3 == 0 ? "bob" : "ada", 100 + id, "",
-                       history::Derivation{});
+                       data::InstanceId(), {});
   }
   const std::string bytes = image.serialize();
   ASSERT_GT(bytes.size(), 2 * support::FileReader::kWindowBytes);

@@ -68,7 +68,7 @@ void mutate(HistoryDb& db, const schema::TaskSchema& schema,
       pool.push_back(db.import_instance(
           schema.require(stim ? "Stimuli" : "EditedNetlist"),
           (stim ? "wave " : "net ") + std::to_string(i),
-          "p" + std::to_string(next_rand(rng) % 5), user));
+          support::numbered("p", next_rand(rng) % 5), user));
     } else if (pick < 7) {
       RecordRequest edit;
       edit.type = schema.require("EditedNetlist");

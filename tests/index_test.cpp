@@ -171,7 +171,7 @@ TEST(IndexTest, CursorPaginationWalksEveryRowOnce) {
   HistoryDb db(schema, clock);
   const auto netlist = schema.require("EditedNetlist");
   for (int i = 0; i < 57; ++i) {
-    db.import_instance(netlist, "n" + std::to_string(i), "", "u");
+    db.import_instance(netlist, support::numbered("n", i), "", "u");
   }
   HistoryIndexes idx(db);
   idx.rebuild();

@@ -120,7 +120,7 @@ TEST(ResumePropertyTest, EveryByteCrashPointResumesToTheSameHistory) {
     for (const data::InstanceId id : store.db().all()) {
       if (store.db().instance(id).status ==
           history::InstanceStatus::kQuarantined) {
-        quarantined.insert("i" + std::to_string(id.value()));
+        quarantined.insert(support::numbered("i", id.value()));
       }
     }
     ASSERT_EQ(quarantined, named) << "offset " << t << "\n" << audit.render();

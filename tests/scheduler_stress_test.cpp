@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "fault_test_util.hpp"
+#include "support/text.hpp"
 
 namespace herc::faulttest {
 namespace {
@@ -44,7 +45,7 @@ TEST(SchedulerStressTest, FanOutFanInCompletesAtEveryPoolWidth) {
     // No lost products: every fan task produced exactly one instance and
     // the join consumed every one of them.
     for (std::size_t i = 0; i < kFanOut; ++i) {
-      const graph::NodeId n = node_of(flow, "F" + std::to_string(i));
+      const graph::NodeId n = node_of(flow, support::numbered("F", i));
       ASSERT_EQ(r.of(n).size(), 1u) << "F" << i;
     }
     const graph::NodeId join = node_of(flow, "Join");
@@ -79,7 +80,7 @@ TEST(SchedulerStressTest, FaultedStressRunKeepsExactAccounting) {
     const graph::NodeId join = node_of(flow, "Join");
     std::size_t produced = 0;
     for (std::size_t i = 0; i < kFanOut; ++i) {
-      const graph::NodeId n = node_of(flow, "F" + std::to_string(i));
+      const graph::NodeId n = node_of(flow, support::numbered("F", i));
       const exec::TaskOutcome* outcome = r.outcome(n);
       ASSERT_NE(outcome, nullptr) << "F" << i << " has no outcome";
       if (outcome->status == TaskStatus::kOk) {

@@ -23,6 +23,7 @@
 #include "support/record.hpp"
 #include "support/text.hpp"
 #include "file_size_cap.hpp"
+#include "pooled_texts.hpp"
 
 namespace herc::storage {
 namespace {
@@ -271,11 +272,17 @@ TEST_F(StorageTest, ScanStopsAtCorruptFrame) {
   EXPECT_TRUE(scan.torn);
 }
 
-// journal.wal as stores have always held it, so every existing store
-// opens: the header at epoch 258, then two frames of u32 LE length, u32 LE
-// checksum and payload.
-constexpr std::string_view kJournalBytes =
-    "HERCWAL1" "\x02\x01\x00\x00\x00\x00\x00\x00"
+// journal.wal's header as stores write it: the magic, then the envelope
+// (u32 LE length, u32 LE checksum) around epoch 258.
+constexpr std::string_view kJournalHeader =
+    "HERCWAL2" "\x08\x00\x00\x00" "\xdb\x8f\x86\xf1"
+    "\x02\x01\x00\x00\x00\x00\x00\x00"sv;
+// The header as stores wrote it before the epoch had a checksum, so every
+// such store still opens: the magic and the bare epoch 258.
+constexpr std::string_view kJournalV1Header =
+    "HERCWAL1" "\x02\x01\x00\x00\x00\x00\x00\x00"sv;
+// Two frames after either header: u32 LE length, u32 LE checksum, payload.
+constexpr std::string_view kJournalFrames =
     "\x60\x00\x00\x00" "\xff\x3f\x09\x2d"
     "blob|9bac4e00c65baa05|aa\n"
     "inst|0|Stimuli|square waves|bob|1000||9bac4e00c65baa05|1|0|import|-1|0\n"
@@ -294,13 +301,55 @@ TEST_F(StorageTest, JournalBytesAreTheFormatsOwn) {
     for (const std::string& frame : frames) journal.append(frame);
     journal.sync();
   }
-  EXPECT_EQ(slurp(journal_path()), kJournalBytes);
-  const ScanResult scan = scan_journal(kJournalBytes);
-  EXPECT_TRUE(scan.header_valid);
-  EXPECT_EQ(scan.epoch, 258u);
-  EXPECT_EQ(scan.records, frames);
-  EXPECT_EQ(scan.valid_bytes, kJournalBytes.size());
-  EXPECT_FALSE(scan.torn);
+  const std::string bytes =
+      std::string(kJournalHeader) + std::string(kJournalFrames);
+  EXPECT_EQ(slurp(journal_path()), bytes);
+  const std::string v1_bytes =
+      std::string(kJournalV1Header) + std::string(kJournalFrames);
+  for (const std::string& journal : {bytes, v1_bytes}) {
+    const ScanResult scan = scan_journal(journal);
+    EXPECT_TRUE(scan.header_valid);
+    EXPECT_EQ(scan.epoch, 258u);
+    EXPECT_EQ(scan.records, frames);
+    EXPECT_EQ(scan.valid_bytes, journal.size());
+    EXPECT_FALSE(scan.torn);
+  }
+}
+
+TEST_F(StorageTest, AFirstFormatJournalOpensReplaysAndIsRewrittenAtCheckpoint) {
+  // A store whose journal an older binary wrote: the bare epoch, then an
+  // import and its annotation.
+  std::uint64_t epoch = 0;
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    epoch = store.epoch();
+  }
+  std::string v1(kJournalMagicV1);
+  support::put_le64(v1, epoch);
+  spill(journal_path(), v1 + std::string(kJournalFrames));
+  EXPECT_EQ(fsck_store(dir_).exit_code(), 0);
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    EXPECT_EQ(store.recovery().journal_records_applied, 2u);
+    ASSERT_EQ(store.db().size(), 1u);
+    const history::Instance& inst = store.db().instance(InstanceId(0));
+    EXPECT_EQ(inst.name, "zebra waves");
+    EXPECT_EQ(inst.user, "bob");
+    EXPECT_EQ(inst.comment, "striped");
+    EXPECT_EQ(store.db().payload(InstanceId(0)), "aa");
+    // New frames go after the old header.
+    store.db().import_instance(schema_.require("Stimuli"), "more", "bb", "u");
+  }
+  EXPECT_TRUE(slurp(journal_path()).starts_with(kJournalMagicV1));
+  support::ManualClock clock2(0, 1);
+  {
+    DurableHistory store(schema_, clock2, dir_);
+    EXPECT_EQ(store.recovery().journal_records_applied, 3u);
+    EXPECT_EQ(store.db().size(), 2u);
+    store.checkpoint();
+  }
+  EXPECT_EQ(slurp(journal_path()), journal_header(epoch + 1));
+  EXPECT_EQ(fsck_store(dir_).exit_code(), 0);
 }
 
 // ---- store recovery ----------------------------------------------------------
@@ -480,7 +529,7 @@ TEST_F(StorageTest, SnapshotShortOfItsDeclaredCountRefused) {
     DurableHistory store(schema_, clock_, dir_);
     for (int i = 0; i < 10; ++i) {
       store.db().import_instance(schema_.require("Stimuli"),
-                                 "s" + std::to_string(i),
+                                 support::numbered("s", i),
                                  "wave" + std::to_string(i), "u");
     }
     store.checkpoint();
@@ -541,8 +590,8 @@ TEST_F(StorageTest, ASnapshotLargerThanTheReadWindowReplaysWhole) {
     DurableHistory store(schema_, clock_, dir_);
     const std::string huge(support::FileReader::kWindowBytes + 4321, 'p');
     for (int i = 0; i < 20000; ++i) {
-      const std::string payload =
-          i % 7000 == 0 ? huge + std::to_string(i) : "w" + std::to_string(i);
+      const std::string payload = i % 7000 == 0 ? support::numbered(huge, i)
+                                                : support::numbered("w", i);
       store.db().import_instance(schema_.require("Stimuli"),
                                  "wave " + std::to_string(i), payload, "u");
     }
@@ -599,10 +648,9 @@ TEST_F(StorageTest, OpenAndFsckJudgeEveryDamagedStoreAlike) {
   }
   cases.push_back({"pre-checkpoint journal beside the new snapshot",
                    pre_checkpoint_journal, snapshot});
-  std::string ahead(kJournalMagic);
-  support::put_le64(ahead, 2);
   cases.push_back({"journal one epoch ahead",
-                   ahead + journal.substr(kJournalHeaderBytes), snapshot});
+                   journal_header(2) + journal.substr(kJournalHeaderBytes),
+                   snapshot});
   cases.push_back({"torn last frame", journal.substr(0, journal.size() - 1),
                    snapshot});
   const std::size_t header_end = snapshot.find('\n');
@@ -646,6 +694,77 @@ TEST_F(StorageTest, OpenAndFsckJudgeEveryDamagedStoreAlike) {
   fs::remove_all(pristine);
 }
 
+TEST_F(StorageTest, InstallMovesTheTextPoolWithTheImage) {
+  // Another store's image, its instances repeating their texts.  Install
+  // loads it into a database of its own, moves that into the store's and
+  // destroys it: every handle must follow the move.
+  support::ManualClock other_clock(0, 1);
+  HistoryDb other(schema_, other_clock);
+  testpool::fill(other);
+  const std::vector<testpool::Fields> fields = testpool::fields_of(other);
+  const std::string image = other.save();
+  std::string after;
+  {
+    DurableHistory store(schema_, clock_, dir_);
+    store.db().import_instance(schema_.require("Stimuli"), "replaced", "w",
+                               "zed", "dropped");
+    store.install(3, image);
+    EXPECT_EQ(testpool::fields_of(store.db()), fields);
+    EXPECT_EQ(store.db().save(), image);
+    store.db().import_instance(schema_.require("Stimuli"), "local", "w",
+                               "ada");
+    after = store.db().save();
+  }
+  support::ManualClock clock2(0, 1);
+  DurableHistory store(schema_, clock2, dir_);
+  EXPECT_EQ(store.db().save(), after);
+  std::vector<testpool::Fields> reopened = testpool::fields_of(store.db());
+  reopened.pop_back();
+  EXPECT_EQ(reopened, fields);
+}
+
+TEST_F(StorageTest, AFlippedJournalEpochBitIsRefusedAndTheJournalKept) {
+  // A checkpointed store (epoch 1) and five kCommit frames: four imports
+  // and an annotation.  Read as epoch 0, the journal would pass for one
+  // the snapshot already absorbed, and open would drop all five.
+  StoreOptions options;
+  options.journal.sync = SyncPolicy::kCommit;
+  {
+    DurableHistory store(schema_, clock_, dir_, options);
+    store.db().import_instance(schema_.require("Stimuli"), "base", "w0", "u");
+    store.checkpoint();
+    for (const char* name : {"a", "b", "c", "d"}) {
+      store.db().import_instance(schema_.require("Stimuli"), name,
+                                 std::string("wave-") + name, "u");
+    }
+    store.db().annotate(InstanceId(1), "a", "annotated");
+  }
+  const std::string journal = slurp(journal_path());
+  ASSERT_EQ(scan_journal(journal).records.size(), 5u);
+  const std::size_t epoch_at = kJournalHeaderBytes - 8;
+  for (std::size_t bit = 0; bit < 64; ++bit) {
+    SCOPED_TRACE("epoch bit " + std::to_string(bit));
+    std::string flipped = journal;
+    flipped[epoch_at + bit / 8] =
+        static_cast<char>(flipped[epoch_at + bit / 8] ^ (1 << (bit % 8)));
+    spill(journal_path(), flipped);
+    EXPECT_EQ(fsck_store(dir_).exit_code(), 2);
+    FsckOptions repair;
+    repair.repair = true;
+    const FsckReport repaired = fsck_store(dir_, repair);
+    EXPECT_TRUE(repaired.has("repair-refused")) << repaired.render();
+    EXPECT_EQ(slurp(journal_path()), flipped);
+    support::ManualClock clock2(0, 1);
+    EXPECT_THROW(DurableHistory(schema_, clock2, dir_), HistoryError);
+    EXPECT_EQ(slurp(journal_path()), flipped);
+  }
+  spill(journal_path(), journal);
+  support::ManualClock clock3(0, 1);
+  DurableHistory store(schema_, clock3, dir_);
+  EXPECT_EQ(store.recovery().journal_records_applied, 5u);
+  EXPECT_EQ(store.db().size(), 5u);
+}
+
 TEST_F(StorageTest, JournalRecordsHandedOverIncludeTheCrashSweep) {
   {
     DurableHistory store(schema_, clock_, dir_);
@@ -687,7 +806,7 @@ TEST_F(StorageTest, AutoCheckpointCompacts) {
     DurableHistory store(schema_, clock_, dir_, options);
     for (int i = 0; i < 7; ++i) {
       store.db().import_instance(schema_.require("Stimuli"),
-                                 "s" + std::to_string(i), "w", "u");
+                                 support::numbered("s", i), "w", "u");
     }
     EXPECT_EQ(store.epoch(), 2u);
   }
@@ -932,14 +1051,14 @@ class IndexedStorageTest : public StorageTest {
     session.open_storage(dir_);
     for (int i = 0; i < kCheckpointed; ++i) {
       session.set_user(i % 3 == 0 ? "bob" : "ada");
-      session.import_data("Stimuli", "wave " + std::to_string(i),
-                          "w" + std::to_string(i));
+      session.import_data("Stimuli", support::numbered("wave ", i),
+                          support::numbered("w", i));
     }
     session.checkpoint_storage();
     image_at_checkpoint_ = slurp(index_path());
     for (int i = 0; i < kTail; ++i) {
-      session.import_data("EditedNetlist", "late net " + std::to_string(i),
-                          "n" + std::to_string(i));
+      session.import_data("EditedNetlist", support::numbered("late net ", i),
+                          support::numbered("n", i));
     }
   }
 

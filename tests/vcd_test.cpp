@@ -9,6 +9,7 @@
 #include "circuit/vcd.hpp"
 #include "core/session.hpp"
 #include "schema/standard_schemas.hpp"
+#include "support/text.hpp"
 
 namespace herc::circuit {
 namespace {
@@ -60,7 +61,7 @@ TEST(Vcd, ManyNetsGetDistinctCodes) {
   SimResult r;
   for (int i = 0; i < 100; ++i) {
     r.waves.push_back(
-        Waveform{"n" + std::to_string(i), {{0, Level::kLow}}});
+        Waveform{support::numbered("n", i), {{0, Level::kLow}}});
   }
   const std::string vcd = to_vcd(r);
   // The 95th signal wraps into a two-character code.
