@@ -185,10 +185,7 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
   inst.blob = blobs_.put(request.payload);
   const bool new_blob = blobs_.size() > blobs_before;
   inst.status = request.status;
-  inst.derivation.tool = request.derivation.tool;
-  inst.derivation.inputs = request.derivation.inputs;
-  inst.derivation.input_roles = pool_.roles(request.derivation.input_roles);
-  inst.derivation.task = pool_.text(request.derivation.task);
+  inst.derivation = pooled(request.derivation);
 
   // Version numbering: an editing task (input of the same root entity type,
   // §4.2) continues its input's lineage.  A failed edit produced nothing,
@@ -483,6 +480,11 @@ std::optional<InstanceId> HistoryDb::find_existing(
   return std::nullopt;
 }
 
+PooledDerivation HistoryDb::pooled(Derivation d) {
+  return PooledDerivation{d.tool, std::move(d.inputs),
+                          pool_.roles(d.input_roles), pool_.text(d.task)};
+}
+
 InstanceRecord HistoryDb::instance_record(const Instance& inst) const {
   const PooledDerivation& d = inst.derivation;
   return InstanceRecord{inst.id,
@@ -490,7 +492,7 @@ InstanceRecord HistoryDb::instance_record(const Instance& inst) const {
                         inst.name,
                         inst.user,
                         inst.created,
-                        inst.comment,
+                        std::string(inst.comment.get()),
                         blobs_.key(inst.blob),
                         inst.version,
                         inst.status,
@@ -552,21 +554,18 @@ void HistoryDb::apply(InstanceRecord&& r) {
   inst.name = std::move(r.name);
   inst.user = pool_.text(r.user);
   inst.created = r.created;
-  inst.comment = SparseText(std::move(r.comment));
+  inst.comment = SparseText(r.comment);
   inst.blob = *blob;
   inst.version = r.version;
   inst.status = r.status;
-  inst.derivation.tool = r.derivation.tool;
-  inst.derivation.inputs = std::move(r.derivation.inputs);
-  inst.derivation.input_roles = pool_.roles(r.derivation.input_roles);
-  inst.derivation.task = pool_.text(r.derivation.task);
+  inst.derivation = pooled(std::move(r.derivation));
   link_newest();
 }
 
 void HistoryDb::apply(AnnotateRecord&& r) {
   check_id(r.id);
   instances_[r.id.index()].name = std::move(r.name);
-  instances_[r.id.index()].comment = SparseText(std::move(r.comment));
+  instances_[r.id.index()].comment = SparseText(r.comment);
 }
 
 void HistoryDb::apply(QuarantineRecord&& r) {
@@ -578,10 +577,10 @@ void HistoryDb::apply(QuarantineRecord&& r) {
                        "quarantined");
   }
   inst.status = InstanceStatus::kQuarantined;
-  std::string comment = inst.comment;
+  std::string comment(inst.comment.get());
   if (!comment.empty()) comment += ' ';
   comment += "[quarantined: " + r.reason + "]";
-  inst.comment = SparseText(std::move(comment));
+  inst.comment = SparseText(comment);
 }
 
 HistoryDb HistoryDb::load(const schema::TaskSchema& schema,

@@ -388,6 +388,8 @@ class HistoryDb {
  private:
   void check_id(data::InstanceId id) const;
   [[nodiscard]] schema::EntityTypeId root_type(schema::EntityTypeId t) const;
+  /// `d` as the instance table holds it, its texts added to the pool.
+  [[nodiscard]] PooledDerivation pooled(Derivation d);
   /// `inst` as its `inst` record, with owning texts.
   [[nodiscard]] InstanceRecord instance_record(const Instance& inst) const;
   /// Adds the last instance's derivation to the forward index.

@@ -24,36 +24,27 @@ namespace herc::history {
 /// An imported instance (a source entity the designer supplied) has an
 /// empty derivation.  A composite instance has inputs but no tool.
 ///
-/// This owning form is what a `RecordRequest` and an `InstanceRecord`
-/// carry; the instance table holds a `PooledDerivation`.
-struct Derivation {
+/// A `RecordRequest` and an `InstanceRecord` carry the owning form,
+/// `Derivation`; the instance table holds a `PooledDerivation`, whose role
+/// list and task label are handles into the database's `TextPool`.
+template <class Roles, class Label>
+struct BasicDerivation {
   /// The tool instance executed; invalid for imports and compose tasks.
   data::InstanceId tool;
   /// Input instances, parallel with `input_roles`.
   std::vector<data::InstanceId> inputs;
-  std::vector<std::string> input_roles;
+  Roles input_roles;
   /// Short description of the producing step ("Simulator", "compose",
   /// "import", ...) used in trace renderings.
-  std::string task;
+  Label task;
 
   [[nodiscard]] bool is_import() const {
     return !tool.valid() && inputs.empty();
   }
 };
 
-/// A `Derivation` as the instance table holds it: the same tool and
-/// inputs, with the role list and task label held as handles into the
-/// database's `TextPool`.
-struct PooledDerivation {
-  data::InstanceId tool;
-  std::vector<data::InstanceId> inputs;
-  RoleList input_roles;
-  Text task;
-
-  [[nodiscard]] bool is_import() const {
-    return !tool.valid() && inputs.empty();
-  }
-};
+using Derivation = BasicDerivation<std::vector<std::string>, std::string>;
+using PooledDerivation = BasicDerivation<RoleList, Text>;
 
 /// Outcome of the task execution that a record describes.  The history
 /// records *everything* that happened during a design (§4.2), including
@@ -77,7 +68,8 @@ enum class InstanceStatus : std::uint8_t {
 /// A history keeps every instance in memory, so what one costs bounds the
 /// history a server can hold: the texts that repeat (user, task label,
 /// role list) are handles into the database's `TextPool`, and the comment
-/// that most instances lack is one null pointer.
+/// is one pointer, null when empty (imports and direct records often have
+/// none; a flow run comments each of its products).
 struct Instance {
   data::InstanceId id;
   schema::EntityTypeId type;

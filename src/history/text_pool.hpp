@@ -1,11 +1,17 @@
 // One copy of each repeated text per database.
 //
 // A history of a million instances holds a few dozen designers, a handful
-// of task labels and input-role lists, and comments only on failure
-// records, annotations and quarantines.  `TextPool` keeps each distinct
+// of task labels and input-role lists.  `TextPool` keeps each distinct
 // user, task label and role list once and hands out 8-byte handles
-// (`Text`, `RoleList`) that read as the value itself; `SparseText` holds
-// a text that most instances leave empty in one pointer, null when empty.
+// (`Text`, `RoleList`) that read as the value itself.
+//
+// A comment can take any value, so it never goes in the pool.  Imports
+// and records made directly often have none, but a flow run comments
+// every product ("produced by <task> in flow '<flow>'") and every
+// decomposition, and failure records, annotations and quarantines carry
+// one too.  `SparseText` holds it in one pointer: null when empty,
+// otherwise one allocation holding the length and the bytes, which is
+// smaller than a `std::string` for any text longer than 15 bytes.
 //
 // A handle stays valid as long as the pool that issued it: entries live
 // in node-based sets, which never move a node when they grow (a short
@@ -15,83 +21,81 @@
 // and never touch the sets.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
 namespace herc::history {
 
-/// A handle to one text of a `TextPool`; the default handle reads as "".
-class Text {
- public:
-  Text() = default;
+/// A handle to one entry of a `TextPool`; the default handle reads as the
+/// empty value.
+template <class T>
+class Pooled {
+  /// A text compares with any string without copying it.
+  using Other = std::conditional_t<std::same_as<T, std::string>,
+                                   std::string_view, const T&>;
 
-  [[nodiscard]] const std::string& get() const {
+ public:
+  Pooled() = default;
+
+  [[nodiscard]] const T& get() const {
     return entry_ != nullptr ? *entry_ : kEmpty;
   }
-  operator const std::string&() const { return get(); }
-  operator std::string_view() const { return get(); }
-
-  friend bool operator==(const Text& a, std::string_view b) {
-    return a.get() == b;
+  operator const T&() const { return get(); }
+  operator std::string_view() const
+    requires std::same_as<T, std::string>
+  {
+    return get();
   }
-  friend std::ostream& operator<<(std::ostream& os, const Text& t) {
-    return os << t.get();
+
+  friend bool operator==(const Pooled& a, Other b) { return a.get() == b; }
+  friend std::ostream& operator<<(std::ostream& os, const Pooled& p)
+    requires std::same_as<T, std::string>
+  {
+    return os << p.get();
   }
 
  private:
   friend class TextPool;
-  explicit Text(const std::string* entry) : entry_(entry) {}
+  explicit Pooled(const T* entry) : entry_(entry) {}
 
-  static inline const std::string kEmpty;
-  const std::string* entry_ = nullptr;
+  static inline const T kEmpty;
+  const T* entry_ = nullptr;
 };
 
-/// A handle to one input-role list of a `TextPool`; the default handle
-/// reads as the empty list.
-class RoleList {
- public:
-  RoleList() = default;
+using Text = Pooled<std::string>;
+using RoleList = Pooled<std::vector<std::string>>;
 
-  [[nodiscard]] const std::vector<std::string>& get() const {
-    return entry_ != nullptr ? *entry_ : kEmpty;
-  }
-  operator const std::vector<std::string>&() const { return get(); }
-
-  friend bool operator==(const RoleList& a,
-                         const std::vector<std::string>& b) {
-    return a.get() == b;
-  }
-
- private:
-  friend class TextPool;
-  explicit RoleList(const std::vector<std::string>* entry) : entry_(entry) {}
-
-  static inline const std::vector<std::string> kEmpty;
-  const std::vector<std::string>* entry_ = nullptr;
-};
-
-/// A text of any value that most owners leave empty: one pointer, null
-/// when empty, owning its own copy otherwise.
+/// A text of any value that many owners leave empty: one pointer, null
+/// when empty, otherwise one allocation holding the length and the bytes.
 class SparseText {
  public:
   SparseText() = default;
-  explicit SparseText(std::string text)
-      : text_(text.empty() ? nullptr
-                           : std::make_unique<const std::string>(
-                                 std::move(text))) {}
-
-  [[nodiscard]] const std::string& get() const {
-    return text_ != nullptr ? *text_ : kEmpty;
+  explicit SparseText(std::string_view text) {
+    if (text.empty()) return;
+    const std::size_t size = text.size();
+    bytes_ = std::make_unique_for_overwrite<char[]>(sizeof size + size);
+    std::memcpy(bytes_.get(), &size, sizeof size);
+    std::memcpy(bytes_.get() + sizeof size, text.data(), size);
   }
-  operator const std::string&() const { return get(); }
+
+  /// The text, valid until this `SparseText` is replaced or destroyed.
+  [[nodiscard]] std::string_view get() const {
+    if (bytes_ == nullptr) return {};
+    std::size_t size = 0;
+    std::memcpy(&size, bytes_.get(), sizeof size);
+    return {bytes_.get() + sizeof size, size};
+  }
   operator std::string_view() const { return get(); }
-  [[nodiscard]] bool empty() const { return text_ == nullptr; }
+  [[nodiscard]] bool empty() const { return bytes_ == nullptr; }
 
   friend bool operator==(const SparseText& a, std::string_view b) {
     return a.get() == b;
@@ -101,8 +105,8 @@ class SparseText {
   }
 
  private:
-  static inline const std::string kEmpty;
-  std::unique_ptr<const std::string> text_;
+  /// A `std::size_t` length, then that many bytes.
+  std::unique_ptr<char[]> bytes_;
 };
 
 /// One copy of each distinct user, task label and input-role list of a

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault_test_util.hpp"
@@ -26,8 +27,8 @@ using support::ExecError;
 using tools::FaultInjectingRegistry;
 using tools::FaultKind;
 
-bool contains(const std::string& haystack, const std::string& needle) {
-  return haystack.find(needle) != std::string::npos;
+bool contains(std::string_view haystack, std::string_view needle) {
+  return haystack.find(needle) != std::string_view::npos;
 }
 
 /// The Fig. 6 shape reduced to its essence: two disjoint branches

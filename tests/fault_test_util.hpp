@@ -156,7 +156,8 @@ inline std::vector<std::string> history_signature(
          std::to_string(static_cast<unsigned>(inst.status));
     s += "|payload=" + db.payload(id);
     s += "|task=" + inst.derivation.task.get();
-    s += "|comment=" + inst.comment.get();
+    s += "|comment=";
+    s += inst.comment.get();
     std::vector<std::string> ins;
     if (inst.derivation.tool.valid()) {
       ins.push_back("tool:" +

@@ -94,7 +94,7 @@ inline std::vector<Fields> fields_of(const HistoryDb& db) {
   for (const InstanceId id : db.all()) {
     const history::Instance& inst = db.instance(id);
     out.push_back(Fields{db.schema().entity_name(inst.type), inst.name,
-                         inst.user, inst.created.micros(), inst.comment,
+                         inst.user, inst.created.micros(), std::string(inst.comment),
                          db.payload(id), inst.version, inst.status,
                          inst.derivation.tool, inst.derivation.inputs,
                          inst.derivation.input_roles, inst.derivation.task});

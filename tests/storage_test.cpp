@@ -723,7 +723,7 @@ TEST_F(StorageTest, InstallMovesTheTextPoolWithTheImage) {
   EXPECT_EQ(reopened, fields);
 }
 
-TEST_F(StorageTest, AFlippedJournalEpochBitIsRefusedAndTheJournalKept) {
+TEST_F(StorageTest, AFlippedJournalHeaderBitIsRefusedAndTheJournalKept) {
   // A checkpointed store (epoch 1) and five kCommit frames: four imports
   // and an annotation.  Read as epoch 0, the journal would pass for one
   // the snapshot already absorbed, and open would drop all five.
@@ -739,14 +739,17 @@ TEST_F(StorageTest, AFlippedJournalEpochBitIsRefusedAndTheJournalKept) {
     }
     store.db().annotate(InstanceId(1), "a", "annotated");
   }
+  // Every bit after the magic is the epoch's envelope: its length, its
+  // checksum and the epoch itself.
   const std::string journal = slurp(journal_path());
   ASSERT_EQ(scan_journal(journal).records.size(), 5u);
-  const std::size_t epoch_at = kJournalHeaderBytes - 8;
-  for (std::size_t bit = 0; bit < 64; ++bit) {
-    SCOPED_TRACE("epoch bit " + std::to_string(bit));
+  const std::size_t stamp_at = kJournalMagic.size();
+  for (std::size_t bit = 0; bit < (kJournalHeaderBytes - stamp_at) * 8;
+       ++bit) {
+    SCOPED_TRACE("header bit " + std::to_string(stamp_at * 8 + bit));
     std::string flipped = journal;
-    flipped[epoch_at + bit / 8] =
-        static_cast<char>(flipped[epoch_at + bit / 8] ^ (1 << (bit % 8)));
+    flipped[stamp_at + bit / 8] =
+        static_cast<char>(flipped[stamp_at + bit / 8] ^ (1 << (bit % 8)));
     spill(journal_path(), flipped);
     EXPECT_EQ(fsck_store(dir_).exit_code(), 2);
     FsckOptions repair;
