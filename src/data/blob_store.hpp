@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "support/hash.hpp"
 #include "support/ids.hpp"
 
 namespace herc::data {
@@ -79,14 +80,6 @@ class BlobStore {
   [[nodiscard]] const std::vector<BlobKey>& keys() const { return keys_; }
 
  private:
-  /// Hashes a key by its text, so `find` looks up a view without copying.
-  struct KeyHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view key) const noexcept {
-      return std::hash<std::string_view>{}(key);
-    }
-  };
-
   /// Stores `payload` under `key`, its content key, unless present.
   BlobRef add(BlobKey key, std::string_view payload);
   /// The ref of `key`; throws `HistoryError` when absent.
@@ -94,7 +87,9 @@ class BlobStore {
   /// `ref`'s ordinal; throws `HistoryError` when it names no payload.
   [[nodiscard]] std::size_t index_of(BlobRef ref) const;
 
-  std::unordered_map<BlobKey, BlobRef, KeyHash, std::equal_to<>> refs_;
+  /// Found by a view of the key, so `find` copies nothing.
+  std::unordered_map<BlobKey, BlobRef, support::TextHash, std::equal_to<>>
+      refs_;
   /// Key and payload of each ref, by ordinal.
   std::vector<BlobKey> keys_;
   std::vector<std::string> payloads_;

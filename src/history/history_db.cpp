@@ -116,7 +116,8 @@ HistoryDb& HistoryDb::operator=(HistoryDb&& other) noexcept {
   blobs_ = std::move(other.blobs_);
   pool_ = std::move(other.pool_);
   instances_ = std::move(other.instances_);
-  used_by_ = std::move(other.used_by_);
+  used_by_slots_ = std::move(other.used_by_slots_);
+  used_by_lists_ = std::move(other.used_by_lists_);
   runs_ = std::move(other.runs_);
   // listener_ deliberately kept: the assignment swaps the image out from
   // under the store journaling this object (its in-place install), and
@@ -185,7 +186,11 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
   inst.blob = blobs_.put(request.payload);
   const bool new_blob = blobs_.size() > blobs_before;
   inst.status = request.status;
-  inst.derivation = pooled(request.derivation);
+  const Derivation& d = request.derivation;
+  const std::vector<std::string_view> roles(d.input_roles.begin(),
+                                            d.input_roles.end());
+  inst.derivation = PooledDerivation{d.tool, d.inputs, pool_.roles(roles),
+                                     pool_.text(d.task)};
 
   // Version numbering: an editing task (input of the same root entity type,
   // §4.2) continues its input's lineage.  A failed edit produced nothing,
@@ -220,15 +225,25 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
 
 void HistoryDb::link_newest() {
   const Instance& inst = instances_.back();
-  used_by_.emplace_back();
-  if (inst.derivation.tool.valid()) {
-    used_by_[inst.derivation.tool.index()].push_back(inst.id);
-  }
-  for (const InstanceId in : inst.derivation.inputs) {
+  used_by_slots_.emplace_back(0);
+  const auto link = [this, &inst](InstanceId used) {
+    std::uint32_t& slot = used_by_slots_[used.index()];
+    if (slot == 0) {
+      used_by_lists_.emplace_back();
+      slot = static_cast<std::uint32_t>(used_by_lists_.size());
+    }
     // A tool doubling as an input would be indexed twice; dedupe.
-    auto& vec = used_by_[in.index()];
-    if (vec.empty() || vec.back() != inst.id) vec.push_back(inst.id);
-  }
+    std::vector<InstanceId>& list = used_by_lists_[slot - 1];
+    if (list.empty() || list.back() != inst.id) list.push_back(inst.id);
+  };
+  if (inst.derivation.tool.valid()) link(inst.derivation.tool);
+  for (const InstanceId in : inst.derivation.inputs) link(in);
+}
+
+const std::vector<InstanceId>& HistoryDb::dependents(std::size_t index) const {
+  static const std::vector<InstanceId> kNone;
+  const std::uint32_t slot = used_by_slots_[index];
+  return slot == 0 ? kNone : used_by_lists_[slot - 1];
 }
 
 void HistoryDb::annotate(InstanceId id, std::string_view name,
@@ -387,7 +402,7 @@ std::vector<InstanceId> HistoryDb::derivation_closure(InstanceId id) const {
 
 const std::vector<InstanceId>& HistoryDb::used_by(InstanceId id) const {
   check_id(id);
-  return used_by_[id.index()];
+  return dependents(id.index());
 }
 
 std::vector<InstanceId> HistoryDb::dependent_closure(InstanceId id) const {
@@ -398,7 +413,7 @@ std::vector<InstanceId> HistoryDb::dependent_closure(InstanceId id) const {
   while (!queue.empty()) {
     const InstanceId cur = queue.front();
     queue.pop_front();
-    for (const InstanceId next : used_by_[cur.index()]) {
+    for (const InstanceId next : dependents(cur.index())) {
       if (seen.insert(next.value()).second) {
         order.push_back(next);
         queue.push_back(next);
@@ -423,7 +438,7 @@ std::optional<InstanceId> HistoryDb::edit_parent(InstanceId id) const {
 std::vector<InstanceId> HistoryDb::edit_children(InstanceId id) const {
   check_id(id);
   std::vector<InstanceId> out;
-  for (const InstanceId dep : used_by_[id.index()]) {
+  for (const InstanceId dep : dependents(id.index())) {
     const auto parent = edit_parent(dep);
     if (parent && *parent == id) out.push_back(dep);
   }
@@ -480,11 +495,6 @@ std::optional<InstanceId> HistoryDb::find_existing(
   return std::nullopt;
 }
 
-PooledDerivation HistoryDb::pooled(Derivation d) {
-  return PooledDerivation{d.tool, std::move(d.inputs),
-                          pool_.roles(d.input_roles), pool_.text(d.task)};
-}
-
 InstanceRecord HistoryDb::instance_record(const Instance& inst) const {
   const PooledDerivation& d = inst.derivation;
   return InstanceRecord{inst.id,
@@ -515,7 +525,11 @@ std::string HistoryDb::save() const {
 
 void HistoryDb::apply_saved_line(std::string_view line) {
   if (support::trim(line).empty()) return;
-  apply(decode(line));
+  if (kind_of(line) == RecordKind::kInstance) {
+    apply(decode_instance(line));
+  } else {
+    apply(decode(line));
+  }
 }
 
 void HistoryDb::apply(Record&& record) {
@@ -537,6 +551,24 @@ void HistoryDb::apply(Record&& record) {
 void HistoryDb::apply(BlobRecord&& r) { blobs_.restore(r.key, r.payload); }
 
 void HistoryDb::apply(InstanceRecord&& r) {
+  Derivation& d = r.derivation;
+  apply(InstanceView{r.id,
+                     r.type,
+                     r.name,
+                     r.user,
+                     r.created,
+                     r.comment,
+                     r.blob,
+                     r.version,
+                     r.status,
+                     {d.tool, std::move(d.inputs),
+                      std::vector<std::string_view>(d.input_roles.begin(),
+                                                    d.input_roles.end()),
+                      d.task},
+                     {}});
+}
+
+void HistoryDb::apply(InstanceView&& r) {
   if (r.id.index() != instances_.size()) {
     throw HistoryError("history file: instance records out of order");
   }
@@ -551,14 +583,17 @@ void HistoryDb::apply(InstanceRecord&& r) {
   Instance& inst = instances_.emplace_back();
   inst.id = r.id;
   inst.type = type;
-  inst.name = std::move(r.name);
+  inst.name = r.name;
   inst.user = pool_.text(r.user);
   inst.created = r.created;
   inst.comment = SparseText(r.comment);
   inst.blob = *blob;
   inst.version = r.version;
   inst.status = r.status;
-  inst.derivation = pooled(std::move(r.derivation));
+  DerivationView& d = r.derivation;
+  inst.derivation = PooledDerivation{d.tool, std::move(d.inputs),
+                                     pool_.roles(d.input_roles),
+                                     pool_.text(d.task)};
   link_newest();
 }
 

@@ -12,7 +12,9 @@
 // reads (`apply_saved_line`, `load`) is one of the structs of
 // history/record_codec.hpp, turned into text and back only by that
 // module's `encode`/`decode`.  Replay is `decode` plus one `apply` per
-// kind, which the mutators share.
+// kind, which the mutators share; an `inst` line, most of any history, is
+// read in place (`decode_instance`) and goes to the same `apply` as a
+// decoded `InstanceRecord`, without an owning record in between.
 #pragma once
 
 #include <cstdint>
@@ -371,9 +373,11 @@ class HistoryDb {
                                       support::Clock& clock,
                                       std::string_view text);
 
-  /// Applies one saved record line: `decode` plus `apply_record`.  `load`
-  /// is a loop over this; journal recovery (src/storage) replays
-  /// incremental mutations through the same path.
+  /// Applies one saved record line, as `decode` plus `apply_record` would,
+  /// to the same verdict: an `inst` line is read in place
+  /// (`decode_instance`) rather than decoded into an owning record.
+  /// `load` is a loop over this; snapshot and journal recovery
+  /// (src/storage) replay through the same path.
   void apply_saved_line(std::string_view line);
   /// Applies one decoded saved record, resolving its entity name and blob
   /// key and verifying content hashes, id ordering and references.  Never
@@ -388,10 +392,11 @@ class HistoryDb {
  private:
   void check_id(data::InstanceId id) const;
   [[nodiscard]] schema::EntityTypeId root_type(schema::EntityTypeId t) const;
-  /// `d` as the instance table holds it, its texts added to the pool.
-  [[nodiscard]] PooledDerivation pooled(Derivation d);
   /// `inst` as its `inst` record, with owning texts.
   [[nodiscard]] InstanceRecord instance_record(const Instance& inst) const;
+  /// The instances whose derivation used the instance at `index`.
+  [[nodiscard]] const std::vector<data::InstanceId>& dependents(
+      std::size_t index) const;
   /// Adds the last instance's derivation to the forward index.
   void link_newest();
 
@@ -401,7 +406,9 @@ class HistoryDb {
   /// does not fit the database, leaving it unchanged.
   void apply(Record&& record);
   void apply(BlobRecord&& r);
+  /// Goes to the view overload, the one apply of an instance.
   void apply(InstanceRecord&& r);
+  void apply(InstanceView&& r);
   void apply(AnnotateRecord&& r);
   void apply(QuarantineRecord&& r);
 
@@ -416,8 +423,12 @@ class HistoryDb {
   TextPool pool_;
   /// Chunked, so that growing the table never moves an instance.
   support::Chunked<Instance> instances_;
-  /// Forward index: instance -> instances whose derivation used it.
-  support::Chunked<std::vector<data::InstanceId>> used_by_;
+  /// Forward index: instance -> instances whose derivation used it.  Most
+  /// instances are used by nothing, so each has a 4-byte slot: 0 for no
+  /// dependents, else one past the position of its list in
+  /// `used_by_lists_`.
+  support::Chunked<std::uint32_t> used_by_slots_;
+  support::Chunked<std::vector<data::InstanceId>> used_by_lists_;
   std::vector<RunRecord> runs_;
   MutationListener* listener_ = nullptr;
 };

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/blob_store.hpp"
@@ -26,7 +27,8 @@ namespace herc::history {
 ///
 /// A `RecordRequest` and an `InstanceRecord` carry the owning form,
 /// `Derivation`; the instance table holds a `PooledDerivation`, whose role
-/// list and task label are handles into the database's `TextPool`.
+/// list and task label are handles into the database's `TextPool`; replay
+/// reads a `DerivationView` of the record line.
 template <class Roles, class Label>
 struct BasicDerivation {
   /// The tool instance executed; invalid for imports and compose tasks.
@@ -45,6 +47,9 @@ struct BasicDerivation {
 
 using Derivation = BasicDerivation<std::vector<std::string>, std::string>;
 using PooledDerivation = BasicDerivation<RoleList, Text>;
+/// A derivation whose texts are views of another's or of a record line.
+using DerivationView =
+    BasicDerivation<std::vector<std::string_view>, std::string_view>;
 
 /// Outcome of the task execution that a record describes.  The history
 /// records *everything* that happened during a design (§4.2), including

@@ -87,7 +87,7 @@ QueryPlan plan_query(const HistoryDb& db, const QueryFilter& filter,
   QueryPlan plan;
   plan.path = AccessPath::kScan;
   plan.estimate = db.size();
-  // Forward chaining is indexed inside the database itself (`used_by_`),
+  // Forward chaining is indexed inside the database itself (`used_by`),
   // so the `uses` path needs no secondary index at all.
   if (filter.uses && db.contains(*filter.uses)) {
     const std::size_t n = db.used_by(*filter.uses).size();

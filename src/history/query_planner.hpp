@@ -78,7 +78,7 @@ enum class AccessPath : std::uint8_t {
   kType = 1,     ///< per-entity-type creation lists
   kKeyword = 2,  ///< token postings (trigram-assisted substring)
   kUser = 3,     ///< per-user posting lists
-  kDate = 4,     ///< global creation-date list
+  kDate = 4,     ///< every type's creation list, merged
   kUses = 5,     ///< the database's forward-derivation index
 };
 [[nodiscard]] std::string_view to_string(AccessPath path);

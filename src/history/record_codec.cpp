@@ -2,6 +2,7 @@
 
 #include "support/error.hpp"
 #include "support/record.hpp"
+#include "support/text.hpp"
 
 namespace herc::history {
 
@@ -50,6 +51,40 @@ constexpr std::string_view kKinds[std::variant_size_v<Record>] = {
     "blob",   "inst",   "annot", "quar",    "runb",
     "tstart", "tcover", "tfin",  "runseal", "rune"};
 
+/// The next field's value as a view: of the line, or of its unescaped
+/// copy, kept in `unescaped`, when the field holds a `\`.
+std::string_view next_text(RecordReader& rec,
+                           std::forward_list<std::string>& unescaped) {
+  const RecordReader::Field field = rec.next_field();
+  if (!field.escaped) return field.text;
+  return unescaped.emplace_front(support::unescape_field(field.text));
+}
+
+/// The one reader of an `inst` record's fields, after its kind.
+void decode_instance_fields(RecordReader& rec, InstanceView& r) {
+  r.id = next_id(rec);
+  r.type = next_text(rec, r.unescaped);
+  r.name = next_text(rec, r.unescaped);
+  r.user = next_text(rec, r.unescaped);
+  r.created = support::Timestamp(rec.next_int64());
+  r.comment = next_text(rec, r.unescaped);
+  r.blob = next_text(rec, r.unescaped);
+  r.version = rec.next_uint32();
+  const std::uint32_t status = rec.next_uint32();
+  if (status > static_cast<std::uint32_t>(InstanceStatus::kQuarantined)) {
+    fail(rec.kind(), "unknown instance status " + std::to_string(status));
+  }
+  r.status = static_cast<InstanceStatus>(status);
+  r.derivation.task = next_text(rec, r.unescaped);
+  r.derivation.tool = next_tool(rec);
+  // No reserve: the count is untrusted until its fields are read.
+  const std::uint32_t inputs = rec.next_uint32();
+  for (std::uint32_t i = 0; i < inputs; ++i) {
+    r.derivation.inputs.push_back(next_id(rec));
+    r.derivation.input_roles.push_back(next_text(rec, r.unescaped));
+  }
+}
+
 /// Decodes `rec`'s fields into `record`, built in place.
 void decode_fields(RecordReader& rec, Record& record) {
   const RecordKind kind = kind_of(rec.kind());
@@ -60,28 +95,17 @@ void decode_fields(RecordReader& rec, Record& record) {
     return;
   }
   if (kind == RecordKind::kInstance) {
-    auto& r = record.emplace<InstanceRecord>();
-    r.id = next_id(rec);
-    r.type = rec.next_string();
-    r.name = rec.next_string();
-    r.user = rec.next_string();
-    r.created = support::Timestamp(rec.next_int64());
-    r.comment = rec.next_string();
-    r.blob = rec.next_string();
-    r.version = rec.next_uint32();
-    const std::uint32_t status = rec.next_uint32();
-    if (status > static_cast<std::uint32_t>(InstanceStatus::kQuarantined)) {
-      fail(rec.kind(), "unknown instance status " + std::to_string(status));
-    }
-    r.status = static_cast<InstanceStatus>(status);
-    r.derivation.task = rec.next_string();
-    r.derivation.tool = next_tool(rec);
-    // No reserve: the count is untrusted until its fields are read.
-    const std::uint32_t inputs = rec.next_uint32();
-    for (std::uint32_t i = 0; i < inputs; ++i) {
-      r.derivation.inputs.push_back(next_id(rec));
-      r.derivation.input_roles.push_back(rec.next_string());
-    }
+    InstanceView v;
+    decode_instance_fields(rec, v);
+    DerivationView& d = v.derivation;
+    record.emplace<InstanceRecord>(InstanceRecord{
+        v.id, std::string(v.type), std::string(v.name), std::string(v.user),
+        v.created, std::string(v.comment), std::string(v.blob), v.version,
+        v.status,
+        Derivation{d.tool, std::move(d.inputs),
+                   std::vector<std::string>(d.input_roles.begin(),
+                                            d.input_roles.end()),
+                   std::string(d.task)}});
     return;
   }
   if (kind == RecordKind::kAnnotate) {
@@ -243,19 +267,36 @@ RecordKind kind_of(std::string_view line) {
                      "'");
 }
 
-Record decode(std::string_view line) {
-  // Declared outside the try block, so the record is built in place in
-  // the caller's object rather than moved there.
-  Record record;
+namespace {
+
+/// Reads `line`'s fields with `read`, then refuses any left over.
+template <class Read>
+void read_line(std::string_view line, const Read& read) {
   try {
     RecordReader rec(line);
-    decode_fields(rec, record);
+    read(rec);
     if (!rec.exhausted()) fail(rec.kind(), "surplus fields");
   } catch (const support::ParseError& e) {
     // A malformed field is a malformed history record.
     throw HistoryError(e.what());
   }
+}
+
+}  // namespace
+
+Record decode(std::string_view line) {
+  // Declared outside the reading, so the record is built in place in the
+  // caller's object rather than moved there.
+  Record record;
+  read_line(line, [&](RecordReader& rec) { decode_fields(rec, record); });
   return record;
+}
+
+InstanceView decode_instance(std::string_view line) {
+  InstanceView view;
+  read_line(line,
+            [&](RecordReader& rec) { decode_instance_fields(rec, view); });
+  return view;
 }
 
 }  // namespace herc::history

@@ -25,10 +25,14 @@
 // Fields are escaped by `support::RecordWriter`.  Decoding checks syntax
 // and field ranges only; whether a record fits the database it is applied
 // to (a known entity, an earlier instance, a stored blob) is the reader's
-// business.
+// business.  An `inst` line is also read in place, as an `InstanceView`:
+// replay builds the table's instance from its views, and `decode` copies
+// the same view into an `InstanceRecord`, so one function reads the
+// fields of both.
 #pragma once
 
 #include <cstdint>
+#include <forward_list>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -61,6 +65,26 @@ struct InstanceRecord {
   std::uint32_t version = 1;
   InstanceStatus status = InstanceStatus::kOk;
   Derivation derivation;
+};
+
+/// An `inst` record whose texts are views: of the line it was read from
+/// (`decode_instance`) or of an `InstanceRecord`.  A field of the line
+/// that holds a `\` is viewed in its unescaped copy in `unescaped`, so
+/// the view is valid while it and what it views live.
+struct InstanceView {
+  data::InstanceId id;
+  std::string_view type;
+  std::string_view name;
+  std::string_view user;
+  support::Timestamp created;
+  std::string_view comment;
+  std::string_view blob;
+  std::uint32_t version = 1;
+  InstanceStatus status = InstanceStatus::kOk;
+  DerivationView derivation;
+  /// Unescaped copies of escaped fields: a list, so adding one never
+  /// moves another.
+  std::forward_list<std::string> unescaped;
 };
 
 /// `annot`: an instance's new name and comment.
@@ -160,5 +184,10 @@ void encode(const Record& record, std::string& out);
 /// unknown kind, a missing, malformed, out-of-range or surplus field, or
 /// an unknown instance status.
 [[nodiscard]] Record decode(std::string_view line);
+
+/// Parses an `inst` line (no '\n') in place, into views of it: the
+/// reader `decode` copies from.  Throws as `decode` does; the caller has
+/// checked that `kind_of(line)` is `kInstance`.
+[[nodiscard]] InstanceView decode_instance(std::string_view line);
 
 }  // namespace herc::history

@@ -21,17 +21,21 @@
 // and never touch the sets.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <unordered_set>
 #include <vector>
+
+#include "support/hash.hpp"
 
 namespace herc::history {
 
@@ -117,21 +121,30 @@ class TextPool {
   /// The handle of `text`, added on first sight; "" is the default handle.
   [[nodiscard]] Text text(std::string_view text);
   /// The handle of `roles`, added on first sight; {} is the default handle.
-  [[nodiscard]] RoleList roles(const std::vector<std::string>& roles);
+  [[nodiscard]] RoleList roles(std::span<const std::string_view> roles);
 
  private:
-  struct TextHash {
+  /// Hashes and compares a role list by its texts, so a list of views
+  /// finds its entry without being copied.
+  struct RolesHash {
     using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
+    std::size_t operator()(const std::vector<std::string>& roles) const;
+    std::size_t operator()(std::span<const std::string_view> roles) const;
+  };
+  struct RolesEqual {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                        [](std::string_view x, std::string_view y) {
+                          return x == y;
+                        });
     }
   };
-  struct RolesHash {
-    std::size_t operator()(const std::vector<std::string>& roles) const;
-  };
 
-  std::unordered_set<std::string, TextHash, std::equal_to<>> texts_;
-  std::unordered_set<std::vector<std::string>, RolesHash> role_lists_;
+  std::unordered_set<std::string, support::TextHash, std::equal_to<>> texts_;
+  std::unordered_set<std::vector<std::string>, RolesHash, RolesEqual>
+      role_lists_;
 };
 
 }  // namespace herc::history

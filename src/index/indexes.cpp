@@ -80,7 +80,6 @@ void IndexImage::add_instance(std::uint32_t id, std::string_view type_name,
   add_tokens(id, comment);
   users[std::string(user)].push_back(id);
   by_type[std::string(type_name)].emplace_back(created, id);
-  by_date.emplace_back(created, id);
   const auto fold_edge = [this, id](InstanceId src) {
     ++edges;
     const std::string edge =
@@ -124,32 +123,36 @@ std::string IndexImage::serialize() const {
     payload += '\n';
   }
   // Map sections in sorted key order, so the same image always serializes
-  // to the same bytes.
-  std::vector<std::string> user_names;
-  user_names.reserve(users.size());
-  for (const auto& [name, list] : users) user_names.push_back(name);
-  std::sort(user_names.begin(), user_names.end());
-  for (const std::string& name : user_names) {
-    support::RecordWriter w("usr");
-    w.field(name);
-    for (const std::uint32_t id : users.at(name)) w.field(id);
-    payload += w.str();
-    payload += '\n';
-  }
-  std::vector<std::string> type_names;
-  type_names.reserve(by_type.size());
-  for (const auto& [name, list] : by_type) type_names.push_back(name);
-  std::sort(type_names.begin(), type_names.end());
-  for (const std::string& name : type_names) {
-    support::RecordWriter w("typ");
-    w.field(name);
-    for (const auto& [created, id] : by_type.at(name)) {
-      w.field(created);
-      w.field(id);
+  // to the same bytes; each list `kListLineEntries` entries to a line.
+  const auto write_lists = [&payload](std::string_view kind, const auto& map,
+                                      const auto& write_entry) {
+    std::vector<decltype(&*map.begin())> rows;
+    rows.reserve(map.size());
+    for (const auto& row : map) rows.push_back(&row);
+    std::sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
+      return a->first < b->first;
+    });
+    for (const auto* row : rows) {
+      const auto& [name, list] = *row;
+      std::size_t at = 0;
+      do {
+        support::RecordWriter w(kind);
+        w.field(name);
+        const std::size_t end = std::min(list.size(), at + kListLineEntries);
+        for (; at < end; ++at) write_entry(w, list[at]);
+        payload += w.str();
+        payload += '\n';
+      } while (at < list.size());
     }
-    payload += w.str();
-    payload += '\n';
-  }
+  };
+  write_lists("usr", users,
+              [](support::RecordWriter& w, std::uint32_t id) { w.field(id); });
+  write_lists("typ", by_type,
+              [](support::RecordWriter& w,
+                 const std::pair<std::int64_t, std::uint32_t>& entry) {
+                w.field(entry.first);
+                w.field(entry.second);
+              });
   {
     support::RecordWriter w("adj");
     w.field(static_cast<std::int64_t>(edges));
@@ -239,10 +242,6 @@ class ImageParser {
       error = error_;
       return false;
     }
-    for (const auto& [name, list] : img_.by_type) {
-      img_.by_date.insert(img_.by_date.end(), list.begin(), list.end());
-    }
-    std::sort(img_.by_date.begin(), img_.by_date.end());
     out = std::move(img_);
     return true;
   }
@@ -253,11 +252,14 @@ class ImageParser {
     support::RecordReader r(line);
     if (r.kind() == "tok") {
       // The id table is built once, in `finish`.
-      img_.tokens.append(r.next_string());
+      const support::RecordReader::Field token = r.next_field();
+      img_.tokens.append(token.escaped ? support::unescape_field(token.text)
+                                       : token.text);
       ids_.clear();
       while (!r.exhausted()) ids_.push_back(r.next_uint32());
       img_.postings.add(ids_);
     } else if (r.kind() == "usr") {
+      // A long list continues on lines repeating its name.
       std::vector<std::uint32_t>& list = img_.users[r.next_string()];
       while (!r.exhausted()) list.push_back(r.next_uint32());
     } else if (r.kind() == "typ") {
@@ -514,6 +516,21 @@ DateSlice slice_entries(const std::vector<Entry>& list,
 
 }  // namespace
 
+std::vector<const std::vector<Entry>*> HistoryIndexes::creation_lists(
+    const history::QueryFilter& filter, history::AccessPath path) const {
+  std::vector<const std::vector<Entry>*> lists;
+  if (path == history::AccessPath::kDate) {
+    for (const auto& [name, list] : img_.by_type) lists.push_back(&list);
+    return lists;
+  }
+  for (const schema::EntityTypeId tid :
+       db_->schema().concrete_descendants(filter.type)) {
+    const auto it = img_.by_type.find(db_->schema().entity_name(tid));
+    if (it != img_.by_type.end()) lists.push_back(&it->second);
+  }
+  return lists;
+}
+
 std::optional<std::size_t> HistoryIndexes::estimate(
     const history::QueryFilter& filter, history::AccessPath path) const {
   using history::AccessPath;
@@ -534,24 +551,19 @@ std::optional<std::size_t> HistoryIndexes::estimate(
       }
       return total;
     }
-    case AccessPath::kType: {
-      if (!filter.type.valid()) return std::nullopt;
+    case AccessPath::kType:
+    case AccessPath::kDate: {
+      if (path == AccessPath::kType ? !filter.type.valid()
+                                    : !filter.from && !filter.to) {
+        return std::nullopt;
+      }
       const history::PageCursor top = history::PageCursor::top();
       std::size_t total = 0;
-      for (const schema::EntityTypeId tid :
-           db_->schema().concrete_descendants(filter.type)) {
-        const auto it = img_.by_type.find(db_->schema().entity_name(tid));
-        if (it == img_.by_type.end()) continue;
-        const DateSlice s = slice_entries(it->second, filter, top);
+      for (const std::vector<Entry>* list : creation_lists(filter, path)) {
+        const DateSlice s = slice_entries(*list, filter, top);
         total += s.end - s.begin;
       }
       return total;
-    }
-    case AccessPath::kDate: {
-      if (!filter.from && !filter.to) return std::nullopt;
-      const DateSlice s =
-          slice_entries(img_.by_date, filter, history::PageCursor::top());
-      return s.end - s.begin;
     }
     default:
       return std::nullopt;
@@ -608,13 +620,12 @@ std::vector<InstanceId> HistoryIndexes::candidates(
       }
       return out;
     }
-    case AccessPath::kType: {
+    case AccessPath::kType:
+    case AccessPath::kDate: {
+      // Descending k-way merge of the lists' slices by (created, id).
       std::vector<DateSlice> slices;
-      for (const schema::EntityTypeId tid :
-           db_->schema().concrete_descendants(filter.type)) {
-        const auto it = img_.by_type.find(db_->schema().entity_name(tid));
-        if (it == img_.by_type.end()) continue;
-        const DateSlice s = slice_entries(it->second, filter, cursor);
+      for (const std::vector<Entry>* list : creation_lists(filter, path)) {
+        const DateSlice s = slice_entries(*list, filter, cursor);
         if (s.end > s.begin) slices.push_back(s);
       }
       std::priority_queue<std::pair<Entry, std::size_t>> heap;
@@ -627,15 +638,6 @@ std::vector<InstanceId> HistoryIndexes::candidates(
         out.push_back(InstanceId(entry.second));
         DateSlice& s = slices[which];
         if (--s.end > s.begin) heap.emplace((*s.list)[s.end - 1], which);
-      }
-      return out;
-    }
-    case AccessPath::kDate: {
-      const DateSlice s = slice_entries(img_.by_date, filter, cursor);
-      std::size_t at = s.end;
-      while (at > s.begin && out.size() < limit) {
-        --at;
-        out.push_back(InstanceId((*s.list)[at].second));
       }
       return out;
     }

@@ -8,22 +8,28 @@
 //             keywords resolve without scanning it
 //   user      per-creating-user posting lists
 //   type      per-concrete-entity-type creation lists
-//   date      global creation-date list
+//   date      the per-type lists again, merged: a creation-date window
+//             walks every type's list at once, as a type's path walks
+//             those of its concrete descendants, so no second, global
+//             copy of the pairs is kept
 //   adjacency the derivation graph's edge count + digest (queries delegate
 //             to `HistoryDb::used_by`, which is already the forward index;
 //             persisting the edges again would double the store in memory)
 //
 // Maintenance is incremental: the structure subscribes to its store's
-// change feed, so it sees exactly the frames the HERCWAL1 journal persists,
-// local and replicated alike, as decoded records (history/record_codec.hpp)
-// it never re-parses; a rebase that replaced the contents (a replica
-// resync) triggers a full rebuild.  Journal text (open's catch-up) goes
-// through the same codec, decoding only the kinds the index folds.
+// change feed, so it sees exactly the frames the journal persists, local
+// and replicated alike, as decoded records (history/record_codec.hpp) it
+// never re-parses; a rebase that replaced the contents (a replica resync)
+// triggers a full rebuild.  Journal text (open's catch-up) goes through
+// the same codec, decoding only the kinds the index folds.
 //
 // Persistence (`indexes.herc` next to the snapshot/journal) is `HERCIDX2`
 // and one `support::seal` envelope around an epoch/seq stamp line and the
 // sections: a file written at (epoch E, seq S) plus the journal records
-// from S onward reproduces the live index exactly.  Any skew — wrong
+// from S onward reproduces the live index exactly.  A user's or a type's
+// list is written `kListLineEntries` entries to a line, the name repeated
+// on each (the parser appends a repeated name's entries), so no line of
+// a large history outgrows `support::FileReader`'s window.  Any skew — wrong
 // epoch, bad checksum, a seq the journal never reached, a torn, tampered
 // or older-format file — falls back to a rebuild from the recovered
 // database, so the index can never be *wrong*, only cold.  Postings are
@@ -58,6 +64,8 @@ namespace herc::index {
 
 inline constexpr std::string_view kIndexMagic = "HERCIDX2";
 inline constexpr std::string_view kIndexFileName = "indexes.herc";
+/// Most entries one `usr` or `typ` line of `indexes.herc` holds.
+inline constexpr std::size_t kListLineEntries = 4096;
 
 /// The pure index data — everything `indexes.herc` persists — plus the
 /// incremental application rules.  Shared verbatim by the runtime
@@ -84,9 +92,6 @@ struct IndexImage {
   std::unordered_map<std::string,
                      std::vector<std::pair<std::int64_t, std::uint32_t>>>
       by_type;
-  /// Global (created micros, id), ascending.  Derived (not persisted):
-  /// rebuilt from the per-type lists on parse.
-  std::vector<std::pair<std::int64_t, std::uint32_t>> by_date;
 
   /// Derivation-adjacency summary: edge count and an order-sensitive FNV
   /// fold over (src, dst) pairs in application order, audited by fsck.
@@ -230,6 +235,13 @@ class HistoryIndexes final : public history::SecondaryIndex,
   /// token-charset, length >= 3).
   [[nodiscard]] std::vector<std::uint32_t> matching_tokens(
       const std::string& keyword) const;
+  /// The per-type (created, id) lists `path` walks for `filter`: those of
+  /// the concrete descendants of its type for `kType`, every one for
+  /// `kDate`.
+  [[nodiscard]] std::vector<
+      const std::vector<std::pair<std::int64_t, std::uint32_t>>*>
+  creation_lists(const history::QueryFilter& filter,
+                 history::AccessPath path) const;
 
   history::HistoryDb* db_;
   IndexImage img_;

@@ -20,7 +20,7 @@ EntityTypeId TaskSchema::add_entity(std::string_view name, EntityKind kind,
     throw SchemaError("'" + std::string(name) +
                       "' is not a legal entity name");
   }
-  if (by_name_.contains(std::string(name))) {
+  if (by_name_.contains(name)) {
     throw SchemaError("entity '" + std::string(name) + "' already declared");
   }
   EntityType e;
@@ -114,7 +114,7 @@ void TaskSchema::set_decompose(EntityTypeId composite, Decompose fn) {
 }
 
 EntityTypeId TaskSchema::find(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
+  const auto it = by_name_.find(name);
   return it == by_name_.end() ? EntityTypeId() : it->second;
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "schema/entity.hpp"
+#include "support/hash.hpp"
 
 namespace herc::schema {
 
@@ -156,7 +157,9 @@ class TaskSchema {
 
   std::string name_;
   std::vector<EntityType> entities_;
-  std::unordered_map<std::string, EntityTypeId> by_name_;
+  std::unordered_map<std::string, EntityTypeId, support::TextHash,
+                     std::equal_to<>>
+      by_name_;
   std::unordered_map<EntityTypeId, ComposeCheck, support::IdHash> compose_;
   std::unordered_map<EntityTypeId, Decompose, support::IdHash> decompose_;
 };

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -26,5 +27,15 @@ namespace herc::support {
 
 /// Renders a hash as 16 lowercase hex digits (the blob key format).
 [[nodiscard]] std::string hash_hex(std::uint64_t h);
+
+/// Hashes a string by its text (in memory only, so `std::hash` will do):
+/// a container keyed by `std::string` with this hash and
+/// `std::equal_to<>` finds a `std::string_view` without copying it.
+struct TextHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
 
 }  // namespace herc::support

@@ -1,7 +1,6 @@
 #include "support/record.hpp"
 
 #include <charconv>
-#include <cstring>
 
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -39,50 +38,21 @@ RecordWriter& RecordWriter::field(double value) {
   return *this;
 }
 
-namespace {
-
-/// Scans the field that starts at `from`: returns the offset of the `|`
-/// that ends it (or the line's size), and sets `escaped` when the field
-/// holds a `\`.  A `\` takes the byte after it, so `\|` ends no field.
-std::size_t field_end(std::string_view line, std::size_t from,
-                      bool& escaped) {
-  const char* const data = line.data();
-  const std::size_t size = line.size();
-  const void* bar = std::memchr(data + from, '|', size - from);
-  const std::size_t end =
-      bar == nullptr ? size
-                     : static_cast<std::size_t>(
-                           static_cast<const char*>(bar) - data);
-  const void* slash = std::memchr(data + from, '\\', end - from);
-  if (slash == nullptr) return end;
-  escaped = true;
-  for (auto i = static_cast<std::size_t>(static_cast<const char*>(slash) -
-                                         data);
-       i < size; ++i) {
-    if (data[i] == '\\') {
-      ++i;
-    } else if (data[i] == '|') {
-      return i;
-    }
-  }
-  return size;
-}
-
-}  // namespace
-
-RecordReader::RecordReader(std::string_view line) : line_(line) {
+RecordReader::RecordReader(std::string_view line)
+    : line_(line), slash_(find(line, 0, '\\')) {
   if (trim(line).empty()) throw ParseError("empty record line");
   bool escaped = false;
-  const std::size_t end = field_end(line, 0, escaped);
+  const std::size_t end = field_end(line, 0, slash_, escaped);
   kind_ = line.substr(0, end);
   next_ = end + 1;
 }
 
 std::size_t RecordReader::size() const {
   std::size_t n = 0;
+  std::size_t slash = 0;
   bool escaped = false;
   for (std::size_t at = kind_.size() + 1; at <= line_.size();
-       at = field_end(line_, at, escaped) + 1) {
+       at = field_end(line_, at, slash, escaped) + 1) {
     ++n;
   }
   return n;
@@ -93,22 +63,13 @@ void RecordReader::fail(std::string_view what) const {
                    std::string(what));
 }
 
-RecordReader::RawField RecordReader::next_raw() {
-  if (exhausted()) fail("ran out of fields");
-  RawField field;
-  const std::size_t end = field_end(line_, next_, field.escaped);
-  field.text = line_.substr(next_, end - next_);
-  next_ = end + 1;
-  return field;
-}
-
 std::string RecordReader::next_string() {
-  const RawField field = next_raw();
+  const Field field = next_field();
   return field.escaped ? unescape_field(field.text) : std::string(field.text);
 }
 
 std::int64_t RecordReader::next_int64() {
-  const RawField field = next_raw();
+  const Field field = next_field();
   std::string unescaped;
   std::string_view digits = field.text;
   if (field.escaped) {

@@ -124,6 +124,48 @@ TEST_F(HistoryTest, ChainingQueries) {
   EXPECT_EQ(db_.used_by(placer), std::vector<InstanceId>{layout});
 }
 
+TEST_F(HistoryTest, TheForwardIndexListsOnlyUsedInstancesAndMovesWithThem) {
+  // Only an instance something was derived from holds a list; the others
+  // read as one empty list.  The lists move with the table, as a store's
+  // install moves a new image into its database.
+  support::ManualClock clock2(0, 1);
+  auto source = std::make_unique<HistoryDb>(schema_, clock2);
+  const InstanceId sim =
+      source->import_instance(schema_.require("Simulator"), "sim", "", "u");
+  const InstanceId net =
+      source->import_instance(schema_.require("EditedNetlist"), "n", "a", "u");
+  const InstanceId wave =
+      source->import_instance(schema_.require("Stimuli"), "w", "b", "u");
+  const InstanceId lone =
+      source->import_instance(schema_.require("Stimuli"), "l", "c", "u");
+  RecordRequest request;
+  request.type = schema_.require("Performance");
+  request.user = "u";
+  request.derivation.tool = sim;
+  request.derivation.inputs = {net, wave};
+  request.derivation.input_roles = {"circuit", "stimuli"};
+  const InstanceId p1 = source->record(request);
+  // An input named twice is listed once.
+  request.derivation.inputs = {net, net};
+  const InstanceId p2 = source->record(request);
+  EXPECT_TRUE(source->used_by(lone).empty());
+  EXPECT_TRUE(source->used_by(p1).empty());
+  EXPECT_EQ(&source->used_by(lone), &source->used_by(p2));
+
+  (void)db_.import_instance(schema_.require("Stimuli"), "gone", "g", "u");
+  db_ = std::move(*source);
+  source.reset();
+  EXPECT_EQ(db_.used_by(sim), (std::vector<InstanceId>{p1, p2}));
+  EXPECT_EQ(db_.used_by(net), (std::vector<InstanceId>{p1, p2}));
+  EXPECT_EQ(db_.used_by(wave), std::vector<InstanceId>{p1});
+  EXPECT_TRUE(db_.used_by(lone).empty());
+  EXPECT_EQ(db_.dependent_closure(wave), std::vector<InstanceId>{p1});
+  // A first dependent gives an instance its list.
+  const InstanceId edit = derive("Stimuli", InstanceId(), {lone});
+  EXPECT_EQ(db_.used_by(lone), std::vector<InstanceId>{edit});
+  EXPECT_EQ(db_.used_by(wave), std::vector<InstanceId>{p1});
+}
+
 TEST_F(HistoryTest, VersionNumberingFollowsEditLineage) {
   const InstanceId editor =
       db_.import_instance(schema_.require("CircuitEditor"), "ed", "", "u");

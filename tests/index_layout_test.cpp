@@ -7,6 +7,7 @@
 // in the stamp in front of the sections rebuilds too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include "support/clock.hpp"
 #include "support/envelope.hpp"
 #include "support/file.hpp"
+#include "support/text.hpp"
 
 namespace herc::index {
 namespace {
@@ -634,6 +636,29 @@ TEST(IndexLayoutTest, TheChecksumOutranksADefectAndTheFirstDefectWins) {
   fs::remove_all(dir);
 }
 
+TEST(IndexLayoutTest, ARepeatedListNameContinuesItsList) {
+  // Each list is written at most `kListLineEntries` entries to a line; a
+  // hand-written image with one type and one user split over two lines
+  // each parses to the joined lists.
+  std::string text(kIndexMagic);
+  support::seal(text,
+                "stamp|0|0|5\n"
+                "usr|ada|0|1\nusr|bob|3\nusr|ada|2|4\n"
+                "typ|Stimuli|100|0|110|1\ntyp|Stimuli|120|2|140|4\n"
+                "typ|EditedNetlist|130|3\n"
+                "adj|0|0\n");
+  IndexImage image;
+  std::string error;
+  ASSERT_TRUE(IndexImage::parse(text, image, error)) << error;
+  EXPECT_EQ(image.users.at("ada"),
+            (std::vector<std::uint32_t>{0, 1, 2, 4}));
+  EXPECT_EQ(image.users.at("bob"), std::vector<std::uint32_t>{3});
+  EXPECT_EQ(image.by_type.at("Stimuli"),
+            (std::vector<std::pair<std::int64_t, std::uint32_t>>{
+                {100, 0}, {110, 1}, {120, 2}, {140, 4}}));
+  EXPECT_EQ(image.by_type.at("EditedNetlist").size(), 1u);
+}
+
 TEST(IndexLayoutTest, AnImageLargerThanTheReadWindowStreamsIn) {
   IndexImage image;
   for (std::uint32_t id = 0; id < 150'000; ++id) {
@@ -643,6 +668,16 @@ TEST(IndexLayoutTest, AnImageLargerThanTheReadWindowStreamsIn) {
   }
   const std::string bytes = image.serialize();
   ASSERT_GT(bytes.size(), 2 * support::FileReader::kWindowBytes);
+  // A 150k-entry type list and 100k-entry user list are written a few
+  // thousand entries to a line, so no line outgrows the read window.
+  std::size_t longest = 0;
+  std::size_t typ_lines = 0;
+  for (const std::string_view line : support::Lines(bytes)) {
+    longest = std::max(longest, line.size());
+    if (line.starts_with("typ|")) ++typ_lines;
+  }
+  EXPECT_LE(longest, support::FileReader::kWindowBytes);
+  EXPECT_EQ(typ_lines, (150'000 + kListLineEntries - 1) / kListLineEntries);
   const std::string dir = fresh_dir("herc_index_layout_large");
   const HistoryIndexes::LoadedImage back = [&] {
     std::ofstream(HistoryIndexes::file_path(dir), std::ios::binary) << bytes;
@@ -651,7 +686,8 @@ TEST(IndexLayoutTest, AnImageLargerThanTheReadWindowStreamsIn) {
   ASSERT_TRUE(back.image.has_value()) << back.error;
   EXPECT_EQ(back.image->serialize(), bytes);
   EXPECT_EQ(back.image->tokens.find("wave149999"), 149'999u);
-  EXPECT_EQ(back.image->by_date.size(), 150'000u);
+  EXPECT_EQ(back.image->by_type.at("Stimuli").size(), 150'000u);
+  EXPECT_EQ(back.image->users.at("ada").size(), 100'000u);
   fs::remove_all(dir);
 }
 

@@ -199,6 +199,56 @@ TEST(IndexTest, CursorPaginationWalksEveryRowOnce) {
   EXPECT_EQ(walked, whole.ids);
 }
 
+TEST(IndexTest, AnUntypedDateWindowPagesAsTheScanAndNoTypedFilterPlansDate) {
+  // The date path merges every type's creation list; a typed filter's
+  // own lists are never longer, so the planner keeps it on `type`.
+  const schema::TaskSchema schema = schema::make_fig1_schema();
+  support::ManualClock clock(1000, 10);
+  HistoryDb db(schema, clock);
+  const char* const types[] = {"EditedNetlist", "Stimuli", "CircuitEditor",
+                               "Simulator"};
+  for (int i = 0; i < 90; ++i) {
+    db.import_instance(schema.require(types[i % 7 % 4]),
+                       support::numbered("n", i), "", "u");
+  }
+  HistoryIndexes idx(db);
+  idx.rebuild();
+
+  QueryFilter f;
+  f.from = db.instance(InstanceId(13)).created;
+  f.to = db.instance(InstanceId(71)).created;
+  EXPECT_EQ(idx.estimate(f, AccessPath::kDate), 59u);
+  std::optional<PageCursor> by_index;
+  std::optional<PageCursor> by_scan;
+  std::vector<InstanceId> walked;
+  for (std::size_t pages = 1;; ++pages) {
+    const QueryPage indexed = history::run_page(db, f, &idx, 8, by_index);
+    const QueryPage scanned = history::run_page(db, f, nullptr, 8, by_scan);
+    EXPECT_EQ(indexed.plan.path, AccessPath::kDate);
+    EXPECT_EQ(indexed.ids, scanned.ids) << "page " << pages;
+    ASSERT_EQ(indexed.next.has_value(), scanned.next.has_value());
+    walked.insert(walked.end(), indexed.ids.begin(), indexed.ids.end());
+    if (!indexed.next) {
+      EXPECT_EQ(pages, 8u);
+      break;
+    }
+    EXPECT_EQ(indexed.next->encode(), scanned.next->encode());
+    by_index = indexed.next;
+    by_scan = scanned.next;
+  }
+  ASSERT_EQ(walked.size(), 59u);
+  EXPECT_EQ(walked.front(), InstanceId(71));
+  EXPECT_EQ(walked.back(), InstanceId(13));
+
+  for (const schema::EntityTypeId type : schema.all()) {
+    QueryFilter typed = f;
+    typed.type = type;
+    SCOPED_TRACE(schema.entity_name(type));
+    EXPECT_NE(history::plan_query(db, typed, &idx).path, AccessPath::kDate);
+    exact(db, typed, &idx);
+  }
+}
+
 TEST(IndexTest, AnnotationLeavesStalePostingsButQueriesStayExact) {
   const schema::TaskSchema schema = schema::make_fig1_schema();
   support::ManualClock clock(1000, 10);
@@ -260,7 +310,8 @@ TEST(IndexTest, ImageSerializeParseRoundTrips) {
   EXPECT_EQ(back.instances, idx.image().instances);
   EXPECT_EQ(back.edges, idx.image().edges);
   EXPECT_EQ(back.adjacency_digest, idx.image().adjacency_digest);
-  EXPECT_EQ(back.by_date, idx.image().by_date);
+  EXPECT_EQ(back.users, idx.image().users);
+  EXPECT_EQ(back.by_type, idx.image().by_type);
 
   // Flipping any byte of the body must be caught by the checksum.
   std::string bent = text;

@@ -116,7 +116,16 @@ TEST(NetFaultTest, MidFrameDropRetriesToExactlyOnce) {
   std::thread caller([&] {
     result = client.call("import Stimuli drop_once", body);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  // Heal once the proxy has cut a connection, not after a fixed sleep: a
+  // slow caller (a sanitizer build) may send only after such a sleep, and
+  // then nothing is ever cut.  The deadline only keeps a broken proxy
+  // from hanging the test; the assertions below then fail.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rig.proxy.connections_cut() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
   rig.proxy.heal();
   caller.join();
 

@@ -430,6 +430,12 @@ TEST_F(StorageTest, InPlaceInstallKeepsJournalingLocalMutations) {
     const HistoryDb* const db = &store.db();
     store.install(7, image);
     EXPECT_EQ(&store.db(), db);
+    // The forward index came with the image.
+    for (std::uint32_t i = 0; i < leader.size(); ++i) {
+      EXPECT_EQ(store.db().used_by(InstanceId(i)),
+                leader.used_by(InstanceId(i)))
+          << i;
+    }
     EXPECT_EQ(store.db().listener(),
               static_cast<history::MutationListener*>(&store));
     EXPECT_EQ(store.epoch(), 7u);

@@ -526,6 +526,37 @@ std::vector<std::string> reference_split(std::string_view line) {
   return out;
 }
 
+TEST(Record, ABackslashAnywhereInTheLineSplitsAsTheReference) {
+  // The reader looks for a `\` once per line and again only past a field
+  // that held one: a `\` in a later field only, an escaped `|` inside a
+  // field, and a line ending in `\` all split as the reference does, and
+  // exactly the fields holding a `\` come out escaped.
+  for (const std::string_view line :
+       {R"(k|a|bb|c\pd|e)", R"(k|a|bb|ccc|\\)", R"(k|a\|b|c)",
+        R"(k|x|a\|b\|c|y)", R"(k|a|b\)", R"(k|a|b|\)", R"(k|a\\|b|c\)",
+        R"(k\|z|a|b\nc|d)",
+        R"(k|0123456789abcdefghij|x\py|0123456789abcdefghij|z)",
+        // Bytes above 0x7f, which the word-at-a-time scan must not take
+        // for a `|` or a `\`.
+        "k|\x80\x81\xa3\xdd\xfc\xfd\xfe\xff\xe9t\xe9|caf\xc3\xa9 \xff\xfd|z",
+        "k|\xff\xdd\xfd\xdd\xfd\xdd\xfd\xdd\xfd|a\\pb|\xdd\xfd\xdd\xfd\xdd\xfd\xdd"}) {
+    SCOPED_TRACE(std::string(line));
+    const std::vector<std::string> want = reference_split(line);
+    RecordReader r(line);
+    EXPECT_EQ(r.kind(), want.front());
+    EXPECT_EQ(r.size(), want.size() - 1);
+    for (std::size_t i = 1; i < want.size(); ++i) {
+      const RecordReader::Field field = r.next_field();
+      EXPECT_EQ(field.escaped,
+                field.text.find('\\') != std::string_view::npos);
+      EXPECT_EQ(field.escaped ? unescape_field(field.text)
+                              : std::string(field.text),
+                want[i]);
+    }
+    EXPECT_TRUE(r.exhausted());
+  }
+}
+
 TEST(Record, RandomFieldsRoundTripAndMatchTheReference) {
   const std::uint64_t seed = testprop::base_seed(0x5eedf1e1d5ULL);
   SCOPED_TRACE(testprop::seed_note(seed));
