@@ -77,7 +77,7 @@ int main() {
     const circuit::SimResult r =
         circuit::SimResult::from_text(session.db().payload(perf_inst));
     std::printf("  i%u %-16s output toggles: %llu\n", perf_inst.value(),
-                inst.name.c_str(),
+                std::string(inst.name.get()).c_str(),
                 static_cast<unsigned long long>(r.stats.output_toggles));
   }
 
@@ -87,7 +87,7 @@ int main() {
     const auto& inst = session.db().instance(anc);
     std::printf("  i%u  %-16s %s\n", anc.value(),
                 session.schema().entity_name(inst.type).c_str(),
-                inst.name.c_str());
+                std::string(inst.name.get()).c_str());
   }
   std::printf("\n== forward trace from the netlist ==\n%s",
               history::forward_trace(session.db(), netlist).to_dot().c_str());

@@ -45,7 +45,7 @@ int main() {
     const auto inst = views.view("adder", kind);
     std::printf("  %-10s -> i%u (%s)\n", views::to_string(kind),
                 inst->value(),
-                session.db().instance(*inst).name.c_str());
+                std::string(session.db().instance(*inst).name.get()).c_str());
   }
 
   // The Fig. 8 flows themselves, in both representations of Fig. 3.

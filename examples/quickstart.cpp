@@ -83,7 +83,7 @@ int main() {
     const auto& inst = session.db().instance(anc);
     std::printf("  i%u  %-18s %s\n", anc.value(),
                 session.schema().entity_name(inst.type).c_str(),
-                inst.name.c_str());
+                std::string(inst.name.get()).c_str());
   }
 
   // ...and forward chaining from the netlist ("Use dependencies").
@@ -92,7 +92,7 @@ int main() {
     const auto& inst = session.db().instance(dep);
     std::printf("  i%u  %-18s %s\n", dep.value(),
                 session.schema().entity_name(inst.type).c_str(),
-                inst.name.c_str());
+                std::string(inst.name.get()).c_str());
   }
 
   std::printf("\n== flow trace of the performance (Fig. 11b form) ==\n%s\n",

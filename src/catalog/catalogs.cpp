@@ -186,7 +186,8 @@ DataStart start_from_data(const schema::TaskSchema& schema,
   DataStart start{graph::TaskGraph(schema, "data:" +
                                                (inst.name.empty()
                                                     ? std::string("instance")
-                                                    : inst.name)),
+                                                    : std::string(
+                                                          inst.name.get()))),
                   graph::NodeId(), {}};
   start.data_node = start.flow.add_node(inst.type);
   start.flow.bind(start.data_node, instance);

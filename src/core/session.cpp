@@ -174,10 +174,13 @@ std::string DesignSession::render_task_window(const TaskGraph& flow) const {
       for (std::size_t i = 0; i < node.bound.size(); ++i) {
         if (i != 0) line += ",";
         const data::InstanceId inst = node.bound[i];
-        const std::string& name = db().contains(inst)
-                                      ? db().instance(inst).name
-                                      : std::string();
-        line += name.empty() ? support::numbered("i", inst.value()) : name;
+        const std::string_view name =
+            db().contains(inst) ? db().instance(inst).name.get() : "";
+        if (name.empty()) {
+          line += support::numbered("i", inst.value());
+        } else {
+          line += name;
+        }
       }
       line += "}";
     }

@@ -148,7 +148,8 @@ std::vector<InstanceId> decompose_instance(history::HistoryDb& db,
     request.type = type;
     request.name = inst.name.empty()
                        ? schema.entity_name(type) + "(decomposed)"
-                       : inst.name + "." + schema.entity_name(type);
+                       : std::string(inst.name.get()) + "." +
+                             schema.entity_name(type);
     request.user = user;
     request.comment = "decomposed from composite";
     request.payload = parts[i];

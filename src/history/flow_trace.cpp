@@ -48,7 +48,8 @@ TaskGraph make_trace(const HistoryDb& db, std::vector<InstanceId> members,
     const NodeId n = trace.add_node(inst.type);
     trace.bind(n, id);
     std::string label =
-        inst.name.empty() ? support::numbered("i", id.value()) : inst.name;
+        inst.name.empty() ? support::numbered("i", id.value())
+                          : std::string(inst.name.get());
     if (inst.version > 1) label += support::numbered(" v", inst.version);
     trace.set_label(n, label);
     node_of.emplace(id.value(), n);
@@ -137,7 +138,7 @@ std::string VersionTree::to_dot(const HistoryDb& db) const {
     const Instance& inst = db.instance(e.instance);
     std::string label = inst.name.empty()
                             ? support::numbered("i", e.instance.value())
-                            : inst.name;
+                            : std::string(inst.name.get());
     label += support::numbered("\nv", e.version);
     dot.node(support::numbered("v", e.instance.value()), label,
              {"shape=\"box\""});

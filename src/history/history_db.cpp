@@ -176,21 +176,21 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
   for (const InstanceId in : request.derivation.inputs) check_id(in);
 
   Instance inst;
+  inst.name = pool_.copy(request.name);
+  inst.comment = pool_.copy(request.comment);
+  const Derivation& d = request.derivation;
+  const std::vector<std::string_view> roles(d.input_roles.begin(),
+                                            d.input_roles.end());
+  inst.derivation = PooledDerivation{pool_.copy(d.inputs), pool_.roles(roles),
+                                     pool_.text(d.task), d.tool};
   inst.id = InstanceId(static_cast<std::uint32_t>(instances_.size()));
   inst.type = request.type;
-  inst.name = request.name;
   inst.user = pool_.text(request.user);
-  inst.comment = SparseText(request.comment);
   inst.created = clock_->now();
   const std::size_t blobs_before = blobs_.size();
   inst.blob = blobs_.put(request.payload);
   const bool new_blob = blobs_.size() > blobs_before;
   inst.status = request.status;
-  const Derivation& d = request.derivation;
-  const std::vector<std::string_view> roles(d.input_roles.begin(),
-                                            d.input_roles.end());
-  inst.derivation = PooledDerivation{d.tool, d.inputs, pool_.roles(roles),
-                                     pool_.text(d.task)};
 
   // Version numbering: an editing task (input of the same root entity type,
   // §4.2) continues its input's lineage.  A failed edit produced nothing,
@@ -206,8 +206,7 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
     }
   }
 
-  const InstanceId id = inst.id;
-  instances_.push_back(std::move(inst));
+  instances_.emplace_back(inst);
   link_newest();
   if (listener_ != nullptr) {
     // One mutation = one journal entry: the (possibly new) blob plus the
@@ -220,7 +219,7 @@ InstanceId HistoryDb::record(const RecordRequest& request) {
     listener_->on_mutation(
         std::span<const Record>(records).subspan(new_blob ? 0 : 1));
   }
-  return id;
+  return inst.id;
 }
 
 void HistoryDb::link_newest() {
@@ -473,14 +472,39 @@ std::vector<InstanceId> HistoryDb::stale_inputs(InstanceId id) const {
   return out;
 }
 
+namespace {
+
+/// True when `have` holds the ids of `want`, sorted, in any order.  The
+/// sorted copy of `have` is kept on the stack up to `kInlineIds`, so a
+/// memo check allocates nothing for the derivations tasks make.
+bool same_ids(std::span<const InstanceId> have,
+              std::span<const InstanceId> want) {
+  if (have.size() != want.size()) return false;
+  constexpr std::size_t kInlineIds = 16;
+  std::array<InstanceId, kInlineIds> on_stack;
+  std::vector<InstanceId> on_heap;
+  std::span<InstanceId> sorted;
+  if (have.size() <= kInlineIds) {
+    sorted = std::span(on_stack).first(have.size());
+  } else {
+    on_heap.resize(have.size());
+    sorted = on_heap;
+  }
+  std::copy(have.begin(), have.end(), sorted.begin());
+  std::sort(sorted.begin(), sorted.end());
+  return std::equal(sorted.begin(), sorted.end(), want.begin());
+}
+
+}  // namespace
+
 std::optional<InstanceId> HistoryDb::find_existing(
     EntityTypeId type, InstanceId tool,
     const std::vector<InstanceId>& inputs) const {
+  if (!tool.valid() && inputs.empty()) return std::nullopt;
   std::vector<InstanceId> want = inputs;
   std::sort(want.begin(), want.end());
   // Walk the forward index of the narrowest anchor (the tool when present,
   // else the first input) rather than the whole table.
-  if (!tool.valid() && inputs.empty()) return std::nullopt;
   for (const InstanceId cand : used_by(tool.valid() ? tool : inputs.front())) {
     const Instance& inst = instances_[cand.index()];
     // Memoization must treat failed outputs as absent: a recorded failure
@@ -488,25 +512,25 @@ std::optional<InstanceId> HistoryDb::find_existing(
     if (!inst.ok()) continue;
     if (inst.type != type) continue;
     if (inst.derivation.tool != tool) continue;
-    std::vector<InstanceId> have = inst.derivation.inputs;
-    std::sort(have.begin(), have.end());
-    if (have == want) return cand;
+    if (same_ids(inst.derivation.inputs, want)) return cand;
   }
   return std::nullopt;
 }
 
 InstanceRecord HistoryDb::instance_record(const Instance& inst) const {
   const PooledDerivation& d = inst.derivation;
-  return InstanceRecord{inst.id,
-                        schema_->entity_name(inst.type),
-                        inst.name,
-                        inst.user,
-                        inst.created,
-                        std::string(inst.comment.get()),
-                        blobs_.key(inst.blob),
-                        inst.version,
-                        inst.status,
-                        Derivation{d.tool, d.inputs, d.input_roles, d.task}};
+  return InstanceRecord{
+      inst.id,
+      schema_->entity_name(inst.type),
+      std::string(inst.name.get()),
+      inst.user,
+      inst.created,
+      std::string(inst.comment.get()),
+      blobs_.key(inst.blob),
+      inst.version,
+      inst.status,
+      Derivation{{d.inputs.begin(), d.inputs.end()}, d.input_roles, d.task,
+                 d.tool}};
 }
 
 std::string HistoryDb::save() const {
@@ -526,7 +550,7 @@ std::string HistoryDb::save() const {
 void HistoryDb::apply_saved_line(std::string_view line) {
   if (support::trim(line).empty()) return;
   if (kind_of(line) == RecordKind::kInstance) {
-    apply(decode_instance(line));
+    apply(decode_instance(line, pool_));
   } else {
     apply(decode(line));
   }
@@ -561,10 +585,10 @@ void HistoryDb::apply(InstanceRecord&& r) {
                      r.blob,
                      r.version,
                      r.status,
-                     {d.tool, std::move(d.inputs),
+                     {d.inputs,
                       std::vector<std::string_view>(d.input_roles.begin(),
                                                     d.input_roles.end()),
-                      d.task},
+                      d.task, d.tool},
                      {}});
 }
 
@@ -579,28 +603,33 @@ void HistoryDb::apply(InstanceView&& r) {
   if (r.derivation.tool.valid()) check_id(r.derivation.tool);
   for (const InstanceId in : r.derivation.inputs) check_id(in);
   const EntityTypeId type = schema_->require(r.type);
-  // Every check is done: build the instance in place.
-  Instance& inst = instances_.emplace_back();
+  // Every check is done.  The inputs go first: they may be the run the
+  // line's reader staged in the arena, which any other arena use drops.
+  Instance inst;
+  const DerivationView& d = r.derivation;
+  inst.derivation = PooledDerivation{pool_.copy(d.inputs),
+                                     pool_.roles(d.input_roles),
+                                     pool_.text(d.task), d.tool};
+  inst.name = pool_.copy(r.name);
+  inst.comment = pool_.copy(r.comment);
   inst.id = r.id;
   inst.type = type;
-  inst.name = r.name;
   inst.user = pool_.text(r.user);
   inst.created = r.created;
-  inst.comment = SparseText(r.comment);
   inst.blob = *blob;
   inst.version = r.version;
   inst.status = r.status;
-  DerivationView& d = r.derivation;
-  inst.derivation = PooledDerivation{d.tool, std::move(d.inputs),
-                                     pool_.roles(d.input_roles),
-                                     pool_.text(d.task)};
+  instances_.emplace_back(inst);
   link_newest();
 }
 
 void HistoryDb::apply(AnnotateRecord&& r) {
   check_id(r.id);
-  instances_[r.id.index()].name = std::move(r.name);
-  instances_[r.id.index()].comment = SparseText(r.comment);
+  Instance& inst = instances_[r.id.index()];
+  // The replaced texts stay in the arena until the next load.
+  const ArenaText name = pool_.copy(r.name);
+  inst.comment = pool_.copy(r.comment);
+  inst.name = name;
 }
 
 void HistoryDb::apply(QuarantineRecord&& r) {
@@ -611,11 +640,11 @@ void HistoryDb::apply(QuarantineRecord&& r) {
                        " is not an OK record; only OK instances can be "
                        "quarantined");
   }
-  inst.status = InstanceStatus::kQuarantined;
   std::string comment(inst.comment.get());
   if (!comment.empty()) comment += ' ';
   comment += "[quarantined: " + r.reason + "]";
-  inst.comment = SparseText(comment);
+  inst.comment = pool_.copy(comment);
+  inst.status = InstanceStatus::kQuarantined;
 }
 
 HistoryDb HistoryDb::load(const schema::TaskSchema& schema,

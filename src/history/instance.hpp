@@ -7,6 +7,7 @@
 // subsume version management (§1, §4.2).
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,30 +27,34 @@ namespace herc::history {
 /// empty derivation.  A composite instance has inputs but no tool.
 ///
 /// A `RecordRequest` and an `InstanceRecord` carry the owning form,
-/// `Derivation`; the instance table holds a `PooledDerivation`, whose role
-/// list and task label are handles into the database's `TextPool`; replay
-/// reads a `DerivationView` of the record line.
-template <class Roles, class Label>
+/// `Derivation`; the instance table holds a `PooledDerivation`, whose
+/// inputs are a run of the database's arena and whose role list and task
+/// label are handles into its `TextPool`; replay reads a `DerivationView`
+/// of the record line.  The tool comes last, so that in an `Instance` the
+/// next 4-byte field fills the padding after it.
+template <class Inputs, class Roles, class Label>
 struct BasicDerivation {
-  /// The tool instance executed; invalid for imports and compose tasks.
-  data::InstanceId tool;
   /// Input instances, parallel with `input_roles`.
-  std::vector<data::InstanceId> inputs;
+  Inputs inputs;
   Roles input_roles;
   /// Short description of the producing step ("Simulator", "compose",
   /// "import", ...) used in trace renderings.
   Label task;
+  /// The tool instance executed; invalid for imports and compose tasks.
+  data::InstanceId tool;
 
   [[nodiscard]] bool is_import() const {
     return !tool.valid() && inputs.empty();
   }
 };
 
-using Derivation = BasicDerivation<std::vector<std::string>, std::string>;
-using PooledDerivation = BasicDerivation<RoleList, Text>;
-/// A derivation whose texts are views of another's or of a record line.
+using Derivation = BasicDerivation<std::vector<data::InstanceId>,
+                                   std::vector<std::string>, std::string>;
+using PooledDerivation = BasicDerivation<ArenaIds, RoleList, Text>;
+/// A derivation that views another's or a record line and its staged ids.
 using DerivationView =
-    BasicDerivation<std::vector<std::string_view>, std::string_view>;
+    BasicDerivation<std::span<const data::InstanceId>,
+                    std::vector<std::string_view>, std::string_view>;
 
 /// Outcome of the task execution that a record describes.  The history
 /// records *everything* that happened during a design (§4.2), including
@@ -71,20 +76,26 @@ enum class InstanceStatus : std::uint8_t {
 /// One design object: meta-data plus a reference to shared physical data.
 ///
 /// A history keeps every instance in memory, so what one costs bounds the
-/// history a server can hold: the texts that repeat (user, task label,
-/// role list) are handles into the database's `TextPool`, and the comment
-/// is one pointer, null when empty (imports and direct records often have
-/// none; a flow run comments each of its products).
+/// history a server can hold: 80 bytes and no allocation of its own.  The
+/// texts that repeat (user, task label, role list) are handles into the
+/// database's `TextPool`; the name, the comment and the derivation's
+/// inputs are handles to runs of its arena, null when empty (imports have
+/// no inputs, and direct records often no comment; a flow run comments
+/// each of its products).  The 8-byte fields come first and the 4-byte
+/// ones fill the derivation's tail, so no padding is left but the end's.
 struct Instance {
-  data::InstanceId id;
-  schema::EntityTypeId type;
   /// User-visible name ("Low pass filter"); may be empty.
-  std::string name;
+  ArenaText name;
   /// Who created it (Fig. 9 records user-id per instance).
   Text user;
   support::Timestamp created;
   /// Free-text annotation (§4.1: designers document steps this way).
-  SparseText comment;
+  ArenaText comment;
+  /// Laid out as a base class would be, so that `id` takes the padding
+  /// after `derivation.tool`.
+  [[no_unique_address]] PooledDerivation derivation;
+  data::InstanceId id;
+  schema::EntityTypeId type;
   /// The physical payload in the database's blob store; several
   /// instances may share one blob (footnote 5's RCS analogy).
   data::BlobRef blob;
@@ -94,7 +105,6 @@ struct Instance {
   /// derivation meta-data; their payload is empty and `comment` holds the
   /// error message (or skip reason).
   InstanceStatus status = InstanceStatus::kOk;
-  PooledDerivation derivation;
 
   [[nodiscard]] bool ok() const { return status == InstanceStatus::kOk; }
 };

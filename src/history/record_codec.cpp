@@ -1,5 +1,7 @@
 #include "history/record_codec.hpp"
 
+#include <span>
+
 #include "support/error.hpp"
 #include "support/record.hpp"
 #include "support/text.hpp"
@@ -60,8 +62,24 @@ std::string_view next_text(RecordReader& rec,
   return unescaped.emplace_front(support::unescape_field(field.text));
 }
 
-/// The one reader of an `inst` record's fields, after its kind.
-void decode_instance_fields(RecordReader& rec, InstanceView& r) {
+/// Where replay reads a line's input ids: straight into the arena, as
+/// `pool`'s staged run.
+struct StagedIds {
+  TextPool& pool;
+  void push_back(InstanceId id) const { pool.stage_id(id); }
+};
+
+std::span<const InstanceId> view_of(const std::vector<InstanceId>& ids) {
+  return ids;
+}
+std::span<const InstanceId> view_of(const StagedIds& ids) {
+  return ids.pool.staged_ids();
+}
+
+/// The one reader of an `inst` record's fields, after its kind: the input
+/// ids go to `inputs`, which `r.derivation.inputs` then views.
+template <class Ids>
+void decode_instance_fields(RecordReader& rec, InstanceView& r, Ids& inputs) {
   r.id = next_id(rec);
   r.type = next_text(rec, r.unescaped);
   r.name = next_text(rec, r.unescaped);
@@ -78,11 +96,12 @@ void decode_instance_fields(RecordReader& rec, InstanceView& r) {
   r.derivation.task = next_text(rec, r.unescaped);
   r.derivation.tool = next_tool(rec);
   // No reserve: the count is untrusted until its fields are read.
-  const std::uint32_t inputs = rec.next_uint32();
-  for (std::uint32_t i = 0; i < inputs; ++i) {
-    r.derivation.inputs.push_back(next_id(rec));
+  const std::uint32_t count = rec.next_uint32();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    inputs.push_back(next_id(rec));
     r.derivation.input_roles.push_back(next_text(rec, r.unescaped));
   }
+  r.derivation.inputs = view_of(inputs);
 }
 
 /// Decodes `rec`'s fields into `record`, built in place.
@@ -95,17 +114,23 @@ void decode_fields(RecordReader& rec, Record& record) {
     return;
   }
   if (kind == RecordKind::kInstance) {
+    auto& r = record.emplace<InstanceRecord>();
     InstanceView v;
-    decode_instance_fields(rec, v);
-    DerivationView& d = v.derivation;
-    record.emplace<InstanceRecord>(InstanceRecord{
-        v.id, std::string(v.type), std::string(v.name), std::string(v.user),
-        v.created, std::string(v.comment), std::string(v.blob), v.version,
-        v.status,
-        Derivation{d.tool, std::move(d.inputs),
-                   std::vector<std::string>(d.input_roles.begin(),
-                                            d.input_roles.end()),
-                   std::string(d.task)}});
+    decode_instance_fields(rec, v, r.derivation.inputs);
+    r.id = v.id;
+    r.type = v.type;
+    r.name = v.name;
+    r.user = v.user;
+    r.created = v.created;
+    r.comment = v.comment;
+    r.blob = v.blob;
+    r.version = v.version;
+    r.status = v.status;
+    const DerivationView& d = v.derivation;
+    r.derivation.input_roles.assign(d.input_roles.begin(),
+                                    d.input_roles.end());
+    r.derivation.task = d.task;
+    r.derivation.tool = d.tool;
     return;
   }
   if (kind == RecordKind::kAnnotate) {
@@ -292,10 +317,13 @@ Record decode(std::string_view line) {
   return record;
 }
 
-InstanceView decode_instance(std::string_view line) {
+InstanceView decode_instance(std::string_view line, TextPool& pool) {
   InstanceView view;
-  read_line(line,
-            [&](RecordReader& rec) { decode_instance_fields(rec, view); });
+  pool.clear_staged();
+  StagedIds inputs{pool};
+  read_line(line, [&](RecordReader& rec) {
+    decode_instance_fields(rec, view, inputs);
+  });
   return view;
 }
 

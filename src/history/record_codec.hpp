@@ -26,9 +26,9 @@
 // and field ranges only; whether a record fits the database it is applied
 // to (a known entity, an earlier instance, a stored blob) is the reader's
 // business.  An `inst` line is also read in place, as an `InstanceView`:
-// replay builds the table's instance from its views, and `decode` copies
-// the same view into an `InstanceRecord`, so one function reads the
-// fields of both.
+// replay puts its input ids straight into the database's arena and builds
+// the table's instance from its views, and `decode` copies the same view
+// into an `InstanceRecord`, so one function reads the fields of both.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +41,7 @@
 #include "data/blob_store.hpp"
 #include "data/instance_id.hpp"
 #include "history/instance.hpp"
+#include "history/text_pool.hpp"
 #include "support/clock.hpp"
 
 namespace herc::history {
@@ -69,8 +70,9 @@ struct InstanceRecord {
 
 /// An `inst` record whose texts are views: of the line it was read from
 /// (`decode_instance`) or of an `InstanceRecord`.  A field of the line
-/// that holds a `\` is viewed in its unescaped copy in `unescaped`, so
-/// the view is valid while it and what it views live.
+/// that holds a `\` is viewed in its unescaped copy in `unescaped`, and a
+/// line's input ids in the run its reader staged, so the view is valid
+/// while it and what it views live.
 struct InstanceView {
   data::InstanceId id;
   std::string_view type;
@@ -186,8 +188,12 @@ void encode(const Record& record, std::string& out);
 [[nodiscard]] Record decode(std::string_view line);
 
 /// Parses an `inst` line (no '\n') in place, into views of it: the
-/// reader `decode` copies from.  Throws as `decode` does; the caller has
-/// checked that `kind_of(line)` is `kInstance`.
-[[nodiscard]] InstanceView decode_instance(std::string_view line);
+/// reader `decode` copies from.  Its input ids go straight into `pool`'s
+/// arena as the staged run (`TextPool::stage_id`), which the view's
+/// `derivation.inputs` views and `TextPool::copy` keeps in place.  Throws
+/// as `decode` does; the caller has checked that `kind_of(line)` is
+/// `kInstance`.
+[[nodiscard]] InstanceView decode_instance(std::string_view line,
+                                           TextPool& pool);
 
 }  // namespace herc::history

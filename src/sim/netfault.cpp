@@ -144,9 +144,11 @@ void FaultProxy::accept_loop() {
     link->budget.store(drop_after_.load());
     accepted_.fetch_add(1);
     Link* raw = link.get();
+    // Registered before its pumps run: a fault injected as soon as a call
+    // on this link is answered must find the link.
+    std::scoped_lock lock(links_mutex_);
     link->up = std::thread([this, raw] { pump(*raw, true); });
     link->down = std::thread([this, raw] { pump(*raw, false); });
-    std::scoped_lock lock(links_mutex_);
     links_.push_back(std::move(link));
   }
 }

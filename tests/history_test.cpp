@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 
 #include "history/history_db.hpp"
 #include "pooled_texts.hpp"
@@ -303,11 +304,12 @@ TEST_F(HistoryTest, PersistenceRoundTrip) {
   EXPECT_EQ(testpool::fields_of(again), testpool::fields_of(db_));
 }
 
-TEST_F(HistoryTest, AnInstanceTakesAtMost128Bytes) {
+TEST_F(HistoryTest, AnInstanceTakesAtMost80Bytes) {
   // A history holds every instance in memory, so this bounds the history
-  // one server can hold: repeated texts are 8-byte pool handles, and an
-  // empty comment is one null pointer.
-  EXPECT_LE(sizeof(Instance), 128u);
+  // one server can hold: repeated texts are 8-byte pool handles, and the
+  // name, comment and inputs are 8-byte handles to runs of the arena.
+  static_assert(std::is_trivially_destructible_v<Instance>);
+  EXPECT_LE(sizeof(Instance), 80u);
 }
 
 TEST_F(HistoryTest, InstancesWithTheSameTextShareOnePoolEntry) {

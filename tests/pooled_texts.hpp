@@ -93,11 +93,15 @@ inline std::vector<Fields> fields_of(const HistoryDb& db) {
   std::vector<Fields> out;
   for (const InstanceId id : db.all()) {
     const history::Instance& inst = db.instance(id);
-    out.push_back(Fields{db.schema().entity_name(inst.type), inst.name,
-                         inst.user, inst.created.micros(), std::string(inst.comment),
-                         db.payload(id), inst.version, inst.status,
-                         inst.derivation.tool, inst.derivation.inputs,
-                         inst.derivation.input_roles, inst.derivation.task});
+    const history::PooledDerivation& d = inst.derivation;
+    out.push_back(Fields{db.schema().entity_name(inst.type),
+                         std::string(inst.name.get()), inst.user,
+                         inst.created.micros(),
+                         std::string(inst.comment.get()), db.payload(id),
+                         inst.version, inst.status, d.tool,
+                         std::vector<InstanceId>(d.inputs.begin(),
+                                                 d.inputs.end()),
+                         d.input_roles, d.task});
   }
   return out;
 }
