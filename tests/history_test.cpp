@@ -3,10 +3,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
+#include <span>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "history/history_db.hpp"
 #include "pooled_texts.hpp"
+#include "property_seed.hpp"
 #include "schema/standard_schemas.hpp"
 #include "support/error.hpp"
 #include "support/text.hpp"
@@ -310,6 +315,96 @@ TEST_F(HistoryTest, AnInstanceTakesAtMost80Bytes) {
   // name, comment and inputs are 8-byte handles to runs of the arena.
   static_assert(std::is_trivially_destructible_v<Instance>);
   EXPECT_LE(sizeof(Instance), 80u);
+}
+
+/// Keeps each mutation's records as the saved lines its journal frame
+/// would hold.
+struct LineRecorder : MutationListener {
+  std::vector<std::string> lines;
+  void on_mutation(std::span<const Record> records) override {
+    for (const Record& record : records) {
+      std::string line;
+      encode(record, line);
+      line.pop_back();  // the '\n'
+      lines.push_back(std::move(line));
+    }
+  }
+};
+
+/// A name, comment or reason of 0 bytes up to more than one arena block,
+/// holding bytes the record format escapes and bytes above 0x7f.
+std::string random_text(std::mt19937_64& rng) {
+  static constexpr char kBytes[] = {'a', 'Z', '0',    ' ',    '|',
+                                    '\\', '\n', '\x7f', '\x80', '\xff'};
+  const std::size_t sizes[] = {0, 0, 1, 3, 12, 200,
+                               TextPool::kArenaBlockBytes / 8 + 1};
+  std::size_t size = sizes[rng() % std::size(sizes)];
+  if (rng() % 40 == 0) size = TextPool::kArenaBlockBytes + rng() % 9;
+  std::string text;
+  for (std::size_t i = 0; i < size; ++i) {
+    text += kBytes[rng() % std::size(kBytes)];
+  }
+  return text;
+}
+
+TEST_F(HistoryTest, ArenaRunsReadBackAfterSaveReplayAndMove) {
+  const std::uint64_t seed = testprop::base_seed(29);
+  SCOPED_TRACE(testprop::seed_note(seed));
+  std::mt19937_64 rng(seed);
+  support::ManualClock clock2(0, 1);
+  auto source = std::make_unique<HistoryDb>(schema_, clock2);
+  LineRecorder journal;
+  source->attach_listener(&journal);
+  const char* const users[] = {"ada", "bob", ""};
+  for (int step = 0; step < 400; ++step) {
+    const std::size_t op = rng() % 10;
+    if (op < 7 || source->size() == 0) {
+      RecordRequest r;
+      r.type = schema_.require(op % 2 == 0 ? "Stimuli" : "EditedNetlist");
+      r.name = random_text(rng);
+      r.user = users[rng() % std::size(users)];
+      r.comment = random_text(rng);
+      r.payload = support::numbered("p", rng() % 50);
+      if (op == 6) r.status = InstanceStatus::kFailed;
+      const std::size_t inputs = source->size() == 0 ? 0 : rng() % 6;
+      for (std::size_t i = 0; i < inputs; ++i) {
+        r.derivation.inputs.push_back(
+            InstanceId(static_cast<std::uint32_t>(rng() % source->size())));
+        r.derivation.input_roles.push_back(support::numbered("r", i));
+      }
+      if (source->size() > 0 && rng() % 2 == 0) {
+        r.derivation.tool =
+            InstanceId(static_cast<std::uint32_t>(rng() % source->size()));
+      }
+      r.derivation.task = inputs == 0 ? "import" : "Simulator";
+      (void)source->record(r);
+    } else {
+      const InstanceId id(static_cast<std::uint32_t>(rng() % source->size()));
+      if (op < 9) {
+        source->annotate(id, random_text(rng), random_text(rng));
+      } else if (source->instance(id).ok()) {
+        source->quarantine(id, random_text(rng));
+      }
+    }
+  }
+  const std::vector<testpool::Fields> fields = testpool::fields_of(*source);
+  const std::string saved = source->save();
+
+  support::ManualClock clock3(0, 1);
+  const HistoryDb loaded = HistoryDb::load(schema_, clock3, saved);
+  EXPECT_EQ(testpool::fields_of(loaded), fields);
+  EXPECT_EQ(loaded.save(), saved);
+
+  support::ManualClock clock4(0, 1);
+  HistoryDb replayed(schema_, clock4);
+  for (const std::string& line : journal.lines) replayed.apply_saved_line(line);
+  EXPECT_EQ(testpool::fields_of(replayed), fields);
+
+  source->attach_listener(nullptr);
+  db_ = std::move(*source);
+  source.reset();
+  EXPECT_EQ(testpool::fields_of(db_), fields);
+  EXPECT_EQ(db_.save(), saved);
 }
 
 TEST_F(HistoryTest, InstancesWithTheSameTextShareOnePoolEntry) {
